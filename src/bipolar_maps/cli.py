@@ -3,7 +3,8 @@
 Verbs: count, sample, stats, interface, walk2map, map2walk, embed, verify.
 Stdout carries data, stderr carries diagnostics; every stochastic verb
 requires an explicit --seed.  Exit codes: 0 success, 1 infeasible inputs or
-failed verification, 2 usage errors, 3 resource budget exceeded.
+failed verification, 2 usage errors or malformed input, 3 resource budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import enumeration, simulate
-from .errors import (BipolarError, EnumerationBudgetError, NoMapsError,
-                     RejectionBudgetError)
+from .errors import (BipolarError, EnumerationBudgetError, MapStructureError,
+                     NoMapsError, RejectionBudgetError)
 from .planar_map import map_from_json, map_to_json
 from .rng import CounterRng
 from .sewing import map_to_walk, walk_to_map
@@ -51,6 +52,13 @@ def _dist_from_args(args):
         return direct_distribution_from_text(Path(args.nu).read_text()), None
     w = _load_weights(args.weights)
     return step_distribution(w), w
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
 
 
 def _require_seed(parser, args) -> None:
@@ -112,23 +120,8 @@ def cmd_stats(args, parser) -> int:
                                         bootstrap=args.bootstrap)
     if (args.method in ("exact", "rejection") and w is not None
             and not w.uniform and set(w.support) == {3}):
-        bulk_in: list[int] = []
-        bulk_out: list[int] = []
-        trace = None
-        for walk in walks:
-            trace = simulate.degrees_from_walk(walk)
-            bulk = trace.bulk_interior(args.eps)
-            bulk_in += [trace.indegree[v] for v in bulk]
-            bulk_out += [trace.outdegree[v] for v in bulk]
-        if len(walks) == 1 and trace is not None:
-            simulate.attach_degree_stats(report, trace, args.eps)
-        elif bulk_in:
-            import numpy as np
-            report.degree_in_hist = simulate._hist(bulk_in)
-            report.degree_out_hist = simulate._hist(bulk_out)
-            report.tv_in = simulate.tv_to_geometric(bulk_in)
-            report.tv_out = simulate.tv_to_geometric(bulk_out)
-            report.degree_corr = float(np.corrcoef(bulk_in, bulk_out)[0, 1])
+        simulate.attach_degree_stats(
+            report, *map(simulate.degrees_from_walk, walks), eps=args.eps)
     if args.json:
         _write(args.json, json.dumps(report.to_json_dict(), indent=2) + "\n")
     print(report.human_table())
@@ -193,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="west boundary length minus one")
             q.add_argument("--n", type=int, default=1,
                            help="east boundary length minus one")
-        q.add_argument("--edges", type=int, required=True,
+        q.add_argument("--edges", type=_positive_int, required=True,
                        help="total edge count of the map")
         q.add_argument("--budget", type=int, default=enumeration.DEFAULT_BUDGET,
                        help="cell budget for exact count tables")
@@ -287,6 +280,9 @@ def main(argv=None) -> int:
     except (EnumerationBudgetError, RejectionBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (MapStructureError, ValueError) as exc:  # malformed input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BipolarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

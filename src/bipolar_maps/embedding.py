@@ -22,7 +22,7 @@ from math import lcm
 from .errors import EmbeddingInternalError, EmbeddingUnsupportedError
 from .planar_map import PlanarMap
 from .sewing import interface_order
-from .walks import EdgeMove
+from .simulate import TriangleFrontier
 
 Point = tuple[Fraction, Fraction]
 
@@ -63,47 +63,6 @@ def _check_simple_triangulation(m: PlanarMap) -> None:
             raise EmbeddingUnsupportedError(
                 f"unsupported for embedding: multiple edges between {t} and {h}")
         seen.add((t, h))
-
-
-def _replay_events(moves):
-    """Combinatorial frontier replay: creation events and triangle corners.
-
-    Returns (n_vertices, events, replay_edges, triangles) where events[v]
-    describes how creation id v came to exist ("top" above old top, or
-    "insert" between two chain ids) and triangles are (u, w, z, side) with
-    y(u) < y(w) < y(z) and the middle corner w on the given side.
-    """
-    chain = [0, 1]
-    a = 1
-    events: list = [("base",), ("base",)]
-    replay_edges = [(0, 1)]
-    triangles: list[tuple[int, int, int, str]] = []
-    next_v = 2
-    for mv in moves:
-        if isinstance(mv, EdgeMove):
-            if a + 1 < len(chain):
-                replay_edges.append((chain[a], chain[a + 1]))
-                a += 1
-            else:
-                events.append(("top", chain[-1]))
-                replay_edges.append((chain[-1], next_v))
-                chain.append(next_v)
-                a = len(chain) - 1
-                next_v += 1
-        elif mv.delta == (-1, 0):
-            p2, p1, act = chain[a - 2], chain[a - 1], chain[a]
-            triangles.append((p2, p1, act, WEST))
-            replay_edges.append((p2, act))
-            del chain[a - 1]
-            a -= 1
-        else:  # (0, 1)
-            p, q = chain[a - 1], chain[a]
-            events.append(("insert", p, q))
-            triangles.append((p, next_v, q, EAST))
-            replay_edges.append((p, next_v))
-            chain.insert(a, next_v)
-            next_v += 1
-    return next_v, events, replay_edges, triangles
 
 
 def _x_bound(u, w, z, side, free, pos, ys):
@@ -183,7 +142,26 @@ def upward_embed(m: PlanarMap) -> Embedding:
     m.require_valid()
     _check_simple_triangulation(m)
     order, moves = interface_order(m)
-    n_creation, events, replay_edges, triangles = _replay_events(moves)
+    # events[v] says how creation id v came to exist ("top" above the old
+    # top, or "insert" between two frontier ids); triangles are (u, w, z,
+    # side) with y(u) < y(w) < y(z) and the middle corner w on that side
+    frontier = TriangleFrontier()
+    events: list[tuple] = [("base",), ("base",)]
+    replay_edges = [(0, 1)]
+    triangles: list[tuple[int, int, int, str]] = []
+    for mv in moves:
+        tail, head, apex = frontier.push(mv)
+        replay_edges.append((tail, head))
+        is_new = head == len(events)
+        if apex is None:
+            if is_new:
+                events.append(("top", tail))
+        elif is_new:
+            events.append(("insert", tail, apex))
+            triangles.append((tail, head, apex, EAST))
+        else:
+            triangles.append((tail, apex, head, WEST))
+    n_creation = frontier.n_vertices
 
     boost: dict[int, int] = {}
     raise_step: dict[int, int] = {}

@@ -637,16 +637,26 @@ def map_to_json(m: PlanarMap) -> str:
 
 
 def map_from_json(text: str) -> PlanarMap:
-    """Parse the JSON wire format."""
+    """Parse the JSON wire format; a malformed document is a MapStructureError."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise MapStructureError("map JSON must be an object")
     try:
-        return PlanarMap(
-            n_vertices=obj["vertices"],
-            edges=[tuple(e) for e in obj["edges"]],
-            rotations=obj["rotations"],
-            south=obj["south"],
-            north=obj["north"],
-            west_anchor=obj["west"],
-        )
+        n_vertices, south, north, west = (
+            obj[k] for k in ("vertices", "south", "north", "west"))
+        edges, rotations = obj["edges"], obj["rotations"]
     except KeyError as exc:
         raise MapStructureError(f"map JSON missing key: {exc}") from exc
+    if not (all(type(v) is int for v in (n_vertices, south, north, west))
+            and _int_rows(edges) and _int_rows(rotations)
+            and all(len(e) == 2 for e in edges)):
+        raise MapStructureError(
+            "map JSON: vertices, south, north and west must be integers, "
+            "edges and rotations lists of integer lists")
+    return PlanarMap(n_vertices=n_vertices, edges=edges, rotations=rotations,
+                     south=south, north=north, west_anchor=west)
+
+
+def _int_rows(rows) -> bool:
+    return isinstance(rows, list) and all(
+        isinstance(r, list) and all(type(x) is int for x in r) for r in rows)

@@ -26,9 +26,6 @@ class CounterRng:
         self.np = np.random.Generator(np.random.Philox(key=key))
         self._buf: list[int] = []
 
-    def spawn(self, stream: int) -> "CounterRng":
-        return CounterRng(self.seed, stream)
-
     def random(self) -> float:
         return float(self.np.random())
 
@@ -57,16 +54,3 @@ class CounterRng:
             raw &= (1 << bits) - 1
             if raw < n:
                 return raw
-
-    def geometric_zero(self) -> int:
-        """Number of successes before the first failure at probability 1/2."""
-        k = 0
-        w = self._word()
-        while True:
-            for _ in range(64):
-                if w & 1:
-                    k += 1
-                    w >>= 1
-                else:
-                    return k
-            w = self._word()

@@ -9,14 +9,14 @@ increment structure against the zero-drift theory values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, sqrt
+from math import sqrt
 
 import numpy as np
 
 from .errors import BipolarError, NoMapsError, RejectionBudgetError
 from .rng import CounterRng
 from .walks import EDGE, EdgeMove, FaceMove, LatticeWalk, Move
-from .weights import StepDistribution, TheoryStats, theory_stats
+from .weights import StepDistribution, TheoryStats, congruence, theory_stats
 
 
 # -- step generation -------------------------------------------------------------
@@ -40,33 +40,6 @@ def _draw_moves(dist: StepDistribution, steps: int, rng: CounterRng) -> list[Mov
 def free_walk(dist: StepDistribution, steps: int, rng: CounterRng) -> LatticeWalk:
     """Unconditioned i.i.d. walk from the origin (may leave the quadrant)."""
     return LatticeWalk((0, 0), tuple(_draw_moves(dist, steps, rng)))
-
-
-def _dist_degrees(dist: StepDistribution) -> list[int]:
-    if dist.kind == "finite":
-        return sorted(dist.face_probs)
-    if dist.kind == "direct":
-        return sorted({-dx + dy + 2 for (dx, dy) in dist.direct if (dx, dy) != (1, -1)})
-    return []
-
-
-def _necessary_conditions(dist: StepDistribution, m, n, ell) -> tuple[bool, str]:
-    degrees = _dist_degrees(dist)
-    if dist.kind == "uniform" or not degrees:
-        return True, "necessary conditions pass"
-    b = 0
-    for k in degrees:
-        b = gcd(b, k // 2 if k % 2 == 0 else k)
-    odd = [k for k in degrees if k % 2 == 1]
-    if (m + n) % 2 == 1:
-        if not odd:
-            return False, "m+n is odd and all face degrees are even"
-        target = (m + n + odd[0]) // 2
-    else:
-        target = (m + n) // 2
-    if (ell - 1 - target) % b != 0:
-        return False, f"congruence fails modulo period {b}"
-    return True, "necessary conditions pass"
 
 
 def _propose_batch(dist: StepDistribution, m: int, steps: int, size: int,
@@ -102,9 +75,10 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
     Raises RejectionBudgetError carrying the observed acceptance rate when
     max_tries proposals do not yield enough accepted walks.
     """
-    ok, reason = _necessary_conditions(dist, m, n, ell)
-    if not ok:
-        raise NoMapsError(f"no such maps: {reason}")
+    if dist.kind != "uniform":
+        ok, reason = congruence(dist.degrees(), m, n, ell)
+        if not ok:
+            raise NoMapsError(f"no such maps: {reason}")
     steps = ell - 1
     if steps == 0:
         if (0, m) != (n, 0):
@@ -168,56 +142,33 @@ def sample_simple_triangulation_walk(m: int, n: int, ell: int,
         raise BipolarError("need at least two edges for a simple map")
     steps = ell - 1
     for _ in range(max_restarts):
+        frontier = TriangleFrontier()
         edges = {(0, 1)}
-        below = [0]
-        above: list[int] = []
-        active = 1
-        n_vertices = 2
         x, y = 0, m
         moves: list[Move] = []
-        ok = True
         for t in range(steps):
             r = steps - t - 1
-            options: list[tuple[Move, tuple]] = []
-            if y >= 1 and closable_triangulation(x + 1, y - 1, n, r):
-                # the edge move connects active to the vertex above, if any
-                up = above[-1] if above else None
-                if up is None or (active, up) not in edges:
-                    options.append((EDGE, ("e", up)))
-            if (x >= 1 and len(below) >= 2
-                    and closable_triangulation(x - 1, y, n, r)
-                    and (below[-2], active) not in edges):
-                options.append((FaceMove(1, 0), ("w",)))
+            options: list[Move] = []
+            # the frontier holds x + 1 vertices below the active one, so
+            # x >= 1 keeps edge_of(WEST_TRIANGLE) inside the quadrant
+            if (y >= 1 and closable_triangulation(x + 1, y - 1, n, r)
+                    and frontier.edge_of(EDGE) not in edges):
+                options.append(EDGE)
+            if (x >= 1 and closable_triangulation(x - 1, y, n, r)
+                    and frontier.edge_of(WEST_TRIANGLE) not in edges):
+                options.append(WEST_TRIANGLE)
             if closable_triangulation(x, y + 1, n, r):
-                options.append((FaceMove(0, 1), ("n",)))
+                options.append(EAST_TRIANGLE)
             if not options:
-                ok = False
                 break
-            mv, info = options[rng.randrange(len(options))]
+            mv = options[rng.randrange(len(options))]
             moves.append(mv)
+            tail, head, _ = frontier.push(mv)
+            edges.add((tail, head))
             dx, dy = mv.delta
             x += dx
             y += dy
-            if info[0] == "e":
-                up = info[1]
-                if up is None:
-                    up = n_vertices
-                    n_vertices += 1
-                else:
-                    above.pop()
-                edges.add((active, up))
-                below.append(active)
-                active = up
-            elif info[0] == "w":
-                below.pop()
-                edges.add((below[-1], active))
-            else:
-                v = n_vertices
-                n_vertices += 1
-                edges.add((below[-1], v))
-                above.append(active)
-                active = v
-        if ok and (x, y) == (n, 0):
+        if len(moves) == steps and (x, y) == (n, 0):
             return LatticeWalk((0, m), tuple(moves))
     raise BipolarError("could not steer a simple triangulation at this size")
 
@@ -248,52 +199,83 @@ class FrontierTrace:
                 if lo <= self.created_at[v] <= hi and v not in self.final_frontier]
 
 
+WEST_TRIANGLE = FaceMove(1, 0)
+EAST_TRIANGLE = FaceMove(0, 1)
+
+
+class TriangleFrontier:
+    """The frontier of a triangulation being sewn, one move at a time.
+
+    ``below`` lists the frontier vertices under the active one, bottom to
+    top; ``above`` those over it, nearest last.  Vertex ids count up in
+    creation order, matching the sewing construction exactly.
+    """
+
+    def __init__(self):
+        self.below = [0]
+        self.above: list[int] = []
+        self.active = 1
+        self.n_vertices = 2
+
+    def edge_of(self, move: Move) -> tuple[int, int]:
+        """The (tail, head) edge ``move`` would add; a new head gets the next id."""
+        if isinstance(move, EdgeMove):
+            return self.active, self.above[-1] if self.above else self.n_vertices
+        if move == WEST_TRIANGLE:
+            if len(self.below) < 2:
+                raise BipolarError("walk exits the quadrant; frontier trace "
+                                   "is only defined inside it")
+            return self.below[-2], self.active
+        if move == EAST_TRIANGLE:
+            return self.below[-1], self.n_vertices
+        raise BipolarError(f"frontier trace supports triangle moves only, "
+                           f"got {move!r}")
+
+    def push(self, move: Move) -> tuple[int, int, int | None]:
+        """Apply ``move``; returns its edge and the third corner of its triangle.
+
+        The apex is None for an edge move.  A west triangle's chord buries
+        its apex; an east triangle hangs a new active vertex below its apex.
+        """
+        tail, head = self.edge_of(move)
+        if move == WEST_TRIANGLE:
+            return tail, head, self.below.pop()
+        if isinstance(move, EdgeMove):
+            if head == self.n_vertices:
+                self.n_vertices += 1
+            else:
+                self.above.pop()
+            self.below.append(tail)
+            apex = None
+        else:
+            self.n_vertices += 1
+            self.above.append(self.active)
+            apex = self.active
+        self.active = head
+        return tail, head, apex
+
+
 def degrees_from_walk(walk: LatticeWalk) -> FrontierTrace:
     """Replay frontier dynamics of a triangulation walk; exact degrees.
 
     Only edge moves and the two triangle moves are supported; the walk must
     stay in the quadrant.
     """
+    frontier = TriangleFrontier()
     indeg = [0, 1]
     outdeg = [1, 0]
     created = [0, 0]
-    below = [0]         # vertex ids below the active one, bottom to top
-    above: list[int] = []
-    active = 1
     for t, mv in enumerate(walk.moves, start=1):
-        if isinstance(mv, EdgeMove):
-            if above:
-                v = above.pop()
-            else:
-                v = len(indeg)
-                indeg.append(0)
-                outdeg.append(0)
-                created.append(t)
-            indeg[v] += 1
-            outdeg[active] += 1
-            below.append(active)
-            active = v
-        elif mv.delta == (-1, 0):
-            if len(below) < 2:
-                raise BipolarError("walk exits the quadrant; frontier trace "
-                                   "is only defined inside it")
-            below.pop()
-            outdeg[below[-1]] += 1
-            indeg[active] += 1
-        elif mv.delta == (0, 1):
-            v = len(indeg)
-            indeg.append(1)
+        tail, head, _ = frontier.push(mv)
+        if head == len(indeg):
+            indeg.append(0)
             outdeg.append(0)
             created.append(t)
-            outdeg[below[-1]] += 1
-            above.append(active)
-            active = v
-        else:
-            raise BipolarError(f"frontier trace supports triangle moves only, "
-                               f"got {mv!r}")
+        outdeg[tail] += 1
+        indeg[head] += 1
     return FrontierTrace(
         indegree=indeg, outdegree=outdeg, created_at=created,
-        final_frontier=set(below) | set(above) | {active},
+        final_frontier=set(frontier.below) | set(frontier.above) | {frontier.active},
         n_moves=len(walk.moves))
 
 
@@ -439,29 +421,26 @@ def covariance_report(walks: list[LatticeWalk], dist: StepDistribution | None = 
     )
 
 
-def attach_degree_stats(report: StatReport, trace: FrontierTrace,
+def attach_degree_stats(report: StatReport, *traces: FrontierTrace,
                         eps: float = 0.05) -> StatReport:
-    """Fill the degree section of a report from a frontier trace."""
-    bulk = trace.bulk_interior(eps)
-    if not bulk:
+    """Fill the degree section of a report from the pooled bulk vertices of traces."""
+    pairs = [(trace.indegree[v], trace.outdegree[v])
+             for trace in traces for v in trace.bulk_interior(eps)]
+    if not pairs:
         raise BipolarError("no bulk interior vertices at this size")
-    ins = [trace.indegree[v] for v in bulk]
-    outs = [trace.outdegree[v] for v in bulk]
+    ins = [a for a, _ in pairs]
+    outs = [b for _, b in pairs]
     report.degree_in_hist = _hist(ins)
     report.degree_out_hist = _hist(outs)
-    joint: dict[str, int] = {}
-    for a, b in zip(ins, outs):
-        key = f"{a},{b}"
-        joint[key] = joint.get(key, 0) + 1
-    report.degree_joint_hist = joint
+    report.degree_joint_hist = _hist(f"{a},{b}" for a, b in pairs)
     report.tv_in = tv_to_geometric(ins)
     report.tv_out = tv_to_geometric(outs)
     report.degree_corr = float(np.corrcoef(ins, outs)[0, 1])
     return report
 
 
-def _hist(values: list[int]) -> dict[int, int]:
-    out: dict[int, int] = {}
+def _hist(values):
+    out = {}
     for v in values:
         out[v] = out.get(v, 0) + 1
     return dict(sorted(out.items()))

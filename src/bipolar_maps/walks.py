@@ -8,7 +8,7 @@ side, stands for a face with ``i + 1`` west edges and ``j + 1`` east edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -133,17 +133,6 @@ def walk_from_text(text: str) -> LatticeWalk:
         else:
             raise ValueError(f"bad move line: {line!r}")
     return LatticeWalk(start, tuple(moves))
-
-
-def moves_from_deltas(deltas: Iterable[tuple[int, int]]) -> Iterator[Move]:
-    """Translate raw (dx, dy) increments back into moves."""
-    for dx, dy in deltas:
-        if (dx, dy) == (1, -1):
-            yield EDGE
-        elif dx <= 0 and dy >= 0:
-            yield FaceMove(-dx, dy)
-        else:
-            raise ValueError(f"not a legal increment: ({dx}, {dy})")
 
 
 def reverse_moves(moves: Iterable[Move]) -> tuple[Move, ...]:

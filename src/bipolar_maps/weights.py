@@ -181,6 +181,11 @@ class StepDistribution:
             return self.direct.get((1, -1), 0.0)
         return self.p_edge
 
+    def degrees(self) -> list[int]:
+        """Face degrees with positive probability; rejects the uniform family."""
+        return sorted({mv.degree for mv, _ in self.finite_moves()
+                       if isinstance(mv, FaceMove)})
+
     def finite_moves(self) -> list[tuple[Move, float]]:
         """All moves with positive probability; rejects the uniform family."""
         if self.kind == "uniform":
@@ -200,34 +205,40 @@ class StepDistribution:
 
 def period(w: FaceWeights) -> int:
     """gcd of {k : a_2k > 0} and the odd supported degrees >= 3."""
-    if w.uniform:
-        return 1
-    vals = []
-    for k in w.support:
-        vals.append(k // 2 if k % 2 == 0 else k)
-    if not vals:
+    return 1 if w.uniform else _period(w.support)
+
+
+def _period(degrees) -> int:
+    if not degrees:
         raise BipolarError("empty face-weight support")
     g = 0
-    for v in vals:
-        g = gcd(g, v)
+    for k in degrees:
+        g = gcd(g, k // 2 if k % 2 == 0 else k)
     return g
 
 
 def feasible(w: FaceWeights, m: int, n: int, ell: int) -> tuple[bool, str]:
     """Necessary existence conditions for maps with these boundary data.
 
-    The congruence is applied in its sharp per-parity form: with period b,
-    a walk needs ``ell - 1 = (m + n)/2 mod b`` when m + n is even, and
-    ``ell - 1 = (m + n + k)/2 mod b`` for an odd supported degree k
-    otherwise.  (For odd b this is equivalent to ``2(ell-1) = m+n mod b``.)
     Passing is necessary, not sufficient; exact counts settle small sizes.
     """
     if m < 0 or n < 0 or ell < 1:
         raise ValueError("need m, n >= 0 and ell >= 1")
     if w.uniform:
         return True, "necessary conditions pass (period 1)"
-    b = period(w)
-    odd_degrees = [k for k in w.support if k % 2 == 1]
+    return congruence(w.support, m, n, ell)
+
+
+def congruence(degrees, m: int, n: int, ell: int) -> tuple[bool, str]:
+    """The walk-period congruence for maps whose faces have these degrees.
+
+    It is applied in its sharp per-parity form: with period b, a walk needs
+    ``ell - 1 = (m + n)/2 mod b`` when m + n is even, and
+    ``ell - 1 = (m + n + k)/2 mod b`` for an odd supported degree k
+    otherwise.  (For odd b this is equivalent to ``2(ell-1) = m+n mod b``.)
+    """
+    b = _period(degrees)
+    odd_degrees = [k for k in degrees if k % 2 == 1]
     if (m + n) % 2 == 1:
         if not odd_degrees:
             return False, "m+n is odd and all face degrees are even"

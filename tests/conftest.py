@@ -1,42 +1,7 @@
-import itertools
-
 import pytest
 
+from bipolar_maps.verify import all_triangulation_walks, is_simple  # noqa: F401
 from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk
-
-TRI_MOVES = (EDGE, FaceMove(1, 0), FaceMove(0, 1))
-
-
-def all_triangulation_walks(max_moves):
-    """Every quadrant triangulation code with at most max_moves steps."""
-    for T in range(0, max_moves + 1):
-        for seq in itertools.product(TRI_MOVES, repeat=T):
-            x = y = 0
-            minx = miny = 0
-            for mv in seq:
-                dx, dy = mv.delta
-                x += dx
-                y += dy
-                minx = min(minx, x)
-                miny = min(miny, y)
-            if minx < 0:
-                continue
-            m = -miny
-            if y != -m:
-                continue
-            walk = LatticeWalk((0, m), seq)
-            if walk.is_bipolar_code():
-                yield walk
-
-
-def is_simple(mp):
-    seen = set()
-    for t, h in mp.edges:
-        if t == h or (t, h) in seen:
-            return False
-        seen.add((t, h))
-    return True
-
 
 # the figure example: 16 edges, boundaries of lengths 3 and 4
 FIG_MOVES = (EDGE, FaceMove(0, 2), FaceMove(1, 0), FaceMove(0, 1), EDGE, EDGE,

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +140,54 @@ def test_verify_quick(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert "ok -" in err
+
+
+def test_stats_pools_replicas(tmp_path, capsys):
+    out_json = tmp_path / "r.json"
+    code, _, _ = run(capsys, "stats", "--weights", "tri", "--edges", "600",
+                     "--seed", "4", "--replicas", "2", "--bootstrap", "50",
+                     "--json", str(out_json))
+    assert code == 0
+    degrees = json.loads(out_json.read_text())["degrees"]
+    assert sum(degrees["joint_hist"].values()) == sum(degrees["in_hist"].values()) > 0
+
+
+@pytest.mark.parametrize("argv, infile, content", [
+    (["count", "--edges", "0"], None, None),
+    (["walk2map"], "w.txt", "0 0\nF -1 0\n"),
+    (["map2walk"], "m.json", '{"vertices": "3", "south": 0, "north": 1, '
+                             '"west": 0, "edges": [[0, 1]], '
+                             '"rotations": [[1], [-1]]}'),
+    (["map2walk"], "m.json", "[1, 2]"),
+], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
+        "map-top-level-array"])
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
+    if infile is not None:
+        (tmp_path / infile).write_text(content)
+        argv = argv + ["--in", str(tmp_path / infile)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len([line for line in err.splitlines() if "error: " in line]) == 1
+    assert "Traceback" not in err
+
+
+def readme_cli_lines():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("bipolar ")]
+
+
+def test_readme_cli_lines(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert len(lines) == 9
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert code == 0, f"{line}: {err}"
+        if comment.strip().startswith("prints "):
+            assert out.strip() == comment.split()[-1], line

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -12,9 +13,10 @@ from bipolar_maps.simulate import (covariance_report, degrees_from_walk,
                                    rejection_sample, rejection_sample_many,
                                    sample_simple_triangulation_walk,
                                    tv_to_geometric)
-from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk
-from bipolar_maps.weights import (direct_distribution, preset_weights,
-                                  step_distribution)
+from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk, walk_to_text
+from bipolar_maps.weights import (direct_distribution,
+                                  direct_distribution_from_text,
+                                  preset_weights, step_distribution)
 
 from conftest import all_triangulation_walks, is_simple
 
@@ -56,6 +58,16 @@ def test_rejection_infeasible():
         rejection_sample(quad, 1, 0, 5, CounterRng(3))
 
 
+def test_rejection_off_congruence_direct_distribution():
+    # the triangulation steps given move by move: period 3, ell-1 = 3 is off
+    nu = direct_distribution_from_text("1 -1 0.3333333333333333\n"
+                                       "-1 0 0.3333333333333333\n"
+                                       "0 1 0.3333333333333334\n")
+    with pytest.raises(NoMapsError,
+                       match="congruence fails: ell-1 = 3 is not 2 mod 3"):
+        rejection_sample(nu, 0, 1, 4, CounterRng(3))
+
+
 def test_rejection_budget_error():
     with pytest.raises(RejectionBudgetError):
         rejection_sample(TRI, 0, 1, 30, CounterRng(3), max_tries=3)
@@ -85,7 +97,7 @@ def test_degrees_smallest():
 
 
 def test_degrees_match_maps_exhaustively():
-    for walk in all_triangulation_walks(7):
+    for walk in all_triangulation_walks(9):
         trace = degrees_from_walk(walk)
         ins, outs = map_degrees(walk_to_map(walk))
         assert trace.indegree == ins
@@ -166,6 +178,23 @@ def test_simple_triangulation_sampler():
         mp = walk_to_map(w)
         assert mp.n_edges == ell
         assert is_simple(mp)
+
+
+STEERED_WALK_SHA256 = {
+    (150, 0): "952b105b950e941a297da9d00dd45dab0f3e07eb431416e8029916de6f48c48d",
+    (150, 1): "bda68a343000e743ce544eaee002a6f0f307d5bd10f8a57efeed62f319c9e6c4",
+    (150, 2): "8d61bbc84162b2ce52f2ed85718bbc5f182e6fdffe043b1967fc803e31977b30",
+    (300, 0): "79ffb61d34331a0b090973e59852d8f809a295dedfcfb22679a94131db7c81ad",
+    (300, 1): "b52e9b8be0af789fa45fbade871f2d253945c8a5280c34819aea49dc51be36b9",
+    (300, 2): "3340144bd425658a9dac1a2948d645259b6e4e4ca52fa005c8a9384d2cd73685",
+}
+
+
+def test_simple_triangulation_sampler_is_pinned():
+    # fixed seeds must keep drawing the same walks, byte for byte
+    for (ell, seed), digest in STEERED_WALK_SHA256.items():
+        walk = sample_simple_triangulation_walk(0, 1, ell, CounterRng(seed, ell))
+        assert hashlib.sha256(walk_to_text(walk).encode()).hexdigest() == digest
 
 
 def test_local_iid_window():
