@@ -21,8 +21,7 @@ from math import lcm
 
 from .errors import EmbeddingInternalError, EmbeddingUnsupportedError
 from .planar_map import PlanarMap
-from .sewing import interface_order
-from .simulate import TriangleFrontier
+from .sewing import Frontier, interface_order
 
 Point = tuple[Fraction, Fraction]
 
@@ -44,9 +43,6 @@ class Embedding:
                 bits = max(bits, f.numerator.bit_length(),
                            f.denominator.bit_length())
         return bits
-
-    def float_coords(self) -> dict[int, tuple[float, float]]:
-        return {v: (float(x), float(y)) for v, (x, y) in self.coords.items()}
 
 
 def _check_simple_triangulation(m: PlanarMap) -> None:
@@ -145,7 +141,7 @@ def upward_embed(m: PlanarMap) -> Embedding:
     # events[v] says how creation id v came to exist ("top" above the old
     # top, or "insert" between two frontier ids); triangles are (u, w, z,
     # side) with y(u) < y(w) < y(z) and the middle corner w on that side
-    frontier = TriangleFrontier()
+    frontier = Frontier()
     events: list[tuple] = [("base",), ("base",)]
     replay_edges = [(0, 1)]
     triangles: list[tuple[int, int, int, str]] = []

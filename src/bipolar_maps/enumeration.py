@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import EnumerationBudgetError, NoMapsError
 from .planar_map import PlanarMap
@@ -199,8 +199,8 @@ def enumerate_maps(w: FaceWeights, m: int, n: int, ell: int,
 def sample_from_table(table: CountTable, rng: CounterRng) -> LatticeWalk:
     """Backward sampling proportional to sub-counts; exact for int weights.
 
-    Fractional weights are locally rescaled to integers before each draw,
-    which preserves exactness.
+    Fractional weights are rescaled to integers by the lcm of their
+    denominators before each draw, which preserves exactness.
     """
     if not table.total:
         raise NoMapsError("no such maps: the count is zero")
@@ -217,15 +217,8 @@ def sample_from_table(table: CountTable, rng: CounterRng) -> LatticeWalk:
                 if c:
                     opts.append((mv, wt * c))
         weights = [wv for _, wv in opts]
-        if isinstance(weights[0], Fraction) or any(
-                isinstance(wv, Fraction) for wv in weights):
-            scale = 1
-            for wv in weights:
-                scale = scale * Fraction(wv).denominator // _gcd(
-                    scale, Fraction(wv).denominator)
-            ints = [int(Fraction(wv) * scale) for wv in weights]
-        else:
-            ints = [int(wv) for wv in weights]
+        scale = lcm(*(wv.denominator for wv in weights))
+        ints = [int(wv * scale) for wv in weights]
         u = rng.randrange(sum(ints))
         k = 0
         while u >= ints[k]:
@@ -235,12 +228,6 @@ def sample_from_table(table: CountTable, rng: CounterRng) -> LatticeWalk:
         moves.append(mv)
         pos = (pos[0] + mv.delta[0], pos[1] + mv.delta[1])
     return LatticeWalk(table.start, tuple(moves))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- hook-walk sampling for large triangulation families ------------------------

@@ -8,6 +8,12 @@ open faces but hold no edge yet.  Every move adds exactly one edge; a face
 move also adds one open face.  The fold is reversible (``unsew``), and
 restricting to quadrant walks from (0, m) to (n, 0) gives the bijection
 with unmarked bipolar maps.
+
+``Frontier`` is the same sewing rule on plain vertex ids: it keeps only the
+east frontier, which is all a move needs to know which edge it adds.  It is
+the one replay that decodes walks (``walk_to_map``) and feeds degrees, the
+upward embedding and the steered sampler; the marked-state fold stays as
+the reference and the unsew engine.
 """
 
 from __future__ import annotations
@@ -490,16 +496,89 @@ def state_from_map(m: PlanarMap) -> MarkedBipolarState:
     return st
 
 
+# -- the flat frontier replay -------------------------------------------------
+
+
+class Frontier:
+    """The east frontier of a map being sewn, one move at a time.
+
+    ``below`` lists the frontier vertices under the active one, bottom to
+    top; ``above`` those over it, nearest last.  Each move adds one edge and
+    new vertices take the next ids, so vertex and edge ids come in creation
+    order, matching the marked-state fold exactly inside the quadrant.
+    """
+
+    def __init__(self):
+        self.below = [0]
+        self.above: list[int] = []
+        self.active = 1
+        self.n_vertices = 2
+
+    def edge_of(self, move: Move) -> tuple[int, int]:
+        """The (tail, head) edge ``move`` would add; new vertices get the next ids.
+
+        A face move F(i, j) joins the frontier vertex i places below the
+        top of ``below`` to the last of its j new vertices, or to the active
+        vertex when j = 0.
+        """
+        if isinstance(move, EdgeMove):
+            return self.active, self.above[-1] if self.above else self.n_vertices
+        if move.i >= len(self.below):
+            raise NotBipolarCodeError(
+                f"not a closed bipolar code: {move!r} at x = {len(self.below) - 1} "
+                "leaves the quadrant")
+        return (self.below[-1 - move.i],
+                self.n_vertices + move.j - 1 if move.j else self.active)
+
+    def push(self, move: Move) -> tuple[int, int, int | None]:
+        """Apply ``move``; returns its edge and the face's apex.
+
+        The apex is the corner just above the face's bottom on its west side
+        (None for an edge move): a west triangle's chord buries it, an east
+        triangle hangs its new active vertex below it.
+        """
+        tail, head = self.edge_of(move)
+        below = self.below
+        if isinstance(move, EdgeMove):
+            if head == self.n_vertices:
+                self.n_vertices += 1
+            else:
+                self.above.pop()
+            below.append(tail)
+            apex = None
+        else:
+            i = move.i
+            apex = below[-i] if i else self.active
+            if i:
+                del below[-i:]
+            if move.j:
+                self.above.append(self.active)
+                self.above.extend(range(self.n_vertices, head))
+                self.n_vertices = head + 1
+        self.active = head
+        return tail, head, apex
+
+
 # -- walk <-> map --------------------------------------------------------------
 
 
 def walk_to_map(walk: LatticeWalk) -> PlanarMap:
-    """Decode a quadrant walk from (0, m) to (n, 0) into a bipolar map."""
+    """Decode a quadrant walk from (0, m) to (n, 0) into a bipolar map.
+
+    One frontier replay lists the edges in creation order.  At each vertex
+    the counterclockwise rotation is its outgoing edges, newest (east-most)
+    first, then its incoming edges, oldest (west-most) first.
+    """
     if walk.start[0] != 0 or walk.start[1] < 0:
         raise NotBipolarCodeError(
             f"not a closed bipolar code: walk must start at (0, m), got {walk.start}")
-    st = sew(walk.moves)
-    if not st.is_unmarked():
+    frontier = Frontier()
+    push = frontier.push
+    edges = [(0, 1)]
+    for mv in walk.moves:
+        tail, head, _ = push(mv)
+        edges.append((tail, head))
+    if frontier.above:
         raise NotBipolarCodeError(
             "not a closed bipolar code: walk leaves the quadrant or does not "
             "end on the x-axis")
@@ -507,7 +586,20 @@ def walk_to_map(walk: LatticeWalk) -> PlanarMap:
     if end[1] != 0:
         raise NotBipolarCodeError(
             f"not a closed bipolar code: walk ends at {end}, not (n, 0)")
-    return state_to_map(st)
+    n = frontier.n_vertices
+    outs: list[list[int]] = [[] for _ in range(n)]
+    ins: list[list[int]] = [[] for _ in range(n)]
+    for ref, (tail, head) in enumerate(edges, start=1):
+        outs[tail].append(ref)
+        ins[head].append(-ref)
+    return PlanarMap(
+        n_vertices=n,
+        edges=edges,
+        rotations=[out[::-1] + inn for out, inn in zip(outs, ins)],
+        south=0,
+        north=frontier.active,
+        west_anchor=0,
+    )
 
 
 def interface_order(m: PlanarMap) -> tuple[list[int], tuple[Move, ...]]:

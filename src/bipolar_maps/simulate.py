@@ -2,7 +2,7 @@
 
 Rejection sampling anchors boundary data exactly; free walks feed
 infinite-volume statistics; the frontier tracer reads vertex degrees
-straight off a triangulation walk; covariance reports compare empirical
+straight off a walk; covariance reports compare empirical
 increment structure against the zero-drift theory values.
 """
 
@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import BipolarError, NoMapsError, RejectionBudgetError
 from .rng import CounterRng
-from .walks import EDGE, EdgeMove, FaceMove, LatticeWalk, Move
+from .sewing import Frontier
+from .walks import EDGE, FaceMove, LatticeWalk, Move
 from .weights import StepDistribution, TheoryStats, congruence, theory_stats
 
 
@@ -75,6 +76,8 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
     Raises RejectionBudgetError carrying the observed acceptance rate when
     max_tries proposals do not yield enough accepted walks.
     """
+    if m < 0 or n < 0 or ell < 1:
+        raise ValueError("need m, n >= 0 and ell >= 1")
     if dist.kind != "uniform":
         ok, reason = congruence(dist.degrees(), m, n, ell)
         if not ok:
@@ -127,6 +130,10 @@ def closable_triangulation(x: int, y: int, n: int, r: int) -> bool:
     return x + y + c >= n
 
 
+WEST_TRIANGLE = FaceMove(1, 0)
+EAST_TRIANGLE = FaceMove(0, 1)
+
+
 def sample_simple_triangulation_walk(m: int, n: int, ell: int,
                                      rng: CounterRng,
                                      max_restarts: int = 1000) -> LatticeWalk:
@@ -142,7 +149,7 @@ def sample_simple_triangulation_walk(m: int, n: int, ell: int,
         raise BipolarError("need at least two edges for a simple map")
     steps = ell - 1
     for _ in range(max_restarts):
-        frontier = TriangleFrontier()
+        frontier = Frontier()
         edges = {(0, 1)}
         x, y = 0, m
         moves: list[Move] = []
@@ -178,11 +185,10 @@ def sample_simple_triangulation_walk(m: int, n: int, ell: int,
 
 @dataclass
 class FrontierTrace:
-    """Per-vertex arrival counters from replaying a triangulation walk.
+    """Per-vertex degrees from replaying a walk's frontier.
 
-    In-degree counts arrivals at frontier position 0 (the active slot);
-    out-degree counts arrivals at position 1.  Vertex k is the k-th vertex
-    ever created, matching the sewing construction exactly.
+    Vertex k is the k-th vertex ever created, matching the sewing
+    construction exactly; ``created_at`` is the move that created it.
     """
 
     indegree: list[int]
@@ -199,78 +205,23 @@ class FrontierTrace:
                 if lo <= self.created_at[v] <= hi and v not in self.final_frontier]
 
 
-WEST_TRIANGLE = FaceMove(1, 0)
-EAST_TRIANGLE = FaceMove(0, 1)
-
-
-class TriangleFrontier:
-    """The frontier of a triangulation being sewn, one move at a time.
-
-    ``below`` lists the frontier vertices under the active one, bottom to
-    top; ``above`` those over it, nearest last.  Vertex ids count up in
-    creation order, matching the sewing construction exactly.
-    """
-
-    def __init__(self):
-        self.below = [0]
-        self.above: list[int] = []
-        self.active = 1
-        self.n_vertices = 2
-
-    def edge_of(self, move: Move) -> tuple[int, int]:
-        """The (tail, head) edge ``move`` would add; a new head gets the next id."""
-        if isinstance(move, EdgeMove):
-            return self.active, self.above[-1] if self.above else self.n_vertices
-        if move == WEST_TRIANGLE:
-            if len(self.below) < 2:
-                raise BipolarError("walk exits the quadrant; frontier trace "
-                                   "is only defined inside it")
-            return self.below[-2], self.active
-        if move == EAST_TRIANGLE:
-            return self.below[-1], self.n_vertices
-        raise BipolarError(f"frontier trace supports triangle moves only, "
-                           f"got {move!r}")
-
-    def push(self, move: Move) -> tuple[int, int, int | None]:
-        """Apply ``move``; returns its edge and the third corner of its triangle.
-
-        The apex is None for an edge move.  A west triangle's chord buries
-        its apex; an east triangle hangs a new active vertex below its apex.
-        """
-        tail, head = self.edge_of(move)
-        if move == WEST_TRIANGLE:
-            return tail, head, self.below.pop()
-        if isinstance(move, EdgeMove):
-            if head == self.n_vertices:
-                self.n_vertices += 1
-            else:
-                self.above.pop()
-            self.below.append(tail)
-            apex = None
-        else:
-            self.n_vertices += 1
-            self.above.append(self.active)
-            apex = self.active
-        self.active = head
-        return tail, head, apex
-
-
 def degrees_from_walk(walk: LatticeWalk) -> FrontierTrace:
-    """Replay frontier dynamics of a triangulation walk; exact degrees.
+    """Replay the frontier of a quadrant walk; exact in- and out-degrees.
 
-    Only edge moves and the two triangle moves are supported; the walk must
-    stay in the quadrant.
+    Every face move is supported; a walk that leaves the quadrant in x
+    raises NotBipolarCodeError.
     """
-    frontier = TriangleFrontier()
+    frontier = Frontier()
     indeg = [0, 1]
     outdeg = [1, 0]
     created = [0, 0]
     for t, mv in enumerate(walk.moves, start=1):
         tail, head, _ = frontier.push(mv)
-        if head == len(indeg):
-            indeg.append(0)
-            outdeg.append(0)
-            created.append(t)
+        new = frontier.n_vertices - len(indeg)
+        if new:
+            indeg.extend([0] * new)
+            outdeg.extend([0] * new)
+            created.extend([t] * new)
         outdeg[tail] += 1
         indeg[head] += 1
     return FrontierTrace(
@@ -403,12 +354,16 @@ def covariance_report(walks: list[LatticeWalk], dist: StepDistribution | None = 
     exy = float(((dx - dx.mean()) * (dy - dy.mean())).mean())
 
     rng = rng or CounterRng(0)
-    ratios = np.empty(bootstrap)
-    for b in range(bootstrap):
+    # the interval is taken over the resamples where the ratio is defined
+    ratios = []
+    for _ in range(bootstrap):
         idx = rng.np.integers(0, n, size=n)
-        vd = diff[idx].var()
         vs = tot[idx].var()
-        ratios[b] = vd / vs if vs > 0 else np.inf
+        if vs > 0:
+            ratios.append(diff[idx].var() / vs)
+    if not ratios:
+        raise BipolarError("degenerate sample: Var[X+Y] is zero in every "
+                           "bootstrap resample")
     lo, hi = np.quantile(ratios, [0.025, 0.975])
     return StatReport(
         n_steps=n,

@@ -34,6 +34,23 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _fit_floats(emb: Embedding) -> dict[int, tuple[float, float]]:
+    """Float coordinates, each axis scaled by 2^-k so that none overflows.
+
+    k = 0 unless the axis has coordinates of more than 1 000 integer bits.
+    Scaling by a power of two is exact in binary floating point, and the
+    affine fit to the viewbox cancels it.
+    """
+    shifts = []
+    for axis in (0, 1):
+        top = max(abs(p[axis]) for p in emb.coords.values())
+        shifts.append(max(0, int(top).bit_length() - 1000))
+    kx, ky = shifts
+    return {v: (x.numerator / (x.denominator << kx),
+                y.numerator / (y.denominator << ky))
+            for v, (x, y) in emb.coords.items()}
+
+
 def layered_layout(m: PlanarMap) -> dict[int, tuple[float, float]]:
     """Fallback layout: longest-path heights, averaged x; not planarity-safe."""
     m.require_valid()
@@ -91,10 +108,10 @@ def render_svg(m: PlanarMap, embedding: Embedding | None = None,
     """
     warning = False
     if embedding is not None:
-        coords = embedding.float_coords()
+        coords = _fit_floats(embedding)
     else:
         try:
-            coords = upward_embed(m).float_coords()
+            coords = _fit_floats(upward_embed(m))
         except EmbeddingUnsupportedError:
             if not layers_fallback:
                 raise

@@ -1,14 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from bipolar_maps.errors import NotBipolarCodeError
-from bipolar_maps.planar_map import canonical_form, reverse_map, validate_bipolar
+from bipolar_maps.enumeration import enumerate_walks
+from bipolar_maps.errors import BipolarError, NotBipolarCodeError
+from bipolar_maps.planar_map import (canonical_form, map_to_json, reverse_map,
+                                     validate_bipolar)
 from bipolar_maps.sewing import (apply_move, initial_state, map_to_walk, sew,
-                                 state_from_map, state_rotate180, unsew,
-                                 walk_to_map)
+                                 state_from_map, state_rotate180, state_to_map,
+                                 unsew, walk_to_map)
 from bipolar_maps.walks import (EDGE, FaceMove, LatticeWalk, reverse_moves,
                                 walk_from_text, walk_to_text)
+from bipolar_maps.weights import FaceWeights, preset_weights
 
 from conftest import FIG_MOVES, all_triangulation_walks
 
@@ -105,6 +109,55 @@ def test_walk_to_map_rejects_bad_codes():
         walk_to_map(LatticeWalk((0, 0), (FaceMove(1, 0),)))  # exits in x
     with pytest.raises(NotBipolarCodeError):
         walk_to_map(LatticeWalk((0, 1), ()))  # ends off the x-axis
+
+
+def fold_to_map(walk):
+    """Decode through the marked-state fold, the reference for walk_to_map."""
+    if walk.start[0] != 0 or walk.start[1] < 0:
+        raise NotBipolarCodeError("walk must start at (0, m)")
+    st = sew(walk.moves)
+    if walk.end[1] != 0:
+        raise NotBipolarCodeError("walk does not end on the x-axis")
+    return state_to_map(st)  # raises unless the state is unmarked
+
+
+def test_walk_to_map_matches_marked_fold():
+    # degrees 2, 3, 4 and 6 together have 117k walks up to 10 edges, so the
+    # mixed support stops at 7 edges (1 437 walks)
+    mixed = FaceWeights({k: Fraction(1) for k in (2, 3, 4, 6)})
+    families = [(preset_weights("tri"), 10), (preset_weights("quad"), 10),
+                (preset_weights("kgon:5"), 10), (mixed, 7)]
+    count = 0
+    for w, max_ell in families:
+        for m in range(3):
+            for n in range(3):
+                for ell in range(1, max_ell + 1):
+                    for walk in enumerate_walks(w, m, n, ell):
+                        assert (map_to_json(walk_to_map(walk))
+                                == map_to_json(fold_to_map(walk))), walk
+                        count += 1
+    assert count == 941 + 439 + 153 + 1437
+
+
+def test_walk_to_map_quadrant_exits_match_marked_fold():
+    rng = random.Random(3)
+    exits = {"x": 0, "y": 0}
+    for _ in range(2000):
+        walk = LatticeWalk((0, rng.randint(0, 2)),
+                           random_moves(rng, rng.randint(0, 8), max_ij=2))
+        outcomes = []
+        for decode in (walk_to_map, fold_to_map):
+            try:
+                outcomes.append(map_to_json(decode(walk)))
+            except BipolarError as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1], walk
+        pts = walk.points()
+        for axis, name in ((0, "x"), (1, "y")):
+            if min(p[axis] for p in pts) < 0:
+                exits[name] += 1
+                assert outcomes[0] is NotBipolarCodeError, walk
+    assert exits["x"] > 100 and exits["y"] > 100
 
 
 def test_fig_walk_round_trip(fig_walk):

@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,23 @@ def test_stats_json(tmp_path, capsys):
     assert "degrees" in data
 
 
+def test_stats_json_is_strict_on_tiny_samples(tmp_path, capsys):
+    # some resamples of three steps have Var[X+Y] = 0; they must not leak NaN
+    out_json = tmp_path / "r.json"
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "stats", "--method", "free", "--edges", "4",
+                           "--seed", "1", "--bootstrap", "50",
+                           "--json", str(out_json))
+    assert code == 0 and not caught and "Warning" not in err
+    data = json.loads(out_json.read_text(), parse_constant=reject)
+    assert data["ratio_ci_95"] == [9.0, 9.0]
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"weights": "tri", "m": 0, "n": 1, "edges": 6}))
@@ -159,8 +177,10 @@ def test_stats_pools_replicas(tmp_path, capsys):
                              '"west": 0, "edges": [[0, 1]], '
                              '"rotations": [[1], [-1]]}'),
     (["map2walk"], "m.json", "[1, 2]"),
+    (["sample", "--method", "rejection", "--m", "-1", "--n", "0", "--edges", "5",
+      "--seed", "1"], None, None),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
-        "map-top-level-array"])
+        "map-top-level-array", "rejection-negative-m"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         (tmp_path / infile).write_text(content)

@@ -8,6 +8,7 @@ from bipolar_maps.errors import EmbeddingUnsupportedError
 from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import walk_to_map
 from bipolar_maps.simulate import sample_simple_triangulation_walk
+from bipolar_maps.svg import render_svg
 from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk
 
 from conftest import all_triangulation_walks, is_simple
@@ -100,3 +101,20 @@ def test_coordinates_are_exact():
     emb = upward_embed(m)
     for x, y in emb.coords.values():
         assert isinstance(x, Fraction) and isinstance(y, Fraction)
+
+
+def test_render_svg_past_float_range():
+    m = walk_to_map(sample_simple_triangulation_walk(0, 1, 300, CounterRng(7, 260300)))
+    emb = upward_embed(m)
+    assert max(abs(x) for x, _ in emb.coords.values()) > 2 ** 1024
+    svg = render_svg(m, emb)
+    assert svg.count("<line ") == m.n_edges
+    assert "nan" not in svg and "inf" not in svg
+
+
+def test_render_svg_ignores_a_power_of_two():
+    m = walk_to_map(sample_simple_triangulation_walk(0, 1, 30, CounterRng(3)))
+    emb = upward_embed(m)
+    huge = Embedding(coords={v: (x * 2 ** 1100, y)
+                             for v, (x, y) in emb.coords.items()})
+    assert render_svg(m, huge) == render_svg(m, emb)

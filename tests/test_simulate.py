@@ -4,9 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from bipolar_maps.enumeration import enumerate_walks
 from bipolar_maps.errors import BipolarError, NoMapsError, RejectionBudgetError
 from bipolar_maps.rng import CounterRng
-from bipolar_maps.sewing import walk_to_map
+from bipolar_maps.sewing import initial_state, walk_to_map
 from bipolar_maps.simulate import (covariance_report, degrees_from_walk,
                                    free_walk, attach_degree_stats,
                                    interface_csv, interface_export,
@@ -104,9 +105,27 @@ def test_degrees_match_maps_exhaustively():
         assert trace.outdegree == outs
 
 
-def test_degrees_reject_general_faces():
+def test_degrees_match_maps_general_faces():
+    count = 0
+    for name in ("quad", "kgon:5"):
+        for m in range(3):
+            for n in range(3):
+                for ell in range(1, 11):
+                    for walk in enumerate_walks(preset_weights(name), m, n, ell):
+                        trace = degrees_from_walk(walk)
+                        ins, outs = map_degrees(walk_to_map(walk))
+                        assert trace.indegree == ins and trace.outdegree == outs
+                        # the marked-state fold creates the same vertices
+                        st = initial_state()
+                        created = [0, 0]
+                        for t, mv in enumerate(walk.moves, start=1):
+                            st.apply(mv)
+                            created += [t] * (len(st.vertices) - len(created))
+                        assert trace.created_at == created
+                        count += 1
+    assert count == 439 + 153
     with pytest.raises(BipolarError):
-        degrees_from_walk(LatticeWalk((0, 0), (FaceMove(0, 2), EDGE, EDGE)))
+        degrees_from_walk(LatticeWalk((0, 0), (EDGE, FaceMove(2, 1))))
 
 
 def test_degrees_reject_quadrant_exit():
@@ -132,6 +151,9 @@ def test_covariance_report_values():
 def test_covariance_report_degenerate():
     with pytest.raises(BipolarError):
         covariance_report([LatticeWalk((0, 0), (EDGE,))])
+    with pytest.raises(BipolarError, match="every bootstrap resample"):
+        covariance_report([LatticeWalk((0, 0), (EDGE, FaceMove(0, 1)))],
+                          bootstrap=0)
 
 
 def test_skewed_direct_measure_reported():
