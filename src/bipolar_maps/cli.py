@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "(lines 'dx dy prob')")
             q.add_argument("--seed", type=int, default=None,
                            help="mandatory base seed")
-            q.add_argument("--replicas", type=int, default=1)
+            q.add_argument("--replicas", type=_positive_int, default=1)
             q.add_argument("--method",
                            choices=("exact", "rejection", "free"),
                            default="exact")

@@ -19,7 +19,7 @@ from .planar_map import PlanarMap
 from .rng import CounterRng
 from .sewing import walk_to_map
 from .walks import EDGE, FaceMove, LatticeWalk, Move
-from .weights import FaceWeights, feasible
+from .weights import FaceWeights, check_boundary, feasible
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -61,6 +61,7 @@ def _weighted_moves(w: FaceWeights) -> tuple[tuple[Move, object], ...]:
 def build_count_table(w: FaceWeights, m: int, n: int, ell: int,
                       budget: int = DEFAULT_BUDGET) -> CountTable:
     """Layered quadrant DP for walks of ell-1 steps from (0, m) to (n, 0)."""
+    check_boundary(m, n, ell)
     if w.uniform:
         raise EnumerationBudgetError(
             "uniform weights have an infinite step set; counting needs a "

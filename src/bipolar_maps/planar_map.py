@@ -10,6 +10,14 @@ The outer face of the sphere map is split by the two poles into a west side
 and an east side.  Which side is west is a convention the data must carry,
 so every map records the bottom-most west-boundary edge (``west_anchor``).
 Maps are immutable after construction and safe to share between threads.
+
+One rule carries the orientation's local structure: a cycle of darts is
+one run of north darts followed by one run of south darts.  Around a
+vertex the outgoing darts form one run and the incoming darts the other;
+around a face, the outer one included, one directed path goes up one side
+and another comes down the other side.  ``_two_runs`` makes that split;
+validation checks it at every vertex and every face, and the same split
+gives the west-to-east edge orders at a vertex and the two sides of a face.
 """
 
 from __future__ import annotations
@@ -207,127 +215,97 @@ class PlanarMap:
             self._cache["orbits"] = orbits
         return self._cache["orbits"]  # type: ignore[return-value]
 
-    def _outer_orbit_index(self) -> int:
-        d0 = 2 * self.west_anchor
-        for k, orbit in enumerate(self.face_orbits()):
-            if d0 in orbit:
-                return k
-        raise AssertionError("unreachable")
+    def _faces(self) -> tuple[tuple[int, ...], tuple[int, ...], list[FaceData], list[int]]:
+        """(west, east, interior faces, face of every dart), in one pass.
 
-    def _boundary(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(west edge ids S->N, east edge ids S->N); raises on a broken boundary."""
-        if "boundary" in self._cache:
-            return self._cache["boundary"]  # type: ignore[return-value]
-        orbit = self.face_orbits()[self._outer_orbit_index()]
+        Every face is split by ``_two_runs``.  The outer face is the orbit
+        through the west anchor's north dart: cut there, its north run is
+        the west boundary and must end at the north pole, and its south run
+        is the east boundary (both returned as edge ids from south to north).
+        Raises InvalidMapError on the outer face first, then on the first
+        interior face that is not one run up its east side and one down its
+        west side.
+        """
+        if "faces" in self._cache:
+            return self._cache["faces"]  # type: ignore[return-value]
+        orbits = self.face_orbits()
         d0 = 2 * self.west_anchor
-        k0 = orbit.index(d0)
-        cyc = orbit[k0:] + orbit[:k0]
-        west: list[int] = []
-        east_down: list[int] = []
-        i = 0
-        while i < len(cyc) and cyc[i] % 2 == 0:
-            west.append(cyc[i] // 2)
-            if self.dart_head(cyc[i]) == self.north:
-                i += 1
-                break
-            i += 1
-        rest = cyc[i:]
-        if not west or self.dart_head(2 * west[-1]) != self.north:
+        outer = next(orbit for orbit in orbits if d0 in orbit)
+        runs = _two_runs(outer, outer.index(d0))
+        if runs is None or self.dart_head(runs[0][-1]) != self.north:
             raise InvalidMapError([Violation(
-                "boundary", "outer face west side does not run from south to north")])
-        prev = self.south
-        for e in west:
-            if self.edges[e][0] != prev:
+                "boundary", "outer face is not one path from the south pole up "
+                "its west side to the north pole and one down its east side")])
+        west_up, east_down = runs
+        face_of = [0] * (2 * len(self.edges))
+        for d in west_up:
+            face_of[d] = WEST_OUTER
+        for d in east_down:
+            face_of[d] = EAST_OUTER
+        faces: list[FaceData] = []
+        for orbit in orbits:
+            if orbit is outer:
+                continue
+            index = len(faces)
+            runs = _two_runs(orbit)
+            if runs is None:
                 raise InvalidMapError([Violation(
-                    "boundary", "west boundary is not a directed path from the south pole")])
-            prev = self.edges[e][1]
-        cur = self.north
-        for d in rest:
-            if d % 2 == 0 or self.dart_tail(d) != cur:
-                raise InvalidMapError([Violation(
-                    "boundary", "outer face east side does not run from north to south")])
-            east_down.append(d // 2)
-            cur = self.dart_head(d)
-        if cur != self.south:
-            raise InvalidMapError([Violation(
-                "boundary", "outer face east side does not end at the south pole")])
-        result = (tuple(west), tuple(reversed(east_down)))
-        self._cache["boundary"] = result
+                    "face", f"interior face {index} is not one path up its "
+                    "east side and one down its west side")])
+            east_up, west_down = runs
+            for d in orbit:
+                face_of[d] = index
+            faces.append(FaceData(
+                index=index,
+                west_edges_down=tuple(d // 2 for d in west_down),
+                east_edges_up=tuple(d // 2 for d in east_up),
+                min_vertex=self.dart_tail(east_up[0]),
+                max_vertex=self.dart_head(east_up[-1]),
+            ))
+        result = (tuple(d // 2 for d in west_up),
+                  tuple(d // 2 for d in reversed(east_down)), faces, face_of)
+        self._cache["faces"] = result
         return result
 
     @property
     def west_edges(self) -> tuple[int, ...]:
         """West boundary edge ids from south to north."""
-        return self._boundary()[0]
+        return self._faces()[0]
 
     @property
     def east_edges(self) -> tuple[int, ...]:
         """East boundary edge ids from south to north."""
-        return self._boundary()[1]
+        return self._faces()[1]
 
     def interior_faces(self) -> list[FaceData]:
         """Interior faces with their west/east boundary split; requires a valid map."""
-        if "ifaces" in self._cache:
-            return self._cache["ifaces"]  # type: ignore[return-value]
-        outer = self._outer_orbit_index()
-        faces = []
-        for k, orbit in enumerate(self.face_orbits()):
-            if k == outer:
-                continue
-            faces.append(_split_face(self, len(faces), orbit))
-        self._cache["ifaces"] = faces
-        return faces
+        return self._faces()[2]
 
     def face_of_dart(self) -> list[int]:
         """Face index for every dart; WEST_OUTER/EAST_OUTER for the outer sides."""
-        if "face_of" in self._cache:
-            return self._cache["face_of"]  # type: ignore[return-value]
-        west, east = self._boundary()
-        outer = self._outer_orbit_index()
-        face_of = [0] * (2 * len(self.edges))
-        idx = 0
-        for k, orbit in enumerate(self.face_orbits()):
-            if k == outer:
-                continue
-            for d in orbit:
-                face_of[d] = idx
-            idx += 1
-        for e in west:
-            face_of[2 * e] = WEST_OUTER
-        for e in east:
-            face_of[2 * e + 1] = EAST_OUTER
-        self._cache["face_of"] = face_of
-        return face_of
+        return self._faces()[3]
 
     # -- oriented-edge orderings at a vertex ------------------------------
 
     def _we_orders(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(out_we, in_we): per-vertex edge ids, west to east; requires validity."""
+        """(out_we, in_we): per-vertex edge ids, west to east; requires validity.
+
+        Counterclockwise, a rotation's north run goes east to west and its
+        south run west to east.  The poles have a single run, so theirs is
+        cut at a boundary dart: the east-most at the south pole, the
+        west-most at the north pole.
+        """
         if "we" in self._cache:
             return self._cache["we"]  # type: ignore[return-value]
-        west, east = self._boundary()
-        out_we: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        in_we: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        west, east = self.west_edges, self.east_edges
+        pole_cut = {self.south: 2 * east[0], self.north: 2 * west[-1] + 1}
+        out_we: list[list[int]] = []
+        in_we: list[list[int]] = []
         for v, darts in enumerate(self.rotations):
-            outs = [d % 2 == 0 for d in darts]
-            if all(outs):
-                anchor = 2 * west[0]
-                k = darts.index(anchor)
-                cyc = darts[k + 1:] + darts[:k + 1]  # ends at the west-most dart
-                out_we[v] = [d // 2 for d in reversed(cyc)]
-            elif not any(outs):
-                anchor = 2 * west[-1] + 1  # south dart of the top west edge
-                k = darts.index(anchor)
-                cyc = darts[k:] + darts[:k]
-                in_we[v] = [d // 2 for d in cyc]
-            else:
-                n = len(darts)
-                start = next(k for k in range(n)
-                             if outs[k] and not outs[(k - 1) % n])
-                cyc = darts[start:] + darts[:start]
-                split = sum(1 for d in cyc if d % 2 == 0)
-                out_we[v] = [d // 2 for d in reversed(cyc[:split])]
-                in_we[v] = [d // 2 for d in cyc[split:]]
+            cut = pole_cut.get(v)
+            north, south = _two_runs(darts, None if cut is None else darts.index(cut))
+            out_we.append([d // 2 for d in reversed(north)])
+            in_we.append([d // 2 for d in south])
         self._cache["we"] = (out_we, in_we)
         return out_we, in_we
 
@@ -357,29 +335,29 @@ class PlanarMap:
                 f"S={self.south}, N={self.north})")
 
 
-def _split_face(m: PlanarMap, index: int, orbit: tuple[int, ...]) -> FaceData:
-    n = len(orbit)
-    norths = [k for k in range(n) if orbit[k] % 2 == 0]
-    souths = [k for k in range(n) if orbit[k] % 2 == 1]
-    if not norths or not souths:
-        raise InvalidMapError([Violation(
-            "face", f"interior face {index} has a one-sided boundary")])
-    start = next((k for k in range(n)
-                  if orbit[k] % 2 == 0 and orbit[(k - 1) % n] % 2 == 1), None)
-    cyc = orbit[start:] + orbit[:start]
-    split = sum(1 for d in cyc if d % 2 == 0)
-    if any(d % 2 == 1 for d in cyc[:split]) or any(d % 2 == 0 for d in cyc[split:]):
-        raise InvalidMapError([Violation(
-            "face", f"interior face {index} has no unique max/min split")])
-    east_up = [d // 2 for d in cyc[:split]]
-    west_down = [d // 2 for d in cyc[split:]]
-    return FaceData(
-        index=index,
-        west_edges_down=tuple(west_down),
-        east_edges_up=tuple(east_up),
-        min_vertex=m.dart_tail(cyc[0]),
-        max_vertex=m.dart_head(cyc[split - 1]),
-    )
+def _two_runs(darts: tuple[int, ...], start: int | None = None
+              ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Cut a cycle of darts into its north run and the south run after it.
+
+    The cut is at index ``start`` if given, else where a north dart follows
+    a south dart.  Returns None unless the darts are exactly those two runs.
+    """
+    if start is None:
+        for start, d in enumerate(darts):
+            if d % 2 == 0 and darts[start - 1] % 2 == 1:
+                break
+        else:
+            return None
+    cyc = darts[start:] + darts[:start]
+    for split, d in enumerate(cyc):
+        if d % 2 == 1:
+            break
+    else:
+        return cyc, ()
+    for d in cyc[split:]:
+        if d % 2 == 0:
+            return None
+    return cyc[:split], cyc[split:]
 
 
 # -- validation ------------------------------------------------------------
@@ -445,12 +423,9 @@ def validate_bipolar(m: PlanarMap) -> list[Violation]:
         report.append(Violation("connect", "map is not connected"))
         return report  # everything face-based below would be meaningless
 
-    # one outgoing block + one incoming block at every vertex
+    # one run of outgoing darts and one of incoming darts at every vertex
     for v, darts in enumerate(m.rotations):
-        n = len(darts)
-        flips = sum(1 for k in range(n)
-                    if (darts[k] % 2 == 0) != (darts[(k + 1) % n] % 2 == 0))
-        if flips > 2:
+        if indeg[v] and outdeg[v] and _two_runs(darts) is None:
             report.append(Violation(
                 "rotation", f"rotation at vertex {v} mixes outgoing/incoming blocks"))
 
@@ -460,26 +435,13 @@ def validate_bipolar(m: PlanarMap) -> list[Violation]:
         report.append(Violation(
             "euler", f"Euler relation fails: V-E+F = {m.n_vertices - m.n_edges + f}"))
 
-    # outer boundary well-formed, poles on it
+    # one run up and one run down around every face, the outer one included;
+    # a broken outer face is always reported, an interior face only alone
     try:
-        west, east = m._boundary()
+        m._faces()
     except InvalidMapError as exc:
-        report.extend(exc.report)
-        return report
-
-    if report:
-        return report
-
-    # interior faces split at a unique max/min; degree bookkeeping
-    try:
-        faces = m.interior_faces()
-    except InvalidMapError as exc:
-        report.extend(exc.report)
-        return report
-    total = sum(fd.face_type.degree for fd in faces)
-    if total + len(west) + len(east) != 2 * m.n_edges:
-        report.append(Violation(
-            "degree", "face degrees and boundary length do not add up to 2E"))
+        if exc.report[0].kind == "boundary" or not report:
+            report.extend(exc.report)
     return report
 
 

@@ -558,6 +558,29 @@ class Frontier:
         self.active = head
         return tail, head, apex
 
+    def replay(self, walk: LatticeWalk):
+        """Push every move of ``walk``, yielding each new edge (tail, head).
+
+        Raises NotBipolarCodeError unless the walk is a closed bipolar code:
+        it must start at (0, m), stay in the quadrant and end at (n, 0).  The
+        end is checked once the last edge has been yielded.
+        """
+        if walk.start[0] != 0 or walk.start[1] < 0:
+            raise NotBipolarCodeError(
+                f"not a closed bipolar code: walk must start at (0, m), got {walk.start}")
+        push = self.push
+        for mv in walk.moves:
+            tail, head, _ = push(mv)
+            yield tail, head
+        if self.above:
+            raise NotBipolarCodeError(
+                "not a closed bipolar code: walk leaves the quadrant or does not "
+                "end on the x-axis")
+        end = walk.end
+        if end[1] != 0:
+            raise NotBipolarCodeError(
+                f"not a closed bipolar code: walk ends at {end}, not (n, 0)")
+
 
 # -- walk <-> map --------------------------------------------------------------
 
@@ -569,23 +592,9 @@ def walk_to_map(walk: LatticeWalk) -> PlanarMap:
     the counterclockwise rotation is its outgoing edges, newest (east-most)
     first, then its incoming edges, oldest (west-most) first.
     """
-    if walk.start[0] != 0 or walk.start[1] < 0:
-        raise NotBipolarCodeError(
-            f"not a closed bipolar code: walk must start at (0, m), got {walk.start}")
     frontier = Frontier()
-    push = frontier.push
     edges = [(0, 1)]
-    for mv in walk.moves:
-        tail, head, _ = push(mv)
-        edges.append((tail, head))
-    if frontier.above:
-        raise NotBipolarCodeError(
-            "not a closed bipolar code: walk leaves the quadrant or does not "
-            "end on the x-axis")
-    end = walk.end
-    if end[1] != 0:
-        raise NotBipolarCodeError(
-            f"not a closed bipolar code: walk ends at {end}, not (n, 0)")
+    edges.extend(frontier.replay(walk))
     n = frontier.n_vertices
     outs: list[list[int]] = [[] for _ in range(n)]
     ins: list[list[int]] = [[] for _ in range(n)]

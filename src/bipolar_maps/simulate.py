@@ -17,7 +17,8 @@ from .errors import BipolarError, NoMapsError, RejectionBudgetError
 from .rng import CounterRng
 from .sewing import Frontier
 from .walks import EDGE, FaceMove, LatticeWalk, Move
-from .weights import StepDistribution, TheoryStats, congruence, theory_stats
+from .weights import (StepDistribution, TheoryStats, check_boundary, congruence,
+                      theory_stats)
 
 
 # -- step generation -------------------------------------------------------------
@@ -76,8 +77,7 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
     Raises RejectionBudgetError carrying the observed acceptance rate when
     max_tries proposals do not yield enough accepted walks.
     """
-    if m < 0 or n < 0 or ell < 1:
-        raise ValueError("need m, n >= 0 and ell >= 1")
+    check_boundary(m, n, ell)
     if dist.kind != "uniform":
         ok, reason = congruence(dist.degrees(), m, n, ell)
         if not ok:
@@ -208,15 +208,14 @@ class FrontierTrace:
 def degrees_from_walk(walk: LatticeWalk) -> FrontierTrace:
     """Replay the frontier of a quadrant walk; exact in- and out-degrees.
 
-    Every face move is supported; a walk that leaves the quadrant in x
-    raises NotBipolarCodeError.
+    Every face move is supported; a walk that is not a closed bipolar code
+    raises NotBipolarCodeError, as in ``walk_to_map``.
     """
     frontier = Frontier()
     indeg = [0, 1]
     outdeg = [1, 0]
     created = [0, 0]
-    for t, mv in enumerate(walk.moves, start=1):
-        tail, head, _ = frontier.push(mv)
+    for t, (tail, head) in enumerate(frontier.replay(walk), start=1):
         new = frontier.n_vertices - len(indeg)
         if new:
             indeg.extend([0] * new)

@@ -8,7 +8,6 @@ embedding post-checks.  Quick mode trims the ranges.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from . import enumeration, weights
@@ -16,32 +15,16 @@ from .embedding import upward_embed
 from .planar_map import (canonical_form, dual_map, map_from_json, map_to_json,
                          reverse_map, validate_bipolar)
 from .sewing import map_to_walk, sew, state_from_map, state_rotate180, unsew, walk_to_map
-from .walks import (EDGE, FaceMove, LatticeWalk, reverse_moves, walk_from_text,
-                    walk_to_text)
-
-TRI_MOVES = (EDGE, FaceMove(1, 0), FaceMove(0, 1))
+from .walks import EDGE, FaceMove, reverse_moves, walk_from_text, walk_to_text
 
 
 def all_triangulation_walks(max_moves):
     """Every quadrant triangulation code with at most max_moves steps."""
-    for T in range(0, max_moves + 1):
-        for seq in itertools.product(TRI_MOVES, repeat=T):
-            x = y = 0
-            minx = miny = 0
-            for mv in seq:
-                dx, dy = mv.delta
-                x += dx
-                y += dy
-                minx = min(minx, x)
-                miny = min(miny, y)
-            if minx < 0:
-                continue
-            m = -miny
-            if y != -m:
-                continue
-            walk = LatticeWalk((0, m), seq)
-            if walk.is_bipolar_code():
-                yield walk
+    tri = weights.preset_weights("tri")
+    for T in range(max_moves + 1):
+        for m in range(T + 1):
+            for n in range(T + 2):
+                yield from enumeration.enumerate_walks(tri, m, n, T + 1)
 
 
 def is_simple(mp) -> bool:

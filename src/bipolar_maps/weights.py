@@ -222,11 +222,16 @@ def feasible(w: FaceWeights, m: int, n: int, ell: int) -> tuple[bool, str]:
 
     Passing is necessary, not sufficient; exact counts settle small sizes.
     """
-    if m < 0 or n < 0 or ell < 1:
-        raise ValueError("need m, n >= 0 and ell >= 1")
+    check_boundary(m, n, ell)
     if w.uniform:
         return True, "necessary conditions pass (period 1)"
     return congruence(w.support, m, n, ell)
+
+
+def check_boundary(m: int, n: int, ell: int) -> None:
+    """Reject boundary data off the quadrant: need m, n >= 0 and ell >= 1."""
+    if m < 0 or n < 0 or ell < 1:
+        raise ValueError("need m, n >= 0 and ell >= 1")
 
 
 def congruence(degrees, m: int, n: int, ell: int) -> tuple[bool, str]:

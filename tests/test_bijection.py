@@ -7,6 +7,7 @@ from bipolar_maps.enumeration import enumerate_walks
 from bipolar_maps.errors import BipolarError, NotBipolarCodeError
 from bipolar_maps.planar_map import (canonical_form, map_to_json, reverse_map,
                                      validate_bipolar)
+from bipolar_maps.simulate import degrees_from_walk
 from bipolar_maps.sewing import (apply_move, initial_state, map_to_walk, sew,
                                  state_from_map, state_rotate180, state_to_map,
                                  unsew, walk_to_map)
@@ -152,6 +153,12 @@ def test_walk_to_map_quadrant_exits_match_marked_fold():
             except BipolarError as exc:
                 outcomes.append(type(exc))
         assert outcomes[0] == outcomes[1], walk
+        # the degree replay refuses exactly the walks that walk_to_map refuses
+        try:
+            degrees_from_walk(walk)
+            assert isinstance(outcomes[0], str), walk
+        except NotBipolarCodeError:
+            assert outcomes[0] is NotBipolarCodeError, walk
         pts = walk.points()
         for axis, name in ((0, "x"), (1, "y")):
             if min(p[axis] for p in pts) < 0:

@@ -179,8 +179,11 @@ def test_stats_pools_replicas(tmp_path, capsys):
     (["map2walk"], "m.json", "[1, 2]"),
     (["sample", "--method", "rejection", "--m", "-1", "--n", "0", "--edges", "5",
       "--seed", "1"], None, None),
+    (["count", "--edges", "10", "--m", "-1"], None, None),
+    (["interface", "--edges", "10", "--seed", "1", "--replicas", "0"], None, None),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
-        "map-top-level-array", "rejection-negative-m"])
+        "map-top-level-array", "rejection-negative-m", "count-negative-m",
+        "interface-zero-replicas"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         (tmp_path / infile).write_text(content)

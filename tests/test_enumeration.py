@@ -13,6 +13,7 @@ from bipolar_maps.enumeration import (build_count_table,
 from bipolar_maps.errors import EnumerationBudgetError, NoMapsError
 from bipolar_maps.planar_map import canonical_form
 from bipolar_maps.rng import CounterRng
+from bipolar_maps.verify import all_triangulation_walks
 from bipolar_maps.weights import FaceWeights, feasible, preset_weights
 
 TRI = preset_weights("tri")
@@ -151,3 +152,9 @@ def test_enumerate_walks_order_deterministic():
     a = [w.moves for w in enumerate_walks(TRI, 0, 1, 9)]
     b = [w.moves for w in enumerate_walks(TRI, 0, 1, 9)]
     assert a == b and len(a) == 42
+
+
+def test_all_triangulation_walks_is_the_enumerator():
+    for max_moves, expect in ((8, 1208), (9, 3266)):
+        walks = [(w.start, w.moves) for w in all_triangulation_walks(max_moves)]
+        assert len(walks) == len(set(walks)) == expect

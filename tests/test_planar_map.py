@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from bipolar_maps.enumeration import enumerate_walks
 from bipolar_maps.errors import InvalidMapError, MapStructureError
 from bipolar_maps.planar_map import (PlanarMap, canonical_form, dual_map,
                                      face_types, map_from_json, map_to_json,
@@ -7,6 +10,7 @@ from bipolar_maps.planar_map import (PlanarMap, canonical_form, dual_map,
                                      validate_bipolar)
 from bipolar_maps.sewing import map_to_walk, walk_to_map
 from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk
+from bipolar_maps.weights import preset_weights
 
 from conftest import all_triangulation_walks
 
@@ -181,3 +185,49 @@ def test_face_move_degree_five():
     degs = sorted(t.degree for t in face_types(m).values())
     assert (2, 1) in {(t.i, t.j) for t in face_types(m).values()}
     assert 5 in degs
+
+
+def corruptions(m):
+    """Builders of the maps one local change away from m: two adjacent darts
+    of a rotation swapped, the west anchor moved, or one edge reversed."""
+    refs = m.rotation_refs()
+    for v, rot in enumerate(refs):
+        if len(rot) < 2:
+            continue
+        for k in range(len(rot)):
+            swapped = [list(r) for r in refs]
+            k2 = (k + 1) % len(rot)
+            swapped[v][k], swapped[v][k2] = rot[k2], rot[k]
+            yield lambda r=swapped: PlanarMap(m.n_vertices, m.edges, r, m.south,
+                                              m.north, m.west_anchor)
+    for e in range(m.n_edges):
+        yield lambda e=e: PlanarMap(m.n_vertices, m.edges, refs, m.south,
+                                    m.north, e)
+        yield lambda e=e: _flip_edge(m, e)
+
+
+def test_validator_on_corrupted_maps():
+    accepted = 0
+    kinds = Counter()
+    for name in ("tri", "quad", "kgon:5"):
+        w = preset_weights(name)
+        for ell in range(1, 9):
+            for m in range(3):
+                for n in range(3):
+                    for walk in enumerate_walks(w, m, n, ell):
+                        for build in corruptions(walk_to_map(walk)):
+                            try:
+                                c = build()
+                            except MapStructureError:
+                                continue
+                            report = validate_bipolar(c)
+                            kinds.update(v.kind for v in report)
+                            if report:
+                                continue
+                            accepted += 1
+                            assert naive_orientation_check(c)
+                            again = walk_to_map(map_to_walk(c))
+                            assert canonical_form(again) == canonical_form(c)
+    assert accepted == 1826
+    assert kinds == {"boundary": 3144, "cycle": 560, "euler": 2528,
+                     "rotation": 276, "sink": 1308, "source": 979}

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bipolar_maps.enumeration import enumerate_walks
-from bipolar_maps.errors import BipolarError, NoMapsError, RejectionBudgetError
+from bipolar_maps.errors import (BipolarError, NoMapsError, NotBipolarCodeError,
+                                 RejectionBudgetError)
 from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import initial_state, walk_to_map
 from bipolar_maps.simulate import (covariance_report, degrees_from_walk,
@@ -131,6 +132,17 @@ def test_degrees_match_maps_general_faces():
 def test_degrees_reject_quadrant_exit():
     with pytest.raises(BipolarError):
         degrees_from_walk(LatticeWalk((0, 0), (FaceMove(1, 0),)))
+
+
+@pytest.mark.parametrize("walk", [
+    LatticeWalk((0, 0), (EDGE, EDGE)),   # leaves the quadrant in y
+    LatticeWalk((1, 0), ()),             # does not start at (0, m)
+], ids=["y-exit", "start-off-axis"])
+def test_degrees_reject_what_walk_to_map_rejects(walk):
+    with pytest.raises(NotBipolarCodeError):
+        walk_to_map(walk)
+    with pytest.raises(NotBipolarCodeError):
+        degrees_from_walk(walk)
 
 
 def test_tv_to_geometric_on_exact_law():
