@@ -10,7 +10,7 @@ statistics, and upward straight-line drawings.
 from .embedding import Embedding, upward_embed, verify_upward_planar
 from .enumeration import (CountTable, closed_form_triangulations, count_walks,
                           enumerate_maps, enumerate_walks, exact_sample,
-                          exact_sample_map, exact_sampler)
+                          exact_sampler)
 from .errors import (BipolarError, EmbeddingInternalError,
                      EmbeddingUnsupportedError, EnumerationBudgetError,
                      InvalidMapError, MapStructureError, NoMapsError,

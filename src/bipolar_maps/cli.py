@@ -66,29 +66,32 @@ def _require_seed(parser, args) -> None:
         parser.error("--seed is required for stochastic verbs")
 
 
-def _sample_walks(args, w, dist):
-    walks = []
-    for rep in range(args.replicas):
-        rng = CounterRng(args.seed, rep)
-        if args.method == "exact":
-            if w is None:
-                raise BipolarError("exact sampling needs --weights, not --nu")
-            walks.append(enumeration.exact_sample(
-                w, args.m, args.n, args.edges, rng, budget=args.budget))
-        elif args.method == "rejection":
-            walks.append(simulate.rejection_sample(
-                dist, args.m, args.n, args.edges, rng,
-                max_tries=args.max_tries))
-        else:
-            walks.append(simulate.free_walk(dist, args.edges - 1, rng))
-    return walks
+def _sampler(args, w, dist):
+    """The run's one draw(rng) function, chosen from --method and built once."""
+    if args.method == "exact":
+        if w is None:
+            raise BipolarError("exact sampling needs --weights, not --nu")
+        return enumeration.exact_sampler(w, args.m, args.n, args.edges,
+                                         budget=args.budget)
+    if args.method == "rejection":
+        return lambda rng: simulate.rejection_sample(
+            dist, args.m, args.n, args.edges, rng, max_tries=args.max_tries)
+    return lambda rng: simulate.free_walk(dist, args.edges - 1, rng)
+
+
+def _replica_walks(args, w, dist):
+    draw = _sampler(args, w, dist)
+    return [draw(CounterRng(args.seed, rep)) for rep in range(args.replicas)]
 
 
 def cmd_count(args) -> int:
+    w = _load_weights(args.weights)
     if args.closed_form:
+        if not enumeration.is_triangulation(w) or (args.m, args.n) != (0, 1):
+            raise ValueError("--closed-form counts triangulations with "
+                             "m = 0, n = 1 only")
         print(enumeration.triangulation_count_by_edges(args.edges))
         return 0
-    w = _load_weights(args.weights)
     print(enumeration.count_walks(w, args.m, args.n, args.edges,
                                   budget=args.budget))
     return 0
@@ -97,7 +100,7 @@ def cmd_count(args) -> int:
 def cmd_sample(args, parser) -> int:
     _require_seed(parser, args)
     dist, w = _dist_from_args(args)
-    walks = _sample_walks(args, w, dist)
+    walks = _replica_walks(args, w, dist)
     for rep, walk in enumerate(walks):
         tag = f"{rep:03d}"
         if args.walk_out:
@@ -114,12 +117,12 @@ def cmd_sample(args, parser) -> int:
 def cmd_stats(args, parser) -> int:
     _require_seed(parser, args)
     dist, w = _dist_from_args(args)
-    walks = _sample_walks(args, w, dist)
+    walks = _replica_walks(args, w, dist)
     rng = CounterRng(args.seed, 10_000)  # reducer stream, distinct from replicas
     report = simulate.covariance_report(walks, dist, rng,
                                         bootstrap=args.bootstrap)
     if (args.method in ("exact", "rejection") and w is not None
-            and not w.uniform and set(w.support) == {3}):
+            and enumeration.is_triangulation(w)):
         simulate.attach_degree_stats(
             report, *map(simulate.degrees_from_walk, walks), eps=args.eps)
     if args.json:
@@ -131,8 +134,8 @@ def cmd_stats(args, parser) -> int:
 def cmd_interface(args, parser) -> int:
     _require_seed(parser, args)
     dist, w = _dist_from_args(args)
-    walks = _sample_walks(args, w, dist)
-    rows = simulate.interface_export(walks[0], args.grid_points)
+    walk = _sampler(args, w, dist)(CounterRng(args.seed, 0))
+    rows = simulate.interface_export(walk, args.grid_points)
     _write(args.out, simulate.interface_csv(rows))
     return 0
 
@@ -195,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                                         "(lines 'dx dy prob')")
             q.add_argument("--seed", type=int, default=None,
                            help="mandatory base seed")
-            q.add_argument("--replicas", type=_positive_int, default=1)
             q.add_argument("--method",
                            choices=("exact", "rejection", "free"),
                            default="exact")
@@ -208,11 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("sample", help="draw walks/maps and write them out")
     add_common(q, stochastic=True)
+    q.add_argument("--replicas", type=_positive_int, default=1)
     q.add_argument("--walk-out", help="walk file ({} expands to the replica)")
     q.add_argument("--map-out", help="map JSON file ({} expands to the replica)")
 
     q = sub.add_parser("stats", help="covariance / degree statistics report")
     add_common(q, stochastic=True)
+    q.add_argument("--replicas", type=_positive_int, default=1)
     q.add_argument("--json", help="also write the report as JSON")
     q.add_argument("--bootstrap", type=int, default=1000)
     q.add_argument("--eps", type=float, default=0.05,

@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import EnumerationBudgetError, NoMapsError
-from .planar_map import PlanarMap
 from .rng import CounterRng
 from .sewing import walk_to_map
 from .walks import EDGE, FaceMove, LatticeWalk, Move
@@ -278,14 +277,15 @@ def _syt_walk(n: int, rng: CounterRng, drop_last: bool) -> LatticeWalk:
     return LatticeWalk((0, 0), tuple(_SYT_MOVES[c] for c in word))
 
 
-def _is_triangulation(w: FaceWeights) -> bool:
+def is_triangulation(w: FaceWeights) -> bool:
+    """Do these weights allow triangles only?"""
     return not w.uniform and set(w.support) == {3}
 
 
 def _syt_case(w: FaceWeights, m: int, n: int, ell: int):
-    if _is_triangulation(w) and (m, n) == (0, 1) and ell % 3 == 0:
+    if is_triangulation(w) and (m, n) == (0, 1) and ell % 3 == 0:
         return (ell // 3, True)
-    if _is_triangulation(w) and (m, n) == (0, 0) and ell % 3 == 1:
+    if is_triangulation(w) and (m, n) == (0, 0) and ell % 3 == 1:
         return ((ell - 1) // 3, False)
     return None
 
@@ -295,26 +295,25 @@ def exact_sampler(w: FaceWeights, m: int, n: int, ell: int,
     """One-time setup returning a draw(rng) closure for repeated sampling.
 
     Small instances share one count table across draws; triangulations with
-    boundaries (0,0) or (0,1) use the linear-time tableau sampler beyond a
-    few hundred edges (exactly uniform at any size).
+    boundaries (0,0) or (0,1) use the linear-time tableau sampler beyond 120
+    edges or past the table budget (exactly uniform at any size).
     """
     ok, reason = feasible(w, m, n, ell)
     if not ok:
         raise NoMapsError(f"no such maps: {reason}")
     syt = _syt_case(w, m, n, ell)
-    if syt is not None and ell > 120:
-        n_rows, drop = syt
-        return lambda rng: _syt_walk(n_rows, rng, drop_last=drop)
-    try:
-        table = build_count_table(w, m, n, ell, budget)
-    except EnumerationBudgetError:
-        if syt is not None:
-            n_rows, drop = syt
-            return lambda rng: _syt_walk(n_rows, rng, drop_last=drop)
-        raise
-    if not table.total:
-        raise NoMapsError("no such maps: the count is zero")
-    return lambda rng: sample_from_table(table, rng)
+    if syt is None or ell <= 120:
+        try:
+            table = build_count_table(w, m, n, ell, budget)
+        except EnumerationBudgetError:
+            if syt is None:
+                raise
+        else:
+            if not table.total:
+                raise NoMapsError("no such maps: the count is zero")
+            return lambda rng: sample_from_table(table, rng)
+    n_rows, drop = syt
+    return lambda rng: _syt_walk(n_rows, rng, drop_last=drop)
 
 
 def exact_sample(w: FaceWeights, m: int, n: int, ell: int, rng: CounterRng,
@@ -322,7 +321,3 @@ def exact_sample(w: FaceWeights, m: int, n: int, ell: int, rng: CounterRng,
     """Draw a walk exactly from the weighted measure on quadrant walks."""
     return exact_sampler(w, m, n, ell, budget)(rng)
 
-
-def exact_sample_map(w: FaceWeights, m: int, n: int, ell: int, rng: CounterRng,
-                     budget: int = DEFAULT_BUDGET) -> PlanarMap:
-    return walk_to_map(exact_sample(w, m, n, ell, rng, budget))

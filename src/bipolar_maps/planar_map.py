@@ -3,8 +3,8 @@
 A map is stored as a rotation system: every edge contributes two darts
 (dart ``2*e`` points north, ``2*e + 1`` points south), and each vertex owns
 the counterclockwise cyclic order of the darts based there.  Faces are
-derived on demand as orbits of ``next_at_tail(twin(d))``, which traces the
-face lying to the left of each dart.
+derived on demand as orbits of ``face_next``, which traces the face lying
+to the left of each dart.
 
 The outer face of the sphere map is split by the two poles into a west side
 and an east side.  Which side is west is a convention the data must carry,
@@ -154,13 +154,10 @@ class PlanarMap:
             raise MapStructureError("some darts are missing from the rotation system")
 
         self.rotations = tuple(rot)
-        nxt = [0] * n_darts
         prv = [0] * n_darts
         for darts in rot:
             for k, d in enumerate(darts):
-                nxt[d] = darts[(k + 1) % len(darts)]
                 prv[d] = darts[k - 1]
-        self._next = nxt
         self._prev = prv
         self._cache: dict[str, object] = {}
 
@@ -177,9 +174,6 @@ class PlanarMap:
     def dart_head(self, d: int) -> int:
         t, h = self.edges[d // 2]
         return h if d % 2 == 0 else t
-
-    def next_at_tail(self, d: int) -> int:
-        return self._next[d]
 
     def rotation_refs(self) -> list[list[int]]:
         """Per-vertex CCW rotations as signed 1-based edge refs."""
@@ -318,9 +312,7 @@ class PlanarMap:
         return self._we_orders()[1][v]
 
     def require_valid(self) -> None:
-        if "report" not in self._cache:
-            self._cache["report"] = validate_bipolar(self)
-        report = self._cache["report"]
+        report = validate_bipolar(self)
         if report:
             raise InvalidMapError(report)
 
@@ -367,8 +359,15 @@ def validate_bipolar(m: PlanarMap) -> list[Violation]:
     """Check every defining invariant; empty report iff the map is valid.
 
     Structural problems (bad twin/rotation tables) raise MapStructureError at
-    construction time and never reach here.
+    construction time and never reach here.  The report is computed once per
+    map; each call returns a copy.
     """
+    if "report" not in m._cache:
+        m._cache["report"] = _validate(m)
+    return list(m._cache["report"])  # type: ignore[call-overload]
+
+
+def _validate(m: PlanarMap) -> list[Violation]:
     report: list[Violation] = []
     indeg = [0] * m.n_vertices
     outdeg = [0] * m.n_vertices
@@ -388,17 +387,17 @@ def validate_bipolar(m: PlanarMap) -> list[Violation]:
     if outdeg[m.north] > 0:
         report.append(Violation("sink", "north pole has an outgoing edge"))
 
-    # acyclicity via Kahn peeling
+    # acyclicity via Kahn peeling; the north darts at v lead to its successors
     remaining = indeg[:]
-    adj: list[list[int]] = [[] for _ in range(m.n_vertices)]
-    for t, h in m.edges:
-        adj[t].append(h)
     queue = deque(v for v in range(m.n_vertices) if remaining[v] == 0)
     seen = 0
     while queue:
         v = queue.popleft()
         seen += 1
-        for w in adj[v]:
+        for d in m.rotations[v]:
+            if d % 2:
+                continue
+            w = m.dart_head(d)
             remaining[w] -= 1
             if remaining[w] == 0:
                 queue.append(w)
@@ -409,13 +408,10 @@ def validate_bipolar(m: PlanarMap) -> list[Violation]:
     # connectivity (undirected)
     reach = {m.south}
     stack = [m.south]
-    und: list[list[int]] = [[] for _ in range(m.n_vertices)]
-    for t, h in m.edges:
-        und[t].append(h)
-        und[h].append(t)
     while stack:
         v = stack.pop()
-        for w in und[v]:
+        for d in m.rotations[v]:
+            w = m.dart_head(d)
             if w not in reach:
                 reach.add(w)
                 stack.append(w)

@@ -24,28 +24,8 @@ from .weights import (StepDistribution, TheoryStats, check_boundary, congruence,
 # -- step generation -------------------------------------------------------------
 
 
-def _draw_moves(dist: StepDistribution, steps: int, rng: CounterRng) -> list[Move]:
-    if dist.kind == "uniform":
-        is_edge = rng.np.integers(0, 2, size=steps)
-        iis = rng.np.geometric(0.5, size=steps) - 1
-        jjs = rng.np.geometric(0.5, size=steps) - 1
-        return [EDGE if e else FaceMove(int(i), int(j))
-                for e, i, j in zip(is_edge, iis, jjs)]
-    moves_probs = dist.finite_moves()
-    moves = [mv for mv, _ in moves_probs]
-    probs = np.array([p for _, p in moves_probs])
-    probs = probs / probs.sum()
-    idx = rng.np.choice(len(moves), size=steps, p=probs)
-    return [moves[k] for k in idx]
-
-
-def free_walk(dist: StepDistribution, steps: int, rng: CounterRng) -> LatticeWalk:
-    """Unconditioned i.i.d. walk from the origin (may leave the quadrant)."""
-    return LatticeWalk((0, 0), tuple(_draw_moves(dist, steps, rng)))
-
-
-def _propose_batch(dist: StepDistribution, m: int, steps: int, size: int,
-                   rng: CounterRng):
+def _propose_batch(dist: StepDistribution, steps: int, size: int, rng: CounterRng):
+    """``size`` rows of ``steps`` i.i.d. increments, as (dx, dy) arrays."""
     if dist.kind == "uniform":
         is_edge = rng.np.integers(0, 2, size=(size, steps)).astype(bool)
         iis = rng.np.geometric(0.5, size=(size, steps)) - 1
@@ -67,6 +47,14 @@ def _row_walk(dxs, dys, row: int, m: int) -> LatticeWalk:
     moves = tuple(EDGE if (dx, dy) == (1, -1) else FaceMove(-dx, dy)
                   for dx, dy in zip(dxs[row].tolist(), dys[row].tolist()))
     return LatticeWalk((0, m), moves)
+
+
+def free_walk(dist: StepDistribution, steps: int, rng: CounterRng) -> LatticeWalk:
+    """Unconditioned i.i.d. walk from the origin (may leave the quadrant).
+
+    It is one row of the rejection sampler's proposals.
+    """
+    return _row_walk(*_propose_batch(dist, steps, 1, rng), 0, 0)
 
 
 def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
@@ -94,7 +82,7 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
         size = min(batch, max_tries - tried)
         tried += size
         batch = min(batch * 4, 65536)
-        dxs, dys = _propose_batch(dist, m, steps, size, rng)
+        dxs, dys = _propose_batch(dist, steps, size, rng)
         xs = np.cumsum(dxs, axis=1)
         ys = np.cumsum(dys, axis=1) + m
         good = ((xs.min(axis=1) >= 0) & (ys.min(axis=1) >= 0)

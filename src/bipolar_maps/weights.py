@@ -23,11 +23,7 @@ _UNIFORM_TAIL_EPS = 1e-15
 
 @dataclass(frozen=True)
 class FaceWeights:
-    """Nonnegative weights per face degree; ``uniform`` means all ones.
-
-    ``radius`` is the radius of convergence of ``sum a_k z^k``: infinite for
-    finite supports, 1 for the all-ones family.
-    """
+    """Nonnegative weights per face degree; ``uniform`` means all ones."""
 
     support: dict[int, Fraction] = field(default_factory=dict)
     uniform: bool = False
@@ -50,10 +46,6 @@ class FaceWeights:
             raise ValueError("need a positive weight on some face degree >= 3")
         object.__setattr__(self, "support", clean)
 
-    @property
-    def radius(self) -> float:
-        return 1.0 if self.uniform else float("inf")
-
     def degrees(self) -> list[int]:
         if self.uniform:
             raise BipolarError("uniform weights have unbounded support")
@@ -67,11 +59,6 @@ class FaceWeights:
             for i in range(k - 1):
                 out.append((FaceMove(i, k - 2 - i), a))
         return out
-
-    def label(self) -> str:
-        if self.uniform:
-            return "uniform"
-        return ",".join(f"{k}:{self.support[k]}" for k in self.degrees())
 
 
 def preset_weights(name: str) -> FaceWeights:
@@ -166,9 +153,6 @@ class StepDistribution:
     p_edge: float
     face_probs: dict[int, float]           # k -> probability of each single (i,j) move
     direct: dict[tuple[int, int], float]   # only for kind="direct"
-    period: int
-    from_weights: bool
-    moment_warning: bool = False
 
     def prob_of_move(self, mv: Move) -> float:
         if isinstance(mv, FaceMove):
@@ -264,7 +248,7 @@ def step_distribution(w: FaceWeights, tol: float = 1e-12) -> StepDistribution:
         p_edge = lam ** -2 / norm
         dist = StepDistribution(
             kind="uniform", lam=lam, norm=norm, p_edge=p_edge,
-            face_probs={}, direct={}, period=1, from_weights=True)
+            face_probs={}, direct={})
     else:
         norm = lam ** -2 + sum(float(a) * (k - 1) * lam ** (k - 2)
                                for k, a in w.support.items())
@@ -273,8 +257,7 @@ def step_distribution(w: FaceWeights, tol: float = 1e-12) -> StepDistribution:
                       for k, a in w.support.items()}
         dist = StepDistribution(
             kind="finite", lam=lam, norm=norm, p_edge=p_edge,
-            face_probs=face_probs, direct={}, period=period(w),
-            from_weights=True)
+            face_probs=face_probs, direct={})
     _check_distribution(dist)
     return dist
 
@@ -307,8 +290,7 @@ def direct_distribution(probs: dict[tuple[int, int], float]) -> StepDistribution
             raise ValueError("not symmetric under reflection about y = -x")
     dist = StepDistribution(
         kind="direct", lam=float("nan"), norm=float("nan"),
-        p_edge=clean.get((1, -1), 0.0), face_probs={}, direct=clean,
-        period=1, from_weights=False)
+        p_edge=clean.get((1, -1), 0.0), face_probs={}, direct=clean)
     return dist
 
 
@@ -412,7 +394,7 @@ def theory_stats(dist: StepDistribution) -> TheoryStats:
         var_sum = sum(pk * 2.0 * _binom3(k) for k, pk in dist.face_probs.items())
         law = {k: (k - 1) * pk / (1.0 - p0)
                for k, pk in dist.face_probs.items()}
-    if dist.from_weights and abs(var_diff - 3.0 * var_sum) > 1e-9 * max(1.0, var_diff):
+    if dist.kind != "direct" and abs(var_diff - 3.0 * var_sum) > 1e-9 * max(1.0, var_diff):
         raise BipolarError(
             f"variance identity broken: {var_diff} != 3 * {var_sum}")
     exx = (var_diff + var_sum) / 4.0

@@ -5,10 +5,15 @@ from pathlib import Path
 
 import pytest
 
+from bipolar_maps import enumeration
 from bipolar_maps.cli import main
+from bipolar_maps.enumeration import exact_sample
 from bipolar_maps.planar_map import canonical_form, map_from_json
+from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import walk_to_map
-from bipolar_maps.walks import walk_from_text
+from bipolar_maps.simulate import interface_csv, interface_export
+from bipolar_maps.walks import walk_from_text, walk_to_text
+from bipolar_maps.weights import preset_weights
 
 
 def run(capsys, *argv):
@@ -146,6 +151,42 @@ def test_stats_json_is_strict_on_tiny_samples(tmp_path, capsys):
     assert data["ratio_ci_95"] == [9.0, 9.0]
 
 
+def test_stats_builds_one_count_table(monkeypatch, capsys):
+    calls = []
+    build = enumeration.build_count_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "build_count_table", counted)
+    code, _, _ = run(capsys, "stats", "--weights", "quad", "--m", "0", "--n", "0",
+                     "--edges", "21", "--seed", "1", "--replicas", "3",
+                     "--bootstrap", "10")
+    assert code == 0 and len(calls) == 1
+
+
+def test_sample_replica_r_draws_stream_r(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "sample", "--weights", "quad", "--m", "0", "--n", "0",
+                     "--edges", "21", "--seed", "1", "--replicas", "3",
+                     "--walk-out", "w{}.txt")
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "w000.txt", "w001.txt", "w002.txt"]
+    quad = preset_weights("quad")
+    for r in range(3):
+        walk = exact_sample(quad, 0, 0, 21, CounterRng(1, r))
+        assert (tmp_path / f"w{r:03d}.txt").read_text() == walk_to_text(walk)
+
+
+def test_interface_exports_the_replica_zero_draw(capsys):
+    code, out, _ = run(capsys, "interface", "--weights", "tri", "--edges", "99",
+                       "--seed", "9", "--grid-points", "11")
+    walk = exact_sample(preset_weights("tri"), 0, 1, 99, CounterRng(9, 0))
+    assert code == 0 and out == interface_csv(interface_export(walk, 11))
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"weights": "tri", "m": 0, "n": 1, "edges": 6}))
@@ -181,9 +222,13 @@ def test_stats_pools_replicas(tmp_path, capsys):
       "--seed", "1"], None, None),
     (["count", "--edges", "10", "--m", "-1"], None, None),
     (["interface", "--edges", "10", "--seed", "1", "--replicas", "0"], None, None),
+    (["stats", "--edges", "10", "--seed", "1", "--replicas", "0"], None, None),
+    (["count", "--edges", "18", "--closed-form", "--m", "2", "--n", "2"], None, None),
+    (["count", "--edges", "18", "--closed-form", "--weights", "quad"], None, None),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
         "map-top-level-array", "rejection-negative-m", "count-negative-m",
-        "interface-zero-replicas"])
+        "interface-zero-replicas", "stats-zero-replicas",
+        "closed-form-other-boundary", "closed-form-quad"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         (tmp_path / infile).write_text(content)

@@ -231,6 +231,53 @@ def test_simple_triangulation_sampler_is_pinned():
         assert hashlib.sha256(walk_to_text(walk).encode()).hexdigest() == digest
 
 
+PINNED_LAWS = {name: step_distribution(preset_weights(name))
+               for name in ("tri", "quad", "uniform", "kgon:5")}
+PINNED_LAWS["direct"] = direct_distribution({
+    (1, -1): 0.4, (-1, 0): 0.2, (0, 1): 0.2, (-2, 0): 0.05, (0, 2): 0.05,
+    (-1, 1): 0.1})
+
+FREE_WALK_SHA256 = {
+    "tri": "8bdc3cc934a44fa7d985ae603fedc4a65c8c0bf8b0d8082e783dc82e870be810",
+    "quad": "5d4992c7a54b3febf634a62340d45fddb8551a812c542557144a2154a083679d",
+    "uniform": "318ac5b9cce95d0ca7a4ed1f14b957cbdc067aa77cd6b2838bba88c71ac25549",
+    "kgon:5": "01f86dfafc76a77c465e148ebceb821cc58bc020f51bf8fcd1ab39e79e283cc0",
+    "direct": "81eaa95e994c94b34e6058ff4a730f089cf3370be5a5a220a59f0beeb7b2e388",
+}
+
+
+@pytest.mark.parametrize("law", sorted(FREE_WALK_SHA256))
+def test_free_walk_is_pinned(law):
+    # the walks and the stream position after them, for seeds 0-2 at 0 and
+    # 500 steps; each line after a walk is the next raw draw of its stream
+    h = hashlib.sha256()
+    for seed in range(3):
+        for steps in (0, 500):
+            rng = CounterRng(seed)
+            h.update(walk_to_text(free_walk(PINNED_LAWS[law], steps, rng)).encode())
+            h.update(f"{rng.np.integers(0, 2**32)}\n".encode())
+    assert h.hexdigest() == FREE_WALK_SHA256[law]
+
+
+REJECTION_SHA256 = {
+    ("uniform", 0, 0, 9): "ba53990c7270f342d3bbc8ec91b623a1b85dcfeea23f91118d7d410c068accc4",
+    ("tri", 0, 1, 12): "0a2527fe381517519c5b68a2655ba99a5b98abc91d1a00de5aaca4fd900e44ab",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTION_SHA256),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_rejection_sample_many_is_pinned(case):
+    law, m, n, ell = case
+    h = hashlib.sha256()
+    for seed in range(3):
+        rng = CounterRng(seed)
+        for walk in rejection_sample_many(PINNED_LAWS[law], m, n, ell, rng, 4):
+            h.update(walk_to_text(walk).encode())
+        h.update(f"{rng.np.integers(0, 2**32)}\n".encode())
+    assert h.hexdigest() == REJECTION_SHA256[case]
+
+
 def test_local_iid_window():
     # bulk steps of a conditioned walk look i.i.d.: TV below 0.05
     from bipolar_maps.enumeration import exact_sampler
