@@ -70,7 +70,8 @@ def _sampler(args, w, dist):
     """The run's one draw(rng) function, chosen from --method and built once."""
     if args.method == "exact":
         if w is None:
-            raise BipolarError("exact sampling needs --weights, not --nu")
+            raise ValueError("exact sampling needs --weights, not --nu; "
+                             "use --method rejection or --method free")
         return enumeration.exact_sampler(w, args.m, args.n, args.edges,
                                          budget=args.budget)
     if args.method == "rejection":
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(q, stochastic=True)
     q.add_argument("--replicas", type=_positive_int, default=1)
     q.add_argument("--json", help="also write the report as JSON")
-    q.add_argument("--bootstrap", type=int, default=1000)
+    q.add_argument("--bootstrap", type=_positive_int, default=1000)
     q.add_argument("--eps", type=float, default=0.05,
                    help="fraction of walk ends excluded from degree stats")
 

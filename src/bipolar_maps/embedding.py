@@ -8,9 +8,12 @@ correct side of its min-max chord tiles the region between the two
 boundary paths exactly once, which forces planarity.  Heights come from
 frontier midpoints; each orientation constraint is resolved when its
 last-created corner is placed, where it reduces to an exact rational
-bound on that corner's horizontal position.  An independent
-quadratic-time verifier with exact integer predicates certifies every
-returned embedding.
+bound on that corner's horizontal position.  When an interval empties,
+the slack search raises the vertices that support it and resumes placement
+at the lowest of them.  A linear-time certificate with exact integer
+predicates (rising edges, positively oriented triangles, ordered boundary
+chains) checks every returned embedding; the independent quadratic-time
+pairwise verifier stays as its oracle.
 """
 
 from __future__ import annotations
@@ -79,62 +82,79 @@ def _x_bound(u, w, z, side, free, pos, ys):
     return ("hi", u0) if side == EAST else ("lo", u0)
 
 
-def _solve_positions(n_creation, events, triangles, boost):
-    """One placement pass; returns positions or the conflict that emptied.
-
-    ``boost`` maps creation ids to extra slack exponents for vertices whose
-    x is bounded below only; raising them widens every later interval that
-    interpolates through them.
-    """
-    resolve_at: list[list[tuple[int, int, int, str]]] = [[] for _ in range(n_creation)]
-    for (u, w, z, side) in triangles:
-        resolve_at[max(u, w, z)].append((u, w, z, side))
-
-    # heights first: midpoints between chain neighbors, unit steps at the top
-    ys: list[Fraction] = [Fraction(0)] * n_creation
-    ys[1] = Fraction(1)
-    for v in range(2, n_creation):
-        ev = events[v]
+def _heights(events) -> list[Fraction]:
+    """Midpoints between chain neighbours, unit steps above the old top."""
+    ys = [Fraction(0), Fraction(1)]
+    for ev in events[2:]:
         if ev[0] == "top":
-            ys[v] = ys[ev[1]] + 1
+            ys.append(ys[ev[1]] + 1)
         else:
-            ys[v] = (ys[ev[1]] + ys[ev[2]]) / 2
+            ys.append((ys[ev[1]] + ys[ev[2]]) / 2)
+    return ys
 
-    pos: dict[int, Point] = {0: (Fraction(0), ys[0]), 1: (Fraction(0), ys[1])}
-    free_topped = {0, 1}
-    hi_tri_of: dict[int, tuple[int, int, int]] = {}
-    conflicts: list[int] = []
-    for v in range(2, n_creation):
+
+def _place(start, events, resolve_at, ys, boost, pos, hi_tri_of, free_topped):
+    """Place creation ids ``start``, ``start + 1``, ... in order.
+
+    Returns the first id whose interval empties, or None once every id is
+    placed.  The x of v depends only on the positions below v and on
+    ``boost[v]``, so a pass may resume at the lowest id whose boost
+    changed and keep what lies below it, ``hi_tri_of`` (the triangle that
+    binds each id from above) and ``free_topped`` (ids bounded below
+    only) included.  Boosts are extra slack exponents for free-topped
+    ids; raising them widens every later interval that interpolates
+    through them.
+    """
+    for v in range(start, len(ys)):
         ev = events[v]
         lo = pos[ev[1]][0] if ev[0] == "top" else None
-        hi = None
+        hi = hi_tri = None
         for (u, w, z, side) in resolve_at[v]:
             kind, thr = _x_bound(u, w, z, side, v, pos, ys)
             if kind == "lo":
                 lo = thr if lo is None else max(lo, thr)
             elif hi is None or thr < hi:
-                hi = thr
-                hi_tri_of[v] = (u, w, z)
-        if lo is None and hi is None:
-            x = Fraction(0)
-            free_topped.add(v)
-        elif hi is None:
+                hi, hi_tri = thr, (u, w, z)
+        hi_tri_of[v] = hi_tri
+        free_topped[v] = hi is None
+        if hi is None:
             # exponential slack leaves room for everything hung here later
-            x = lo + Fraction(4) ** (v + boost.get(v, 0))
-            free_topped.add(v)
+            x = Fraction(0) if lo is None else lo + Fraction(4) ** (v + boost.get(v, 0))
         elif lo is None:
             x = hi - 1
+        elif lo >= hi:
+            return v
         else:
-            if lo >= hi:
-                conflicts.append(v)
-                return None, (conflicts, hi_tri_of, free_topped)
             x = (lo + hi) / 2
         pos[v] = (x, ys[v])
-    return (pos, ys), None
+    return None
+
+
+def _raisable(bad, hi_tri_of, free_topped) -> set[int]:
+    """Free-topped ids reached by chasing binding upper triangles from ``bad``.
+
+    Pushing those east widens the emptied interval.
+    """
+    raisable: set[int] = set()
+    queue = [bad]
+    seen = {bad}
+    while queue:
+        tri = hi_tri_of[queue.pop()]
+        if tri is None:
+            continue
+        for e in (tri[0], tri[2]):
+            if e < 2 or e in seen:
+                continue
+            seen.add(e)
+            if free_topped[e]:
+                raisable.add(e)
+            else:
+                queue.append(e)
+    return raisable
 
 
 def upward_embed(m: PlanarMap) -> Embedding:
-    """Straight-line embedding with all edges oriented upward, exactly checked."""
+    """Straight-line embedding with all edges oriented upward, exactly certified."""
     m.require_valid()
     _check_simple_triangulation(m)
     order, moves = interface_order(m)
@@ -159,45 +179,35 @@ def upward_embed(m: PlanarMap) -> Embedding:
             triangles.append((tail, apex, head, WEST))
     n_creation = frontier.n_vertices
 
+    # each orientation constraint is resolved when its last corner is placed
+    resolve_at: list[list[tuple[int, int, int, str]]] = [[] for _ in range(n_creation)]
+    for tri in triangles:
+        resolve_at[max(tri[:3])].append(tri)
+    ys = _heights(events)
+    pos: list = [(Fraction(0), ys[0]), (Fraction(0), ys[1])] + [None] * (n_creation - 2)
+    hi_tri_of: list = [None] * n_creation
+    free_topped = [True] * n_creation
     boost: dict[int, int] = {}
     raise_step: dict[int, int] = {}
-    solved = None
+    start = 2
     for _ in range(400):
-        solved, conflict = _solve_positions(n_creation, events, triangles, boost)
-        if solved is not None:
+        bad = _place(start, events, resolve_at, ys, boost, pos, hi_tri_of, free_topped)
+        if bad is None:
             break
-        bad, hi_tri_of, free_topped = conflict
-        # chase the binding upper triangles until hitting vertices whose x
-        # is bounded below only; pushing those east widens the intervals
-        raisable: set[int] = set()
-        queue = list(bad)
-        seen = set(queue)
-        while queue:
-            c = queue.pop()
-            tri = hi_tri_of.get(c)
-            if tri is None:
-                continue
-            for e in (tri[0], tri[2]):
-                if e < 2 or e in seen:
-                    continue
-                seen.add(e)
-                if e in free_topped:
-                    raisable.add(e)
-                else:
-                    queue.append(e)
+        raisable = _raisable(bad, hi_tri_of, free_topped)
         if not raisable:
             raise EmbeddingInternalError(
                 "embedding construction failed: empty placement interval "
-                "with no raisable support", trace=[f"vertices {bad[:5]}"])
+                "with no raisable support", trace=[f"vertex {bad}"])
         for c in raisable:
             step = raise_step.get(c, 4)
             boost[c] = boost.get(c, 0) + step
             raise_step[c] = step * 2
-    if solved is None:
+        start = min(raisable)
+    else:
         raise EmbeddingInternalError(
             "embedding construction failed: slack search did not converge",
             trace=[f"boost={boost}"])
-    pos, _ys = solved
 
     # identify replay creation ids with the map's own vertex ids
     vmap: dict[int, int] = {}
@@ -208,12 +218,95 @@ def upward_embed(m: PlanarMap) -> Embedding:
                 raise EmbeddingInternalError(
                     "replay does not match the map's interface order",
                     trace=[f"edge {e}: creation ids ({ct},{ch})"])
-    emb = Embedding(coords={vmap[c]: pt for c, pt in pos.items()})
-    problems = verify_upward_planar(m, emb)
+    emb = Embedding(coords={vmap[c]: pt for c, pt in enumerate(pos)})
+    problems = certify_upward_planar(m, emb)
     if problems:
         raise EmbeddingInternalError("embedding post-check failed",
                                      trace=problems)
     return emb
+
+
+# -- linear-time certificate -------------------------------------------------------
+
+
+def _integer_coords(coords: dict[int, Point]) -> dict[int, tuple[int, int]]:
+    """Coordinates over their common denominator, as exact integers."""
+    scale = 1
+    for x, y in coords.values():
+        scale = lcm(scale, x.denominator, y.denominator)
+    return {v: (x.numerator * (scale // x.denominator),
+                y.numerator * (scale // y.denominator))
+            for v, (x, y) in coords.items()}
+
+
+def certify_upward_planar(m: PlanarMap, emb: Embedding) -> list[str]:
+    """Linear-time certificate that ``emb`` draws the triangulated disk ``m``
+    upward and planar; returns the violations (empty when it holds).
+
+    Three parts, each with exact integer predicates:
+
+    * every edge rises strictly;
+    * every interior triangle is positively oriented in the map's rotation
+      order: its middle corner lies strictly on its own side (west or
+      east) of the chord from its lowest to its highest corner;
+    * at every height strictly between two consecutive vertices shared by
+      both boundary chains, the west chain lies strictly west of the east
+      chain (one merge sweep).
+
+    The shared vertices are the poles and the cut vertices; they split
+    the map into blocks and bridges stacked in disjoint height slabs.  In
+    a block, positively oriented triangles inside a simple boundary cover
+    each point as often as the boundary winds around it, once inside and
+    never outside, so no two triangles overlap (Gortler-Gotsman-Thurston
+    2006).  A drawing that is planar but mirrors the rotation order fails
+    the second part.
+    """
+    if len(emb.coords) != m.n_vertices:
+        return [f"{len(emb.coords)} coordinates for {m.n_vertices} vertices"]
+    pos = _integer_coords(emb.coords)
+    problems = [f"edge {e} does not point strictly upward"
+                for e, (t, h) in enumerate(m.edges) if not pos[t][1] < pos[h][1]]
+    if problems:
+        return problems  # the sweep below needs rising chains
+
+    for fd in m.interior_faces():
+        lo, hi = pos[fd.min_vertex], pos[fd.max_vertex]
+        if len(fd.west_edges_down) == 2 and len(fd.east_edges_up) == 1:
+            sign = _cross(lo, hi, pos[m.edges[fd.west_edges_down[0]][0]])
+        elif len(fd.west_edges_down) == 1 and len(fd.east_edges_up) == 2:
+            sign = -_cross(lo, hi, pos[m.edges[fd.east_edges_up[0]][1]])
+        else:
+            problems.append(f"face {fd.index} is not a triangle")
+            continue
+        if sign <= 0:
+            problems.append(f"face {fd.index} is not positively oriented")
+
+    west = [m.south] + [m.edges[e][1] for e in m.west_edges]
+    east = [m.south] + [m.edges[e][1] for e in m.east_edges]
+    shared = set(west).intersection(east)
+    problems += _chain_side_problems(west, east, shared, pos, +1, "west")
+    problems += _chain_side_problems(east, west, shared, pos, -1, "east")
+    return problems
+
+
+def _chain_side_problems(chain, other, shared, pos, sign, label) -> list[str]:
+    """Each unshared vertex of ``chain`` strictly on side ``sign`` of ``other``.
+
+    Both chains rise strictly from the south pole to the north pole, so
+    one pointer into ``other`` finds the segment at each height.
+    """
+    out = []
+    j = 0
+    for v in chain:
+        if v in shared:
+            continue
+        y = pos[v][1]
+        while pos[other[j + 1]][1] < y:
+            j += 1
+        if _cross(pos[other[j]], pos[other[j + 1]], pos[v]) * sign <= 0:
+            out.append(f"{label} boundary vertex {v} is not strictly {label} "
+                       "of the other boundary")
+    return out
 
 
 # -- independent geometric verifier ------------------------------------------------

@@ -62,9 +62,10 @@ def build_count_table(w: FaceWeights, m: int, n: int, ell: int,
     """Layered quadrant DP for walks of ell-1 steps from (0, m) to (n, 0)."""
     check_boundary(m, n, ell)
     if w.uniform:
-        raise EnumerationBudgetError(
-            "uniform weights have an infinite step set; counting needs a "
-            "finite support", required_cells=0, budget_cells=budget)
+        raise ValueError(
+            "uniform weights have an infinite step set, and exact counting "
+            "and sampling need a finite one; sample them by rejection or as "
+            "free walks (--method rejection or --method free)")
     moves = _weighted_moves(w)
     deltas = [mv.delta for mv, _ in moves]
     T = ell - 1

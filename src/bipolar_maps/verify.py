@@ -3,7 +3,8 @@
 Runs cheap exhaustive checks over small sizes: bijection round trips,
 enumeration against the closed form, dual validation and involution,
 zero-drift and variance identities, feasibility against exact counts, and
-embedding post-checks.  Quick mode trims the ranges.
+embeddings checked by both the certificate and the pairwise verifier.
+Quick mode trims the ranges.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 
 from . import enumeration, weights
-from .embedding import upward_embed
+from .embedding import upward_embed, verify_upward_planar
 from .planar_map import (canonical_form, dual_map, map_from_json, map_to_json,
                          reverse_map, validate_bipolar)
 from .sewing import map_to_walk, sew, state_from_map, state_rotate180, unsew, walk_to_map
@@ -115,7 +116,8 @@ def run_verification(quick: bool = False, seed: int = 0, log=None) -> int:
         for walk in all_triangulation_walks(max_moves):
             mp = walk_to_map(walk)
             if is_simple(mp):
-                upward_embed(mp)  # raises on any post-check violation
+                emb = upward_embed(mp)  # raises on any certificate violation
+                assert verify_upward_planar(mp, emb) == []
     check("upward embedding of every small simple triangulation",
           check_embedding)
 

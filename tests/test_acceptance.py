@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.stats
 
-from bipolar_maps.embedding import upward_embed
+from bipolar_maps.embedding import upward_embed, verify_upward_planar
 from bipolar_maps.enumeration import (count_walks, exact_sampler,
                                       triangulation_count_by_edges)
 from bipolar_maps.planar_map import (canonical_form, dual_map, reverse_map,
@@ -193,7 +193,8 @@ def test_criterion_8_embedding():
     for walk in all_triangulation_walks(11):
         mp = walk_to_map(walk)
         if is_simple(mp):
-            upward_embed(mp)  # raises on any post-check violation
+            emb = upward_embed(mp)  # raises on any certificate violation
+            assert verify_upward_planar(mp, emb) == []
             n_exhaustive += 1
     rng = CounterRng(801)
     for _ in range(100):

@@ -211,13 +211,17 @@ def test_stats_pools_replicas(tmp_path, capsys):
     assert sum(degrees["joint_hist"].values()) == sum(degrees["in_hist"].values()) > 0
 
 
+TRI_NU = ("1 -1 0.3333333333333333\n-1 0 0.3333333333333333\n"
+          "0 1 0.3333333333333334\n")
+
+
 @pytest.mark.parametrize("argv, infile, content", [
     (["count", "--edges", "0"], None, None),
-    (["walk2map"], "w.txt", "0 0\nF -1 0\n"),
-    (["map2walk"], "m.json", '{"vertices": "3", "south": 0, "north": 1, '
-                             '"west": 0, "edges": [[0, 1]], '
-                             '"rotations": [[1], [-1]]}'),
-    (["map2walk"], "m.json", "[1, 2]"),
+    (["walk2map"], ("--in", "w.txt"), "0 0\nF -1 0\n"),
+    (["map2walk"], ("--in", "m.json"), '{"vertices": "3", "south": 0, "north": 1, '
+                                       '"west": 0, "edges": [[0, 1]], '
+                                       '"rotations": [[1], [-1]]}'),
+    (["map2walk"], ("--in", "m.json"), "[1, 2]"),
     (["sample", "--method", "rejection", "--m", "-1", "--n", "0", "--edges", "5",
       "--seed", "1"], None, None),
     (["count", "--edges", "10", "--m", "-1"], None, None),
@@ -225,14 +229,23 @@ def test_stats_pools_replicas(tmp_path, capsys):
     (["stats", "--edges", "10", "--seed", "1", "--replicas", "0"], None, None),
     (["count", "--edges", "18", "--closed-form", "--m", "2", "--n", "2"], None, None),
     (["count", "--edges", "18", "--closed-form", "--weights", "quad"], None, None),
+    (["stats", "--edges", "40", "--seed", "1"], ("--nu", "nu.txt"), TRI_NU),
+    (["stats", "--edges", "30", "--seed", "1", "--bootstrap", "-1"], None, None),
+    (["stats", "--edges", "30", "--seed", "1", "--bootstrap", "0"], None, None),
+    (["count", "--weights", "uniform", "--edges", "5"], None, None),
+    (["sample", "--weights", "uniform", "--m", "0", "--n", "0", "--edges", "9",
+      "--seed", "1"], None, None),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
         "map-top-level-array", "rejection-negative-m", "count-negative-m",
         "interface-zero-replicas", "stats-zero-replicas",
-        "closed-form-other-boundary", "closed-form-quad"])
+        "closed-form-other-boundary", "closed-form-quad", "nu-exact-method",
+        "bootstrap-negative", "bootstrap-zero", "count-uniform",
+        "sample-uniform-exact"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
-        (tmp_path / infile).write_text(content)
-        argv = argv + ["--in", str(tmp_path / infile)]
+        flag, name = infile
+        (tmp_path / name).write_text(content)
+        argv = argv + [flag, str(tmp_path / name)]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects the value itself
@@ -241,6 +254,13 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, conten
     assert code == 2
     assert len([line for line in err.splitlines() if "error: " in line]) == 1
     assert "Traceback" not in err
+
+
+def test_uniform_exact_refusal_names_the_other_methods(capsys):
+    code, _, err = run(capsys, "sample", "--weights", "uniform", "--m", "0",
+                       "--n", "0", "--edges", "9", "--seed", "1")
+    assert code == 2
+    assert "--method rejection" in err and "--method free" in err
 
 
 def readme_cli_lines():

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from bipolar_maps.embedding import (Embedding, segments_conflict, upward_embed,
+from bipolar_maps import embedding
+from bipolar_maps.embedding import (Embedding, certify_upward_planar,
+                                    segments_conflict, upward_embed,
                                     verify_upward_planar)
-from bipolar_maps.errors import EmbeddingUnsupportedError
+from bipolar_maps.errors import EmbeddingInternalError, EmbeddingUnsupportedError
 from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import walk_to_map
 from bipolar_maps.simulate import sample_simple_triangulation_walk
@@ -50,7 +53,80 @@ def test_exhaustive_small():
     for walk in all_triangulation_walks(8):
         m = walk_to_map(walk)
         if is_simple(m):
-            upward_embed(m)  # raises on any violation
+            emb = upward_embed(m)  # raises on any certificate violation
+            assert verify_upward_planar(m, emb) == []
+
+
+@pytest.mark.parametrize("start, moves", [
+    ((0, 1), (EDGE,)),
+    ((0, 1), (EDGE, FaceMove(0, 1), EDGE)),
+    ((0, 2), (EDGE, EDGE)),
+], ids=["bridge-pair", "cut-vertex-under-triangle", "bridge-path"])
+def test_boundary_chains_sharing_cut_vertices_embed(start, moves):
+    # both boundary chains pass through the cut vertices; bridges lie on both
+    m = walk_to_map(LatticeWalk(start, moves))
+    assert set(m.west_edges) & set(m.east_edges)
+    emb = upward_embed(m)
+    assert certify_upward_planar(m, emb) == []
+    assert verify_upward_planar(m, emb) == []
+
+
+def test_certificate_failure_is_an_internal_error(monkeypatch):
+    m = walk_to_map(LatticeWalk((0, 0), (FaceMove(0, 1), EDGE)))
+    monkeypatch.setattr(embedding, "certify_upward_planar",
+                        lambda m, emb: ["face 0 is not positively oriented"])
+    with pytest.raises(EmbeddingInternalError) as err:
+        upward_embed(m)
+    assert err.value.trace == ["face 0 is not positively oriented"]
+
+
+def _corrupt(coords, kind, rng):
+    """One change to a drawing: swap two vertices, shift one x or y onto or
+    between existing values, or make two vertices coincide."""
+    out = dict(coords)
+    u, v = rng.sample(sorted(out), 2)
+    xs = sorted({x for x, _ in out.values()})
+    ys = sorted({y for _, y in out.values()})
+    if kind == "swap":
+        out[u], out[v] = out[v], out[u]
+    elif kind == "x":
+        a, b = rng.choice(xs), rng.choice(xs)
+        out[u] = (rng.choice([a, (a + b) / 2, a - 1, a + 1]), out[u][1])
+    elif kind == "y":
+        a, b = rng.choice(ys), rng.choice(ys)
+        out[u] = (out[u][0], rng.choice([a, (a + b) / 2]))
+    else:
+        out[u] = out[v]
+    return Embedding(coords=out)
+
+
+def test_certificate_agrees_with_pairwise_verifier():
+    rng = random.Random(2006)
+    n_maps = n_rejected = 0
+    for walk in all_triangulation_walks(9):
+        m = walk_to_map(walk)
+        if not is_simple(m):
+            continue
+        n_maps += 1
+        emb = upward_embed(m)
+        assert certify_upward_planar(m, emb) == []
+        assert verify_upward_planar(m, emb) == []
+        for kind in ("swap", "x", "y", "coincide"):
+            bad = _corrupt(emb.coords, kind, rng)
+            if verify_upward_planar(m, bad):
+                n_rejected += 1
+                assert certify_upward_planar(m, bad), (walk, kind, bad.coords)
+    assert n_maps == 2176
+    assert n_rejected > n_maps  # the corpus is mostly broken drawings
+
+
+def test_certificate_rejects_a_mirrored_drawing():
+    # planar and upward, but every triangle runs against the rotation order
+    m = walk_to_map(LatticeWalk((0, 0), (FaceMove(0, 1), EDGE)))
+    emb = upward_embed(m)
+    mirror = Embedding(coords={v: (-x, y) for v, (x, y) in emb.coords.items()})
+    assert verify_upward_planar(m, mirror) == []
+    assert "face 0 is not positively oriented" in certify_upward_planar(m, mirror)
 
 
 def test_sampled_medium():
