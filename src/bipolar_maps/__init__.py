@@ -16,9 +16,9 @@ from .errors import (BipolarError, EmbeddingInternalError,
                      InvalidMapError, MapStructureError, NoMapsError,
                      NotBipolarCodeError, NoZeroDriftError, RejectionBudgetError,
                      UnsewError)
-from .planar_map import (FaceType, OrientedTree, PlanarMap, canonical_form,
-                         dual_map, face_types, map_from_json, map_to_json,
-                         nw_tree, reverse_map, se_tree, validate_bipolar)
+from .planar_map import (PlanarMap, canonical_form, dual_map, face_types,
+                         map_from_json, map_to_json, nw_tree, reverse_map,
+                         se_tree, validate_bipolar)
 from .rng import CounterRng
 from .sewing import (MarkedBipolarState, apply_move, initial_state,
                      interface_order, map_to_walk, sew, state_from_map,

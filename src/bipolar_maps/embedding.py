@@ -1,19 +1,23 @@
 """Upward straight-line embedding of simple bipolar triangulations.
 
-The move sequence determines, ahead of time, the three corners of every
-triangle: an east triangle (new vertex hung east of its left edge) or a
-west triangle (a chord burying the vertex it spans).  Drawing the map so
-that every edge rises and every triangle keeps its middle corner on the
+Every interior face is a triangle with a lowest, a middle and a highest
+corner, and ``_triangle`` reads them off the map: an east triangle (middle
+corner on its east side) or a west triangle.  Drawing the map so that
+every edge rises and every triangle keeps its middle corner on the
 correct side of its min-max chord tiles the region between the two
-boundary paths exactly once, which forces planarity.  Heights come from
-frontier midpoints; each orientation constraint is resolved when its
-last-created corner is placed, where it reduces to an exact rational
-bound on that corner's horizontal position.  When an interval empties,
-the slack search raises the vertices that support it and resumes placement
-at the lowest of them.  A linear-time certificate with exact integer
-predicates (rising edges, positively oriented triangles, ordered boundary
-chains) checks every returned embedding; the independent quadratic-time
-pairwise verifier stays as its oracle.
+boundary paths exactly once, which forces planarity.  Vertices are placed
+in creation order, the order in which the interface path first reaches
+them.  The k-th west-boundary vertex sits at height k; every other vertex
+is created as the middle corner of the east triangle the path crosses
+just before it, at the midpoint of that triangle's lowest and highest
+corners.  Each orientation constraint is resolved when its last-created
+corner is placed, where it reduces to an exact rational bound on that
+corner's horizontal position.  When an interval empties, the slack
+search raises the vertices that support it and resumes placement at the
+lowest of them.  A linear-time certificate with exact integer predicates
+(rising edges, positively oriented triangles, ordered boundary chains),
+reading the same ``_triangle``, checks every returned embedding; the
+independent quadratic-time pairwise verifier stays as its oracle.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import EmbeddingInternalError, EmbeddingUnsupportedError
-from .planar_map import PlanarMap
-from .sewing import Frontier, interface_order
+from .planar_map import FaceData, PlanarMap
+from .sewing import interface_order
+from .walks import FaceMove
 
 Point = tuple[Fraction, Fraction]
 
@@ -48,9 +53,21 @@ class Embedding:
         return bits
 
 
+def _triangle(m: PlanarMap, fd: FaceData) -> tuple[int, int, int, str] | None:
+    """(lowest, middle, highest, side) corners of face ``fd``; None unless
+    it is a triangle.  ``side`` is the side of the face the middle corner is on.
+    """
+    west, east = fd.west_edges_down, fd.east_edges_up
+    if len(west) == 2 and len(east) == 1:
+        return fd.min_vertex, m.edges[west[0]][0], fd.max_vertex, WEST
+    if len(west) == 1 and len(east) == 2:
+        return fd.min_vertex, m.edges[east[0]][1], fd.max_vertex, EAST
+    return None
+
+
 def _check_simple_triangulation(m: PlanarMap) -> None:
     for fd in m.interior_faces():
-        if fd.face_type.degree != 3:
+        if _triangle(m, fd) is None:
             raise EmbeddingUnsupportedError(
                 "unsupported for embedding: interior face of degree "
                 f"{fd.face_type.degree} (triangulations only)")
@@ -82,32 +99,57 @@ def _x_bound(u, w, z, side, free, pos, ys):
     return ("hi", u0) if side == EAST else ("lo", u0)
 
 
-def _heights(events) -> list[Fraction]:
-    """Midpoints between chain neighbours, unit steps above the old top."""
-    ys = [Fraction(0), Fraction(1)]
-    for ev in events[2:]:
-        if ev[0] == "top":
-            ys.append(ys[ev[1]] + 1)
-        else:
-            ys.append((ys[ev[1]] + ys[ev[2]]) / 2)
-    return ys
+def _creation_order(m: PlanarMap):
+    """Vertices in creation order, with their heights and triangles.
+
+    Returns (verts, ys, below, triangles): ``verts[r]`` is the vertex of
+    creation rank r, the order in which the interface path first reaches
+    it as a head; ``ys[r]`` is its height; ``below[r]`` is the rank of its
+    west-chain predecessor, or None off the west boundary; the triangles,
+    in the order the path crosses them, are (lowest, middle, highest,
+    side) with corners given as ranks.
+    """
+    order, moves = interface_order(m)
+    faces, face_of = m.interior_faces(), m.face_of_dart()
+    rank = [-1] * m.n_vertices
+    rank[m.south] = 0
+    verts, ys, below = [m.south], [Fraction(0)], [None]
+    crossed = []
+    tri = None  # the triangle the path crossed just before edge e
+    for t, e in enumerate(order):
+        tail, head = m.edges[e]
+        if rank[head] < 0:
+            rank[head] = len(verts)
+            verts.append(head)
+            if tri is None:  # a west-boundary vertex, a unit step up
+                ys.append(ys[rank[tail]] + 1)
+                below.append(rank[tail])
+            else:  # the middle corner of an east triangle
+                ys.append((ys[rank[tri[0]]] + ys[rank[tri[2]]]) / 2)
+                below.append(None)
+        tri = None
+        if t < len(moves) and isinstance(moves[t], FaceMove):
+            tri = _triangle(m, faces[face_of[2 * e + 1]])
+            crossed.append(tri)
+    triangles = [(rank[u], rank[w], rank[z], side) for u, w, z, side in crossed]
+    return verts, ys, below, triangles
 
 
-def _place(start, events, resolve_at, ys, boost, pos, hi_tri_of, free_topped):
-    """Place creation ids ``start``, ``start + 1``, ... in order.
+def _place(start, below, resolve_at, ys, boost, pos, hi_tri_of, free_topped):
+    """Place creation ranks ``start``, ``start + 1``, ... in order.
 
-    Returns the first id whose interval empties, or None once every id is
-    placed.  The x of v depends only on the positions below v and on
-    ``boost[v]``, so a pass may resume at the lowest id whose boost
+    Returns the first rank whose interval empties, or None once every rank
+    is placed.  The x of v depends only on the positions below v and on
+    ``boost[v]``, so a pass may resume at the lowest rank whose boost
     changed and keep what lies below it, ``hi_tri_of`` (the triangle that
-    binds each id from above) and ``free_topped`` (ids bounded below
-    only) included.  Boosts are extra slack exponents for free-topped
-    ids; raising them widens every later interval that interpolates
-    through them.
+    binds each rank from above) and ``free_topped`` (ranks bounded below
+    only) included.  A west-boundary vertex is bounded below by its
+    west-chain predecessor.  Boosts are extra slack exponents for
+    free-topped ranks; raising them widens every later interval that
+    interpolates through them.
     """
     for v in range(start, len(ys)):
-        ev = events[v]
-        lo = pos[ev[1]][0] if ev[0] == "top" else None
+        lo = None if below[v] is None else pos[below[v]][0]
         hi = hi_tri = None
         for (u, w, z, side) in resolve_at[v]:
             kind, thr = _x_bound(u, w, z, side, v, pos, ys)
@@ -131,7 +173,7 @@ def _place(start, events, resolve_at, ys, boost, pos, hi_tri_of, free_topped):
 
 
 def _raisable(bad, hi_tri_of, free_topped) -> set[int]:
-    """Free-topped ids reached by chasing binding upper triangles from ``bad``.
+    """Free-topped ranks reached by chasing binding upper triangles from ``bad``.
 
     Pushing those east widens the emptied interval.
     """
@@ -157,33 +199,13 @@ def upward_embed(m: PlanarMap) -> Embedding:
     """Straight-line embedding with all edges oriented upward, exactly certified."""
     m.require_valid()
     _check_simple_triangulation(m)
-    order, moves = interface_order(m)
-    # events[v] says how creation id v came to exist ("top" above the old
-    # top, or "insert" between two frontier ids); triangles are (u, w, z,
-    # side) with y(u) < y(w) < y(z) and the middle corner w on that side
-    frontier = Frontier()
-    events: list[tuple] = [("base",), ("base",)]
-    replay_edges = [(0, 1)]
-    triangles: list[tuple[int, int, int, str]] = []
-    for mv in moves:
-        tail, head, apex = frontier.push(mv)
-        replay_edges.append((tail, head))
-        is_new = head == len(events)
-        if apex is None:
-            if is_new:
-                events.append(("top", tail))
-        elif is_new:
-            events.append(("insert", tail, apex))
-            triangles.append((tail, head, apex, EAST))
-        else:
-            triangles.append((tail, apex, head, WEST))
-    n_creation = frontier.n_vertices
+    verts, ys, below, triangles = _creation_order(m)
+    n_creation = len(verts)
 
     # each orientation constraint is resolved when its last corner is placed
     resolve_at: list[list[tuple[int, int, int, str]]] = [[] for _ in range(n_creation)]
     for tri in triangles:
         resolve_at[max(tri[:3])].append(tri)
-    ys = _heights(events)
     pos: list = [(Fraction(0), ys[0]), (Fraction(0), ys[1])] + [None] * (n_creation - 2)
     hi_tri_of: list = [None] * n_creation
     free_topped = [True] * n_creation
@@ -191,7 +213,7 @@ def upward_embed(m: PlanarMap) -> Embedding:
     raise_step: dict[int, int] = {}
     start = 2
     for _ in range(400):
-        bad = _place(start, events, resolve_at, ys, boost, pos, hi_tri_of, free_topped)
+        bad = _place(start, below, resolve_at, ys, boost, pos, hi_tri_of, free_topped)
         if bad is None:
             break
         raisable = _raisable(bad, hi_tri_of, free_topped)
@@ -209,16 +231,7 @@ def upward_embed(m: PlanarMap) -> Embedding:
             "embedding construction failed: slack search did not converge",
             trace=[f"boost={boost}"])
 
-    # identify replay creation ids with the map's own vertex ids
-    vmap: dict[int, int] = {}
-    for (ct, ch), e in zip(replay_edges, order):
-        mt, mh = m.edges[e]
-        for c, mm in ((ct, mt), (ch, mh)):
-            if vmap.setdefault(c, mm) != mm:
-                raise EmbeddingInternalError(
-                    "replay does not match the map's interface order",
-                    trace=[f"edge {e}: creation ids ({ct},{ch})"])
-    emb = Embedding(coords={vmap[c]: pt for c, pt in enumerate(pos)})
+    emb = Embedding(coords=dict(zip(verts, pos)))
     problems = certify_upward_planar(m, emb)
     if problems:
         raise EmbeddingInternalError("embedding post-check failed",
@@ -270,15 +283,13 @@ def certify_upward_planar(m: PlanarMap, emb: Embedding) -> list[str]:
         return problems  # the sweep below needs rising chains
 
     for fd in m.interior_faces():
-        lo, hi = pos[fd.min_vertex], pos[fd.max_vertex]
-        if len(fd.west_edges_down) == 2 and len(fd.east_edges_up) == 1:
-            sign = _cross(lo, hi, pos[m.edges[fd.west_edges_down[0]][0]])
-        elif len(fd.west_edges_down) == 1 and len(fd.east_edges_up) == 2:
-            sign = -_cross(lo, hi, pos[m.edges[fd.east_edges_up[0]][1]])
-        else:
+        tri = _triangle(m, fd)
+        if tri is None:
             problems.append(f"face {fd.index} is not a triangle")
             continue
-        if sign <= 0:
+        u, w, z, side = tri
+        sign = _cross(pos[u], pos[z], pos[w])
+        if (sign if side == WEST else -sign) <= 0:
             problems.append(f"face {fd.index} is not positively oriented")
 
     west = [m.south] + [m.edges[e][1] for e in m.west_edges]

@@ -27,21 +27,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InvalidMapError, MapStructureError
+from .walks import FaceMove
 
 WEST_OUTER = -1
 EAST_OUTER = -2
-
-
-@dataclass(frozen=True)
-class FaceType:
-    """Face shape (i, j): i + 1 west edges, j + 1 east edges, degree i + j + 2."""
-
-    i: int
-    j: int
-
-    @property
-    def degree(self) -> int:
-        return self.i + self.j + 2
 
 
 @dataclass(frozen=True)
@@ -55,30 +44,9 @@ class FaceData:
     max_vertex: int
 
     @property
-    def face_type(self) -> FaceType:
-        return FaceType(len(self.west_edges_down) - 1, len(self.east_edges_up) - 1)
-
-
-@dataclass(frozen=True)
-class OrientedTree:
-    """Parent mapping from each non-root vertex to an incident edge id."""
-
-    root: int
-    parent_edge: dict[int, int]
-
-    def depths(self, parent_vertex: dict[int, int]) -> dict[int, int]:
-        depth = {self.root: 0}
-        for v in self.parent_edge:
-            path = []
-            u = v
-            while u not in depth:
-                path.append(u)
-                u = parent_vertex[u]
-            d = depth[u]
-            for w in reversed(path):
-                d += 1
-                depth[w] = d
-        return depth
+    def face_type(self) -> FaceMove:
+        """The face move (i, j) that sews this face: i + 1 west, j + 1 east edges."""
+        return FaceMove(len(self.west_edges_down) - 1, len(self.east_edges_up) - 1)
 
 
 @dataclass(frozen=True)
@@ -441,7 +409,7 @@ def _validate(m: PlanarMap) -> list[Violation]:
     return report
 
 
-def face_types(m: PlanarMap) -> dict[int, FaceType]:
+def face_types(m: PlanarMap) -> dict[int, FaceMove]:
     """Type (i, j) of every interior face, keyed by face index."""
     m.require_valid()
     return {fd.index: fd.face_type for fd in m.interior_faces()}
@@ -450,32 +418,49 @@ def face_types(m: PlanarMap) -> dict[int, FaceType]:
 # -- trees ------------------------------------------------------------------
 
 
-def nw_tree(m: PlanarMap) -> OrientedTree:
-    """Spanning tree of west-most outgoing edges, rooted at the north pole."""
+def nw_tree(m: PlanarMap) -> list[int | None]:
+    """Parent edge of each vertex in the tree of west-most outgoing edges
+    (None at its root, the north pole)."""
     m.require_valid()
-    parent = {v: m.out_edges_we(v)[0] for v in range(m.n_vertices) if v != m.north}
-    return OrientedTree(root=m.north, parent_edge=parent)
+    return [None if v == m.north else m.out_edges_we(v)[0]
+            for v in range(m.n_vertices)]
 
 
-def se_tree(m: PlanarMap) -> OrientedTree:
-    """Spanning tree of east-most incoming edges, rooted at the south pole."""
+def se_tree(m: PlanarMap) -> list[int | None]:
+    """Parent edge of each vertex in the tree of east-most incoming edges
+    (None at its root, the south pole)."""
     m.require_valid()
-    parent = {v: m.in_edges_we(v)[-1] for v in range(m.n_vertices) if v != m.south}
-    return OrientedTree(root=m.south, parent_edge=parent)
+    return [None if v == m.south else m.in_edges_we(v)[-1]
+            for v in range(m.n_vertices)]
 
 
-def nw_depths(m: PlanarMap) -> dict[int, int]:
+def _depths(m: PlanarMap, parent: list[int | None], end: int) -> list[int]:
+    """Depth of every vertex in a parent-edge tree; endpoint ``end`` (0 the
+    tail, 1 the head) of a vertex's parent edge is its parent vertex."""
+    depth = [-1] * m.n_vertices
+    depth[parent.index(None)] = 0
+    edges = m.edges
+    for v in range(m.n_vertices):
+        path = []
+        u = v
+        while depth[u] < 0:
+            path.append(u)
+            u = edges[parent[u]][end]
+        d = depth[u]
+        for w in reversed(path):
+            d += 1
+            depth[w] = d
+    return depth
+
+
+def nw_depths(m: PlanarMap) -> list[int]:
     """Distance from the north pole along the NW tree, per vertex."""
-    tree = nw_tree(m)
-    parent_vertex = {v: m.edges[e][1] for v, e in tree.parent_edge.items()}
-    return tree.depths(parent_vertex)
+    return _depths(m, nw_tree(m), 1)
 
 
-def se_depths(m: PlanarMap) -> dict[int, int]:
+def se_depths(m: PlanarMap) -> list[int]:
     """Distance from the south pole along the SE tree, per vertex."""
-    tree = se_tree(m)
-    parent_vertex = {v: m.edges[e][0] for v, e in tree.parent_edge.items()}
-    return tree.depths(parent_vertex)
+    return _depths(m, se_tree(m), 0)
 
 
 # -- canonical form, reversal, dual ------------------------------------------

@@ -11,9 +11,11 @@ with unmarked bipolar maps.
 
 ``Frontier`` is the same sewing rule on plain vertex ids: it keeps only the
 east frontier, which is all a move needs to know which edge it adds.  It is
-the one replay that decodes walks (``walk_to_map``) and feeds degrees, the
-upward embedding and the steered sampler; the marked-state fold stays as
-the reference and the unsew engine.
+the one replay that decodes walks (``walk_to_map``) and feeds degrees and
+the steered sampler; the marked-state fold stays as the reference and the
+unsew engine.  The upward embedding reads the map instead: its vertex
+creation order is the order in which ``interface_order`` first reaches
+each vertex, the order in which ``Frontier`` numbers them.
 """
 
 from __future__ import annotations
@@ -530,13 +532,8 @@ class Frontier:
         return (self.below[-1 - move.i],
                 self.n_vertices + move.j - 1 if move.j else self.active)
 
-    def push(self, move: Move) -> tuple[int, int, int | None]:
-        """Apply ``move``; returns its edge and the face's apex.
-
-        The apex is the corner just above the face's bottom on its west side
-        (None for an edge move): a west triangle's chord buries it, an east
-        triangle hangs its new active vertex below it.
-        """
+    def push(self, move: Move) -> tuple[int, int]:
+        """Apply ``move``; returns the edge (tail, head) it adds."""
         tail, head = self.edge_of(move)
         below = self.below
         if isinstance(move, EdgeMove):
@@ -545,18 +542,15 @@ class Frontier:
             else:
                 self.above.pop()
             below.append(tail)
-            apex = None
         else:
-            i = move.i
-            apex = below[-i] if i else self.active
-            if i:
-                del below[-i:]
+            if move.i:
+                del below[-move.i:]
             if move.j:
                 self.above.append(self.active)
                 self.above.extend(range(self.n_vertices, head))
                 self.n_vertices = head + 1
         self.active = head
-        return tail, head, apex
+        return tail, head
 
     def replay(self, walk: LatticeWalk):
         """Push every move of ``walk``, yielding each new edge (tail, head).
@@ -568,10 +562,7 @@ class Frontier:
         if walk.start[0] != 0 or walk.start[1] < 0:
             raise NotBipolarCodeError(
                 f"not a closed bipolar code: walk must start at (0, m), got {walk.start}")
-        push = self.push
-        for mv in walk.moves:
-            tail, head, _ = push(mv)
-            yield tail, head
+        yield from map(self.push, walk.moves)
         if self.above:
             raise NotBipolarCodeError(
                 "not a closed bipolar code: walk leaves the quadrant or does not "
@@ -641,8 +632,7 @@ def interface_order(m: PlanarMap) -> tuple[list[int], tuple[Move, ...]]:
         f = face_of[2 * e + 1]
         if f >= 0 and faces[f].west_edges_down[0] == e:
             fd = faces[f]
-            moves.append(FaceMove(len(fd.west_edges_down) - 1,
-                                  len(fd.east_edges_up) - 1))
+            moves.append(fd.face_type)
             order.append(take(fd.min_vertex, fd.east_edges_up[0]))
         elif m.edges[e][1] == m.north:
             break

@@ -158,8 +158,7 @@ def sample_simple_triangulation_walk(m: int, n: int, ell: int,
                 break
             mv = options[rng.randrange(len(options))]
             moves.append(mv)
-            tail, head, _ = frontier.push(mv)
-            edges.add((tail, head))
+            edges.add(frontier.push(mv))
             dx, dy = mv.delta
             x += dx
             y += dy
@@ -318,7 +317,13 @@ class StatReport:
 def covariance_report(walks: list[LatticeWalk], dist: StepDistribution | None = None,
                       rng: CounterRng | None = None,
                       bootstrap: int = 1000) -> StatReport:
-    """Empirical increment covariance with a bootstrap CI on the variance ratio."""
+    """Empirical increment covariance with a bootstrap CI on the variance ratio.
+
+    The bootstrap resamples single increments as if they were i.i.d.  That
+    holds for free walks (``--method free``); the increments of a walk
+    conditioned on its end point (exact or rejection samples) are
+    dependent, so there the interval is only indicative.
+    """
     dxs, dys = [], []
     for w in walks:
         for mv in w.moves:

@@ -130,10 +130,11 @@ def render_svg(m: PlanarMap, embedding: Embedding | None = None,
         return (MARGIN + (x - min(xs)) * sx,
                 VIEW_H - MARGIN - (y - min(ys)) * sy)
 
-    nw = set(nw_tree(m).parent_edge.values())
-    se = set(se_tree(m).parent_edge.values())
+    nw = set(nw_tree(m))
+    se = set(se_tree(m))
     order, moves = interface_order(m)
     faces = m.interior_faces()
+    face_of = m.face_of_dart()
 
     lines = []
     attrs = f' data-planarity="unverified"' if warning else ""
@@ -160,7 +161,7 @@ def render_svg(m: PlanarMap, embedding: Embedding | None = None,
         x2, y2 = pt(h)
         path.append(((x1 + x2) / 2, (y1 + y2) / 2))
         if k < len(moves) and isinstance(moves[k], FaceMove):
-            fd = faces[_face_east_of(m, e)]
+            fd = faces[face_of[2 * e + 1]]
             corners = set()
             for e2 in fd.west_edges_down + fd.east_edges_up:
                 corners.update(m.edges[e2])
@@ -178,7 +179,3 @@ def render_svg(m: PlanarMap, embedding: Embedding | None = None,
                      f'cy="{_fmt(y)}" r="3"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def _face_east_of(m: PlanarMap, e: int) -> int:
-    return m.face_of_dart()[2 * e + 1]

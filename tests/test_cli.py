@@ -1,10 +1,14 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import bipolar_maps
 from bipolar_maps import enumeration
 from bipolar_maps.cli import main
 from bipolar_maps.enumeration import exact_sample
@@ -279,3 +283,13 @@ def test_readme_cli_lines(tmp_path, monkeypatch, capsys):
         assert code == 0, f"{line}: {err}"
         if comment.strip().startswith("prints "):
             assert out.strip() == comment.split()[-1], line
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only; the program must run without it
+    src = Path(bipolar_maps.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, bipolar_maps.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -8,6 +8,7 @@ from bipolar_maps.embedding import (Embedding, certify_upward_planar,
                                     segments_conflict, upward_embed,
                                     verify_upward_planar)
 from bipolar_maps.errors import EmbeddingInternalError, EmbeddingUnsupportedError
+from bipolar_maps.planar_map import PlanarMap
 from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import walk_to_map
 from bipolar_maps.simulate import sample_simple_triangulation_walk
@@ -127,6 +128,39 @@ def test_certificate_rejects_a_mirrored_drawing():
     mirror = Embedding(coords={v: (-x, y) for v, (x, y) in emb.coords.items()})
     assert verify_upward_planar(m, mirror) == []
     assert "face 0 is not positively oriented" in certify_upward_planar(m, mirror)
+
+
+def _relabel(m, rng):
+    """The same map with shuffled vertex and edge ids and every rotation list
+    started at a random dart, as a map read from JSON may come; returns the
+    map and its vertex relabeling."""
+    pv = list(range(m.n_vertices))
+    pe = list(range(m.n_edges))
+    rng.shuffle(pv)
+    rng.shuffle(pe)
+    edges = [None] * m.n_edges
+    for e, (t, h) in enumerate(m.edges):
+        edges[pe[e]] = (pv[t], pv[h])
+    rotations = [None] * m.n_vertices
+    for v, refs in enumerate(m.rotation_refs()):
+        refs = [(pe[abs(r) - 1] + 1) * (1 if r > 0 else -1) for r in refs]
+        k = rng.randrange(len(refs))
+        rotations[pv[v]] = refs[k:] + refs[:k]
+    return PlanarMap(m.n_vertices, edges, rotations, pv[m.south], pv[m.north],
+                     pe[m.west_anchor]), pv
+
+
+def test_relabeled_maps_draw_the_same():
+    rng = random.Random(1511)
+    maps = [walk_to_map(w) for w in all_triangulation_walks(6)]
+    maps = [m for m in maps if is_simple(m)]
+    maps += [walk_to_map(sample_simple_triangulation_walk(0, 1, ell, CounterRng(5, ell)))
+             for ell in (60, 150)]
+    for m in maps:
+        emb = upward_embed(m)
+        shuffled, pv = _relabel(m, rng)
+        got = upward_embed(shuffled)
+        assert list(got.coords.items()) == [(pv[v], p) for v, p in emb.coords.items()]
 
 
 def test_sampled_medium():

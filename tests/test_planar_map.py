@@ -71,15 +71,17 @@ def test_interior_sink_reported(fig_walk):
 
 
 def test_trees_on_small_maps():
+    # a tree is each vertex's parent edge id, None at the root only
     m1 = single_edge()
     t = nw_tree(m1)
-    assert t.root == m1.north and t.parent_edge == {m1.south: 0}
+    assert len(t) == 2 and t[m1.north] is None and t[m1.south] == 0
     m3 = three_triangulation()
     nt, st = nw_tree(m3), se_tree(m3)
-    assert set(nt.parent_edge) == set(range(3)) - {m3.north}
-    assert set(st.parent_edge) == set(range(3)) - {m3.south}
+    assert len(nt) == len(st) == 3
+    assert {v for v, e in enumerate(nt) if e is not None} == set(range(3)) - {m3.north}
+    assert {v for v, e in enumerate(st) if e is not None} == set(range(3)) - {m3.south}
     # the west boundary edge is the south pole's west-most outgoing edge
-    assert nt.parent_edge[m3.south] == m3.west_edges[0]
+    assert nt[m3.south] == m3.west_edges[0]
 
 
 def test_face_types_small():
