@@ -12,19 +12,23 @@ is created as the middle corner of the east triangle the path crosses
 just before it, at the midpoint of that triangle's lowest and highest
 corners.  Each orientation constraint is resolved when its last-created
 corner is placed, where it reduces to an exact rational bound on that
-corner's horizontal position.  When an interval empties, the slack
-search raises the vertices that support it and resumes placement at the
-lowest of them.  A linear-time certificate with exact integer predicates
-(rising edges, positively oriented triangles, ordered boundary chains),
-reading the same ``_triangle``, checks every returned embedding; the
-independent quadratic-time pairwise verifier stays as its oracle.
+corner's horizontal position.  Placement runs on plain integers: the
+dyadic heights are scaled once by the lcm of their denominators (a power
+of two), every x and every bound is an integer pair (num, den), and the
+``Fraction`` coordinates are built once, at the end.  When an interval
+empties, the slack search raises the vertices that support it and
+resumes placement at the lowest of them.  A linear-time certificate with
+exact integer predicates (rising edges, positively oriented triangles,
+ordered boundary chains), reading the same ``_triangle``, checks every
+returned embedding; the independent quadratic-time pairwise verifier
+stays as its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import EmbeddingInternalError, EmbeddingUnsupportedError
 from .planar_map import FaceData, PlanarMap
@@ -86,17 +90,16 @@ def _x_bound(u, w, z, side, free, pos, ys):
 
     East means clockwise of the chord vector (cross(z-u, w-u) < 0).  The
     cross product is linear in each coordinate, so fixing the other two
-    corners leaves a half-line; returns ("lo"/"hi", threshold).
+    corners leaves a half-line whose threshold is the x of the line through
+    them at the free corner's height.  Heights are integers and every x is
+    an integer pair (num, den) with den > 0; returns ("lo"/"hi", threshold)
+    with the threshold as such a pair, not reduced.
     """
-    yu, yw, yz = ys[u], ys[w], ys[z]
-    if free == w:
-        x0 = pos[u][0] + (pos[z][0] - pos[u][0]) * (yw - yu) / (yz - yu)
-        return ("lo", x0) if side == EAST else ("hi", x0)
-    if free == z:
-        z0 = pos[u][0] + (yz - yu) * (pos[w][0] - pos[u][0]) / (yw - yu)
-        return ("hi", z0) if side == EAST else ("lo", z0)
-    u0 = ((yz - yu) * pos[w][0] - pos[z][0] * (yw - yu)) / (yz - yw)
-    return ("hi", u0) if side == EAST else ("lo", u0)
+    p, q = (u, z) if free == w else (u, w) if free == z else (w, z)
+    (xp, dp), (xq, dq) = pos[p], pos[q]
+    yp, yq, y = ys[p], ys[q], ys[free]
+    thr = (xp * dq * (yq - y) + xq * dp * (y - yp), dp * dq * (yq - yp))
+    return ("lo" if (free == w) == (side == EAST) else "hi"), thr
 
 
 def _creation_order(m: PlanarMap):
@@ -139,36 +142,43 @@ def _place(start, below, resolve_at, ys, boost, pos, hi_tri_of, free_topped):
     """Place creation ranks ``start``, ``start + 1``, ... in order.
 
     Returns the first rank whose interval empties, or None once every rank
-    is placed.  The x of v depends only on the positions below v and on
-    ``boost[v]``, so a pass may resume at the lowest rank whose boost
-    changed and keep what lies below it, ``hi_tri_of`` (the triangle that
-    binds each rank from above) and ``free_topped`` (ranks bounded below
-    only) included.  A west-boundary vertex is bounded below by its
-    west-chain predecessor.  Boosts are extra slack exponents for
-    free-topped ranks; raising them widens every later interval that
-    interpolates through them.
+    is placed.  ``ys`` are integer heights and ``pos[v]`` is the x of rank v
+    as a reduced integer pair (num, den) with den > 0; bounds compare by
+    cross-multiplying, and each placed rank costs one ``gcd``.  The x of v
+    depends only on the positions below v and on ``boost[v]``, so a pass
+    may resume at the lowest rank whose boost changed and keep what lies
+    below it, ``hi_tri_of`` (the triangle that binds each rank from above)
+    and ``free_topped`` (ranks bounded below only) included.  A
+    west-boundary vertex is bounded below by its west-chain predecessor.
+    Boosts are extra slack exponents for free-topped ranks; raising them
+    widens every later interval that interpolates through them.
     """
     for v in range(start, len(ys)):
-        lo = None if below[v] is None else pos[below[v]][0]
+        lo = None if below[v] is None else pos[below[v]]
         hi = hi_tri = None
         for (u, w, z, side) in resolve_at[v]:
             kind, thr = _x_bound(u, w, z, side, v, pos, ys)
             if kind == "lo":
-                lo = thr if lo is None else max(lo, thr)
-            elif hi is None or thr < hi:
+                if lo is None or thr[0] * lo[1] > lo[0] * thr[1]:
+                    lo = thr
+            elif hi is None or thr[0] * hi[1] < hi[0] * thr[1]:
                 hi, hi_tri = thr, (u, w, z)
         hi_tri_of[v] = hi_tri
         free_topped[v] = hi is None
         if hi is None:
             # exponential slack leaves room for everything hung here later
-            x = Fraction(0) if lo is None else lo + Fraction(4) ** (v + boost.get(v, 0))
+            if lo is None:
+                num, den = 0, 1
+            else:
+                num, den = lo[0] + (lo[1] << 2 * (v + boost.get(v, 0))), lo[1]
         elif lo is None:
-            x = hi - 1
-        elif lo >= hi:
+            num, den = hi[0] - hi[1], hi[1]
+        elif lo[0] * hi[1] >= hi[0] * lo[1]:
             return v
         else:
-            x = (lo + hi) / 2
-        pos[v] = (x, ys[v])
+            num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        g = gcd(num, den)
+        pos[v] = (num // g, den // g)
     return None
 
 
@@ -206,14 +216,17 @@ def upward_embed(m: PlanarMap) -> Embedding:
     resolve_at: list[list[tuple[int, int, int, str]]] = [[] for _ in range(n_creation)]
     for tri in triangles:
         resolve_at[max(tri[:3])].append(tri)
-    pos: list = [(Fraction(0), ys[0]), (Fraction(0), ys[1])] + [None] * (n_creation - 2)
+    # dyadic heights over their common denominator, a power of two
+    scale = lcm(*(y.denominator for y in ys))
+    iys = [y.numerator * (scale // y.denominator) for y in ys]
+    pos: list = [(0, 1), (0, 1)] + [None] * (n_creation - 2)
     hi_tri_of: list = [None] * n_creation
     free_topped = [True] * n_creation
     boost: dict[int, int] = {}
     raise_step: dict[int, int] = {}
     start = 2
     for _ in range(400):
-        bad = _place(start, below, resolve_at, ys, boost, pos, hi_tri_of, free_topped)
+        bad = _place(start, below, resolve_at, iys, boost, pos, hi_tri_of, free_topped)
         if bad is None:
             break
         raisable = _raisable(bad, hi_tri_of, free_topped)
@@ -231,7 +244,7 @@ def upward_embed(m: PlanarMap) -> Embedding:
             "embedding construction failed: slack search did not converge",
             trace=[f"boost={boost}"])
 
-    emb = Embedding(coords=dict(zip(verts, pos)))
+    emb = Embedding(coords={v: (Fraction(*x), y) for v, x, y in zip(verts, pos, ys)})
     problems = certify_upward_planar(m, emb)
     if problems:
         raise EmbeddingInternalError("embedding post-check failed",

@@ -5,7 +5,8 @@ Edges carry CSS classes: west-most-outgoing tree edges are ``nw-tree``
 plain ``edge``; the ``interface`` polyline (green) walks the edge midpoints
 in interface order, dipping through each face it crosses.  Output is byte
 deterministic for fixed inputs: stable element order and 6 significant
-digits after an affine fit to a fixed viewbox.
+digits after an affine fit to a fixed viewbox, computed once per vertex
+before any element is written.
 """
 
 from __future__ import annotations
@@ -120,15 +121,11 @@ def render_svg(m: PlanarMap, embedding: Embedding | None = None,
 
     xs = [p[0] for p in coords.values()]
     ys = [p[1] for p in coords.values()]
-    spanx = max(xs) - min(xs) or 1.0
-    spany = max(ys) - min(ys) or 1.0
-    sx = (VIEW_W - 2 * MARGIN) / spanx
-    sy = (VIEW_H - 2 * MARGIN) / spany
-
-    def pt(v):
-        x, y = coords[v]
-        return (MARGIN + (x - min(xs)) * sx,
-                VIEW_H - MARGIN - (y - min(ys)) * sy)
+    x0, y0 = min(xs), min(ys)
+    sx = (VIEW_W - 2 * MARGIN) / (max(xs) - x0 or 1.0)
+    sy = (VIEW_H - 2 * MARGIN) / (max(ys) - y0 or 1.0)
+    fit = {v: (MARGIN + (x - x0) * sx, VIEW_H - MARGIN - (y - y0) * sy)
+           for v, (x, y) in coords.items()}
 
     nw = set(nw_tree(m))
     se = set(se_tree(m))
@@ -149,31 +146,31 @@ def render_svg(m: PlanarMap, embedding: Embedding | None = None,
             cls += " nw-tree"
         if e in se:
             cls += " se-tree"
-        x1, y1 = pt(t)
-        x2, y2 = pt(h)
+        x1, y1 = fit[t]
+        x2, y2 = fit[h]
         lines.append(f'<line id="e{e}" class="{cls}" x1="{_fmt(x1)}" '
                      f'y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
 
-    path = [pt(m.south)]
+    path = [fit[m.south]]
     for k, e in enumerate(order):
         t, h = m.edges[e]
-        x1, y1 = pt(t)
-        x2, y2 = pt(h)
+        x1, y1 = fit[t]
+        x2, y2 = fit[h]
         path.append(((x1 + x2) / 2, (y1 + y2) / 2))
         if k < len(moves) and isinstance(moves[k], FaceMove):
             fd = faces[face_of[2 * e + 1]]
             corners = set()
             for e2 in fd.west_edges_down + fd.east_edges_up:
                 corners.update(m.edges[e2])
-            cx = sum(pt(v)[0] for v in sorted(corners)) / len(corners)
-            cy = sum(pt(v)[1] for v in sorted(corners)) / len(corners)
+            cx = sum(fit[v][0] for v in sorted(corners)) / len(corners)
+            cy = sum(fit[v][1] for v in sorted(corners)) / len(corners)
             path.append((cx, cy))
-    path.append(pt(m.north))
+    path.append(fit[m.north])
     pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in path)
     lines.append(f'<polyline class="interface" points="{pts}"/>')
 
     for v in range(m.n_vertices):
-        x, y = pt(v)
+        x, y = fit[v]
         cls = "vertex pole" if v in (m.south, m.north) else "vertex"
         lines.append(f'<circle id="v{v}" class="{cls}" cx="{_fmt(x)}" '
                      f'cy="{_fmt(y)}" r="3"/>')

@@ -89,7 +89,10 @@ def weights_from_text(text: str) -> FaceWeights:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"bad weights line: {raw!r}")
-        support[int(parts[0])] = Fraction(parts[1])
+        try:
+            support[int(parts[0])] = Fraction(parts[1])
+        except ZeroDivisionError as exc:
+            raise ValueError(f"weight with zero denominator: {raw!r}") from exc
     if uniform:
         if support:
             raise ValueError("'uniform' cannot be combined with explicit weights")

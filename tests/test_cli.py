@@ -239,12 +239,13 @@ TRI_NU = ("1 -1 0.3333333333333333\n-1 0 0.3333333333333333\n"
     (["count", "--weights", "uniform", "--edges", "5"], None, None),
     (["sample", "--weights", "uniform", "--m", "0", "--n", "0", "--edges", "9",
       "--seed", "1"], None, None),
+    (["count", "--edges", "5"], ("--weights", "w.txt"), "3 1/0\n"),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
         "map-top-level-array", "rejection-negative-m", "count-negative-m",
         "interface-zero-replicas", "stats-zero-replicas",
         "closed-form-other-boundary", "closed-form-quad", "nu-exact-method",
         "bootstrap-negative", "bootstrap-zero", "count-uniform",
-        "sample-uniform-exact"])
+        "sample-uniform-exact", "weights-zero-denominator"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         flag, name = infile

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -228,3 +229,47 @@ def test_render_svg_ignores_a_power_of_two():
     huge = Embedding(coords={v: (x * 2 ** 1100, y)
                              for v, (x, y) in emb.coords.items()})
     assert render_svg(m, huge) == render_svg(m, emb)
+
+
+# SHA-256 of repr(list(coords.items())), the SVG and the number of placement
+# rounds, for steered maps drawn with CounterRng(seed, ell)
+DRAWING_SHA256 = {
+    (150, 0): "d5cd52399cf6be984a1ca020fbb9b482216943e87a3978587964b8546e2c01a9",
+    (150, 1): "7102c90b996cdc30e6e1da130d1ffabcdff054e5555ac41addbdc55dcf56e4a4",
+    (150, 2): "c2239e54c2e4f7db91d4eceee9ad49ddf6e24eb2b0a0fde9326bba7215c024d0",
+    (300, 0): "8d9273c1c074395ab309e70ec71e88f9ff2a0cc2b29c513af295ce49f4539ccd",
+    (300, 1): "10386fe80dad1b5c457c1832e7296b4657a65707fd65dcdf7a7466278f3c8936",
+    (300, 2): "82e966cc32c906fcba955972dbe90e002f72d596cc8167af2903d1dc2eb638eb",
+    (600, 0): "0ea73a7bd3f00e96722eb315862ee30b1ee7e287471f45201c6215fdd5666a1b",
+}
+
+
+def test_drawings_are_pinned(monkeypatch):
+    # fixed maps must keep the same coordinates, SVG and slack-search rounds
+    rounds = []
+    place = embedding._place
+
+    def counted_place(*args):
+        rounds.append(args[0])
+        return place(*args)
+
+    monkeypatch.setattr(embedding, "_place", counted_place)
+    for (ell, seed), digest in DRAWING_SHA256.items():
+        m = walk_to_map(sample_simple_triangulation_walk(0, 1, ell, CounterRng(seed, ell)))
+        rounds.clear()
+        emb = upward_embed(m)
+        h = hashlib.sha256()
+        h.update(repr(list(emb.coords.items())).encode())
+        h.update(render_svg(m, emb).encode())
+        h.update(str(len(rounds)).encode())
+        assert h.hexdigest() == digest, (ell, seed)
+
+
+@pytest.mark.parametrize("ell", [1200, 2400])
+def test_large_maps_draw(ell):
+    m = walk_to_map(sample_simple_triangulation_walk(0, 1, ell, CounterRng(1, ell)))
+    emb = upward_embed(m)
+    assert certify_upward_planar(m, emb) == []
+    svg = render_svg(m, emb)
+    assert svg.count("<line ") == m.n_edges
+    assert svg.count("<circle ") == m.n_vertices
