@@ -61,6 +61,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _trim_fraction(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < 0.5:
+        raise argparse.ArgumentTypeError(f"must be in [0, 0.5), got {text}")
+    return value
+
+
 def _require_seed(parser, args) -> None:
     if args.seed is None:
         parser.error("--seed is required for stochastic verbs")
@@ -182,17 +189,17 @@ def build_parser() -> argparse.ArgumentParser:
                            parser_class=lambda **kw: argparse.ArgumentParser(
                                parents=[common], **kw))
 
-    def add_common(q, stochastic=False, boundary=True):
+    def add_common(q, stochastic=False):
         q.add_argument("--weights", default="tri",
                        help="preset (tri, quad, uniform, kgon:K) or config file")
-        if boundary:
-            q.add_argument("--m", type=int, default=0,
-                           help="west boundary length minus one")
-            q.add_argument("--n", type=int, default=1,
-                           help="east boundary length minus one")
+        q.add_argument("--m", type=int, default=0,
+                       help="west boundary length minus one")
+        q.add_argument("--n", type=int, default=1,
+                       help="east boundary length minus one")
         q.add_argument("--edges", type=_positive_int, required=True,
                        help="total edge count of the map")
-        q.add_argument("--budget", type=int, default=enumeration.DEFAULT_BUDGET,
+        q.add_argument("--budget", type=_positive_int,
+                       default=enumeration.DEFAULT_BUDGET,
                        help="cell budget for exact count tables")
         if stochastic:
             q.add_argument("--nu", help="direct step-distribution file "
@@ -202,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--method",
                            choices=("exact", "rejection", "free"),
                            default="exact")
-            q.add_argument("--max-tries", type=int, default=1_000_000)
+            q.add_argument("--max-tries", type=_positive_int, default=1_000_000)
 
     q = sub.add_parser("count", help="exact number of maps / quadrant walks")
     add_common(q)
@@ -220,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--replicas", type=_positive_int, default=1)
     q.add_argument("--json", help="also write the report as JSON")
     q.add_argument("--bootstrap", type=_positive_int, default=1000)
-    q.add_argument("--eps", type=float, default=0.05,
+    q.add_argument("--eps", type=_trim_fraction, default=0.05,
                    help="fraction of walk ends excluded from degree stats")
 
     q = sub.add_parser("interface", help="scaled interface functions as CSV")

@@ -17,9 +17,9 @@ dyadic heights are scaled once by the lcm of their denominators (a power
 of two), every x and every bound is an integer pair (num, den), and the
 ``Fraction`` coordinates are built once, at the end.  When an interval
 empties, the slack search raises the vertices that support it and
-resumes placement at the lowest of them.  A linear-time certificate with
-exact integer predicates (rising edges, positively oriented triangles,
-ordered boundary chains), reading the same ``_triangle``, checks every
+resumes placement at the lowest of them.  A linear-time certificate of
+two local rules with exact integer predicates (rising edges, positively
+oriented triangles), reading the same ``_triangle``, checks every
 returned embedding; the independent quadratic-time pairwise verifier
 stays as its oracle.
 """
@@ -255,45 +255,63 @@ def upward_embed(m: PlanarMap) -> Embedding:
 # -- linear-time certificate -------------------------------------------------------
 
 
-def _integer_coords(coords: dict[int, Point]) -> dict[int, tuple[int, int]]:
-    """Coordinates over their common denominator, as exact integers."""
-    scale = 1
-    for x, y in coords.values():
-        scale = lcm(scale, x.denominator, y.denominator)
-    return {v: (x.numerator * (scale // x.denominator),
-                y.numerator * (scale // y.denominator))
-            for v, (x, y) in coords.items()}
+def _homogeneous(p: Point) -> tuple[int, int, int]:
+    """(X, Y, D) with D = lcm of the denominators > 0 and (x, y) = (X/D, Y/D)."""
+    x, y = p
+    d = lcm(x.denominator, y.denominator)
+    return (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d)
+
+
+def _orientation(o, a, b) -> int:
+    """det[[o], [a], [b]] of homogeneous points; with every D positive it has
+    the sign of ``_cross`` on the points they stand for."""
+    (xo, yo, do), (xa, ya, da), (xb, yb, db) = o, a, b
+    return (xo * (ya * db - da * yb) - yo * (xa * db - da * xb)
+            + do * (xa * yb - ya * xb))
 
 
 def certify_upward_planar(m: PlanarMap, emb: Embedding) -> list[str]:
     """Linear-time certificate that ``emb`` draws the triangulated disk ``m``
     upward and planar; returns the violations (empty when it holds).
 
-    Three parts, each with exact integer predicates:
+    Two local rules, each an exact integer predicate on per-vertex
+    homogeneous coordinates:
 
     * every edge rises strictly;
     * every interior triangle is positively oriented in the map's rotation
       order: its middle corner lies strictly on its own side (west or
-      east) of the chord from its lowest to its highest corner;
-    * at every height strictly between two consecutive vertices shared by
-      both boundary chains, the west chain lies strictly west of the east
-      chain (one merge sweep).
+      east) of the chord from its lowest to its highest corner.
 
-    The shared vertices are the poles and the cut vertices; they split
-    the map into blocks and bridges stacked in disjoint height slabs.  In
-    a block, positively oriented triangles inside a simple boundary cover
-    each point as often as the boundary winds around it, once inside and
-    never outside, so no two triangles overlap (Gortler-Gotsman-Thurston
-    2006).  A drawing that is planar but mirrors the rotation order fails
-    the second part.
+    Together they order the two boundary chains.  Take a height h strictly
+    between two consecutive vertices shared by both chains (the poles and
+    the cut vertices) that no bridge joins, and at no vertex.  Read west
+    to east, the edges that cross h run from an edge of the west chain to
+    an edge of the east chain, and each consecutive pair bounds one
+    triangle that crosses h.  A positively oriented triangle puts its west
+    side strictly west of its east side inside it, so the chains are
+    strictly ordered at h.  At the height of a vertex, strictness comes
+    from the face just inside the west chain there: the face beside an
+    unshared west vertex, where that vertex is the middle corner, or else
+    the face east of the chain's edge.  Its west side lies strictly west
+    of its east side at that height, and its east side lies weakly west of
+    the east chain, by the cuts just above and just below.
+
+    So the shared vertices split the map into blocks and bridges stacked
+    in disjoint height slabs, each block with a simple boundary.
+    Positively oriented triangles inside a simple boundary cover each point
+    as often as the boundary winds around it, once inside and never
+    outside, so no two triangles overlap (Gortler-Gotsman-Thurston 2006).
+    A drawing that is planar but mirrors the rotation order fails the
+    second rule.
     """
     if len(emb.coords) != m.n_vertices:
         return [f"{len(emb.coords)} coordinates for {m.n_vertices} vertices"]
-    pos = _integer_coords(emb.coords)
+    pos = {v: _homogeneous(p) for v, p in emb.coords.items()}
     problems = [f"edge {e} does not point strictly upward"
-                for e, (t, h) in enumerate(m.edges) if not pos[t][1] < pos[h][1]]
+                for e, (t, h) in enumerate(m.edges)
+                if not pos[t][1] * pos[h][2] < pos[h][1] * pos[t][2]]
     if problems:
-        return problems  # the sweep below needs rising chains
+        return problems  # orientation means something only once corners rise
 
     for fd in m.interior_faces():
         tri = _triangle(m, fd)
@@ -301,36 +319,10 @@ def certify_upward_planar(m: PlanarMap, emb: Embedding) -> list[str]:
             problems.append(f"face {fd.index} is not a triangle")
             continue
         u, w, z, side = tri
-        sign = _cross(pos[u], pos[z], pos[w])
+        sign = _orientation(pos[u], pos[z], pos[w])
         if (sign if side == WEST else -sign) <= 0:
             problems.append(f"face {fd.index} is not positively oriented")
-
-    west = [m.south] + [m.edges[e][1] for e in m.west_edges]
-    east = [m.south] + [m.edges[e][1] for e in m.east_edges]
-    shared = set(west).intersection(east)
-    problems += _chain_side_problems(west, east, shared, pos, +1, "west")
-    problems += _chain_side_problems(east, west, shared, pos, -1, "east")
     return problems
-
-
-def _chain_side_problems(chain, other, shared, pos, sign, label) -> list[str]:
-    """Each unshared vertex of ``chain`` strictly on side ``sign`` of ``other``.
-
-    Both chains rise strictly from the south pole to the north pole, so
-    one pointer into ``other`` finds the segment at each height.
-    """
-    out = []
-    j = 0
-    for v in chain:
-        if v in shared:
-            continue
-        y = pos[v][1]
-        while pos[other[j + 1]][1] < y:
-            j += 1
-        if _cross(pos[other[j]], pos[other[j + 1]], pos[v]) * sign <= 0:
-            out.append(f"{label} boundary vertex {v} is not strictly {label} "
-                       "of the other boundary")
-    return out
 
 
 # -- independent geometric verifier ------------------------------------------------

@@ -26,9 +26,6 @@ class CounterRng:
         self.np = np.random.Generator(np.random.Philox(key=key))
         self._buf: list[int] = []
 
-    def random(self) -> float:
-        return float(self.np.random())
-
     def _word(self) -> int:
         if not self._buf:
             self._buf = self.np.integers(0, _WORD, size=_BLOCK,

@@ -230,7 +230,6 @@ def tv_to_geometric(values: list[int], mean: float = 3.0) -> float:
     counts: dict[int, int] = {}
     for d in values:
         counts[d] = counts.get(d, 0) + 1
-    p = 1.0 / mean
     tv = 0.0
     covered = 0.0
     for d, c in counts.items():

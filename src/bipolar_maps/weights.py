@@ -326,10 +326,6 @@ def _check_distribution(dist: StepDistribution) -> None:
 
 
 def _drift_of(dist: StepDistribution) -> tuple[float, float]:
-    if dist.kind == "direct":
-        ex = sum(dx * p for (dx, _), p in dist.direct.items())
-        ey = sum(dy * p for (_, dy), p in dist.direct.items())
-        return ex, ey
     # sum over the k-1 moves of a k-gon: dx totals -(k-1)(k-2)/2, dy likewise
     ex = dist.p_edge
     ey = -dist.p_edge

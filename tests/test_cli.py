@@ -240,12 +240,18 @@ TRI_NU = ("1 -1 0.3333333333333333\n-1 0 0.3333333333333333\n"
     (["sample", "--weights", "uniform", "--m", "0", "--n", "0", "--edges", "9",
       "--seed", "1"], None, None),
     (["count", "--edges", "5"], ("--weights", "w.txt"), "3 1/0\n"),
+    (["count", "--edges", "6", "--budget", "-1"], None, None),
+    (["sample", "--weights", "uniform", "--m", "0", "--n", "0", "--edges", "9",
+      "--seed", "1", "--method", "rejection", "--max-tries", "-3"], None, None),
+    (["stats", "--edges", "300", "--seed", "1", "--eps", "0.7"], None, None),
+    (["stats", "--edges", "300", "--seed", "1", "--eps", "nan"], None, None),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
         "map-top-level-array", "rejection-negative-m", "count-negative-m",
         "interface-zero-replicas", "stats-zero-replicas",
         "closed-form-other-boundary", "closed-form-quad", "nu-exact-method",
         "bootstrap-negative", "bootstrap-zero", "count-uniform",
-        "sample-uniform-exact", "weights-zero-denominator"])
+        "sample-uniform-exact", "weights-zero-denominator", "budget-negative",
+        "max-tries-negative", "eps-past-half", "eps-nan"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         flag, name = infile

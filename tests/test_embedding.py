@@ -84,19 +84,30 @@ def test_certificate_failure_is_an_internal_error(monkeypatch):
 
 def _corrupt(coords, kind, rng):
     """One change to a drawing: swap two vertices, shift one x or y onto or
-    between existing values, or make two vertices coincide."""
+    between existing values, shift 2-4 vertices that way at once, or make
+    two vertices coincide."""
     out = dict(coords)
     u, v = rng.sample(sorted(out), 2)
     xs = sorted({x for x, _ in out.values()})
     ys = sorted({y for _, y in out.values()})
+
+    def shift_x(t):
+        a, b = rng.choice(xs), rng.choice(xs)
+        out[t] = (rng.choice([a, (a + b) / 2, a - 1, a + 1]), out[t][1])
+
+    def shift_y(t):
+        a, b = rng.choice(ys), rng.choice(ys)
+        out[t] = (out[t][0], rng.choice([a, (a + b) / 2]))
+
     if kind == "swap":
         out[u], out[v] = out[v], out[u]
     elif kind == "x":
-        a, b = rng.choice(xs), rng.choice(xs)
-        out[u] = (rng.choice([a, (a + b) / 2, a - 1, a + 1]), out[u][1])
+        shift_x(u)
     elif kind == "y":
-        a, b = rng.choice(ys), rng.choice(ys)
-        out[u] = (out[u][0], rng.choice([a, (a + b) / 2]))
+        shift_y(u)
+    elif kind == "several":
+        for t in rng.sample(sorted(out), rng.randint(2, min(4, len(out)))):
+            rng.choice((shift_x, shift_y))(t)
     else:
         out[u] = out[v]
     return Embedding(coords=out)
@@ -113,7 +124,7 @@ def test_certificate_agrees_with_pairwise_verifier():
         emb = upward_embed(m)
         assert certify_upward_planar(m, emb) == []
         assert verify_upward_planar(m, emb) == []
-        for kind in ("swap", "x", "y", "coincide"):
+        for kind in ("swap", "x", "y", "several", "coincide"):
             bad = _corrupt(emb.coords, kind, rng)
             if verify_upward_planar(m, bad):
                 n_rejected += 1
