@@ -55,14 +55,20 @@ def _dist_from_args(args):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not a number: fails the check below
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
 
 
 def _trim_fraction(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")  # not a number: fails the check below
     if not 0 <= value < 0.5:
         raise argparse.ArgumentTypeError(f"must be in [0, 0.5), got {text}")
     return value
@@ -255,6 +261,40 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _apply_config(parser, path: str) -> None:
+    """Make a JSON object's values the verbs' defaults, checked like typed values.
+
+    argparse runs an option's type and choices only on command-line strings,
+    so each value goes through them here; a bad value or file is a usage
+    error (exit 2).
+    """
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        parser.error(f"--config {path}: expected a JSON object, "
+                     f"got {type(cfg).__name__}")
+    for verb in parser._subparsers._group_actions[0].choices.values():
+        defaults = {}
+        for action in verb._actions:
+            if action.dest not in cfg:
+                continue
+            value = cfg[action.dest]
+            try:
+                if action.nargs == 0:  # a flag
+                    if not isinstance(value, bool):
+                        raise argparse.ArgumentError(
+                            action, f"expected true or false, got {value!r}")
+                else:
+                    value = verb._get_value(action, str(value))
+                    verb._check_value(action, value)
+            except argparse.ArgumentError as exc:
+                parser.error(f"--config {path}: {exc}")
+            defaults[action.dest] = value
+        verb.set_defaults(**defaults)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -263,10 +303,7 @@ def main(argv=None) -> int:
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if known.config:
-        cfg = json.loads(Path(known.config).read_text())
-        for action in parser._subparsers._group_actions[0].choices.values():
-            action.set_defaults(**{k: v for k, v in cfg.items()
-                                   if k in {a.dest for a in action._actions}})
+        _apply_config(parser, known.config)
     args = parser.parse_args(argv)
     try:
         if args.verb == "count":
@@ -292,7 +329,7 @@ def main(argv=None) -> int:
     except (EnumerationBudgetError, RejectionBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (MapStructureError, ValueError) as exc:  # malformed input
+    except (MapStructureError, ValueError, OSError) as exc:  # malformed input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BipolarError as exc:

@@ -1,7 +1,9 @@
 """Exact counting and exact sampling of quadrant walks.
 
 Counts come from a layered dynamic program over quadrant positions, kept
-exact with big integers (or Fractions for non-integer face weights); the
+exact with big integers (or Fractions for non-integer face weights).  Each
+layer is a dense array over the box of positions a walk can hold at that
+time, computed from the previous layer by one shifted add per move.  The
 same layers drive backward sampling that is exactly uniform (or exactly
 Boltzmann for weighted models).  Triangulation families with tiny
 boundaries scale far beyond the table budget through an equivalent
@@ -12,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, lcm
+
+import numpy as np
 
 from .errors import EnumerationBudgetError, NoMapsError
 from .rng import CounterRng
@@ -33,6 +38,17 @@ def _move_key(mv: Move):
 class CountTable:
     """Backward table: layer r holds weighted counts of r-step walks to the end.
 
+    Layer r is a ``dtype=object`` array of exact ints (Fractions for
+    non-integer weights) indexed ``[x, y]`` over the box
+    ``0 <= x <= min(t, n + r*span)``, ``0 <= y <= min(m + t*span, r)`` for
+    time ``t = length - r``, where ``span`` is the largest face degree
+    minus 2; cells that no walk from the start holds at time t are 0.  The
+    boxes' total size is the table's allocation in cells.  ``states``
+    counts the start cell (even when no walk leaves it) plus the cells of
+    layers 1..length that walks from the start reach without losing the
+    end.  A table whose total is 0 has no layers; when the boundary data
+    fail ``weights.feasible`` it is empty: no moves, no layers, states 0.
+
     Immutable once built; safe to share between sampling threads.
     """
 
@@ -40,12 +56,26 @@ class CountTable:
     start: tuple[int, int]
     end: tuple[int, int]
     length: int
-    layers: list[dict[tuple[int, int], object]]
+    layers: list[np.ndarray]
     states: int
 
     @property
     def total(self):
-        return self.layers[self.length].get(self.start, 0)
+        return self.layers[self.length][self.start] if self.layers else 0
+
+    @cached_property
+    def rows(self) -> list[list[list]]:
+        """The layers as nested lists, which the readers index far faster."""
+        return [layer.tolist() for layer in self.layers]
+
+
+def _count_at(layer: list[list], x: int, y: int):
+    """The count of one layer (as rows) at (x, y); 0 off its box."""
+    if 0 <= x < len(layer):
+        row = layer[x]
+        if 0 <= y < len(row):
+            return row[y]
+    return 0
 
 
 def _weighted_moves(w: FaceWeights) -> tuple[tuple[Move, object], ...]:
@@ -57,79 +87,92 @@ def _weighted_moves(w: FaceWeights) -> tuple[tuple[Move, object], ...]:
     return tuple(out)
 
 
+def _aligned(dst_shape, src_shape, dx: int, dy: int):
+    """Slices pairing dst[x, y] with src[x + dx, y + dy], or None if none do."""
+    (dst_x, dst_y), (src_x, src_y) = dst_shape, src_shape
+    # conditionals, not min/max: this runs once per move and layer
+    x0 = -dx if dx < 0 else 0
+    x1 = dst_x if dst_x < src_x - dx else src_x - dx
+    y0 = -dy if dy < 0 else 0
+    y1 = dst_y if dst_y < src_y - dy else src_y - dy
+    if x0 >= x1 or y0 >= y1:
+        return None
+    return ((slice(x0, x1), slice(y0, y1)),
+            (slice(x0 + dx, x1 + dx), slice(y0 + dy, y1 + dy)))
+
+
 def build_count_table(w: FaceWeights, m: int, n: int, ell: int,
                       budget: int = DEFAULT_BUDGET) -> CountTable:
-    """Layered quadrant DP for walks of ell-1 steps from (0, m) to (n, 0)."""
+    """Layered quadrant DP for walks of ell-1 steps from (0, m) to (n, 0).
+
+    Every layer is allocated on its whole box (see ``CountTable``), so the
+    sum of the box sizes is the table's real allocation in cells; it is
+    checked against ``budget`` before any work is done.
+    """
     check_boundary(m, n, ell)
     if w.uniform:
         raise ValueError(
             "uniform weights have an infinite step set, and exact counting "
             "and sampling need a finite one; sample them by rejection or as "
             "free walks (--method rejection or --method free)")
-    moves = _weighted_moves(w)
-    deltas = [mv.delta for mv, _ in moves]
     T = ell - 1
     start, end = (0, m), (n, 0)
-    max_i = max((-dx for dx, _ in deltas), default=0)
-    max_j = max((dy for _, dy in deltas), default=0)
-    has_edge = any(d == (1, -1) for d in deltas)
+    # the edge move is (1, -1); a face of degree k moves by (-i, j) with
+    # i + j = k - 2, so no move changes x or y by more than `span`
+    span = max(w.support) - 2
 
-    # box bound on reachable cells per layer; bail before doing any work
+    boxes = []
     estimate = 0
     for t in range(T + 1):
-        xs = min(t, n + (T - t) * max_i) + 1
-        ys = min(m + t * max_j, T - t) + 1
-        estimate += max(xs, 0) * max(ys, 0)
+        # walks from the start keep x <= t and y <= m + t*span; walks that
+        # can still reach the end in r steps keep x <= n + r*span and y <= r
+        r = T - t
+        boxes.append((min(t, n + r * span) + 1, min(m + t * span, r) + 1))
+        estimate += boxes[t][0] * boxes[t][1]
         if estimate > budget:
             raise EnumerationBudgetError(
-                f"count table needs about {estimate}+ cells, budget is {budget}",
+                f"count table would allocate at least {estimate} cells, "
+                f"budget is {budget}",
                 required_cells=estimate, budget_cells=budget)
+    if not feasible(w, m, n, ell)[0]:
+        return CountTable(moves=(), start=start, end=end, length=T,
+                          layers=[], states=0)
+    moves = _weighted_moves(w)
 
-    def prune(x, y, t):
-        r = T - t
-        if end[0] - x > (r if has_edge else 0):
-            return False
-        if x - end[0] > r * max_i:
-            return False
-        if y - end[1] > r:
-            return False
-        if end[1] - y > r * max_j:
-            return False
-        return True
-
-    reach: list[set[tuple[int, int]]] = [set() for _ in range(T + 1)]
-    if prune(*start, 0):
-        reach[0].add(start)
-    states = 1
+    # shifts[t][k] pairs the cells of box t with their images under move k
+    # in box t + 1
+    deltas = [mv.delta for mv, _ in moves]
+    shifts = [[_aligned(boxes[t], boxes[t + 1], dx, dy) for dx, dy in deltas]
+              for t in range(T)]
+    # the forward reach: cells a walk from the start holds at time t without
+    # losing the end (left of x = n - r, the r edge moves to come fall short)
+    live = [np.zeros(shape, dtype=bool) for shape in boxes]
+    if m < boxes[0][1] and n <= T:
+        live[0][start] = True
     for t in range(T):
-        nxt = reach[t + 1]
-        for (x, y) in reach[t]:
-            for dx, dy in deltas:
-                p = (x + dx, y + dy)
-                if p[0] >= 0 and p[1] >= 0 and p not in nxt and prune(*p, t + 1):
-                    nxt.add(p)
-        states += len(nxt)
-        if states > budget:
-            raise EnumerationBudgetError(
-                f"count table needs more than {budget} cells "
-                f"(at layer {t + 1} of {T})",
-                required_cells=states, budget_cells=budget)
+        cur, nxt = live[t], live[t + 1]
+        for pair in shifts[t]:
+            if pair:
+                nxt[pair[1]] |= cur[pair[0]]
+        if n > T - t - 1:
+            nxt[:n - (T - t - 1)] = False
+    states = 1 + sum(int(np.count_nonzero(a)) for a in live[1:])
+    if not (n < boxes[T][0] and live[T][end]):  # no walk: total 0
+        return CountTable(moves=moves, start=start, end=end, length=T,
+                          layers=[], states=states)
 
-    layers: list[dict[tuple[int, int], object]] = [dict() for _ in range(T + 1)]
-    if end in reach[T]:
-        layers[0][end] = 1
-    for r in range(1, T + 1):
-        layer = layers[r]
-        prev = layers[r - 1]
-        for pos in reach[T - r]:
-            x, y = pos
-            acc = 0
-            for (mv, wt), (dx, dy) in zip(moves, deltas):
-                c = prev.get((x + dx, y + dy))
-                if c:
-                    acc += wt * c
-            if acc:
-                layer[pos] = acc
+    layer = np.zeros(boxes[T], dtype=object)
+    layer[end] = 1
+    layers = [layer]
+    for t in range(T - 1, -1, -1):
+        prev, layer = layer, np.zeros(boxes[t], dtype=object)
+        for (_, wt), pair in zip(moves, shifts[t]):
+            if pair:
+                dst, mask = layer[pair[0]], live[t][pair[0]]
+                src = prev[pair[1]][mask]
+                # a Fraction weight of 1 still makes the counts Fractions
+                dst[mask] += src if wt == 1 and isinstance(wt, int) else wt * src
+        layers.append(layer)
     return CountTable(moves=moves, start=start, end=end, length=T,
                       layers=layers, states=states)
 
@@ -167,24 +210,22 @@ def enumerate_walks(w: FaceWeights, m: int, n: int, ell: int,
     table = build_count_table(w, m, n, ell, budget)
     if not table.total:
         return
-    T = table.length
+    rows = table.rows
+    steps = [(mv, *mv.delta) for mv, _ in table.moves]
     prefix: list[Move] = []
 
-    def rec(pos, r):
+    def rec(x, y, r):
         if r == 0:
             yield LatticeWalk(table.start, tuple(prefix))
             return
-        x, y = pos
-        prev = table.layers[r - 1]
-        for mv, _ in table.moves:
-            dx, dy = mv.delta
-            p = (x + dx, y + dy)
-            if p[0] >= 0 and p[1] >= 0 and prev.get(p):
+        prev = rows[r - 1]
+        for mv, dx, dy in steps:
+            if _count_at(prev, x + dx, y + dy):
                 prefix.append(mv)
-                yield from rec(p, r - 1)
+                yield from rec(x + dx, y + dy, r - 1)
                 prefix.pop()
 
-    yield from rec(table.start, T)
+    yield from rec(*table.start, table.length)
 
 
 def enumerate_maps(w: FaceWeights, m: int, n: int, ell: int,
@@ -207,16 +248,15 @@ def sample_from_table(table: CountTable, rng: CounterRng) -> LatticeWalk:
         raise NoMapsError("no such maps: the count is zero")
     pos = table.start
     moves: list[Move] = []
+    rows = table.rows
     for r in range(table.length, 0, -1):
-        prev = table.layers[r - 1]
+        prev = rows[r - 1]
         opts: list[tuple[Move, object]] = []
         for mv, wt in table.moves:
             dx, dy = mv.delta
-            p = (pos[0] + dx, pos[1] + dy)
-            if p[0] >= 0 and p[1] >= 0:
-                c = prev.get(p)
-                if c:
-                    opts.append((mv, wt * c))
+            c = _count_at(prev, pos[0] + dx, pos[1] + dy)
+            if c:
+                opts.append((mv, wt * c))
         weights = [wv for _, wv in opts]
         scale = lcm(*(wv.denominator for wv in weights))
         ints = [int(wv * scale) for wv in weights]
@@ -312,6 +352,7 @@ def exact_sampler(w: FaceWeights, m: int, n: int, ell: int,
         else:
             if not table.total:
                 raise NoMapsError("no such maps: the count is zero")
+            table.rows  # convert the layers for the draws once, at set-up
             return lambda rng: sample_from_table(table, rng)
     n_rows, drop = syt
     return lambda rng: _syt_walk(n_rows, rng, drop_last=drop)

@@ -40,7 +40,11 @@ class NoMapsError(BipolarError):
 
 
 class EnumerationBudgetError(BipolarError):
-    """A count/enumeration table would exceed the configured memory budget."""
+    """A count table would allocate more cells than the configured budget.
+
+    ``required_cells`` is the allocation summed up to the layer that passed
+    the budget, so it is a lower bound on the whole table's cells.
+    """
 
     def __init__(self, message, required_cells, budget_cells):
         self.required_cells = required_cells

@@ -245,13 +245,32 @@ TRI_NU = ("1 -1 0.3333333333333333\n-1 0 0.3333333333333333\n"
       "--seed", "1", "--method", "rejection", "--max-tries", "-3"], None, None),
     (["stats", "--edges", "300", "--seed", "1", "--eps", "0.7"], None, None),
     (["stats", "--edges", "300", "--seed", "1", "--eps", "nan"], None, None),
+    (["count", "--edges", "x"], None, None),
+    (["stats", "--edges", "30", "--seed", "1", "--eps", "abc"], None, None),
+    (["count", "--edges", "6"], ("--config", "cfg.json"), '{"budget": -5}'),
+    (["stats", "--edges", "30", "--seed", "1"], ("--config", "cfg.json"),
+     '{"eps": 0.7, "budget": -5}'),
+    (["stats", "--edges", "30", "--seed", "1"], ("--config", "cfg.json"),
+     '{"eps": 0.7}'),
+    (["sample", "--edges", "6", "--seed", "1"], ("--config", "cfg.json"),
+     '{"method": "bogus"}'),
+    (["count", "--edges", "18"], ("--config", "cfg.json"), '{"closed_form": 1}'),
+    (["count", "--edges", "6", "--config", "no/such/cfg.json"], None, None),
+    (["count", "--edges", "6"], ("--config", "cfg.json"), '{"budget": 5'),
+    (["count", "--edges", "6"], ("--config", "cfg.json"), '[1, 2]'),
+    (["count", "--edges", "6", "--weights", "no/such/weights.txt"], None, None),
+    (["walk2map", "--in", "no/such/walk.txt"], None, None),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
         "map-top-level-array", "rejection-negative-m", "count-negative-m",
         "interface-zero-replicas", "stats-zero-replicas",
         "closed-form-other-boundary", "closed-form-quad", "nu-exact-method",
         "bootstrap-negative", "bootstrap-zero", "count-uniform",
         "sample-uniform-exact", "weights-zero-denominator", "budget-negative",
-        "max-tries-negative", "eps-past-half", "eps-nan"])
+        "max-tries-negative", "eps-past-half", "eps-nan", "edges-not-a-number",
+        "eps-not-a-number", "config-budget-negative", "config-eps-and-budget",
+        "config-eps-past-half", "config-bad-choice", "config-flag-not-bool",
+        "config-missing", "config-invalid-json", "config-not-an-object",
+        "weights-file-missing", "walk-file-missing"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         flag, name = infile
@@ -265,6 +284,7 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, conten
     assert code == 2
     assert len([line for line in err.splitlines() if "error: " in line]) == 1
     assert "Traceback" not in err
+    assert "invalid _" not in err  # argparse names no private type function
 
 
 def test_uniform_exact_refusal_names_the_other_methods(capsys):

@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bipolar_maps.enumeration import (build_count_table,
+from bipolar_maps.enumeration import (_weighted_moves, build_count_table,
                                       closed_form_triangulations, count_walks,
                                       enumerate_maps, enumerate_walks,
                                       exact_sample, exact_sampler,
@@ -14,6 +16,7 @@ from bipolar_maps.errors import EnumerationBudgetError, NoMapsError
 from bipolar_maps.planar_map import canonical_form
 from bipolar_maps.rng import CounterRng
 from bipolar_maps.verify import all_triangulation_walks
+from bipolar_maps.walks import walk_to_text
 from bipolar_maps.weights import FaceWeights, feasible, preset_weights
 
 TRI = preset_weights("tri")
@@ -158,3 +161,116 @@ def test_all_triangulation_walks_is_the_enumerator():
     for max_moves, expect in ((8, 1208), (9, 3266)):
         walks = [(w.start, w.moves) for w in all_triangulation_walks(max_moves)]
         assert len(walks) == len(set(walks)) == expect
+
+
+# -- the dict-of-tuples DP that the dense table replaced, kept as an oracle ----
+
+
+def dict_count_table(w, m, n, ell):
+    """(layers, states) of the dict DP: layer r maps (x, y) to its count."""
+    moves = _weighted_moves(w)
+    deltas = [mv.delta for mv, _ in moves]
+    T = ell - 1
+    start, end = (0, m), (n, 0)
+    max_i = max((-dx for dx, _ in deltas), default=0)
+    max_j = max((dy for _, dy in deltas), default=0)
+    has_edge = any(d == (1, -1) for d in deltas)
+
+    def prune(x, y, t):
+        r = T - t
+        if end[0] - x > (r if has_edge else 0):
+            return False
+        if x - end[0] > r * max_i:
+            return False
+        if y - end[1] > r:
+            return False
+        if end[1] - y > r * max_j:
+            return False
+        return True
+
+    reach: list[set[tuple[int, int]]] = [set() for _ in range(T + 1)]
+    if prune(*start, 0):
+        reach[0].add(start)
+    states = 1
+    for t in range(T):
+        nxt = reach[t + 1]
+        for (x, y) in reach[t]:
+            for dx, dy in deltas:
+                p = (x + dx, y + dy)
+                if p[0] >= 0 and p[1] >= 0 and p not in nxt and prune(*p, t + 1):
+                    nxt.add(p)
+        states += len(nxt)
+
+    layers: list[dict[tuple[int, int], object]] = [dict() for _ in range(T + 1)]
+    if end in reach[T]:
+        layers[0][end] = 1
+    for r in range(1, T + 1):
+        layer = layers[r]
+        prev = layers[r - 1]
+        for pos in reach[T - r]:
+            x, y = pos
+            acc = 0
+            for (mv, wt), (dx, dy) in zip(moves, deltas):
+                c = prev.get((x + dx, y + dy))
+                if c:
+                    acc += wt * c
+            if acc:
+                layer[pos] = acc
+    return layers, states
+
+
+ORACLE_WEIGHTS = {
+    "tri": TRI,
+    "quad": preset_weights("quad"),
+    "kgon5": preset_weights("kgon:5"),
+    "mixed-2346": FaceWeights({2: 1, 3: 1, 4: 1, 6: 1}),
+    "rational-3-4": FaceWeights({3: Fraction(1, 2), 4: Fraction(2)}),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_WEIGHTS)
+def test_dense_table_matches_dict_oracle(name):
+    w = ORACLE_WEIGHTS[name]
+    for m, n, ell in itertools.product(range(3), range(3), range(1, 13)):
+        table = build_count_table(w, m, n, ell)
+        layers, states = dict_count_table(w, m, n, ell)
+        total = layers[ell - 1].get((0, m), 0)
+        assert (type(table.total), table.total) == (type(total), total)
+        if not feasible(w, m, n, ell)[0]:
+            assert (table.layers, table.states, total) == ([], 0, 0)
+            continue
+        # the start cell counts even when no walk leaves it (ell = 1, start
+        # off the end), as it did in the dict DP
+        assert table.states == states, (m, n, ell)
+        # a table with total 0 keeps no layers; the dict ones are all empty
+        cells = [{(x, y): (type(c), c) for (x, y), c in np.ndenumerate(layer) if c}
+                 for layer in table.layers] or [{} for _ in layers]
+        assert cells == [{p: (type(c), c) for p, c in layer.items()}
+                         for layer in layers], (m, n, ell)
+
+
+def walks_digest(walks) -> str:
+    h = hashlib.sha256()
+    for walk in walks:
+        h.update(walk_to_text(walk).encode())
+    return h.hexdigest()
+
+
+def test_draws_and_enumeration_order_are_pinned():
+    # digests of the dict DP's output; any change to the table, the readers
+    # or the move order shows here
+    quad, rational = preset_weights("quad"), ORACLE_WEIGHTS["rational-3-4"]
+    draw = exact_sampler(quad, 0, 0, 201)
+    assert walks_digest(draw(CounterRng(s)) for s in range(3)) == \
+        "c534285d5321d64709d3620397e6d17eaec4af853498329e25b6e89c2a56d3c7"
+    draw = exact_sampler(TRI, 0, 1, 12)  # the README sample line, replica 0
+    assert walks_digest([draw(CounterRng(7, 0))]) == \
+        "e37b9b3b47c3a8a483962906d15b621aa6e4fd2bfdb5cbbc14d83d6ee44e5944"
+    draw = exact_sampler(rational, 0, 1, 6)
+    assert walks_digest(draw(CounterRng(s)) for s in range(3)) == \
+        "dbe5393750f988ffb48bea9dd7ee88477eb3e9aa47c4282b91e7f83247198510"
+    assert walks_digest(enumerate_walks(TRI, 0, 1, 9)) == \
+        "99a2b7569e2926cd2ea285bec461992a18e15c452854172434b31ccc80ebe0ff"
+    # kgon:5 (0,0) has walks only at ell = 1 mod 5; ell = 16 has 3 094
+    assert walks_digest(enumerate_walks(preset_weights("kgon:5"), 0, 0, 16)) == \
+        "2b9896cb99066bb3b5062f32e2166603f1c688f4d1d2c1a90a8095cc9d4ca495"
