@@ -7,7 +7,7 @@ time, computed from the previous layer by one shifted add per move.  The
 same layers drive backward sampling that is exactly uniform (or exactly
 Boltzmann for weighted models).  Triangulation families with tiny
 boundaries scale far beyond the table budget through an equivalent
-tableau encoding sampled by hook walks.
+tableau encoding, drawn cell by cell by the hook-length ratio rule.
 """
 
 from __future__ import annotations
@@ -271,38 +271,32 @@ def sample_from_table(table: CountTable, rng: CounterRng) -> LatticeWalk:
     return LatticeWalk(table.start, tuple(moves))
 
 
-# -- hook-walk sampling for large triangulation families ------------------------
+# -- tableau sampling for large triangulation families --------------------------
 
 
 def sample_syt_word(n: int, rng: CounterRng) -> list[int]:
     """Uniform standard tableau of shape (n, n, n), as a row word.
 
-    Hook-walk removal places values 3n, 3n-1, ..., 1; ``word[t] = row of
-    value t+1``.  Prefix counts satisfy row0 >= row1 >= row2, so the word
-    reads off a closed quadrant excursion.
+    Values 3n, 3n-1, ..., 1 are removed in turn; ``word[t] = row of value
+    t+1``.  For the shape λ of the N values left, set l = (λ₁+2, λ₂+1, λ₃)
+    and Δ(l) = (l₁-l₂)(l₁-l₃)(l₂-l₃).  The hook-length formula gives value
+    N row i with probability lᵢ·Δ(l-eᵢ) / (N·Δ(l)), and a row that cannot
+    shrink gets weight 0.  Prefix counts satisfy row0 >= row1 >= row2, so
+    the word reads off a closed quadrant excursion.
     """
-    rows = [n, n, n]
+    a, b, c = n + 2, n + 1, n
     word = [0] * (3 * n)
     for t in range(3 * n, 0, -1):
-        total = rows[0] + rows[1] + rows[2]
-        u = rng.randrange(total)
-        i = 0
-        while u >= rows[i]:
-            u -= rows[i]
-            i += 1
-        j = u
-        while True:
-            arm = rows[i] - j - 1
-            leg = sum(1 for i2 in range(i + 1, 3) if rows[i2] > j)
-            if arm + leg == 0:
-                break
-            u2 = rng.randrange(arm + leg)
-            if u2 < arm:
-                j = j + 1 + u2
-            else:
-                i = i + 1 + (u2 - arm)
-        word[t - 1] = i
-        rows[i] -= 1
+        u = rng.randrange(t * (a - b) * (a - c) * (b - c))
+        w0 = a * (a - b - 1) * (a - c - 1) * (b - c)
+        if u < w0:  # row 0; the word is 0 there already
+            a -= 1
+        elif u < w0 + b * (a - b + 1) * (a - c) * (b - c - 1):
+            word[t - 1] = 1
+            b -= 1
+        else:
+            word[t - 1] = 2
+            c -= 1
     return word
 
 
@@ -336,8 +330,9 @@ def exact_sampler(w: FaceWeights, m: int, n: int, ell: int,
     """One-time setup returning a draw(rng) closure for repeated sampling.
 
     Small instances share one count table across draws; triangulations with
-    boundaries (0,0) or (0,1) use the linear-time tableau sampler beyond 120
-    edges or past the table budget (exactly uniform at any size).
+    boundaries (0,0) or (0,1) use the tableau sampler beyond 120 edges or
+    past the table budget: exactly uniform at any size, and linear-time,
+    with one ``randrange`` per edge.
     """
     ok, reason = feasible(w, m, n, ell)
     if not ok:

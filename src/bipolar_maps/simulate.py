@@ -8,6 +8,7 @@ increment structure against the zero-drift theory values.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -269,6 +270,7 @@ class StatReport:
             "var_sum": self.var_sum,
             "ratio": self.ratio,
             "ratio_ci_95": list(self.ratio_ci),
+            "ratio_ci_method": "iid_increments",
             "cov": [list(r) for r in self.cov],
         }
         if self.theory is not None:
@@ -318,10 +320,10 @@ def covariance_report(walks: list[LatticeWalk], dist: StepDistribution | None = 
                       bootstrap: int = 1000) -> StatReport:
     """Empirical increment covariance with a bootstrap CI on the variance ratio.
 
-    The bootstrap resamples single increments as if they were i.i.d.  That
-    holds for free walks (``--method free``); the increments of a walk
-    conditioned on its end point (exact or rejection samples) are
-    dependent, so there the interval is only indicative.
+    The bootstrap ("iid_increments") treats the increments as i.i.d.: each
+    resample is a multinomial count vector over the distinct increments.
+    That holds for free walks (``--method free``); the increments of a walk
+    conditioned on its end point are dependent, so there it is only indicative.
     """
     dxs, dys = [], []
     for w in walks:
@@ -332,8 +334,7 @@ def covariance_report(walks: list[LatticeWalk], dist: StepDistribution | None = 
     n = len(dxs)
     if n < 2:
         raise BipolarError("degenerate sample: need at least two increments")
-    dx = np.asarray(dxs, dtype=float)
-    dy = np.asarray(dys, dtype=float)
+    dx, dy = np.array([dxs, dys], dtype=float)
     diff = dx - dy
     tot = dx + dy
     var_diff = float(diff.var())
@@ -344,18 +345,18 @@ def covariance_report(walks: list[LatticeWalk], dist: StepDistribution | None = 
     eyy = float(((dy - dy.mean()) ** 2).mean())
     exy = float(((dx - dx.mean()) * (dy - dy.mean())).mean())
 
-    rng = rng or CounterRng(0)
-    # the interval is taken over the resamples where the ratio is defined
-    ratios = []
-    for _ in range(bootstrap):
-        idx = rng.np.integers(0, n, size=n)
-        vs = tot[idx].var()
-        if vs > 0:
-            ratios.append(diff[idx].var() / vs)
-    if not ratios:
+    # n increments drawn with replacement are a multinomial count vector over
+    # the distinct increments; the ratio is taken where Var[X+Y] > 0
+    steps = sorted(Counter(zip(dxs, dys)).items())
+    values = np.array([(a - b, a + b) for (a, b), _ in steps], dtype=float)
+    freqs = np.array([k for _, k in steps]) / n
+    c = (rng or CounterRng(0)).np.multinomial(n, freqs, size=bootstrap)[..., None]
+    centred = values - (c * values).sum(axis=1, keepdims=True) / n
+    vd, vs = (c * centred ** 2).sum(axis=1).T / n
+    if not (vs > 0).any():
         raise BipolarError("degenerate sample: Var[X+Y] is zero in every "
                            "bootstrap resample")
-    lo, hi = np.quantile(ratios, [0.025, 0.975])
+    lo, hi = np.quantile(vd[vs > 0] / vs[vs > 0], [0.025, 0.975])
     return StatReport(
         n_steps=n,
         var_diff=var_diff,

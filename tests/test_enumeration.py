@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bipolar_maps.enumeration import (_weighted_moves, build_count_table,
+from bipolar_maps.enumeration import (_syt_walk, _weighted_moves,
+                                      build_count_table,
                                       closed_form_triangulations, count_walks,
                                       enumerate_maps, enumerate_walks,
                                       exact_sample, exact_sampler,
@@ -101,10 +102,17 @@ def test_exact_sample_uniform_at_l6():
 
 def test_syt_sampler_agrees_with_table():
     # tableau route must give the same uniform law as the table route
+    import scipy.stats
     rng = CounterRng(7)
     words = Counter(tuple(sample_syt_word(2, rng)) for _ in range(6000))
     assert len(words) == 5
     assert min(words.values()) > 1000
+    # n = 3: the 42 tableaux are the 42 closed excursions of 9 steps
+    walks = set(enumerate_walks(TRI, 0, 0, 10))
+    assert len(walks) == closed_form_triangulations(3) == 42
+    draws = Counter(_syt_walk(3, rng, drop_last=False) for _ in range(21_000))
+    assert set(draws) == walks
+    assert scipy.stats.chisquare(list(draws.values())).pvalue > 0.001
 
 
 def test_syt_large_is_valid():
@@ -274,3 +282,13 @@ def test_draws_and_enumeration_order_are_pinned():
     # kgon:5 (0,0) has walks only at ell = 1 mod 5; ell = 16 has 3 094
     assert walks_digest(enumerate_walks(preset_weights("kgon:5"), 0, 0, 16)) == \
         "2b9896cb99066bb3b5062f32e2166603f1c688f4d1d2c1a90a8095cc9d4ca495"
+
+
+def test_tableau_draws_are_pinned():
+    # the tableau route's rng use; a change to the ratio rule's draws shows here
+    draw = exact_sampler(TRI, 0, 1, 3000)
+    assert walks_digest(draw(CounterRng(s)) for s in range(3)) == \
+        "71f36cea99dc57a86ce056b782bfbaf2b65f117bfa3730082482ace6ba7b3098"
+    draw = exact_sampler(TRI, 0, 0, 1000)
+    assert walks_digest([draw(CounterRng(4))]) == \
+        "19657e665d94b73d04009e4a975e5a7c9a371ca03f4dce3cc6b3d484b65ae462"

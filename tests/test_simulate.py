@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -158,6 +159,44 @@ def test_covariance_report_values():
     assert rep.ratio_ci[0] < 3.0 < rep.ratio_ci[1]
     assert rep.theory is not None and abs(rep.theory.ratio - 3.0) < 1e-9
     assert abs(rep.cov[0][1] + 1 / 3) < 0.02
+
+
+def test_covariance_report_is_pinned():
+    # the bootstrap's rng use; a change to the resampling shows here
+    w = free_walk(TRI, 1000, CounterRng(3))
+    text = json.dumps(covariance_report([w], TRI, CounterRng(4),
+                                        bootstrap=200).to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "930586bd9510d78e4fefdf9ba94c54fa47e6fea5b9f792f906b592d3e29ba823"
+
+
+def resampled_ratio_ci(walk, rng, bootstrap):
+    """The interval from explicit resamples of n increments, and their spread."""
+    d = np.array([mv.delta for mv in walk.moves], dtype=float)
+    diff, tot = d[:, 0] - d[:, 1], d[:, 0] + d[:, 1]
+    ratios = []
+    for _ in range(bootstrap):
+        idx = rng.np.integers(0, len(d), size=len(d))
+        vs = tot[idx].var()
+        if vs > 0:
+            ratios.append(diff[idx].var() / vs)
+    return np.quantile(ratios, [0.025, 0.975]), float(np.std(ratios))
+
+
+def test_count_vector_bootstrap_matches_resampling():
+    # a multinomial count vector over the distinct increments has the law
+    # of n increments drawn with replacement; the oracle draws them
+    import scipy.stats
+    w = free_walk(TRI, 50000, CounterRng(7))
+    B = 500
+    rep = covariance_report([w], TRI, CounterRng(8), bootstrap=B)
+    (lo, hi), spread = resampled_ratio_ci(w, CounterRng(9), B)
+    # standard error of a 2.5% quantile of B draws, near normal; the two
+    # independent estimates may differ by four of its sqrt(2) multiples
+    z = scipy.stats.norm.ppf(0.975)
+    se = np.sqrt(0.025 * 0.975 / B) / scipy.stats.norm.pdf(z) * spread
+    assert abs(rep.ratio_ci[0] - lo) < 4 * np.sqrt(2) * se
+    assert abs(rep.ratio_ci[1] - hi) < 4 * np.sqrt(2) * se
 
 
 def test_covariance_report_degenerate():
