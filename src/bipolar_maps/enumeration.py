@@ -27,12 +27,6 @@ from .weights import FaceWeights, check_boundary, feasible
 
 DEFAULT_BUDGET = 2_000_000
 
-# moves are explored and reported in this fixed order
-def _move_key(mv: Move):
-    if isinstance(mv, FaceMove):
-        return (1, mv.degree, mv.i)
-    return (0, 0, 0)
-
 
 @dataclass
 class CountTable:
@@ -81,10 +75,7 @@ def _count_at(layer: list[list], x: int, y: int):
 def _weighted_moves(w: FaceWeights) -> tuple[tuple[Move, object], ...]:
     mvs = w.moves()
     integral = all(a.denominator == 1 for _, a in mvs)
-    out = []
-    for mv, a in sorted(mvs, key=lambda p: _move_key(p[0])):
-        out.append((mv, int(a) if integral else a))
-    return tuple(out)
+    return tuple((mv, int(a) if integral else a) for mv, a in mvs)
 
 
 def _aligned(dst_shape, src_shape, dx: int, dy: int):

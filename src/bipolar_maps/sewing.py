@@ -2,12 +2,15 @@
 
 Move sequences are folded into *marked* states: a map under construction
 with a start vertex low on the west boundary and an active vertex on the
-east boundary.  East-boundary edges above the active vertex and
-west-boundary edges below the start vertex are "missing": slots that bound
-open faces but hold no edge yet.  Every move adds exactly one edge; a face
-move also adds one open face.  The fold is reversible (``unsew``), and
-restricting to quadrant walks from (0, m) to (n, 0) gives the bijection
-with unmarked bipolar maps.
+east boundary.  Every edge of the fold, present or not, is one record: its
+endpoints, the faces west and east of it, and an edge id once it is sewn.
+A record without an id is a missing edge: on the east boundary above the
+active vertex, or on the west boundary below the start vertex, bounding an
+open face.  Every move sews exactly one record; a face move also opens one
+face and adds its other sides as missing records.  The fold is reversible
+(``unsew``), the half-turn (``state_rotate180``) is a copy of the records
+with their ends and sides swapped, and restricting to quadrant walks from
+(0, m) to (n, 0) gives the bijection with unmarked bipolar maps.
 
 ``Frontier`` is the same sewing rule on plain vertex ids: it keeps only the
 east frontier, which is all a move needs to know which edge it adds.  It is
@@ -20,7 +23,7 @@ each vertex, the order in which ``Frontier`` numbers them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import BipolarError, NotBipolarCodeError, UnsewError
 from .planar_map import EAST_OUTER, WEST_OUTER, PlanarMap, nw_depths, se_depths
@@ -30,43 +33,35 @@ _W = WEST_OUTER
 _E = EAST_OUTER
 
 
-class _Slot:
-    """A missing (or later filled) east-side edge of one face."""
+class _Edge:
+    """One edge of the marked fold; ``id`` is None while it is missing."""
 
-    __slots__ = ("lo", "hi", "face", "edge")
+    __slots__ = ("lo", "hi", "west", "east", "id")
 
-    def __init__(self, lo, hi, face, edge=None):
-        self.lo = lo
-        self.hi = hi
-        self.face = face
-        self.edge = edge  # edge id once filled
-
-
-class _EdgeRec:
-    __slots__ = ("lo", "hi", "west", "east", "slot")
-
-    def __init__(self, lo, hi, west, east, slot=None):
+    def __init__(self, lo, hi, west, east, id=None):
         self.lo = lo
         self.hi = hi
         self.west = west  # face id, or _W
         self.east = east  # face id, or _E
-        self.slot = slot  # the slot this edge fills, None on the west boundary
+        self.id = id
 
 
-class _FaceRec:
-    __slots__ = ("west_real", "west_missing", "east", "top", "bottom")
+class _Face:
+    """An open or closed face: its side records, each top to bottom.
 
-    def __init__(self, west_real, west_missing, east, top, bottom):
-        self.west_real = west_real        # edge ids, top to bottom
-        self.west_missing = west_missing  # (lo, hi) vertex pairs, top to bottom
-        self.east = east                  # slots, top to bottom
-        self.top = top
-        self.bottom = bottom
+    ``west`` holds the sewn edges, then the missing ones; ``east`` holds the
+    missing edges, then the sewn ones.
+    """
+
+    __slots__ = ("west", "east")
+
+    def __init__(self, west, east):
+        self.west = west
+        self.east = east
 
     @property
     def move(self) -> FaceMove:
-        i = len(self.west_real) + len(self.west_missing) - 1
-        return FaceMove(i, len(self.east) - 1)
+        return FaceMove(len(self.west) - 1, len(self.east) - 1)
 
 
 @dataclass
@@ -74,12 +69,12 @@ class MarkedBipolarState:
     """Marked bipolar map under construction.  Mutated only by this module."""
 
     vertices: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
-    edges: dict[int, _EdgeRec] = field(default_factory=dict)
-    faces: dict[int, _FaceRec] = field(default_factory=dict)
-    below: list[int] = field(default_factory=list)       # east boundary edges, bottom->top
-    above: list[_Slot] = field(default_factory=list)     # missing east slots, [-1] southernmost
-    west_edges: list[int] = field(default_factory=list)  # real west boundary, bottom->top
-    west_missing: list[tuple[int, int, int]] = field(default_factory=list)  # (lo, hi, face), [-1] lowest
+    edges: dict[int, _Edge] = field(default_factory=dict)  # sewn records by id
+    faces: dict[int, _Face] = field(default_factory=dict)
+    below: list[_Edge] = field(default_factory=list)       # east boundary, bottom->top
+    above: list[_Edge] = field(default_factory=list)       # missing east, [-1] southernmost
+    west_edges: list[_Edge] = field(default_factory=list)  # sewn west boundary, bottom->top
+    west_missing: list[_Edge] = field(default_factory=list)  # missing west, [-1] lowest
     start: int = 0
     active: int = 0
     bottom: int = 0
@@ -123,31 +118,9 @@ class MarkedBipolarState:
             raise AssertionError("southernmost missing slot is not at the active vertex")
 
     def copy(self) -> "MarkedBipolarState":
-        new = MarkedBipolarState()
-        new.vertices = {v: (list(o), list(i)) for v, (o, i) in self.vertices.items()}
-        new.edges = {e: _EdgeRec(r.lo, r.hi, r.west, r.east) for e, r in self.edges.items()}
-        slot_map: dict[int, _Slot] = {}
-        new.faces = {}
-        for fid, f in self.faces.items():
-            east = []
-            for s in f.east:
-                s2 = _Slot(s.lo, s.hi, s.face, s.edge)
-                east.append(s2)
-                slot_map[id(s)] = s2
-                if s.edge is not None:
-                    new.edges[s.edge].slot = s2
-            new.faces[fid] = _FaceRec(list(f.west_real), list(f.west_missing),
-                                      east, f.top, f.bottom)
-        new.below = list(self.below)
-        new.above = [slot_map[id(s)] for s in self.above]
-        new.west_edges = list(self.west_edges)
-        new.west_missing = list(self.west_missing)
-        for name in ("start", "active", "bottom", "top", "dx", "dy",
-                     "moves_applied", "_next_vertex", "_next_edge", "_next_face"):
-            setattr(new, name, getattr(self, name))
-        return new
+        return _clone(self, rotate=False)
 
-    # -- primitive constructors --------------------------------------------
+    # -- sewing one record ---------------------------------------------------
 
     def _new_vertex(self) -> int:
         v = self._next_vertex
@@ -155,16 +128,18 @@ class MarkedBipolarState:
         self.vertices[v] = ([], [])
         return v
 
-    def _new_edge(self, lo, hi, west, east, slot=None) -> int:
-        e = self._next_edge
+    def _sew(self, rec: _Edge) -> None:
+        """Give ``rec`` the next edge id, east-most at both ends, top of ``below``."""
+        rec.id = e = self._next_edge
         self._next_edge += 1
-        self.edges[e] = _EdgeRec(lo, hi, west, east, slot)
-        self.vertices[lo][0].append(e)
-        self.vertices[hi][1].append(e)
-        return e
+        self.edges[e] = rec
+        self.vertices[rec.lo][0].append(e)
+        self.vertices[rec.hi][1].append(e)
+        self.below.append(rec)
 
-    def _drop_edge(self, e: int) -> _EdgeRec:
-        rec = self.edges.pop(e)
+    def _unsew(self, rec: _Edge) -> None:
+        """Undo ``_sew`` of the top record of ``below``."""
+        e = rec.id
         out = self.vertices[rec.lo][0]
         inn = self.vertices[rec.hi][1]
         if not out or out[-1] != e or not inn or inn[-1] != e:
@@ -173,69 +148,56 @@ class MarkedBipolarState:
                 "east-most at both endpoints")
         out.pop()
         inn.pop()
-        return rec
+        del self.edges[e]
+        self.below.pop()
+        rec.id = None
 
     # -- the three kinds of sewing steps ------------------------------------
 
-    def _fill_slot(self) -> int:
-        slot = self.above.pop()
-        assert slot.lo == self.active
-        e = self._new_edge(slot.lo, slot.hi, slot.face, _E, slot)
-        slot.edge = e
-        self.below.append(e)
-        self.active = slot.hi
-        return e
-
-    def _extend_top(self) -> int:
-        v = self._new_vertex()
-        e = self._new_edge(self.active, v, _W, _E)
-        self.below.append(e)
-        self.west_edges.append(e)
-        self.top = v
-        self.active = v
-        return e
+    def _fill(self) -> None:
+        rec = self.above.pop()
+        assert rec.lo == self.active
+        self._sew(rec)
+        self.active = rec.hi
 
     def _apply_edge_move(self) -> None:
         if self.above:
-            self._fill_slot()
+            self._fill()
         else:
-            self._extend_top()
+            v = self._new_vertex()
+            rec = _Edge(self.active, v, _W, _E)
+            self._sew(rec)
+            self.west_edges.append(rec)
+            self.top = v
+            self.active = v
         self.dx += 1
         self.dy -= 1
 
     def _apply_face_move(self, i: int, j: int) -> None:
         fid = self._next_face
         self._next_face += 1
-        c = min(i + 1, len(self.below))
-        west_real = []
-        for _ in range(c):
-            e = self.below.pop()
-            self.edges[e].east = fid
-            west_real.append(e)
-        west_missing: list[tuple[int, int]] = []
-        if c < i + 1:
-            cur = self.bottom
-            for _ in range(i + 1 - c):
-                u = self._new_vertex()
-                west_missing.append((u, cur))
-                self.west_missing.append((u, cur, fid))
-                cur = u
-            self.bottom = cur
-            pbottom = cur
-        else:
-            pbottom = self.edges[west_real[-1]].lo
+        west = []
+        for _ in range(min(i + 1, len(self.below))):
+            rec = self.below.pop()
+            rec.east = fid
+            west.append(rec)
+        for _ in range(i + 1 - len(west)):
+            rec = _Edge(self._new_vertex(), self.bottom, _W, fid)
+            west.append(rec)
+            self.west_missing.append(rec)
+            self.bottom = rec.lo
+        pbottom = west[-1].lo
         prev = self.active
         east = []
         for _ in range(j):
             v = self._new_vertex()
-            east.append(_Slot(v, prev, fid))
+            east.append(_Edge(v, prev, fid, _E))
             prev = v
-        east.append(_Slot(pbottom, prev, fid))
-        self.faces[fid] = _FaceRec(west_real, west_missing, east,
-                                   top=self.active, bottom=pbottom)
+        east.append(_Edge(pbottom, prev, fid, _E))
+        self.faces[fid] = _Face(west, east)
         self.above.extend(east)
         self.active = pbottom
-        self._fill_slot()
+        self._fill()
         self.dx -= i
         self.dy += j
 
@@ -245,8 +207,7 @@ class MarkedBipolarState:
         else:
             self._apply_face_move(move.i, move.j)
         self.moves_applied += 1
-        assert self.dx == -1 + len(self.below) - len(self.west_missing)
-        assert self.dy == 1 + len(self.above) - len(self.west_edges)
+        self.check_invariants()
 
     # -- inverting the last move ---------------------------------------------
 
@@ -263,85 +224,77 @@ class MarkedBipolarState:
         if not self.below:
             raise UnsewError(f"cannot derive move {step}: no east boundary edge "
                              "below the active vertex")
-        e = self.below[-1]
-        rec = self.edges[e]
+        rec = self.below[-1]
         if rec.hi != self.active:
             raise UnsewError(f"cannot derive move {step}: boundary edge does not "
                              "reach the active vertex")
-        if rec.slot is None:
-            move = self._undo_extend_top(e, rec)
-        elif rec.slot is self.faces[rec.west].east[-1]:
-            move = self._undo_face_move(e, rec)
+        if rec.west == _W:
+            move = self._undo_extend_top(rec)
+        elif rec is self.faces[rec.west].east[-1]:
+            move = self._undo_face_move(rec)
         else:
-            move = self._undo_fill(e, rec)
+            self._unsew(rec)
+            self.above.append(rec)
+            self.active = rec.lo
+            move = EDGE
         self.moves_applied -= 1
         ddx, ddy = move.delta
         self.dx -= ddx
         self.dy -= ddy
         return move
 
-    def _undo_extend_top(self, e, rec) -> Move:
+    def _undo_extend_top(self, rec: _Edge) -> Move:
         step = self.moves_applied
-        if rec.west != _W or rec.hi != self.top:
+        if rec.hi != self.top:
             raise UnsewError(f"cannot derive move {step}: west-boundary edge out of place")
-        if not self.west_edges or self.west_edges[-1] != e or len(self.west_edges) < 2:
+        if not self.west_edges or self.west_edges[-1] is not rec or len(self.west_edges) < 2:
             raise UnsewError(f"cannot derive move {step}: top edge is not the last "
                              "west-boundary edge")
         out, inn = self.vertices[rec.hi]
-        if out or inn != [e]:
+        if out or inn != [rec.id]:
             raise UnsewError(f"cannot derive move {step}: top vertex has extra edges")
-        self.below.pop()
+        self._unsew(rec)
         self.west_edges.pop()
-        self._drop_edge(e)
         del self.vertices[rec.hi]
         self.top = rec.lo
         self.active = rec.lo
         return EDGE
 
-    def _undo_fill(self, e, rec) -> Move:
-        self.below.pop()
-        self._drop_edge(e)
-        rec.slot.edge = None
-        self.above.append(rec.slot)
-        self.active = rec.lo
-        return EDGE
-
-    def _undo_face_move(self, e, rec) -> Move:
+    def _undo_face_move(self, rec: _Edge) -> Move:
         step = self.moves_applied
         fid = rec.west
         f = self.faces[fid]
-        move = f.move
-        self.below.pop()
-        self._drop_edge(e)
-        # the remaining east-side slots of f must be the southernmost missing ones
-        for k in range(len(f.east) - 2, -1, -1):
-            if not self.above or self.above[-1] is not f.east[k]:
+        self._unsew(rec)
+        # the rest of f's east side must be the southernmost missing edges
+        for missing in reversed(f.east[:-1]):
+            if not self.above or self.above[-1] is not missing:
                 raise UnsewError(f"cannot derive move {step}: east slots of the "
                                  "last face are not the southernmost missing edges")
-            slot = self.above.pop()
-            out, inn = self.vertices[slot.lo]
+            self.above.pop()
+            out, inn = self.vertices[missing.lo]
             if out or inn:
                 raise UnsewError(f"cannot derive move {step}: open-face vertex "
                                  "already has edges")
-            del self.vertices[slot.lo]
-        # west side returns to the east boundary
-        for we in reversed(f.west_real):
-            self.edges[we].east = _E
-            self.below.append(we)
-        for lo, hi in reversed(f.west_missing):
-            if not self.west_missing or self.west_missing[-1][:2] != (lo, hi):
+            del self.vertices[missing.lo]
+        # sewn west edges return to the east boundary; missing ones vanish
+        for w in reversed(f.west):
+            if w.id is not None:
+                w.east = _E
+                self.below.append(w)
+                continue
+            if not self.west_missing or self.west_missing[-1] is not w:
                 raise UnsewError(f"cannot derive move {step}: missing west edges "
                                  "of the last face are out of order")
             self.west_missing.pop()
-            out, inn = self.vertices[lo]
+            out, inn = self.vertices[w.lo]
             if out or inn:
                 raise UnsewError(f"cannot derive move {step}: missing-west vertex "
                                  "already has edges")
-            del self.vertices[lo]
-            self.bottom = hi
-        self.active = f.top
+            del self.vertices[w.lo]
+            self.bottom = w.hi
+        self.active = f.west[0].hi
         del self.faces[fid]
-        return move
+        return f.move
 
 
 def initial_state() -> MarkedBipolarState:
@@ -353,9 +306,9 @@ def initial_state() -> MarkedBipolarState:
     st.bottom = s
     st.top = a
     st.active = a
-    e = st._new_edge(s, a, _W, _E)
-    st.below.append(e)
-    st.west_edges.append(e)
+    rec = _Edge(s, a, _W, _E)
+    st._sew(rec)
+    st.west_edges.append(rec)
     return st
 
 
@@ -385,55 +338,38 @@ def unsew(state: MarkedBipolarState) -> tuple[Move, ...]:
 
 def state_rotate180(state: MarkedBipolarState) -> MarkedBipolarState:
     """The same structure rotated half a turn: start and active swap roles."""
-    new = MarkedBipolarState()
-    new.vertices = {v: (list(reversed(i)), list(reversed(o)))
-                    for v, (o, i) in state.vertices.items()}
+    return _clone(state, rotate=True)
 
-    def flip_face(face):
-        return _W if face == _E else _E if face == _W else face
 
-    new.edges = {e: _EdgeRec(r.hi, r.lo, flip_face(r.east), flip_face(r.west))
-                 for e, r in state.edges.items()}
-    new.faces = {}
-    for fid, f in state.faces.items():
-        # old west side (top to bottom) becomes the new east side (bottom to top);
-        # endpoints swap because every edge now runs the other way
-        east: list[_Slot] = []
-        for e in f.west_real:
-            east.append(_Slot(state.edges[e].hi, state.edges[e].lo, fid, e))
-        for lo, hi in f.west_missing:
-            east.append(_Slot(hi, lo, fid, None))
-        east.reverse()
-        for s in east:
-            if s.edge is not None:
-                new.edges[s.edge].slot = s
-        west_real = [s.edge for s in reversed(f.east) if s.edge is not None]
-        west_missing = [(s.hi, s.lo) for s in reversed(f.east) if s.edge is None]
-        new.faces[fid] = _FaceRec(west_real, west_missing, east,
-                                  top=f.bottom, bottom=f.top)
-    new.below = [e for e in reversed(state.west_edges)]
-    new.west_edges = [e for e in reversed(state.below)]
-    new.above = []
-    for lo, hi, fid in reversed(state.west_missing):
-        # the highest old missing-west edge ends up just above the new active vertex
-        f = new.faces[fid]
-        for s in f.east:
-            if s.edge is None and (s.lo, s.hi) == (hi, lo):
-                new.above.append(s)
-                break
-    new.west_missing = [(s.hi, s.lo, s.face) for s in state.above]
-    new.west_missing.reverse()
-    new.start = state.active
-    new.active = state.start
-    new.top = state.bottom
-    new.bottom = state.top
-    new.dx = -1 + len(new.below) - len(new.west_missing)
-    new.dy = 1 + len(new.above) - len(new.west_edges)
-    new.moves_applied = state.moves_applied
-    new._next_vertex = state._next_vertex
-    new._next_edge = state._next_edge
-    new._next_face = state._next_face
-    return new
+def _clone(state: MarkedBipolarState, rotate: bool) -> MarkedBipolarState:
+    """A copy with one twin per record, optionally rotated half a turn.
+
+    The rotation reverses every edge, so each record swaps its ends and its
+    sides (the outer faces trading labels); each ledger trades places with
+    its mirror on the other boundary, read from the other end.
+    """
+    recs = [*state.edges.values(), *state.above, *state.west_missing]
+    if rotate:
+        side = {_W: _E, _E: _W}
+        twin = {r: _Edge(r.hi, r.lo, side.get(r.east, r.east), side.get(r.west, r.west), r.id)
+                for r in recs}
+        vertices = {v: (i[::-1], o[::-1]) for v, (o, i) in state.vertices.items()}
+        sides = {fid: (f.east[::-1], f.west[::-1]) for fid, f in state.faces.items()}
+        ledgers = [x[::-1] for x in (state.west_edges, state.west_missing, state.below, state.above)]
+        poles = dict(start=state.active, active=state.start, bottom=state.top,
+                     top=state.bottom, dx=-state.dy, dy=-state.dx)
+    else:
+        twin = {r: _Edge(r.lo, r.hi, r.west, r.east, r.id) for r in recs}
+        vertices = {v: (list(o), list(i)) for v, (o, i) in state.vertices.items()}
+        sides = {fid: (f.west, f.east) for fid, f in state.faces.items()}
+        ledgers = [state.below, state.above, state.west_edges, state.west_missing]
+        poles = {}
+    below, above, west_edges, west_missing = ([twin[r] for r in x] for x in ledgers)
+    return replace(
+        state, vertices=vertices, edges={e: twin[r] for e, r in state.edges.items()},
+        faces={fid: _Face([twin[r] for r in west], [twin[r] for r in east])
+               for fid, (west, east) in sides.items()},
+        below=below, above=above, west_edges=west_edges, west_missing=west_missing, **poles)
 
 
 # -- state <-> PlanarMap ------------------------------------------------------
@@ -462,7 +398,7 @@ def state_to_map(state: MarkedBipolarState) -> PlanarMap:
         rotations=rotations,
         south=v_new[state.bottom],
         north=v_new[state.top],
-        west_anchor=e_new[state.west_edges[0]],
+        west_anchor=e_new[state.west_edges[0].id],
     )
 
 
@@ -473,18 +409,13 @@ def state_from_map(m: PlanarMap) -> MarkedBipolarState:
     st.vertices = {v: (list(m.out_edges_we(v)), list(m.in_edges_we(v)))
                    for v in range(m.n_vertices)}
     face_of = m.face_of_dart()
-    st.edges = {e: _EdgeRec(t, h, face_of[2 * e], face_of[2 * e + 1])
+    st.edges = {e: _Edge(t, h, face_of[2 * e], face_of[2 * e + 1], e)
                 for e, (t, h) in enumerate(m.edges)}
     for fd in m.interior_faces():
-        east = []
-        for e in reversed(fd.east_edges_up):
-            slot = _Slot(m.edges[e][0], m.edges[e][1], fd.index, e)
-            st.edges[e].slot = slot
-            east.append(slot)
-        st.faces[fd.index] = _FaceRec(list(fd.west_edges_down), [], east,
-                                      top=fd.max_vertex, bottom=fd.min_vertex)
-    st.below = list(m.east_edges)
-    st.west_edges = list(m.west_edges)
+        st.faces[fd.index] = _Face([st.edges[e] for e in fd.west_edges_down],
+                                   [st.edges[e] for e in reversed(fd.east_edges_up)])
+    st.below = [st.edges[e] for e in m.east_edges]
+    st.west_edges = [st.edges[e] for e in m.west_edges]
     st.start = m.south
     st.bottom = m.south
     st.top = m.north

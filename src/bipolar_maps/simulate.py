@@ -124,20 +124,19 @@ EAST_TRIANGLE = FaceMove(0, 1)
 
 
 def sample_simple_triangulation_walk(m: int, n: int, ell: int,
-                                     rng: CounterRng,
-                                     max_restarts: int = 1000) -> LatticeWalk:
+                                     rng: CounterRng) -> LatticeWalk:
     """Random walk encoding a simple triangulation, by steered construction.
 
     Each step picks uniformly among moves that keep the walk closable and
     would not create a parallel edge (a duplicate is always created by the
     move itself, so one ply of lookahead vetoes it).  The law is not the
     uniform one; use this for generating test instances, not statistics.
-    Dead ends trigger a restart.
+    Dead ends trigger a restart, up to 1000 attempts.
     """
     if ell < 2:
         raise BipolarError("need at least two edges for a simple map")
     steps = ell - 1
-    for _ in range(max_restarts):
+    for _ in range(1000):
         frontier = Frontier()
         edges = {(0, 1)}
         x, y = 0, m
@@ -217,14 +216,14 @@ def degrees_from_walk(walk: LatticeWalk) -> FrontierTrace:
         n_moves=len(walk.moves))
 
 
-def geometric_pmf(d: int, mean: float = 3.0) -> float:
-    """P[D = d] for the geometric law starting at 1 with the given mean."""
-    p = 1.0 / mean
+def geometric_pmf(d: int) -> float:
+    """P[D = d] for the geometric law starting at 1 with mean 3."""
+    p = 1.0 / 3.0
     return p * (1.0 - p) ** (d - 1)
 
 
-def tv_to_geometric(values: list[int], mean: float = 3.0) -> float:
-    """Total-variation distance between an empirical degree law and geometric."""
+def tv_to_geometric(values: list[int]) -> float:
+    """Total-variation distance between an empirical degree law and geometric(3)."""
     if not values:
         raise BipolarError("no degree observations")
     n = len(values)
@@ -234,7 +233,7 @@ def tv_to_geometric(values: list[int], mean: float = 3.0) -> float:
     tv = 0.0
     covered = 0.0
     for d, c in counts.items():
-        pd = geometric_pmf(d, mean)
+        pd = geometric_pmf(d)
         tv += abs(c / n - pd)
         covered += pd
     tv += 1.0 - covered  # mass of never-observed degrees

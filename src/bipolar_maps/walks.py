@@ -7,7 +7,7 @@ side, stands for a face with ``i + 1`` west edges and ``j + 1`` east edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 
@@ -15,9 +15,7 @@ from typing import Iterable
 class EdgeMove:
     """The (1, -1) step."""
 
-    @property
-    def delta(self) -> tuple[int, int]:
-        return (1, -1)
+    delta = (1, -1)
 
     def __repr__(self):
         return "E"
@@ -29,18 +27,17 @@ class FaceMove:
 
     i: int
     j: int
+    # (-i, j), built once: every replay of a walk reads it once per move
+    delta: tuple[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.i < 0 or self.j < 0:
             raise ValueError(f"face move needs i, j >= 0, got ({self.i}, {self.j})")
+        object.__setattr__(self, "delta", (-self.i, self.j))
 
     @property
     def degree(self) -> int:
         return self.i + self.j + 2
-
-    @property
-    def delta(self) -> tuple[int, int]:
-        return (-self.i, self.j)
 
     def __repr__(self):
         return f"F({self.i},{self.j})"

@@ -52,7 +52,12 @@ class FaceWeights:
         return sorted(self.support)
 
     def moves(self) -> list[tuple[Move, Fraction]]:
-        """Every allowed move with its face weight (edge move has weight 1)."""
+        """Every allowed move with its face weight (edge move has weight 1).
+
+        The order is fixed: the edge move, then face moves by degree, then
+        by i.  Walks are enumerated and drawn in this order, so the pinned
+        digests depend on it.
+        """
         out: list[tuple[Move, Fraction]] = [(EDGE, Fraction(1))]
         for k in self.degrees():
             a = self.support[k]
@@ -89,8 +94,11 @@ def weights_from_text(text: str) -> FaceWeights:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"bad weights line: {raw!r}")
+        k = int(parts[0])
+        if k in support:
+            raise ValueError(f"face degree {k} is given twice: {raw!r}")
         try:
-            support[int(parts[0])] = Fraction(parts[1])
+            support[k] = Fraction(parts[1])
         except ZeroDivisionError as exc:
             raise ValueError(f"weight with zero denominator: {raw!r}") from exc
     if uniform:
@@ -113,12 +121,14 @@ def _drift_sum(w: FaceWeights, lam: float) -> float:
                for k, a in w.support.items())
 
 
-def solve_lambda(w: FaceWeights, tol: float = 1e-12) -> float:
+def solve_lambda(w: FaceWeights) -> float:
     """Solve the zero-drift equation by bisection on its monotone left side.
 
-    Returns lambda in (0, R] with |1 - drift_sum(lambda)| <= tol.  Raises
-    NoZeroDriftError when the equation has no root in (0, R].
+    Returns lambda in (0, R] with |1 - drift_sum(lambda)| <= 1e-12, or 1e-9
+    where float bisection cannot get closer.  Raises NoZeroDriftError when
+    the equation has no root in (0, R].
     """
+    tol = 1e-12
     if w.uniform:
         lo, hi = tol, 1.0 - 1e-15
         if _drift_sum(w, hi) < 1.0:
@@ -138,9 +148,9 @@ def solve_lambda(w: FaceWeights, tol: float = 1e-12) -> float:
         else:
             hi = mid
     lam = hi
-    if abs(1.0 - _drift_sum(w, lam)) > max(tol, 1e-12):
+    if abs(1.0 - _drift_sum(w, lam)) > tol:
         lam = 0.5 * (lo + hi)
-    if abs(1.0 - _drift_sum(w, lam)) > max(tol, 1e-9):
+    if abs(1.0 - _drift_sum(w, lam)) > 1e-9:
         raise NoZeroDriftError(
             f"bisection failed to meet tolerance at lambda={lam}")
     return lam
@@ -243,9 +253,9 @@ def congruence(degrees, m: int, n: int, ell: int) -> tuple[bool, str]:
     return True, "necessary conditions pass"
 
 
-def step_distribution(w: FaceWeights, tol: float = 1e-12) -> StepDistribution:
+def step_distribution(w: FaceWeights) -> StepDistribution:
     """Build the zero-drift step distribution for the given weights."""
-    lam = solve_lambda(w, tol)
+    lam = solve_lambda(w)
     if w.uniform:
         norm = lam ** -2 + 1.0 / (1.0 - lam) ** 2
         p_edge = lam ** -2 / norm
@@ -307,7 +317,10 @@ def direct_distribution_from_text(text: str) -> StepDistribution:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"bad step line: {raw!r}")
-        probs[(int(parts[0]), int(parts[1]))] = float(parts[2])
+        step = (int(parts[0]), int(parts[1]))
+        if step in probs:
+            raise ValueError(f"step {step} is given twice: {raw!r}")
+        probs[step] = float(parts[2])
     return direct_distribution(probs)
 
 

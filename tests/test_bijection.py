@@ -83,6 +83,29 @@ def test_rotation_symmetry_random():
         assert reverse_moves(reverse_moves(seq)) == seq
 
 
+def test_rotation_twice_is_the_identity_and_copies_are_independent():
+    # i, j <= 4 sends many sequences out of the quadrant on both sides
+    rng = random.Random(2024)
+    unmarked = both_exits = 0
+    for _ in range(2000):
+        seq = random_moves(rng, rng.randint(0, 60))
+        st = sew(seq)
+        assert unsew(st) == seq  # works on a copy: st keeps every edge id
+        rot = state_rotate180(st)
+        rot.check_invariants()
+        back = state_rotate180(rot)
+        assert unsew(back) == seq
+        assert (back.missing_east, back.missing_west, back.dx, back.dy) == \
+            (st.missing_east, st.missing_west, st.dx, st.dy)
+        both_exits += st.missing_east > 0 and st.missing_west > 0
+        if st.is_unmarked():
+            unmarked += 1
+            assert map_to_json(state_to_map(back)) == map_to_json(state_to_map(st))
+        apply_move(st, random_moves(rng, 1)[0])
+        assert unsew(st) == seq
+    assert unmarked > 0 and both_exits > 0
+
+
 def test_length2_sequences_pairwise_distinct():
     alphabet = (EDGE, FaceMove(0, 1), FaceMove(1, 0))
     states = [sew((a, b)) for a in alphabet for b in alphabet]

@@ -260,6 +260,9 @@ TRI_NU = ("1 -1 0.3333333333333333\n-1 0 0.3333333333333333\n"
     (["count", "--edges", "6"], ("--config", "cfg.json"), '[1, 2]'),
     (["count", "--edges", "6", "--weights", "no/such/weights.txt"], None, None),
     (["walk2map", "--in", "no/such/walk.txt"], None, None),
+    (["count", "--edges", "6"], ("--weights", "w.txt"), "3 1\n3 2\n"),
+    (["sample", "--edges", "5", "--seed", "1", "--method", "free"], ("--nu", "nu.txt"),
+     TRI_NU + "0 1 0.3333333333333334\n"),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
         "map-top-level-array", "rejection-negative-m", "count-negative-m",
         "interface-zero-replicas", "stats-zero-replicas",
@@ -270,7 +273,8 @@ TRI_NU = ("1 -1 0.3333333333333333\n-1 0 0.3333333333333333\n"
         "eps-not-a-number", "config-budget-negative", "config-eps-and-budget",
         "config-eps-past-half", "config-bad-choice", "config-flag-not-bool",
         "config-missing", "config-invalid-json", "config-not-an-object",
-        "weights-file-missing", "walk-file-missing"])
+        "weights-file-missing", "walk-file-missing", "weights-repeated-degree",
+        "nu-repeated-step"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         flag, name = infile

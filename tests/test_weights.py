@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from bipolar_maps.walks import EDGE, FaceMove
-from bipolar_maps.weights import (FaceWeights, direct_distribution, feasible,
+from bipolar_maps.weights import (FaceWeights, direct_distribution,
+                                  direct_distribution_from_text, feasible,
                                   period, preset_weights, solve_lambda,
                                   step_distribution, theory_stats,
                                   weights_from_text)
@@ -123,6 +124,13 @@ def test_weights_file_parsing():
     assert weights_from_text("uniform\n").uniform
     with pytest.raises(ValueError):
         weights_from_text("uniform\n3 1\n")
+
+
+def test_repeated_lines_are_rejected():
+    with pytest.raises(ValueError, match="face degree 3 is given twice"):
+        weights_from_text("3 1\n5 1\n3 2\n")
+    with pytest.raises(ValueError, match=r"step \(0, 1\) is given twice"):
+        direct_distribution_from_text("1 -1 0.25\n0 1 0.25\n-1 0 0.5\n0 1 0.25\n")
 
 
 def test_period_divides_return_times():
