@@ -1,10 +1,10 @@
 """Planar maps with a bipolar orientation.
 
-A map is stored as a rotation system: every edge contributes two darts
-(dart ``2*e`` points north, ``2*e + 1`` points south), and each vertex owns
-the counterclockwise cyclic order of the darts based there.  Faces are
-derived on demand as orbits of ``face_next``, which traces the face lying
-to the left of each dart.
+A map is stored as flat per-dart lists: every edge contributes two darts
+(dart ``2*e`` points north, ``2*e + 1`` points south), each dart has a
+tail, a head and its counterclockwise predecessor at its tail (``dart_prev``),
+and each vertex's counterclockwise rotation is a slice of one flat dart
+list.  ``face_next`` follows the face lying to the left of a dart.
 
 The outer face of the sphere map is split by the two poles into a west side
 and an east side.  Which side is west is a convention the data must carry,
@@ -15,9 +15,14 @@ One rule carries the orientation's local structure: a cycle of darts is
 one run of north darts followed by one run of south darts.  Around a
 vertex the outgoing darts form one run and the incoming darts the other;
 around a face, the outer one included, one directed path goes up one side
-and another comes down the other side.  ``_two_runs`` makes that split;
-validation checks it at every vertex and every face, and the same split
-gives the west-to-east edge orders at a vertex and the two sides of a face.
+and another comes down the other side.  A cycle obeys the rule when a
+north dart follows a south dart exactly once.  Validation is one pass,
+``PlanarMap.scan()``: it peels the vertices in Kahn's order, checks the
+rule at every vertex and records where each rotation is cut, and walks
+every face orbit once, labelling its darts and recording its two sides as
+slices of one flat face-dart list.  The west-to-east edge orders at a
+vertex, the trees, the dual and the walk read those lists (``MapScan``);
+``FaceData`` records are built only when ``interior_faces()`` asks.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InvalidMapError, MapStructureError
 from .walks import FaceMove
@@ -76,14 +82,16 @@ class PlanarMap:
     """
 
     def __init__(self, n_vertices, edges, rotations, south, north, west_anchor):
-        edges = tuple((int(t), int(h)) for t, h in edges)
+        edges = tuple([(int(t), int(h)) for t, h in edges])
         if not edges:
             raise MapStructureError("zero-edge maps are rejected")
         if n_vertices <= 0:
             raise MapStructureError("need at least one vertex")
-        for e, (t, h) in enumerate(edges):
-            if not (0 <= t < n_vertices and 0 <= h < n_vertices):
-                raise MapStructureError(f"edge {e} endpoint out of range")
+        tail = list(chain.from_iterable(edges))  # dart 2e is based at t, 2e + 1 at h
+        if min(tail) < 0 or max(tail) >= n_vertices:
+            e = next(e for e, (t, h) in enumerate(edges)
+                     if not (0 <= t < n_vertices and 0 <= h < n_vertices))
+            raise MapStructureError(f"edge {e} endpoint out of range")
         if not (0 <= south < n_vertices and 0 <= north < n_vertices):
             raise MapStructureError("pole id out of range")
         if not (0 <= west_anchor < len(edges)):
@@ -91,42 +99,50 @@ class PlanarMap:
         if edges[west_anchor][0] != south:
             raise MapStructureError("west_anchor edge must leave the south pole")
 
+        n_edges = len(edges)
+        n_darts = 2 * n_edges
+        # one pass over the refs: each becomes a dart, checked, and linked to
+        # its counterclockwise predecessor (-1 marks a dart not yet listed)
+        rot: list[int] = []
+        first = [0]
+        prv = [-1] * n_darts
+        last = 0
+        for v, refs in enumerate(rotations):
+            start = len(rot)
+            for r in refs:
+                if r == 0 or abs(r) > n_edges:
+                    raise MapStructureError(f"rotation at vertex {v}: bad edge ref {r}")
+                d = 2 * r - 2 if r > 0 else -2 * r - 1
+                if tail[d] != v:
+                    raise MapStructureError(
+                        f"rotation at vertex {v}: dart of edge {d // 2} is based at {tail[d]}")
+                if prv[d] >= 0:
+                    raise MapStructureError(f"dart of edge {d // 2} listed twice")
+                prv[d] = last
+                last = d
+                rot.append(d)
+            if len(rot) > start:
+                prv[rot[start]] = last
+            first.append(len(rot))
+        if len(first) - 1 != n_vertices:
+            raise MapStructureError("rotations must list every vertex")
+        if len(rot) != n_darts:
+            raise MapStructureError("some darts are missing from the rotation system")
+
         self.n_vertices = n_vertices
         self.edges = edges
         self.south = south
         self.north = north
         self.west_anchor = west_anchor
-
-        n_darts = 2 * len(edges)
-        rot: list[tuple[int, ...]] = []
-        seen = [False] * n_darts
-        for v, refs in enumerate(rotations):
-            darts = []
-            for r in refs:
-                if r == 0 or abs(r) > len(edges):
-                    raise MapStructureError(f"rotation at vertex {v}: bad edge ref {r}")
-                e = abs(r) - 1
-                d = 2 * e if r > 0 else 2 * e + 1
-                t = edges[e][0] if r > 0 else edges[e][1]
-                if t != v:
-                    raise MapStructureError(
-                        f"rotation at vertex {v}: dart of edge {e} is based at {t}")
-                if seen[d]:
-                    raise MapStructureError(f"dart of edge {e} listed twice")
-                seen[d] = True
-                darts.append(d)
-            rot.append(tuple(darts))
-        if len(rot) != n_vertices:
-            raise MapStructureError("rotations must list every vertex")
-        if not all(seen):
-            raise MapStructureError("some darts are missing from the rotation system")
-
-        self.rotations = tuple(rot)
-        prv = [0] * n_darts
-        for darts in rot:
-            for k, d in enumerate(darts):
-                prv[d] = darts[k - 1]
-        self._prev = prv
+        head = tail[:]
+        head[0::2] = tail[1::2]
+        head[1::2] = tail[0::2]
+        # per dart: its tail, its head and its CCW predecessor at its tail
+        self.dart_tails = tail
+        self.dart_heads = head
+        self.dart_prev = prv
+        self._rot = rot      # vertex v's CCW rotation is rot[first[v]:first[v + 1]]
+        self._first = first
         self._cache: dict[str, object] = {}
 
     # -- raw accessors ---------------------------------------------------
@@ -135,18 +151,24 @@ class PlanarMap:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def dart_tail(self, d: int) -> int:
-        t, h = self.edges[d // 2]
-        return t if d % 2 == 0 else h
-
-    def dart_head(self, d: int) -> int:
-        t, h = self.edges[d // 2]
-        return h if d % 2 == 0 else t
+    @property
+    def rotations(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex CCW dart tuples."""
+        if "rotations" not in self._cache:
+            rot, first = self._rot, self._first
+            self._cache["rotations"] = tuple(
+                tuple(rot[a:b]) for a, b in zip(first, first[1:]))
+        return self._cache["rotations"]  # type: ignore[return-value]
 
     def rotation_refs(self) -> list[list[int]]:
         """Per-vertex CCW rotations as signed 1-based edge refs."""
-        return [[(d // 2 + 1) if d % 2 == 0 else -(d // 2 + 1) for d in darts]
-                for darts in self.rotations]
+        refs = self._refs()
+        first = self._first
+        return [refs[a:b] for a, b in zip(first, first[1:])]
+
+    def _refs(self) -> list[int]:
+        """The signed edge ref of every dart of the flat rotation list."""
+        return [-(d >> 1) - 1 if d & 1 else (d >> 1) + 1 for d in self._rot]
 
     def face_next(self, d: int) -> int:
         """Next dart along the face to the left of ``d``.
@@ -154,130 +176,86 @@ class PlanarMap:
         The face on the left of ``d`` hugs the clockwise side of the twin
         dart, so the boundary continues along the twin's CCW predecessor.
         """
-        return self._prev[d ^ 1]
+        return self.dart_prev[d ^ 1]
 
-    # -- faces -----------------------------------------------------------
+    # -- the validation pass and what it derives ---------------------------
 
-    def face_orbits(self) -> list[tuple[int, ...]]:
-        """All face orbits of the sphere map (outer face included once)."""
-        if "orbits" not in self._cache:
-            n_darts = 2 * len(self.edges)
-            seen = [False] * n_darts
-            orbits = []
-            for d0 in range(n_darts):
-                if seen[d0]:
-                    continue
-                orbit = []
-                d = d0
-                while not seen[d]:
-                    seen[d] = True
-                    orbit.append(d)
-                    d = self.face_next(d)
-                orbits.append(tuple(orbit))
-            self._cache["orbits"] = orbits
-        return self._cache["orbits"]  # type: ignore[return-value]
+    def scan(self) -> MapScan:
+        """The validation pass over the dart lists, computed once per map."""
+        if "scan" not in self._cache:
+            self._cache["scan"] = _scan(self)
+        return self._cache["scan"]  # type: ignore[return-value]
 
-    def _faces(self) -> tuple[tuple[int, ...], tuple[int, ...], list[FaceData], list[int]]:
-        """(west, east, interior faces, face of every dart), in one pass.
-
-        Every face is split by ``_two_runs``.  The outer face is the orbit
-        through the west anchor's north dart: cut there, its north run is
-        the west boundary and must end at the north pole, and its south run
-        is the east boundary (both returned as edge ids from south to north).
-        Raises InvalidMapError on the outer face first, then on the first
-        interior face that is not one run up its east side and one down its
-        west side.
-        """
-        if "faces" in self._cache:
-            return self._cache["faces"]  # type: ignore[return-value]
-        orbits = self.face_orbits()
-        d0 = 2 * self.west_anchor
-        outer = next(orbit for orbit in orbits if d0 in orbit)
-        runs = _two_runs(outer, outer.index(d0))
-        if runs is None or self.dart_head(runs[0][-1]) != self.north:
-            raise InvalidMapError([Violation(
-                "boundary", "outer face is not one path from the south pole up "
-                "its west side to the north pole and one down its east side")])
-        west_up, east_down = runs
-        face_of = [0] * (2 * len(self.edges))
-        for d in west_up:
-            face_of[d] = WEST_OUTER
-        for d in east_down:
-            face_of[d] = EAST_OUTER
-        faces: list[FaceData] = []
-        for orbit in orbits:
-            if orbit is outer:
-                continue
-            index = len(faces)
-            runs = _two_runs(orbit)
-            if runs is None:
-                raise InvalidMapError([Violation(
-                    "face", f"interior face {index} is not one path up its "
-                    "east side and one down its west side")])
-            east_up, west_down = runs
-            for d in orbit:
-                face_of[d] = index
-            faces.append(FaceData(
-                index=index,
-                west_edges_down=tuple(d // 2 for d in west_down),
-                east_edges_up=tuple(d // 2 for d in east_up),
-                min_vertex=self.dart_tail(east_up[0]),
-                max_vertex=self.dart_head(east_up[-1]),
-            ))
-        result = (tuple(d // 2 for d in west_up),
-                  tuple(d // 2 for d in reversed(east_down)), faces, face_of)
-        self._cache["faces"] = result
-        return result
+    def _face_scan(self) -> MapScan:
+        """The scan, once its faces are sound: raises InvalidMapError on the
+        outer face first, then on the first interior face that is not one
+        run up its east side and one down its west side."""
+        s = self.scan()
+        if s.face_problem is not None:
+            raise InvalidMapError([s.face_problem])
+        return s
 
     @property
     def west_edges(self) -> tuple[int, ...]:
         """West boundary edge ids from south to north."""
-        return self._faces()[0]
+        return self._face_scan().west
 
     @property
     def east_edges(self) -> tuple[int, ...]:
         """East boundary edge ids from south to north."""
-        return self._faces()[1]
+        return self._face_scan().east
 
     def interior_faces(self) -> list[FaceData]:
         """Interior faces with their west/east boundary split; requires a valid map."""
-        return self._faces()[2]
+        if "faces" not in self._cache:
+            s = self._face_scan()
+            fd, tail, head = s.face_darts, self.dart_tails, self.dart_heads
+            self._cache["faces"] = [
+                FaceData(index=f,
+                         west_edges_down=tuple(d >> 1 for d in fd[b:c]),
+                         east_edges_up=tuple(d >> 1 for d in fd[a:b]),
+                         min_vertex=tail[fd[a]],
+                         max_vertex=head[fd[b - 1]])
+                for f, (a, b, c) in enumerate(zip(s.face_start, s.face_split,
+                                                  s.face_start[1:]))]
+        return self._cache["faces"]  # type: ignore[return-value]
 
     def face_of_dart(self) -> list[int]:
         """Face index for every dart; WEST_OUTER/EAST_OUTER for the outer sides."""
-        return self._faces()[3]
+        return self._face_scan().face_of
 
     # -- oriented-edge orderings at a vertex ------------------------------
 
-    def _we_orders(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(out_we, in_we): per-vertex edge ids, west to east; requires validity.
-
-        Counterclockwise, a rotation's north run goes east to west and its
-        south run west to east.  The poles have a single run, so theirs is
-        cut at a boundary dart: the east-most at the south pole, the
-        west-most at the north pole.
-        """
-        if "we" in self._cache:
-            return self._cache["we"]  # type: ignore[return-value]
-        west, east = self.west_edges, self.east_edges
-        pole_cut = {self.south: 2 * east[0], self.north: 2 * west[-1] + 1}
-        out_we: list[list[int]] = []
-        in_we: list[list[int]] = []
-        for v, darts in enumerate(self.rotations):
-            cut = pole_cut.get(v)
-            north, south = _two_runs(darts, None if cut is None else darts.index(cut))
-            out_we.append([d // 2 for d in reversed(north)])
-            in_we.append([d // 2 for d in south])
-        self._cache["we"] = (out_we, in_we)
-        return out_we, in_we
-
     def out_edges_we(self, v: int) -> list[int]:
-        """North-going edges leaving v, ordered west to east."""
-        return self._we_orders()[0][v]
+        """North-going edges leaving v, ordered west to east; requires a valid map.
+
+        Counterclockwise the outgoing darts run east to west, so from the
+        west-most one each clockwise step (``dart_prev``) goes one edge east.
+        """
+        self.require_valid()
+        s, prv = self.scan(), self.dart_prev
+        d = s.west_out[v]
+        out = []
+        for _ in range(s.outdeg[v]):
+            out.append(d >> 1)
+            d = prv[d]
+        return out
 
     def in_edges_we(self, v: int) -> list[int]:
-        """North-going edges entering v, ordered west to east."""
-        return self._we_orders()[1][v]
+        """North-going edges entering v, ordered west to east; requires a valid map.
+
+        The incoming run ends counterclockwise just before the cut, so
+        clockwise steps from the cut meet it east to west.
+        """
+        self.require_valid()
+        s, prv = self.scan(), self.dart_prev
+        d = s.cut[v]
+        inn = []
+        for _ in range(s.indeg[v]):
+            d = prv[d]
+            inn.append(d >> 1)
+        inn.reverse()
+        return inn
 
     def require_valid(self) -> None:
         report = validate_bipolar(self)
@@ -295,29 +273,215 @@ class PlanarMap:
                 f"S={self.south}, N={self.north})")
 
 
-def _two_runs(darts: tuple[int, ...], start: int | None = None
-              ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Cut a cycle of darts into its north run and the south run after it.
+@dataclass(frozen=True, slots=True)
+class MapScan:
+    """What one validation pass derives from a map's dart lists.
 
-    The cut is at index ``start`` if given, else where a north dart follows
-    a south dart.  Returns None unless the darts are exactly those two runs.
+    ``report`` is the validation report; the other fields describe the map
+    only when it is empty.  ``face_problem`` is the violation that makes
+    the face fields unusable (outer face first), or None.
+
+    Per vertex: ``indeg``/``outdeg``; ``cut``, the dart that begins its
+    counterclockwise north run (its east-most outgoing dart; at the north
+    pole, its west-most incoming dart); ``west_out``, its west-most
+    outgoing dart (-1 at the north pole).  ``topo`` lists the vertices in
+    Kahn's order: the south pole first, the north pole last.
+
+    Per dart: ``face_of``, an interior face index or WEST_OUTER/EAST_OUTER.
+    Interior face f owns ``face_darts[face_start[f]:face_start[f + 1]]``,
+    its east side going up (north darts) and then, from ``face_split[f]``,
+    its west side coming down (south darts).  ``west`` and ``east`` are the
+    boundary edges from south to north.
     """
-    if start is None:
-        for start, d in enumerate(darts):
-            if d % 2 == 0 and darts[start - 1] % 2 == 1:
-                break
-        else:
-            return None
-    cyc = darts[start:] + darts[:start]
-    for split, d in enumerate(cyc):
-        if d % 2 == 1:
+
+    report: tuple[Violation, ...]
+    indeg: list[int]
+    outdeg: list[int]
+    cut: list[int]
+    west_out: list[int]
+    topo: list[int]
+    face_of: list[int]
+    face_darts: list[int]
+    face_start: list[int]
+    face_split: list[int]
+    west: tuple[int, ...]
+    east: tuple[int, ...]
+    face_problem: Violation | None
+
+
+def _scan(m: PlanarMap) -> MapScan:
+    n_vertices, n_darts = m.n_vertices, 2 * m.n_edges
+    south, north = m.south, m.north
+    tail, head, rot, first, prv = m.dart_tails, m.dart_heads, m._rot, m._first, m.dart_prev
+    report: list[Violation] = []
+    indeg = [0] * n_vertices
+    outdeg = [0] * n_vertices
+    for t, h in m.edges:
+        outdeg[t] += 1
+        indeg[h] += 1
+        if t == h:
+            report.append(Violation("loop", f"self-loop at vertex {t}"))
+
+    for v in range(n_vertices):
+        if indeg[v] == 0 and v != south:
+            report.append(Violation("source", f"interior source at vertex {v}"))
+        if outdeg[v] == 0 and v != north:
+            report.append(Violation("sink", f"interior sink at vertex {v}"))
+    if indeg[south] > 0:
+        report.append(Violation("source", "south pole has an incoming edge"))
+    if outdeg[north] > 0:
+        report.append(Violation("sink", "north pole has an outgoing edge"))
+
+    # acyclicity via Kahn peeling, in first-in first-out order; the north
+    # darts at v lead to its successors
+    remaining = indeg[:]
+    topo = [v for v in range(n_vertices) if not remaining[v]]
+    for v in topo:
+        for d in rot[first[v]:first[v + 1]]:
+            if not d & 1:
+                w = head[d]
+                remaining[w] -= 1
+                if not remaining[w]:
+                    topo.append(w)
+    if len(topo) != n_vertices:
+        stuck = [v for v in range(n_vertices) if remaining[v] > 0]
+        report.append(Violation("cycle", f"oriented cycle through vertices {stuck}"))
+
+    # connectivity (undirected)
+    reached = [False] * n_vertices
+    reached[south] = True
+    reach = [south]
+    for v in reach:
+        for d in rot[first[v]:first[v + 1]]:
+            w = head[d]
+            if not reached[w]:
+                reached[w] = True
+                reach.append(w)
+    connected = len(reach) == n_vertices
+    if not connected:
+        report.append(Violation("connect", "map is not connected"))
+
+    # around a vertex, a north dart after a south dart starts the north run,
+    # and a south dart after a north dart ends it at the west-most outgoing
+    # dart; a vertex with both runs has one of each
+    cut = [-1] * n_vertices
+    mixed = set()
+    for d in range(0, n_darts, 2):
+        if prv[d] & 1:
+            v = tail[d]
+            if cut[v] >= 0:
+                mixed.add(v)
+            cut[v] = d
+    west_out = [-1] * n_vertices
+    for d in range(1, n_darts, 2):
+        p = prv[d]
+        if not p & 1:
+            west_out[tail[d]] = p
+
+    (face_of, face_darts, face_start, face_split, west, east,
+     face_problem) = _walk_faces(m)
+    # the poles have one run each, cut at a boundary dart: the east-most
+    # outgoing dart at the south pole, the west-most incoming at the north
+    if face_problem is None and east:
+        cut[south] = 2 * east[0]
+        west_out[south] = prv[cut[south]]
+        cut[north] = 2 * west[-1] + 1
+        west_out[north] = -1
+
+    if connected:
+        for v in sorted(mixed):
+            report.append(Violation(
+                "rotation", f"rotation at vertex {v} mixes outgoing/incoming blocks"))
+        # genus 0
+        chi = n_vertices - m.n_edges + len(face_split) + 1
+        if chi != 2:
+            report.append(Violation("euler", f"Euler relation fails: V-E+F = {chi}"))
+        # a broken outer face is always reported, an interior face only alone
+        if face_problem is not None and (face_problem.kind == "boundary" or not report):
+            report.append(face_problem)
+    return MapScan(tuple(report), indeg, outdeg, cut, west_out, topo, face_of,
+                   face_darts, face_start, face_split, west, east, face_problem)
+
+
+_UNSEEN = -3  # face_of of a dart no face walk has reached yet
+
+
+def _walk_faces(m: PlanarMap):
+    """Label every dart with its face and record each interior face's sides.
+
+    Returns (face_of, face_darts, face_start, face_split, west, east,
+    face_problem), as in ``MapScan``.  Every face orbit is walked once.
+    """
+    # the outer face, cut at the west anchor's north dart: its north run is
+    # the west boundary and must end at the north pole, its south run the
+    # east boundary
+    n_darts, prv, head = 2 * m.n_edges, m.dart_prev, m.dart_heads
+    face_of = [_UNSEEN] * n_darts
+    d0 = d = 2 * m.west_anchor
+    outer = []
+    while True:
+        outer.append(d)
+        d = prv[d ^ 1]
+        if d == d0:
             break
-    else:
-        return cyc, ()
-    for d in cyc[split:]:
-        if d % 2 == 0:
-            return None
-    return cyc[:split], cyc[split:]
+    k = next((k for k, d in enumerate(outer) if d & 1), len(outer))
+    west_up, east_down = outer[:k], outer[k:]
+    face_problem = None
+    if any(not d & 1 for d in east_down) or head[west_up[-1]] != m.north:
+        face_problem = Violation(
+            "boundary", "outer face is not one path from the south pole up "
+            "its west side to the north pole and one down its east side")
+    for d in west_up:
+        face_of[d] = WEST_OUTER
+    for d in east_down:
+        face_of[d] = EAST_OUTER
+    west = tuple(d >> 1 for d in west_up)
+    east = tuple(d >> 1 for d in reversed(east_down))
+
+    # interior faces, numbered in the order of their smallest darts; each
+    # orbit is walked once and stored from its bottom, where a north dart
+    # follows a south dart
+    face_darts: list[int] = []
+    face_start = [0]
+    face_split: list[int] = []
+    for d0 in range(n_darts):
+        if face_of[d0] != _UNSEEN:
+            continue
+        f = len(face_split)
+        a = len(face_darts)
+        rises = 0
+        rise = fall = a
+        d = d0
+        while True:
+            face_of[d] = f
+            face_darts.append(d)
+            nxt = prv[d ^ 1]
+            if (d ^ nxt) & 1:
+                if d & 1:
+                    rises += 1
+                    rise = len(face_darts)
+                else:
+                    fall = len(face_darts)
+            if nxt == d0:
+                break
+            d = nxt
+        b = len(face_darts)
+        if rises != 1:
+            if face_problem is None:
+                face_problem = Violation(
+                    "face", f"interior face {f} is not one path up its "
+                    "east side and one down its west side")
+            face_split.append(a)
+            face_start.append(b)
+            continue
+        if rise == b:
+            rise = a
+        if rise != a:
+            face_darts[a:] = face_darts[rise:] + face_darts[a:rise]
+        face_split.append(a + (fall - rise) % (b - a))
+        face_start.append(b)
+
+    return face_of, face_darts, face_start, face_split, west, east, face_problem
 
 
 # -- validation ------------------------------------------------------------
@@ -330,83 +494,7 @@ def validate_bipolar(m: PlanarMap) -> list[Violation]:
     construction time and never reach here.  The report is computed once per
     map; each call returns a copy.
     """
-    if "report" not in m._cache:
-        m._cache["report"] = _validate(m)
-    return list(m._cache["report"])  # type: ignore[call-overload]
-
-
-def _validate(m: PlanarMap) -> list[Violation]:
-    report: list[Violation] = []
-    indeg = [0] * m.n_vertices
-    outdeg = [0] * m.n_vertices
-    for t, h in m.edges:
-        outdeg[t] += 1
-        indeg[h] += 1
-        if t == h:
-            report.append(Violation("loop", f"self-loop at vertex {t}"))
-
-    for v in range(m.n_vertices):
-        if indeg[v] == 0 and v != m.south:
-            report.append(Violation("source", f"interior source at vertex {v}"))
-        if outdeg[v] == 0 and v != m.north:
-            report.append(Violation("sink", f"interior sink at vertex {v}"))
-    if indeg[m.south] > 0:
-        report.append(Violation("source", "south pole has an incoming edge"))
-    if outdeg[m.north] > 0:
-        report.append(Violation("sink", "north pole has an outgoing edge"))
-
-    # acyclicity via Kahn peeling; the north darts at v lead to its successors
-    remaining = indeg[:]
-    queue = deque(v for v in range(m.n_vertices) if remaining[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for d in m.rotations[v]:
-            if d % 2:
-                continue
-            w = m.dart_head(d)
-            remaining[w] -= 1
-            if remaining[w] == 0:
-                queue.append(w)
-    if seen != m.n_vertices:
-        stuck = [v for v in range(m.n_vertices) if remaining[v] > 0]
-        report.append(Violation("cycle", f"oriented cycle through vertices {stuck}"))
-
-    # connectivity (undirected)
-    reach = {m.south}
-    stack = [m.south]
-    while stack:
-        v = stack.pop()
-        for d in m.rotations[v]:
-            w = m.dart_head(d)
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    if len(reach) != m.n_vertices:
-        report.append(Violation("connect", "map is not connected"))
-        return report  # everything face-based below would be meaningless
-
-    # one run of outgoing darts and one of incoming darts at every vertex
-    for v, darts in enumerate(m.rotations):
-        if indeg[v] and outdeg[v] and _two_runs(darts) is None:
-            report.append(Violation(
-                "rotation", f"rotation at vertex {v} mixes outgoing/incoming blocks"))
-
-    # genus 0
-    f = len(m.face_orbits())
-    if m.n_vertices - m.n_edges + f != 2:
-        report.append(Violation(
-            "euler", f"Euler relation fails: V-E+F = {m.n_vertices - m.n_edges + f}"))
-
-    # one run up and one run down around every face, the outer one included;
-    # a broken outer face is always reported, an interior face only alone
-    try:
-        m._faces()
-    except InvalidMapError as exc:
-        if exc.report[0].kind == "boundary" or not report:
-            report.extend(exc.report)
-    return report
+    return list(m.scan().report)
 
 
 def face_types(m: PlanarMap) -> dict[int, FaceMove]:
@@ -422,45 +510,46 @@ def nw_tree(m: PlanarMap) -> list[int | None]:
     """Parent edge of each vertex in the tree of west-most outgoing edges
     (None at its root, the north pole)."""
     m.require_valid()
-    return [None if v == m.north else m.out_edges_we(v)[0]
-            for v in range(m.n_vertices)]
+    west_out = m.scan().west_out
+    return [None if v == m.north else west_out[v] >> 1 for v in range(m.n_vertices)]
 
 
 def se_tree(m: PlanarMap) -> list[int | None]:
     """Parent edge of each vertex in the tree of east-most incoming edges
     (None at its root, the south pole)."""
     m.require_valid()
-    return [None if v == m.south else m.in_edges_we(v)[-1]
-            for v in range(m.n_vertices)]
-
-
-def _depths(m: PlanarMap, parent: list[int | None], end: int) -> list[int]:
-    """Depth of every vertex in a parent-edge tree; endpoint ``end`` (0 the
-    tail, 1 the head) of a vertex's parent edge is its parent vertex."""
-    depth = [-1] * m.n_vertices
-    depth[parent.index(None)] = 0
-    edges = m.edges
-    for v in range(m.n_vertices):
-        path = []
-        u = v
-        while depth[u] < 0:
-            path.append(u)
-            u = edges[parent[u]][end]
-        d = depth[u]
-        for w in reversed(path):
-            d += 1
-            depth[w] = d
-    return depth
+    cut, prv = m.scan().cut, m.dart_prev
+    return [None if v == m.south else prv[cut[v]] >> 1 for v in range(m.n_vertices)]
 
 
 def nw_depths(m: PlanarMap) -> list[int]:
-    """Distance from the north pole along the NW tree, per vertex."""
-    return _depths(m, nw_tree(m), 1)
+    """Distance from the north pole along the NW tree, per vertex.
+
+    A parent is a successor, so it is met first in reverse Kahn order,
+    which starts at the north pole.
+    """
+    m.require_valid()
+    s, head = m.scan(), m.dart_heads
+    west_out = s.west_out
+    depth = [0] * m.n_vertices
+    for v in reversed(s.topo[:-1]):
+        depth[v] = depth[head[west_out[v]]] + 1
+    return depth
 
 
 def se_depths(m: PlanarMap) -> list[int]:
-    """Distance from the south pole along the SE tree, per vertex."""
-    return _depths(m, se_tree(m), 0)
+    """Distance from the south pole along the SE tree, per vertex.
+
+    A parent is a predecessor, so it is met first in Kahn order, which
+    starts at the south pole.
+    """
+    m.require_valid()
+    s, head, prv = m.scan(), m.dart_heads, m.dart_prev
+    cut = s.cut
+    depth = [0] * m.n_vertices
+    for v in s.topo[1:]:
+        depth[v] = depth[head[prv[cut[v]]]] + 1
+    return depth
 
 
 # -- canonical form, reversal, dual ------------------------------------------
@@ -472,11 +561,11 @@ def canonical_form(m: PlanarMap) -> tuple:
     Two maps are isomorphic as rooted oriented maps iff their codes agree.
     """
     d0 = 2 * m.west_anchor
-    v_id = {m.dart_tail(d0): 0}
+    v_id = {m.dart_tails[d0]: 0}
     e_id: dict[int, int] = {}
-    entry = {m.dart_tail(d0): d0}
-    order = [m.dart_tail(d0)]
-    queue = deque([m.dart_tail(d0)])
+    entry = {m.dart_tails[d0]: d0}
+    order = [m.dart_tails[d0]]
+    queue = deque([m.dart_tails[d0]])
     while queue:
         v = queue.popleft()
         darts = m.rotations[v]
@@ -485,7 +574,7 @@ def canonical_form(m: PlanarMap) -> tuple:
             e = d // 2
             if e not in e_id:
                 e_id[e] = len(e_id)
-            w = m.dart_head(d)
+            w = m.dart_heads[d]
             if w not in v_id:
                 v_id[w] = len(v_id)
                 entry[w] = d ^ 1
@@ -526,40 +615,29 @@ def dual_map(m: PlanarMap) -> PlanarMap:
     every orientation reversed.
     """
     m.require_valid()
-    faces = m.interior_faces()
-    n_int = len(faces)
-    v_of = {WEST_OUTER: n_int, EAST_OUTER: n_int + 1}
-    for fd in faces:
-        v_of[fd.index] = fd.index
-    face_of = m.face_of_dart()
-
+    s = m.scan()
+    n_int = len(s.face_split)
+    # dual vertex of each face label: interior faces keep their index, and
+    # WEST_OUTER (-1) and EAST_OUTER (-2) index the list from its end
+    vertex_of = [*range(n_int), n_int + 1, n_int]
+    face_of = s.face_of
     # dual edge per primal edge, oriented from the east face to the west face
-    dual_edges = []
-    for e in range(m.n_edges):
-        west_face = face_of[2 * e]
-        east_face = face_of[2 * e + 1]
-        dual_edges.append((v_of[east_face], v_of[west_face]))
-
-    # rotation at a dual vertex follows the primal face boundary
-    rotations: list[list[int]] = [[] for _ in range(n_int + 2)]
-    for fd in faces:
-        refs = []
-        for e in fd.east_edges_up:      # this face is west of e: incoming dual dart
-            refs.append(-(e + 1))
-        for e in fd.west_edges_down:    # this face is east of e: outgoing dual dart
-            refs.append(e + 1)
-        rotations[fd.index] = refs
-    west, east = m.west_edges, m.east_edges
-    rotations[v_of[WEST_OUTER]] = [-(e + 1) for e in west]
-    rotations[v_of[EAST_OUTER]] = [(e + 1) for e in reversed(east)]
-
+    dual_edges = [(vertex_of[face_of[d + 1]], vertex_of[face_of[d]])
+                  for d in range(0, 2 * m.n_edges, 2)]
+    # the rotation at a dual vertex follows the primal face boundary: the
+    # face's east side (it lies west of those edges) gives incoming dual
+    # darts, its west side outgoing ones, so each dart's ref flips sign
+    refs = [(d >> 1) + 1 if d & 1 else -(d >> 1) - 1 for d in s.face_darts]
+    rotations = [refs[a:b] for a, b in zip(s.face_start, s.face_start[1:])]
+    rotations.append([-(e + 1) for e in s.west])
+    rotations.append([e + 1 for e in reversed(s.east)])
     return PlanarMap(
         n_vertices=n_int + 2,
         edges=dual_edges,
         rotations=rotations,
-        south=v_of[EAST_OUTER],
-        north=v_of[WEST_OUTER],
-        west_anchor=east[0],
+        south=n_int + 1,
+        north=n_int,
+        west_anchor=s.east[0],
     )
 
 
@@ -567,16 +645,25 @@ def dual_map(m: PlanarMap) -> PlanarMap:
 
 
 def map_to_json(m: PlanarMap) -> str:
-    """Serialize to the JSON wire format (deterministic layout)."""
-    obj = {
-        "vertices": m.n_vertices,
-        "south": m.south,
-        "north": m.north,
-        "west": m.west_anchor,
-        "edges": [[t, h] for t, h in m.edges],
-        "rotations": m.rotation_refs(),
-    }
-    return json.dumps(obj, indent=1) + "\n"
+    """Serialize to the JSON wire format (deterministic layout).
+
+    The text is exactly ``json.dumps(obj, indent=1) + "\\n"`` for the object
+    with keys vertices, south, north, west, edges and rotations.  It is
+    written directly, because ``json.dumps`` with an indent runs its pure
+    Python encoder: one integer per line, and the rows of both lists joined
+    by the text that closes one row and opens the next.
+    """
+    row = "\n  ],\n  [\n   "
+    edges = row.join(map("%d,\n   %d".__mod__, m.edges))
+    refs = list(map(str, m._refs()))
+    first = m._first
+    rotations = row.join([",\n   ".join(refs[a:b]) for a, b in zip(first, first[1:])])
+    text = (f'{{\n "vertices": {m.n_vertices},\n "south": {m.south},\n'
+            f' "north": {m.north},\n "west": {m.west_anchor},\n'
+            f' "edges": [\n  [\n   {edges}\n  ]\n ],\n'
+            f' "rotations": [\n  [\n   {rotations}\n  ]\n ]\n}}\n')
+    # the rotation of an isolated vertex is empty, and json.dumps writes []
+    return text.replace("[\n   \n  ]", "[]")
 
 
 def map_from_json(text: str) -> PlanarMap:

@@ -539,37 +539,44 @@ def interface_order(m: PlanarMap) -> tuple[list[int], tuple[Move, ...]]:
     The path starts on the bottom west-boundary edge; after an edge whose
     east face hangs below its head (the face's maximum), it crosses that face
     to the bottom edge of the face's east side; otherwise it continues on the
-    west-most untraversed outgoing edge at the head.
+    west-most untraversed outgoing edge at the head.  It reads the flat
+    lists of ``m.scan()``, and each face type (i, j) is one shared move.
     """
     m.require_valid()
-    faces = m.interior_faces()
-    face_of = m.face_of_dart()
-    cursor = [0] * m.n_vertices
-
-    def take(v: int, expected: int | None = None) -> int:
-        outs = m.out_edges_we(v)
-        if cursor[v] >= len(outs):
-            raise BipolarError("interface path stuck: no untraversed outgoing edge")
-        e = outs[cursor[v]]
-        if expected is not None and e != expected:
-            raise BipolarError("interface path disagrees with rotation order")
-        cursor[v] += 1
-        return e
-
-    order = [take(m.south)]
+    s = m.scan()
+    prv, head, tail = m.dart_prev, m.dart_heads, m.dart_tails
+    face_of, fd, start, split = s.face_of, s.face_darts, s.face_start, s.face_split
+    nxt = s.west_out[:]     # per vertex, its west-most untraversed outgoing dart
+    left = s.outdeg[:]      # and how many are left
+    face_moves: dict[tuple[int, int], FaceMove] = {}
+    order: list[int] = []
     moves: list[Move] = []
+    v, expected, north = m.south, -1, m.north
     while True:
-        e = order[-1]
-        f = face_of[2 * e + 1]
-        if f >= 0 and faces[f].west_edges_down[0] == e:
-            fd = faces[f]
-            moves.append(fd.face_type)
-            order.append(take(fd.min_vertex, fd.east_edges_up[0]))
-        elif m.edges[e][1] == m.north:
+        if not left[v]:
+            raise BipolarError("interface path stuck: no untraversed outgoing edge")
+        d = nxt[v]
+        if expected >= 0 and d != expected:
+            raise BipolarError("interface path disagrees with rotation order")
+        left[v] -= 1
+        nxt[v] = prv[d]
+        order.append(d >> 1)
+        f = face_of[d ^ 1]
+        if f >= 0 and fd[split[f]] == d ^ 1:  # the top of its east face's west side
+            a, b, c = start[f], split[f], start[f + 1]
+            ij = (c - b - 1, b - a - 1)
+            mv = face_moves.get(ij)
+            if mv is None:
+                mv = face_moves[ij] = FaceMove(*ij)
+            moves.append(mv)
+            expected = fd[a]
+            v = tail[expected]
+        elif head[d] == north:
             break
         else:
             moves.append(EDGE)
-            order.append(take(m.edges[e][1]))
+            expected = -1
+            v = head[d]
     if len(order) != m.n_edges:
         raise BipolarError("interface path did not visit every edge")
     return order, tuple(moves)
@@ -585,14 +592,16 @@ def map_to_walk(m: PlanarMap) -> LatticeWalk:
     order, moves = interface_order(m)
     xd = se_depths(m)
     yd = nw_depths(m)
-    pts = [(xd[m.edges[e][0]], yd[m.edges[e][1]]) for e in order]
-    for t, mv in enumerate(moves):
-        got = (pts[t + 1][0] - pts[t][0], pts[t + 1][1] - pts[t][1])
-        if got != mv.delta:
-            raise BipolarError(
-                f"tree distances disagree with the interface path at step {t}: "
-                f"{got} vs {mv.delta}")
+    edges = m.edges
+    pts = [(xd[t], yd[h]) for t, h in map(edges.__getitem__, order)]
     walk = LatticeWalk(pts[0], moves)
-    if pts[0] != (0, len(m.west_edges) - 1) or walk.end != (len(m.east_edges) - 1, 0):
+    steps = walk.points()
+    if steps != pts:
+        t = next(k for k, p in enumerate(pts) if steps[k] != p) - 1
+        got = (pts[t + 1][0] - pts[t][0], pts[t + 1][1] - pts[t][1])
+        raise BipolarError(
+            f"tree distances disagree with the interface path at step {t}: "
+            f"{got} vs {moves[t].delta}")
+    if pts[0] != (0, len(m.west_edges) - 1) or pts[-1] != (len(m.east_edges) - 1, 0):
         raise BipolarError("interface walk endpoints disagree with boundary lengths")
     return walk

@@ -217,6 +217,10 @@ def test_stats_pools_replicas(tmp_path, capsys):
 
 TRI_NU = ("1 -1 0.3333333333333333\n-1 0 0.3333333333333333\n"
           "0 1 0.3333333333333334\n")
+# a valid one-edge map; the cases below swap in an edge ref or an endpoint of
+# 10**30 and a vertex count of 10**12
+HUGE_MAP = ('{"vertices": 2, "south": 0, "north": 1, "west": 0, "edges": [[0, 1]], '
+            '"rotations": [[1], [-1]]}')
 
 
 @pytest.mark.parametrize("argv, infile, content", [
@@ -263,6 +267,9 @@ TRI_NU = ("1 -1 0.3333333333333333\n-1 0 0.3333333333333333\n"
     (["count", "--edges", "6"], ("--weights", "w.txt"), "3 1\n3 2\n"),
     (["sample", "--edges", "5", "--seed", "1", "--method", "free"], ("--nu", "nu.txt"),
      TRI_NU + "0 1 0.3333333333333334\n"),
+    (["map2walk"], ("--in", "m.json"), HUGE_MAP.replace("[[1], [-1]]", f"[[{10**30}], [-1]]")),
+    (["map2walk"], ("--in", "m.json"), HUGE_MAP.replace("[[0, 1]]", f"[[0, {10**30}]]")),
+    (["map2walk"], ("--in", "m.json"), HUGE_MAP.replace('"vertices": 2', f'"vertices": {10**12}')),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
         "map-top-level-array", "rejection-negative-m", "count-negative-m",
         "interface-zero-replicas", "stats-zero-replicas",
@@ -274,7 +281,8 @@ TRI_NU = ("1 -1 0.3333333333333333\n-1 0 0.3333333333333333\n"
         "config-eps-past-half", "config-bad-choice", "config-flag-not-bool",
         "config-missing", "config-invalid-json", "config-not-an-object",
         "weights-file-missing", "walk-file-missing", "weights-repeated-degree",
-        "nu-repeated-step"])
+        "nu-repeated-step", "map-huge-edge-ref", "map-huge-endpoint",
+        "map-huge-vertex-count"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         flag, name = infile

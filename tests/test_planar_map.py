@@ -1,13 +1,16 @@
+import json
 from collections import Counter
 
 import pytest
 
-from bipolar_maps.enumeration import enumerate_walks
+import map_oracle
+from bipolar_maps.enumeration import enumerate_walks, exact_sampler
 from bipolar_maps.errors import InvalidMapError, MapStructureError
 from bipolar_maps.planar_map import (PlanarMap, canonical_form, dual_map,
                                      face_types, map_from_json, map_to_json,
-                                     nw_tree, reverse_map, se_tree,
-                                     validate_bipolar)
+                                     nw_depths, nw_tree, reverse_map,
+                                     se_depths, se_tree, validate_bipolar)
+from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import map_to_walk, walk_to_map
 from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk
 from bipolar_maps.weights import preset_weights
@@ -233,3 +236,88 @@ def test_validator_on_corrupted_maps():
     assert accepted == 1826
     assert kinds == {"boundary": 3144, "cycle": 560, "euler": 2528,
                      "rotation": 276, "sink": 1308, "source": 979}
+
+
+def _agrees_with_oracle(m):
+    """The one-pass scan against the orbit-and-tuple reference: the report,
+    the faces and boundaries (or the same error), and on a valid map the
+    edge orders at every vertex, the trees and their depths."""
+    report = validate_bipolar(m)
+    assert report == map_oracle.validate(m)
+    try:
+        west, east, faces, face_of = map_oracle.faces(m)
+    except InvalidMapError as exc:
+        for read in (lambda: m.west_edges, lambda: m.east_edges,
+                     m.interior_faces, m.face_of_dart):
+            with pytest.raises(InvalidMapError) as got:
+                read()
+            assert got.value.report == exc.report
+    else:
+        assert m.west_edges == west and m.east_edges == east
+        assert m.interior_faces() == faces
+        assert m.face_of_dart() == face_of
+    if report:
+        return
+    vertices = range(m.n_vertices)
+    assert ([m.out_edges_we(v) for v in vertices],
+            [m.in_edges_we(v) for v in vertices]) == map_oracle.we_orders(m)
+    nw, se = map_oracle.trees(m)
+    assert nw_tree(m) == nw and se_tree(m) == se
+    assert nw_depths(m) == map_oracle.depths(m, nw, 1)
+    assert se_depths(m) == map_oracle.depths(m, se, 0)
+
+
+def test_scan_agrees_with_oracle_on_corrupted_maps():
+    checked = 0
+    for name in ("tri", "quad", "kgon:5"):
+        w = preset_weights(name)
+        for ell in range(1, 9):
+            for m in range(3):
+                for n in range(3):
+                    for walk in enumerate_walks(w, m, n, ell):
+                        mp = walk_to_map(walk)
+                        _agrees_with_oracle(mp)
+                        for build in corruptions(mp):
+                            try:
+                                c = build()
+                            except MapStructureError:
+                                continue
+                            _agrees_with_oracle(c)
+                            checked += 1
+    assert checked == 6334
+
+
+def test_scan_agrees_with_oracle_on_small_triangulations():
+    for walk in all_triangulation_walks(9):
+        _agrees_with_oracle(walk_to_map(walk))
+
+
+def test_map_to_walk_shares_one_move_per_face_type():
+    walk = exact_sampler(preset_weights("tri"), 0, 1, 3_000)(CounterRng(5, 0))
+    back = map_to_walk(walk_to_map(walk))
+    assert back == walk
+    assert len({id(mv) for mv in back.moves}) <= 3
+
+
+def _json_maps():
+    for name in ("tri", "quad"):
+        for ell in range(1, 9):
+            for m in range(3):
+                for n in range(3):
+                    for walk in enumerate_walks(preset_weights(name), m, n, ell):
+                        yield walk_to_map(walk)
+    # the map of the README's sample line
+    yield walk_to_map(exact_sampler(preset_weights("tri"), 0, 1, 12)(CounterRng(7, 0)))
+    # an isolated vertex: its rotation is empty
+    yield PlanarMap(3, [(0, 1)], [[1], [-1], []], south=0, north=1, west_anchor=0)
+
+
+def test_json_writer_matches_json_dumps():
+    n = 0
+    for m in _json_maps():
+        obj = {"vertices": m.n_vertices, "south": m.south, "north": m.north,
+               "west": m.west_anchor, "edges": [list(e) for e in m.edges],
+               "rotations": m.rotation_refs()}
+        assert map_to_json(m) == json.dumps(obj, indent=1) + "\n"
+        n += 1
+    assert n == 256

@@ -74,7 +74,11 @@ JSON_VALUE = st.recursive(
 
 @st.composite
 def mutated_map(draw):
-    """The figure map's JSON with a few fields, rows or entries replaced."""
+    """The figure map's JSON with a few fields, rows or entries replaced.
+
+    Integers are mostly near the map's own ids and sometimes unbounded: a
+    reader that converts them to machine words, or allocates by a count,
+    before its range checks fails on those."""
     obj = json.loads(json.dumps(FIG_MAP))
     for _ in range(draw(st.integers(1, 4))):
         key = draw(st.sampled_from(sorted(obj) + ["extra"]))
@@ -83,13 +87,13 @@ def mutated_map(draw):
             i = draw(st.integers(0, len(rows) - 1))
             if isinstance(rows[i], list) and rows[i] and draw(st.booleans()):
                 j = draw(st.integers(0, len(rows[i]) - 1))
-                rows[i][j] = draw(st.one_of(st.integers(-40, 40), JSON_VALUE))
+                rows[i][j] = draw(st.one_of(st.integers(-40, 40), st.integers(), JSON_VALUE))
             else:
                 rows[i] = draw(JSON_VALUE)
         elif draw(st.integers(0, 9)) == 0:
             obj.pop(key, None)
         else:
-            obj[key] = draw(st.one_of(st.integers(-2, 40), JSON_VALUE))
+            obj[key] = draw(st.one_of(st.integers(-2, 40), st.integers(), JSON_VALUE))
     return json.dumps(obj)
 
 
