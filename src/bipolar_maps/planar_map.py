@@ -4,7 +4,9 @@ A map is stored as flat per-dart lists: every edge contributes two darts
 (dart ``2*e`` points north, ``2*e + 1`` points south), each dart has a
 tail, a head and its counterclockwise predecessor at its tail (``dart_prev``),
 and each vertex's counterclockwise rotation is a slice of one flat dart
-list.  ``face_next`` follows the face lying to the left of a dart.
+list.  ``face_next`` follows the face lying to the left of a dart.  The
+constructor takes the rotations as dart lists, the shape ``rotations``
+returns; signed 1-based edge refs are the JSON wire format only.
 
 The outer face of the sphere map is split by the two poles into a west side
 and an east side.  Which side is west is a convention the data must carry,
@@ -28,7 +30,6 @@ vertex, the trees, the dual and the walk read those lists (``MapScan``);
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -73,8 +74,10 @@ class PlanarMap:
     edges : sequence of (tail, head)
         Every edge is listed with its north-going direction.
     rotations : sequence of per-vertex CCW dart lists
-        Signed 1-based edge refs: ``+(e+1)`` is the north dart of edge ``e``
-        (based at its tail), ``-(e+1)`` the south dart (based at its head).
+        Dart ``2*e`` is the north dart of edge ``e`` (based at its tail),
+        ``2*e + 1`` its south dart (based at its head); ``m.rotations`` has
+        this shape, so ``PlanarMap(m.n_vertices, m.edges, m.rotations,
+        m.south, m.north, m.west_anchor)`` rebuilds ``m``.
     south, north : int
         Pole vertex ids.
     west_anchor : int
@@ -99,20 +102,19 @@ class PlanarMap:
         if edges[west_anchor][0] != south:
             raise MapStructureError("west_anchor edge must leave the south pole")
 
-        n_edges = len(edges)
-        n_darts = 2 * n_edges
-        # one pass over the refs: each becomes a dart, checked, and linked to
-        # its counterclockwise predecessor (-1 marks a dart not yet listed)
+        n_darts = len(tail)
+        # one pass over the darts: each is checked, in range before it
+        # indexes anything, and linked to its counterclockwise predecessor
+        # (-1 marks a dart not yet listed)
         rot: list[int] = []
         first = [0]
         prv = [-1] * n_darts
         last = 0
-        for v, refs in enumerate(rotations):
+        for v, darts in enumerate(rotations):
             start = len(rot)
-            for r in refs:
-                if r == 0 or abs(r) > n_edges:
-                    raise MapStructureError(f"rotation at vertex {v}: bad edge ref {r}")
-                d = 2 * r - 2 if r > 0 else -2 * r - 1
+            for d in darts:
+                if not 0 <= d < n_darts:
+                    raise MapStructureError(f"rotation at vertex {v}: bad dart {d}")
                 if tail[d] != v:
                     raise MapStructureError(
                         f"rotation at vertex {v}: dart of edge {d // 2} is based at {tail[d]}")
@@ -159,16 +161,6 @@ class PlanarMap:
             self._cache["rotations"] = tuple(
                 tuple(rot[a:b]) for a, b in zip(first, first[1:]))
         return self._cache["rotations"]  # type: ignore[return-value]
-
-    def rotation_refs(self) -> list[list[int]]:
-        """Per-vertex CCW rotations as signed 1-based edge refs."""
-        refs = self._refs()
-        first = self._first
-        return [refs[a:b] for a, b in zip(first, first[1:])]
-
-    def _refs(self) -> list[int]:
-        """The signed edge ref of every dart of the flat rotation list."""
-        return [-(d >> 1) - 1 if d & 1 else (d >> 1) + 1 for d in self._rot]
 
     def face_next(self, d: int) -> int:
         """Next dart along the face to the left of ``d``.
@@ -558,49 +550,45 @@ def se_depths(m: PlanarMap) -> list[int]:
 def canonical_form(m: PlanarMap) -> tuple:
     """Breadth-first relabeling code from the south pole's west-boundary dart.
 
-    Two maps are isomorphic as rooted oriented maps iff their codes agree.
+    Each dart is coded ``2 * e + (d & 1)`` by its edge's new id ``e``.  The
+    vertices the search from the south pole does not reach are entered
+    afterwards, in id order, at their first listed dart, so the code
+    describes the whole map.  Two maps are isomorphic as rooted oriented
+    maps iff their codes agree.
     """
+    rotations, heads = m.rotations, m.dart_heads
     d0 = 2 * m.west_anchor
-    v_id = {m.dart_tails[d0]: 0}
+    entry = {m.south: d0}
+    order = [m.south]
+    unreached = iter(range(m.n_vertices))
     e_id: dict[int, int] = {}
-    entry = {m.dart_tails[d0]: d0}
-    order = [m.dart_tails[d0]]
-    queue = deque([m.dart_tails[d0]])
-    while queue:
-        v = queue.popleft()
-        darts = m.rotations[v]
-        k = darts.index(entry[v])
-        for d in darts[k:] + darts[:k]:
-            e = d // 2
-            if e not in e_id:
-                e_id[e] = len(e_id)
-            w = m.dart_heads[d]
-            if w not in v_id:
-                v_id[w] = len(v_id)
-                entry[w] = d ^ 1
-                order.append(w)
-                queue.append(w)
     code = []
     for v in order:
-        darts = m.rotations[v]
-        k = darts.index(entry[v])
-        enc = tuple((e_id[d // 2], 1 if d % 2 == 0 else -1)
-                    for d in darts[k:] + darts[:k])
-        code.append(enc)
-    return (m.n_vertices, m.n_edges, v_id[m.north], tuple(code))
+        darts = rotations[v]
+        k = darts.index(entry[v]) if darts else 0
+        enc = []
+        for d in darts[k:] + darts[:k]:
+            e = e_id.setdefault(d >> 1, len(e_id))
+            enc.append(2 * e + (d & 1))
+            w = heads[d]
+            if w not in entry:
+                entry[w] = d ^ 1
+                order.append(w)
+        code.append(tuple(enc))
+        if len(code) == len(order):  # the component is done; enter the next
+            w = next((w for w in unreached if w not in entry), None)
+            if w is not None:
+                entry[w] = rotations[w][0] if rotations[w] else -1
+                order.append(w)
+    return (m.n_vertices, m.n_edges, order.index(m.north), tuple(code))
 
 
 def reverse_map(m: PlanarMap) -> PlanarMap:
     """The same map rotated half a turn: orientations reversed, poles swapped."""
-    edges = tuple((h, t) for t, h in m.edges)
-    rotations = []
-    for darts in m.rotations:
-        rotations.append(tuple((d // 2 + 1) if d % 2 == 1 else -(d // 2 + 1)
-                               for d in darts))
     return PlanarMap(
         n_vertices=m.n_vertices,
-        edges=edges,
-        rotations=rotations,
+        edges=[(h, t) for t, h in m.edges],
+        rotations=[[d ^ 1 for d in darts] for darts in m.rotations],
         south=m.north,
         north=m.south,
         west_anchor=m.east_edges[-1],
@@ -626,11 +614,11 @@ def dual_map(m: PlanarMap) -> PlanarMap:
                   for d in range(0, 2 * m.n_edges, 2)]
     # the rotation at a dual vertex follows the primal face boundary: the
     # face's east side (it lies west of those edges) gives incoming dual
-    # darts, its west side outgoing ones, so each dart's ref flips sign
-    refs = [(d >> 1) + 1 if d & 1 else -(d >> 1) - 1 for d in s.face_darts]
-    rotations = [refs[a:b] for a, b in zip(s.face_start, s.face_start[1:])]
-    rotations.append([-(e + 1) for e in s.west])
-    rotations.append([e + 1 for e in reversed(s.east)])
+    # darts, its west side outgoing ones, so each dart flips to its twin
+    flipped = [d ^ 1 for d in s.face_darts]
+    rotations = [flipped[a:b] for a, b in zip(s.face_start, s.face_start[1:])]
+    rotations.append([2 * e + 1 for e in s.west])
+    rotations.append([2 * e for e in reversed(s.east)])
     return PlanarMap(
         n_vertices=n_int + 2,
         edges=dual_edges,
@@ -651,11 +639,13 @@ def map_to_json(m: PlanarMap) -> str:
     with keys vertices, south, north, west, edges and rotations.  It is
     written directly, because ``json.dumps`` with an indent runs its pure
     Python encoder: one integer per line, and the rows of both lists joined
-    by the text that closes one row and opens the next.
+    by the text that closes one row and opens the next.  Each dart is
+    written as its signed 1-based edge ref: ``+(e+1)`` for dart ``2*e``,
+    ``-(e+1)`` for dart ``2*e + 1``.
     """
     row = "\n  ],\n  [\n   "
     edges = row.join(map("%d,\n   %d".__mod__, m.edges))
-    refs = list(map(str, m._refs()))
+    refs = [str(-(d >> 1) - 1 if d & 1 else (d >> 1) + 1) for d in m._rot]
     first = m._first
     rotations = row.join([",\n   ".join(refs[a:b]) for a, b in zip(first, first[1:])])
     text = (f'{{\n "vertices": {m.n_vertices},\n "south": {m.south},\n'
@@ -667,7 +657,11 @@ def map_to_json(m: PlanarMap) -> str:
 
 
 def map_from_json(text: str) -> PlanarMap:
-    """Parse the JSON wire format; a malformed document is a MapStructureError."""
+    """Parse the JSON wire format; a malformed document is a MapStructureError.
+
+    Each signed edge ref of the rotations becomes its dart: ``2*r - 2`` for
+    ``r > 0``, ``-2*r - 1`` for ``r < 0``.
+    """
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise MapStructureError("map JSON must be an object")
@@ -683,7 +677,13 @@ def map_from_json(text: str) -> PlanarMap:
         raise MapStructureError(
             "map JSON: vertices, south, north and west must be integers, "
             "edges and rotations lists of integer lists")
-    return PlanarMap(n_vertices=n_vertices, edges=edges, rotations=rotations,
+    n_edges = len(edges)
+    for v, refs in enumerate(rotations):
+        for r in refs:
+            if r == 0 or abs(r) > n_edges:
+                raise MapStructureError(f"rotation at vertex {v}: bad edge ref {r}")
+    darts = [[2 * r - 2 if r > 0 else -2 * r - 1 for r in refs] for refs in rotations]
+    return PlanarMap(n_vertices=n_vertices, edges=edges, rotations=darts,
                      south=south, north=north, west_anchor=west)
 
 

@@ -389,9 +389,8 @@ def state_to_map(state: MarkedBipolarState) -> PlanarMap:
     rotations = []
     for v in v_ids:
         out, inn = state.vertices[v]
-        refs = [e_new[e] + 1 for e in reversed(out)]
-        refs += [-(e_new[e] + 1) for e in inn]
-        rotations.append(refs)
+        rotations.append([2 * e_new[e] for e in reversed(out)]
+                         + [2 * e_new[e] + 1 for e in inn])
     return PlanarMap(
         n_vertices=len(v_ids),
         edges=edges,
@@ -520,9 +519,9 @@ def walk_to_map(walk: LatticeWalk) -> PlanarMap:
     n = frontier.n_vertices
     outs: list[list[int]] = [[] for _ in range(n)]
     ins: list[list[int]] = [[] for _ in range(n)]
-    for ref, (tail, head) in enumerate(edges, start=1):
-        outs[tail].append(ref)
-        ins[head].append(-ref)
+    for e, (tail, head) in enumerate(edges):
+        outs[tail].append(2 * e)
+        ins[head].append(2 * e + 1)
     return PlanarMap(
         n_vertices=n,
         edges=edges,

@@ -227,12 +227,9 @@ def tv_to_geometric(values: list[int]) -> float:
     if not values:
         raise BipolarError("no degree observations")
     n = len(values)
-    counts: dict[int, int] = {}
-    for d in values:
-        counts[d] = counts.get(d, 0) + 1
     tv = 0.0
     covered = 0.0
-    for d, c in counts.items():
+    for d, c in Counter(values).items():
         pd = geometric_pmf(d)
         tv += abs(c / n - pd)
         covered += pd
@@ -376,20 +373,13 @@ def attach_degree_stats(report: StatReport, *traces: FrontierTrace,
         raise BipolarError("no bulk interior vertices at this size")
     ins = [a for a, _ in pairs]
     outs = [b for _, b in pairs]
-    report.degree_in_hist = _hist(ins)
-    report.degree_out_hist = _hist(outs)
-    report.degree_joint_hist = _hist(f"{a},{b}" for a, b in pairs)
+    report.degree_in_hist = dict(sorted(Counter(ins).items()))
+    report.degree_out_hist = dict(sorted(Counter(outs).items()))
+    report.degree_joint_hist = dict(sorted(Counter(f"{a},{b}" for a, b in pairs).items()))
     report.tv_in = tv_to_geometric(ins)
     report.tv_out = tv_to_geometric(outs)
     report.degree_corr = float(np.corrcoef(ins, outs)[0, 1])
     return report
-
-
-def _hist(values):
-    out = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return dict(sorted(out.items()))
 
 
 # -- scaled interface export --------------------------------------------------------

@@ -218,7 +218,7 @@ def test_stats_pools_replicas(tmp_path, capsys):
 TRI_NU = ("1 -1 0.3333333333333333\n-1 0 0.3333333333333333\n"
           "0 1 0.3333333333333334\n")
 # a valid one-edge map; the cases below swap in an edge ref or an endpoint of
-# 10**30 and a vertex count of 10**12
+# 10**30, a vertex count of 10**12, and the edge refs 0 and -(E+1)
 HUGE_MAP = ('{"vertices": 2, "south": 0, "north": 1, "west": 0, "edges": [[0, 1]], '
             '"rotations": [[1], [-1]]}')
 
@@ -270,6 +270,8 @@ HUGE_MAP = ('{"vertices": 2, "south": 0, "north": 1, "west": 0, "edges": [[0, 1]
     (["map2walk"], ("--in", "m.json"), HUGE_MAP.replace("[[1], [-1]]", f"[[{10**30}], [-1]]")),
     (["map2walk"], ("--in", "m.json"), HUGE_MAP.replace("[[0, 1]]", f"[[0, {10**30}]]")),
     (["map2walk"], ("--in", "m.json"), HUGE_MAP.replace('"vertices": 2', f'"vertices": {10**12}')),
+    (["map2walk"], ("--in", "m.json"), HUGE_MAP.replace("[[1], [-1]]", "[[1], [0]]")),
+    (["map2walk"], ("--in", "m.json"), HUGE_MAP.replace("[[1], [-1]]", "[[1], [-2]]")),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
         "map-top-level-array", "rejection-negative-m", "count-negative-m",
         "interface-zero-replicas", "stats-zero-replicas",
@@ -282,7 +284,7 @@ HUGE_MAP = ('{"vertices": 2, "south": 0, "north": 1, "west": 0, "edges": [[0, 1]
         "config-missing", "config-invalid-json", "config-not-an-object",
         "weights-file-missing", "walk-file-missing", "weights-repeated-degree",
         "nu-repeated-step", "map-huge-edge-ref", "map-huge-endpoint",
-        "map-huge-vertex-count"])
+        "map-huge-vertex-count", "map-zero-edge-ref", "map-negative-edge-ref"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         flag, name = infile

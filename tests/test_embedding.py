@@ -154,10 +154,10 @@ def _relabel(m, rng):
     for e, (t, h) in enumerate(m.edges):
         edges[pe[e]] = (pv[t], pv[h])
     rotations = [None] * m.n_vertices
-    for v, refs in enumerate(m.rotation_refs()):
-        refs = [(pe[abs(r) - 1] + 1) * (1 if r > 0 else -1) for r in refs]
-        k = rng.randrange(len(refs))
-        rotations[pv[v]] = refs[k:] + refs[:k]
+    for v, rot in enumerate(m.rotations):
+        darts = [2 * pe[d >> 1] + (d & 1) for d in rot]
+        k = rng.randrange(len(darts))
+        rotations[pv[v]] = darts[k:] + darts[:k]
     return PlanarMap(m.n_vertices, edges, rotations, pv[m.south], pv[m.north],
                      pe[m.west_anchor]), pv
 

@@ -37,10 +37,23 @@ def test_zero_edges_rejected():
         PlanarMap(1, [], [[]], south=0, north=0, west_anchor=0)
 
 
-def test_malformed_rotation_is_structural():
-    # dart listed at the wrong vertex
+@pytest.mark.parametrize("rotations", [
+    [[0], [-1]],      # out of range below: it must not index the last dart
+    [[0], [2]],       # out of range above: 2E
+    [[0, 0], [1]],    # a dart listed twice
+    [[0, 1], []],     # a dart at the wrong vertex
+], ids=["dart-negative", "dart-2E", "dart-twice", "dart-wrong-vertex"])
+def test_malformed_rotation_is_structural(rotations):
     with pytest.raises(MapStructureError):
-        PlanarMap(2, [(0, 1)], [[1, -1], []], south=0, north=1, west_anchor=0)
+        PlanarMap(2, [(0, 1)], rotations, south=0, north=1, west_anchor=0)
+
+
+def test_disconnected_maps_differing_off_the_south_component_are_unequal():
+    # beside the south pole's edge, a path in one map and a star in the other
+    a = PlanarMap(5, [(0, 1), (2, 3), (3, 4)], [[0], [1], [2], [3, 4], [5]], 0, 1, 0)
+    b = PlanarMap(5, [(0, 1), (2, 3), (2, 4)], [[0], [1], [2, 4], [3], [5]], 0, 1, 0)
+    assert a != b
+    assert canonical_form(a) != canonical_form(b)
 
 
 def test_fig_map_valid(fig_walk):
@@ -54,8 +67,7 @@ def _flip_edge(m, e):
     edges = list(m.edges)
     t, h = edges[e]
     edges[e] = (h, t)
-    rotations = [[(-r if abs(r) == e + 1 else r) for r in rot]
-                 for rot in m.rotation_refs()]
+    rotations = [[d ^ 1 if d >> 1 == e else d for d in rot] for rot in m.rotations]
     return PlanarMap(m.n_vertices, edges, rotations, m.south, m.north,
                      m.west_anchor)
 
@@ -121,6 +133,14 @@ def test_json_round_trip(fig_walk):
     again = map_from_json(text)
     assert canonical_form(again) == canonical_form(m)
     assert map_to_json(again) == text  # byte-stable re-serialization
+
+
+@pytest.mark.parametrize("ref", [0, -2])
+def test_json_bad_edge_ref_is_named_as_written(ref):
+    text = json.dumps({"vertices": 2, "south": 0, "north": 1, "west": 0,
+                       "edges": [[0, 1]], "rotations": [[1], [ref]]})
+    with pytest.raises(MapStructureError, match=rf"vertex 1: bad edge ref {ref}$"):
+        map_from_json(text)
 
 
 def test_require_valid_raises_with_report(fig_walk):
@@ -195,18 +215,18 @@ def test_face_move_degree_five():
 def corruptions(m):
     """Builders of the maps one local change away from m: two adjacent darts
     of a rotation swapped, the west anchor moved, or one edge reversed."""
-    refs = m.rotation_refs()
-    for v, rot in enumerate(refs):
+    rotations = m.rotations
+    for v, rot in enumerate(rotations):
         if len(rot) < 2:
             continue
         for k in range(len(rot)):
-            swapped = [list(r) for r in refs]
+            swapped = [list(r) for r in rotations]
             k2 = (k + 1) % len(rot)
             swapped[v][k], swapped[v][k2] = rot[k2], rot[k]
             yield lambda r=swapped: PlanarMap(m.n_vertices, m.edges, r, m.south,
                                               m.north, m.west_anchor)
     for e in range(m.n_edges):
-        yield lambda e=e: PlanarMap(m.n_vertices, m.edges, refs, m.south,
+        yield lambda e=e: PlanarMap(m.n_vertices, m.edges, rotations, m.south,
                                     m.north, e)
         yield lambda e=e: _flip_edge(m, e)
 
@@ -309,7 +329,7 @@ def _json_maps():
     # the map of the README's sample line
     yield walk_to_map(exact_sampler(preset_weights("tri"), 0, 1, 12)(CounterRng(7, 0)))
     # an isolated vertex: its rotation is empty
-    yield PlanarMap(3, [(0, 1)], [[1], [-1], []], south=0, north=1, west_anchor=0)
+    yield PlanarMap(3, [(0, 1)], [[0], [1], []], south=0, north=1, west_anchor=0)
 
 
 def test_json_writer_matches_json_dumps():
@@ -317,7 +337,11 @@ def test_json_writer_matches_json_dumps():
     for m in _json_maps():
         obj = {"vertices": m.n_vertices, "south": m.south, "north": m.north,
                "west": m.west_anchor, "edges": [list(e) for e in m.edges],
-               "rotations": m.rotation_refs()}
+               "rotations": [[d // 2 + 1 if d % 2 == 0 else -(d // 2 + 1) for d in rot]
+                             for rot in m.rotations]}
         assert map_to_json(m) == json.dumps(obj, indent=1) + "\n"
+        rebuilt = PlanarMap(m.n_vertices, m.edges, m.rotations, m.south, m.north,
+                            m.west_anchor)
+        assert map_to_json(rebuilt) == map_to_json(m)
         n += 1
     assert n == 256
