@@ -26,6 +26,7 @@ from .weights import (direct_distribution_from_text, preset_weights,
                       step_distribution, weights_from_text)
 
 _PRESETS = ("tri", "quad", "uniform")
+_REDUCER_STREAM = 10_000  # the stats bootstrap's stream; no replica draws from it
 
 
 def _load_weights(spec: str):
@@ -74,6 +75,17 @@ def _trim_fraction(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # not a number: fails the check below
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 2**64), got {text}")
+    return value
+
+
 def _require_seed(parser, args) -> None:
     if args.seed is None:
         parser.error("--seed is required for stochastic verbs")
@@ -95,7 +107,8 @@ def _sampler(args, w, dist):
 
 def _replica_walks(args, w, dist):
     draw = _sampler(args, w, dist)
-    return [draw(CounterRng(args.seed, rep)) for rep in range(args.replicas)]
+    return [draw(CounterRng(args.seed, rep + (rep >= _REDUCER_STREAM)))
+            for rep in range(args.replicas)]
 
 
 def cmd_count(args) -> int:
@@ -132,7 +145,7 @@ def cmd_stats(args, parser) -> int:
     _require_seed(parser, args)
     dist, w = _dist_from_args(args)
     walks = _replica_walks(args, w, dist)
-    rng = CounterRng(args.seed, 10_000)  # reducer stream, distinct from replicas
+    rng = CounterRng(args.seed, _REDUCER_STREAM)
     report = simulate.covariance_report(walks, dist, rng,
                                         bootstrap=args.bootstrap)
     if (args.method in ("exact", "rejection") and w is not None
@@ -210,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         if stochastic:
             q.add_argument("--nu", help="direct step-distribution file "
                                         "(lines 'dx dy prob')")
-            q.add_argument("--seed", type=int, default=None,
-                           help="mandatory base seed")
+            q.add_argument("--seed", type=_seed, default=None,
+                           help="mandatory base seed, 0 <= seed < 2**64")
             q.add_argument("--method",
                            choices=("exact", "rejection", "free"),
                            default="exact")
@@ -257,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("verify", help="run the built-in invariant suite")
     q.add_argument("--quick", action="store_true")
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     return p
 
 

@@ -8,6 +8,9 @@ same layers drive backward sampling that is exactly uniform (or exactly
 Boltzmann for weighted models).  Triangulation families with tiny
 boundaries scale far beyond the table budget through an equivalent
 tableau encoding, drawn cell by cell by the hook-length ratio rule.
+
+numpy is imported by ``build_count_table`` only, so the closed form, the
+tableau sampler and ``DEFAULT_BUDGET`` load without it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
-
-import numpy as np
 
 from .errors import EnumerationBudgetError, NoMapsError
 from .rng import CounterRng
@@ -50,7 +51,7 @@ class CountTable:
     start: tuple[int, int]
     end: tuple[int, int]
     length: int
-    layers: list[np.ndarray]
+    layers: list  # numpy object arrays, see above
     states: int
 
     @property
@@ -100,6 +101,7 @@ def build_count_table(w: FaceWeights, m: int, n: int, ell: int,
     sum of the box sizes is the table's real allocation in cells; it is
     checked against ``budget`` before any work is done.
     """
+    import numpy as np
     check_boundary(m, n, ell)
     if w.uniform:
         raise ValueError(

@@ -5,11 +5,13 @@ All stochastic code draws from a Philox generator keyed by
 independent and output reproducible across platforms.  Exact integer draws
 below arbitrary (big) bounds use rejection on raw 64-bit words, which are
 buffered in blocks to keep per-draw overhead small.
+
+numpy is imported, and the generator built, at the first draw (the first
+``randrange`` word or the first read of ``rng.np``), so code that builds a
+``CounterRng`` but never draws does not load numpy.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _BLOCK = 4096
 _WORD = 1 << 64
@@ -21,15 +23,25 @@ class CounterRng:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
-                        self.stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-        self.np = np.random.Generator(np.random.Philox(key=key))
         self._buf: list[int] = []
+        # set here, not added on first use, so the instance keeps its
+        # attributes inline and the per-draw attribute reads stay fast
+        self._np = None
+
+    @property
+    def np(self):
+        """The numpy Generator: one per instance, built on first use."""
+        if self._np is None:
+            import numpy as np
+            key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
+                            self.stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+            self._np = np.random.Generator(np.random.Philox(key=key))
+        return self._np
 
     def _word(self) -> int:
         if not self._buf:
             self._buf = self.np.integers(0, _WORD, size=_BLOCK,
-                                         dtype=np.uint64).tolist()
+                                         dtype="uint64").tolist()
         return self._buf.pop()
 
     def randrange(self, n: int) -> int:

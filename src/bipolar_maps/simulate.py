@@ -4,6 +4,10 @@ Rejection sampling anchors boundary data exactly; free walks feed
 infinite-volume statistics; the frontier tracer reads vertex degrees
 straight off a walk; covariance reports compare empirical
 increment structure against the zero-drift theory values.
+
+numpy is imported inside the functions that compute with arrays (the
+proposal batches, rejection, the covariance report and the degree
+correlation), so the frontier tracer and the interface export load without it.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import sqrt
-
-import numpy as np
 
 from .errors import BipolarError, NoMapsError, RejectionBudgetError
 from .rng import CounterRng
@@ -27,6 +29,7 @@ from .weights import (StepDistribution, TheoryStats, check_boundary, congruence,
 
 def _propose_batch(dist: StepDistribution, steps: int, size: int, rng: CounterRng):
     """``size`` rows of ``steps`` i.i.d. increments, as (dx, dy) arrays."""
+    import numpy as np
     if dist.kind == "uniform":
         is_edge = rng.np.integers(0, 2, size=(size, steps)).astype(bool)
         iis = rng.np.geometric(0.5, size=(size, steps)) - 1
@@ -66,6 +69,7 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
     Raises RejectionBudgetError carrying the observed acceptance rate when
     max_tries proposals do not yield enough accepted walks.
     """
+    import numpy as np
     check_boundary(m, n, ell)
     if dist.kind != "uniform":
         ok, reason = congruence(dist.degrees(), m, n, ell)
@@ -321,6 +325,7 @@ def covariance_report(walks: list[LatticeWalk], dist: StepDistribution | None = 
     That holds for free walks (``--method free``); the increments of a walk
     conditioned on its end point are dependent, so there it is only indicative.
     """
+    import numpy as np
     dxs, dys = [], []
     for w in walks:
         for mv in w.moves:
@@ -367,6 +372,7 @@ def covariance_report(walks: list[LatticeWalk], dist: StepDistribution | None = 
 def attach_degree_stats(report: StatReport, *traces: FrontierTrace,
                         eps: float = 0.05) -> StatReport:
     """Fill the degree section of a report from the pooled bulk vertices of traces."""
+    import numpy as np
     pairs = [(trace.indegree[v], trace.outdegree[v])
              for trace in traces for v in trace.bulk_interior(eps)]
     if not pairs:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bipolar_maps
-from bipolar_maps import enumeration
+from bipolar_maps import cli, enumeration
 from bipolar_maps.cli import main
 from bipolar_maps.enumeration import exact_sample
 from bipolar_maps.planar_map import canonical_form, map_from_json
@@ -184,6 +184,23 @@ def test_sample_replica_r_draws_stream_r(tmp_path, monkeypatch, capsys):
         assert (tmp_path / f"w{r:03d}.txt").read_text() == walk_to_text(walk)
 
 
+def test_stats_bootstrap_stream_is_no_replica_stream(monkeypatch, capsys):
+    streams = []
+
+    class Recording(CounterRng):
+        def __init__(self, seed, stream=0):
+            super().__init__(seed, stream)
+            streams.append(stream)
+
+    monkeypatch.setattr(cli, "CounterRng", Recording)
+    code, _, _ = run(capsys, "stats", "--method", "free", "--edges", "3",
+                     "--seed", "1", "--replicas", "10001", "--bootstrap", "10")
+    assert code == 0
+    *replicas, bootstrap = streams
+    assert len(set(replicas)) == 10001 and replicas[:10_000] == list(range(10_000))
+    assert bootstrap not in replicas
+
+
 def test_interface_exports_the_replica_zero_draw(capsys):
     code, out, _ = run(capsys, "interface", "--weights", "tri", "--edges", "99",
                        "--seed", "9", "--grid-points", "11")
@@ -272,6 +289,9 @@ HUGE_MAP = ('{"vertices": 2, "south": 0, "north": 1, "west": 0, "edges": [[0, 1]
     (["map2walk"], ("--in", "m.json"), HUGE_MAP.replace('"vertices": 2', f'"vertices": {10**12}')),
     (["map2walk"], ("--in", "m.json"), HUGE_MAP.replace("[[1], [-1]]", "[[1], [0]]")),
     (["map2walk"], ("--in", "m.json"), HUGE_MAP.replace("[[1], [-1]]", "[[1], [-2]]")),
+    (["sample", "--edges", "12", "--seed", "-1"], None, None),
+    (["sample", "--edges", "12", "--seed", str(2**64)], None, None),
+    (["sample", "--edges", "12"], ("--config", "cfg.json"), '{"seed": -1}'),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
         "map-top-level-array", "rejection-negative-m", "count-negative-m",
         "interface-zero-replicas", "stats-zero-replicas",
@@ -284,7 +304,8 @@ HUGE_MAP = ('{"vertices": 2, "south": 0, "north": 1, "west": 0, "edges": [[0, 1]
         "config-missing", "config-invalid-json", "config-not-an-object",
         "weights-file-missing", "walk-file-missing", "weights-repeated-degree",
         "nu-repeated-step", "map-huge-edge-ref", "map-huge-endpoint",
-        "map-huge-vertex-count", "map-zero-edge-ref", "map-negative-edge-ref"])
+        "map-huge-vertex-count", "map-zero-edge-ref", "map-negative-edge-ref",
+        "seed-negative", "seed-2**64", "config-seed-negative"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         flag, name = infile
@@ -334,3 +355,50 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+NUMPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+from bipolar_maps.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_numpy_free_verbs_run_with_numpy_blocked(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "sample", "--weights", "tri", "--edges", "12", "--seed", "7",
+               "--walk-out", "w.txt", "--map-out", "m.json")[0] == 0
+    lines = [["walk2map", "--in", "w.txt"],
+             ["map2walk", "--in", "m.json"],
+             ["embed", "--in", "m.json", "--layers-fallback"],
+             ["count", "--edges", "18", "--closed-form"],
+             ["stats", "--weights", "tri", "--edges", "2", "--seed", "1"]]
+    expected = [list(run(capsys, *argv)) for argv in lines]
+    assert expected[3] == [0, "87516\n", ""] and expected[4][0] == 1
+    assert "congruence" in expected[4][2]
+    src = Path(bipolar_maps.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED, json.dumps(lines)],
+                         env=env, cwd=tmp_path, check=True, capture_output=True,
+                         text=True).stdout
+    assert json.loads(out) == expected
+
+
+def test_package_import_leaves_numpy_out():
+    # numpy loads at the first count table or draw, not with the package
+    src = Path(bipolar_maps.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys, bipolar_maps; print('numpy' in sys.modules); "
+             "from bipolar_maps.cli import main; "
+             "main(['count', '--weights', 'tri', '--m', '0', '--n', '1', "
+             "'--edges', '6'])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "5"]

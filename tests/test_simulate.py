@@ -317,6 +317,58 @@ def test_rejection_sample_many_is_pinned(case):
     assert h.hexdigest() == REJECTION_SHA256[case]
 
 
+def _philox_reference(seed, stream):
+    """Exact draws from a Philox generator keyed directly by (seed, stream).
+
+    The model of ``CounterRng``: 64-bit words in blocks of 4096, taken from
+    the end of each block; a bound of at most 2**64 rejects the words at and
+    above its largest multiple, a larger bound rejects masked runs of words.
+    """
+    gen = np.random.Generator(np.random.Philox(
+        key=np.array([seed, stream], dtype=np.uint64)))
+    block = []
+
+    def word():
+        if not block:
+            block.extend(gen.integers(0, 2**64, size=4096, dtype=np.uint64).tolist())
+        return block.pop()
+
+    def randrange(n):
+        if n <= 2**64:
+            while (w := word()) >= 2**64 - 2**64 % n:
+                pass
+            return w % n
+        k = (n.bit_length() + 63) // 64
+        while True:
+            raw = 0
+            for _ in range(k):
+                raw = raw << 64 | word()
+            raw &= (1 << n.bit_length()) - 1
+            if raw < n:
+                return raw
+
+    return gen, randrange
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (2**63, 1),
+                                          (2**64 - 1, 10_000)])
+def test_counter_rng_keeps_every_stream(seed, stream):
+    rng = CounterRng(seed, stream)
+    _, randrange = _philox_reference(seed, stream)
+    for n in (2**70, 3):
+        assert [rng.randrange(n) for _ in range(5000)] == [
+            randrange(n) for _ in range(5000)]
+    # word draws and rng.np draws share one generator state, block by block
+    rng = CounterRng(seed, stream)
+    gen, randrange = _philox_reference(seed, stream)
+    got, want = [], []
+    for _ in range(3000):
+        got += [rng.randrange(2**70), int(rng.np.integers(0, 2**32)), rng.randrange(3)]
+        want += [randrange(2**70), int(gen.integers(0, 2**32)), randrange(3)]
+    assert got == want
+    assert rng.np is rng.np
+
+
 def test_local_iid_window():
     # bulk steps of a conditioned walk look i.i.d.: TV below 0.05
     from bipolar_maps.enumeration import exact_sampler
