@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bipolar_maps.enumeration import enumerate_walks
-from bipolar_maps.errors import BipolarError, NotBipolarCodeError
+from bipolar_maps.errors import BipolarError, NotBipolarCodeError, UnsewError
 from bipolar_maps.planar_map import (canonical_form, map_to_json, reverse_map,
                                      validate_bipolar)
 from bipolar_maps.simulate import degrees_from_walk
@@ -204,7 +204,11 @@ def test_exhaustive_round_trip_small():
         count += 1
         assert not validate_bipolar(m)
         assert map_to_walk(m) == walk
-        assert unsew(state_from_map(m)) == walk.moves
+        st = state_from_map(m)
+        assert unsew(st) == walk.moves
+        text = map_to_json(m)
+        assert map_to_json(state_to_map(st)) == text
+        assert map_to_json(state_to_map(state_rotate180(state_rotate180(st)))) == text
         canons.add(canonical_form(m))
     assert len(canons) == count  # injectivity
 
@@ -228,3 +232,47 @@ def test_unsew_rejects_corrupted_state():
     with pytest.raises(Exception) as exc:
         unsew(st)
     assert "derive" in str(exc.value)
+
+
+def _corrupt(moves, fault):
+    st = sew(moves)
+    fault(st)
+    return st
+
+
+# every raise of UnsewError, each reached by corrupting one field of a
+# sewn state; the message names the move being derived
+@pytest.mark.parametrize("make, message", [
+    (initial_state, "cannot derive a move: state is the initial edge"),
+    (lambda: _corrupt((EDGE, FaceMove(0, 1)), lambda st: setattr(st, "active", st.bottom)),
+     "cannot derive move 2: boundary edge does not reach the active vertex"),
+    (lambda: _corrupt((EDGE,), lambda st: st.below.clear()),
+     "cannot derive move 1: no east boundary edge below the active vertex"),
+    (lambda: _corrupt((EDGE,), lambda st: setattr(st, "top", st.bottom)),
+     "cannot derive move 1: west-boundary edge out of place"),
+    (lambda: _corrupt((EDGE,), lambda st: st.west_edges.reverse()),
+     "cannot derive move 1: top edge is not the last west-boundary edge"),
+    (lambda: _corrupt((EDGE,), lambda st: st.vertices[st.top][1].insert(0, 99)),
+     "cannot derive move 1: top vertex has extra edges"),
+    (lambda: _corrupt((FaceMove(0, 2),), lambda st: st.above.reverse()),
+     "cannot derive move 1: east slots of the last face are not the "
+     "southernmost missing edges"),
+    (lambda: _corrupt((FaceMove(0, 2),),
+                      lambda st: st.vertices[max(st.vertices) - 1][0].append(99)),
+     "cannot derive move 1: open-face vertex already has edges"),
+    (lambda: _corrupt((FaceMove(2, 0),), lambda st: st.west_missing.reverse()),
+     "cannot derive move 1: missing west edges of the last face are out of order"),
+    (lambda: _corrupt((FaceMove(2, 0),), lambda st: st.vertices[st.bottom][1].append(99)),
+     "cannot derive move 1: missing-west vertex already has edges"),
+    (lambda: _corrupt((EDGE, FaceMove(0, 1)),
+                      lambda st: st.vertices[st.active][1].append(99)),
+     "cannot derive move 2: edge 2 is not east-most at both endpoints"),
+], ids=["initial-edge", "active-at-bottom", "no-east-boundary", "top-moved",
+        "west-ledger-reversed", "top-vertex-extra-edge", "east-slots-reversed",
+        "open-face-vertex-edge", "west-missing-reversed", "missing-west-vertex-edge",
+        "not-east-most"])
+def test_unsew_error_messages(make, message):
+    st = make()
+    with pytest.raises(UnsewError) as exc:
+        unsew(st) if st.moves_applied else st.undo()  # unsew stops at the initial edge
+    assert str(exc.value) == message
