@@ -283,7 +283,8 @@ def _apply_config(parser, path: str) -> None:
     """
     try:
         cfg = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    # json.loads raises RecursionError on too deep a nesting
+    except (OSError, ValueError, RecursionError) as exc:
         parser.error(f"--config {path}: {exc}")
     if not isinstance(cfg, dict):
         parser.error(f"--config {path}: expected a JSON object, "

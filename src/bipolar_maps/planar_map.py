@@ -662,7 +662,10 @@ def map_from_json(text: str) -> PlanarMap:
     Each signed edge ref of the rotations becomes its dart: ``2*r - 2`` for
     ``r > 0``, ``-2*r - 1`` for ``r < 0``.
     """
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError as exc:
+        raise MapStructureError("map JSON nests too deeply") from exc
     if not isinstance(obj, dict):
         raise MapStructureError("map JSON must be an object")
     try:

@@ -2,15 +2,18 @@
 
 Move sequences are folded into *marked* states: a map under construction
 with a start vertex low on the west boundary and an active vertex on the
-east boundary.  Every edge of the fold, present or not, is one record: its
-endpoints, the faces west and east of it, and an edge id once it is sewn.
-A record without an id is a missing edge: on the east boundary above the
-active vertex, or on the west boundary below the start vertex, bounding an
-open face.  Every move sews exactly one record; a face move also opens one
-face and adds its other sides as missing records.  The fold is reversible
-(``unsew``), the half-turn (``state_rotate180``) is a copy of the records
-with their ends and sides swapped, and restricting to quadrant walks from
-(0, m) to (n, 0) gives the bijection with unmarked bipolar maps.
+east boundary.  Every edge of the fold, present or not, is one record, a
+number into five parallel int lists: its ends (``lo``, ``hi``), the faces
+west and east of it, and its edge id (``eid``, -1 while it is missing).  A
+missing record lies on the east boundary above the active vertex, or on
+the west boundary below the start vertex, bounding an open face.  Every
+move sews exactly one record; a face move also opens one face and adds its
+other sides as missing records.  A face's two sides are lists of record
+numbers written once, when the face opens, so copies share them.  The fold
+is reversible (``unsew``), the half-turn (``state_rotate180``) keeps every
+record number and swaps ends, sides (the outer labels exchanged) and
+boundary ledgers, and restricting to quadrant walks from (0, m) to (n, 0)
+gives the bijection with unmarked bipolar maps.
 
 ``Frontier`` is the same sewing rule on plain vertex ids: it keeps only the
 east frontier, which is all a move needs to know which edge it adds.  It is
@@ -31,50 +34,32 @@ from .walks import EDGE, EdgeMove, FaceMove, LatticeWalk, Move
 
 _W = WEST_OUTER
 _E = EAST_OUTER
-
-
-class _Edge:
-    """One edge of the marked fold; ``id`` is None while it is missing."""
-
-    __slots__ = ("lo", "hi", "west", "east", "id")
-
-    def __init__(self, lo, hi, west, east, id=None):
-        self.lo = lo
-        self.hi = hi
-        self.west = west  # face id, or _W
-        self.east = east  # face id, or _E
-        self.id = id
-
-
-class _Face:
-    """An open or closed face: its side records, each top to bottom.
-
-    ``west`` holds the sewn edges, then the missing ones; ``east`` holds the
-    missing edges, then the sewn ones.
-    """
-
-    __slots__ = ("west", "east")
-
-    def __init__(self, west, east):
-        self.west = west
-        self.east = east
-
-    @property
-    def move(self) -> FaceMove:
-        return FaceMove(len(self.west) - 1, len(self.east) - 1)
+_OTHER_SIDE = {_W: _E, _E: _W}
 
 
 @dataclass
 class MarkedBipolarState:
-    """Marked bipolar map under construction.  Mutated only by this module."""
+    """Marked bipolar map under construction.  Mutated only by this module.
+
+    Record r has ends ``lo[r]`` → ``hi[r]``, faces ``west[r]`` and
+    ``east[r]`` (a face id, or _W/_E outside) and edge id ``eid[r]`` (-1
+    while missing).  ``faces[f]`` is (west records, east records), each top
+    to bottom: the west side is its sewn records, then its missing ones;
+    the east side its missing records, then its sewn ones.  Records of
+    undone moves stay in the lists, unreferenced and missing.
+    """
 
     vertices: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
-    edges: dict[int, _Edge] = field(default_factory=dict)  # sewn records by id
-    faces: dict[int, _Face] = field(default_factory=dict)
-    below: list[_Edge] = field(default_factory=list)       # east boundary, bottom->top
-    above: list[_Edge] = field(default_factory=list)       # missing east, [-1] southernmost
-    west_edges: list[_Edge] = field(default_factory=list)  # sewn west boundary, bottom->top
-    west_missing: list[_Edge] = field(default_factory=list)  # missing west, [-1] lowest
+    lo: list[int] = field(default_factory=list)
+    hi: list[int] = field(default_factory=list)
+    west: list[int] = field(default_factory=list)
+    east: list[int] = field(default_factory=list)
+    eid: list[int] = field(default_factory=list)
+    faces: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
+    below: list[int] = field(default_factory=list)         # east boundary, bottom->top
+    above: list[int] = field(default_factory=list)         # missing east, [-1] southernmost
+    west_edges: list[int] = field(default_factory=list)    # sewn west boundary, bottom->top
+    west_missing: list[int] = field(default_factory=list)  # missing west, [-1] lowest
     start: int = 0
     active: int = 0
     bottom: int = 0
@@ -83,14 +68,14 @@ class MarkedBipolarState:
     dy: int = 0
     moves_applied: int = 0
     _next_vertex: int = 0
-    _next_edge: int = 0
+    _next_edge: int = 0  # edge ids are 0 .. n_edges - 1, in sewing order
     _next_face: int = 0
 
     # -- bookkeeping -------------------------------------------------------
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.eid) - self.eid.count(-1)
 
     @property
     def n_faces(self) -> int:
@@ -114,11 +99,17 @@ class MarkedBipolarState:
             raise AssertionError("east/west ledger disagrees with x displacement")
         if self.dy != 1 + len(self.above) - len(self.west_edges):
             raise AssertionError("east/west ledger disagrees with y displacement")
-        if self.above and self.above[-1].lo != self.active:
+        if self.above and self.lo[self.above[-1]] != self.active:
             raise AssertionError("southernmost missing slot is not at the active vertex")
 
     def copy(self) -> "MarkedBipolarState":
-        return _clone(self, rotate=False)
+        """An independent copy; the face sides, never rewritten, are shared."""
+        return replace(
+            self, vertices={v: (o[:], i[:]) for v, (o, i) in self.vertices.items()},
+            lo=self.lo[:], hi=self.hi[:], west=self.west[:], east=self.east[:],
+            eid=self.eid[:], faces=dict(self.faces), below=self.below[:],
+            above=self.above[:], west_edges=self.west_edges[:],
+            west_missing=self.west_missing[:])
 
     # -- sewing one record ---------------------------------------------------
 
@@ -128,46 +119,54 @@ class MarkedBipolarState:
         self.vertices[v] = ([], [])
         return v
 
-    def _sew(self, rec: _Edge) -> None:
-        """Give ``rec`` the next edge id, east-most at both ends, top of ``below``."""
-        rec.id = e = self._next_edge
-        self._next_edge += 1
-        self.edges[e] = rec
-        self.vertices[rec.lo][0].append(e)
-        self.vertices[rec.hi][1].append(e)
-        self.below.append(rec)
+    def _record(self, lo: int, hi: int, west: int, east: int) -> int:
+        """Add a missing record; returns its number."""
+        self.lo.append(lo)
+        self.hi.append(hi)
+        self.west.append(west)
+        self.east.append(east)
+        self.eid.append(-1)
+        return len(self.eid) - 1
 
-    def _unsew(self, rec: _Edge) -> None:
+    def _sew(self, r: int) -> None:
+        """Give record ``r`` the next edge id, east-most at both ends, top of ``below``."""
+        self.eid[r] = e = self._next_edge
+        self._next_edge += 1
+        self.vertices[self.lo[r]][0].append(e)
+        self.vertices[self.hi[r]][1].append(e)
+        self.below.append(r)
+
+    def _unsew(self, r: int) -> None:
         """Undo ``_sew`` of the top record of ``below``."""
-        e = rec.id
-        out = self.vertices[rec.lo][0]
-        inn = self.vertices[rec.hi][1]
+        e = self.eid[r]
+        out = self.vertices[self.lo[r]][0]
+        inn = self.vertices[self.hi[r]][1]
         if not out or out[-1] != e or not inn or inn[-1] != e:
             raise UnsewError(
                 f"cannot derive move {self.moves_applied}: edge {e} is not "
                 "east-most at both endpoints")
         out.pop()
         inn.pop()
-        del self.edges[e]
         self.below.pop()
-        rec.id = None
+        self.eid[r] = -1
+        self._next_edge -= 1
 
     # -- the three kinds of sewing steps ------------------------------------
 
     def _fill(self) -> None:
-        rec = self.above.pop()
-        assert rec.lo == self.active
-        self._sew(rec)
-        self.active = rec.hi
+        r = self.above.pop()
+        assert self.lo[r] == self.active
+        self._sew(r)
+        self.active = self.hi[r]
 
     def _apply_edge_move(self) -> None:
         if self.above:
             self._fill()
         else:
             v = self._new_vertex()
-            rec = _Edge(self.active, v, _W, _E)
-            self._sew(rec)
-            self.west_edges.append(rec)
+            r = self._record(self.active, v, _W, _E)
+            self._sew(r)
+            self.west_edges.append(r)
             self.top = v
             self.active = v
         self.dx += 1
@@ -176,25 +175,26 @@ class MarkedBipolarState:
     def _apply_face_move(self, i: int, j: int) -> None:
         fid = self._next_face
         self._next_face += 1
-        west = []
-        for _ in range(min(i + 1, len(self.below))):
-            rec = self.below.pop()
-            rec.east = fid
-            west.append(rec)
+        below = self.below
+        k = max(len(below) - i - 1, 0)
+        west = below[k:][::-1]
+        del below[k:]
+        for r in west:
+            self.east[r] = fid
         for _ in range(i + 1 - len(west)):
-            rec = _Edge(self._new_vertex(), self.bottom, _W, fid)
-            west.append(rec)
-            self.west_missing.append(rec)
-            self.bottom = rec.lo
-        pbottom = west[-1].lo
+            r = self._record(self._new_vertex(), self.bottom, _W, fid)
+            west.append(r)
+            self.west_missing.append(r)
+            self.bottom = self.lo[r]
+        pbottom = self.lo[west[-1]]
         prev = self.active
         east = []
         for _ in range(j):
             v = self._new_vertex()
-            east.append(_Edge(v, prev, fid, _E))
+            east.append(self._record(v, prev, fid, _E))
             prev = v
-        east.append(_Edge(pbottom, prev, fid, _E))
-        self.faces[fid] = _Face(west, east)
+        east.append(self._record(pbottom, prev, fid, _E))
+        self.faces[fid] = (west, east)
         self.above.extend(east)
         self.active = pbottom
         self._fill()
@@ -224,18 +224,19 @@ class MarkedBipolarState:
         if not self.below:
             raise UnsewError(f"cannot derive move {step}: no east boundary edge "
                              "below the active vertex")
-        rec = self.below[-1]
-        if rec.hi != self.active:
+        r = self.below[-1]
+        if self.hi[r] != self.active:
             raise UnsewError(f"cannot derive move {step}: boundary edge does not "
                              "reach the active vertex")
-        if rec.west == _W:
-            move = self._undo_extend_top(rec)
-        elif rec is self.faces[rec.west].east[-1]:
-            move = self._undo_face_move(rec)
+        f = self.west[r]
+        if f == _W:
+            move = self._undo_extend_top(r)
+        elif r == self.faces[f][1][-1]:
+            move = self._undo_face_move(r)
         else:
-            self._unsew(rec)
-            self.above.append(rec)
-            self.active = rec.lo
+            self._unsew(r)
+            self.above.append(r)
+            self.active = self.lo[r]
             move = EDGE
         self.moves_applied -= 1
         ddx, ddy = move.delta
@@ -243,58 +244,59 @@ class MarkedBipolarState:
         self.dy -= ddy
         return move
 
-    def _undo_extend_top(self, rec: _Edge) -> Move:
+    def _undo_extend_top(self, r: int) -> Move:
         step = self.moves_applied
-        if rec.hi != self.top:
+        if self.hi[r] != self.top:
             raise UnsewError(f"cannot derive move {step}: west-boundary edge out of place")
-        if not self.west_edges or self.west_edges[-1] is not rec or len(self.west_edges) < 2:
+        if not self.west_edges or self.west_edges[-1] != r or len(self.west_edges) < 2:
             raise UnsewError(f"cannot derive move {step}: top edge is not the last "
                              "west-boundary edge")
-        out, inn = self.vertices[rec.hi]
-        if out or inn != [rec.id]:
+        out, inn = self.vertices[self.hi[r]]
+        if out or inn != [self.eid[r]]:
             raise UnsewError(f"cannot derive move {step}: top vertex has extra edges")
-        self._unsew(rec)
+        self._unsew(r)
         self.west_edges.pop()
-        del self.vertices[rec.hi]
-        self.top = rec.lo
-        self.active = rec.lo
+        del self.vertices[self.hi[r]]
+        self.top = self.lo[r]
+        self.active = self.lo[r]
         return EDGE
 
-    def _undo_face_move(self, rec: _Edge) -> Move:
+    def _undo_face_move(self, r: int) -> Move:
         step = self.moves_applied
-        fid = rec.west
-        f = self.faces[fid]
-        self._unsew(rec)
-        # the rest of f's east side must be the southernmost missing edges
-        for missing in reversed(f.east[:-1]):
-            if not self.above or self.above[-1] is not missing:
+        fid = self.west[r]
+        west, east = self.faces[fid]
+        lo, vertices = self.lo, self.vertices
+        self._unsew(r)
+        # the rest of the face's east side must be the southernmost missing edges
+        for missing in reversed(east[:-1]):
+            if not self.above or self.above[-1] != missing:
                 raise UnsewError(f"cannot derive move {step}: east slots of the "
                                  "last face are not the southernmost missing edges")
             self.above.pop()
-            out, inn = self.vertices[missing.lo]
+            out, inn = vertices[lo[missing]]
             if out or inn:
                 raise UnsewError(f"cannot derive move {step}: open-face vertex "
                                  "already has edges")
-            del self.vertices[missing.lo]
+            del vertices[lo[missing]]
         # sewn west edges return to the east boundary; missing ones vanish
-        for w in reversed(f.west):
-            if w.id is not None:
-                w.east = _E
+        for w in reversed(west):
+            if self.eid[w] >= 0:
+                self.east[w] = _E
                 self.below.append(w)
                 continue
-            if not self.west_missing or self.west_missing[-1] is not w:
+            if not self.west_missing or self.west_missing[-1] != w:
                 raise UnsewError(f"cannot derive move {step}: missing west edges "
                                  "of the last face are out of order")
             self.west_missing.pop()
-            out, inn = self.vertices[w.lo]
+            out, inn = vertices[lo[w]]
             if out or inn:
                 raise UnsewError(f"cannot derive move {step}: missing-west vertex "
                                  "already has edges")
-            del self.vertices[w.lo]
-            self.bottom = w.hi
-        self.active = f.west[0].hi
+            del vertices[lo[w]]
+            self.bottom = self.hi[w]
+        self.active = self.hi[west[0]]
         del self.faces[fid]
-        return f.move
+        return FaceMove(len(west) - 1, len(east) - 1)
 
 
 def initial_state() -> MarkedBipolarState:
@@ -306,9 +308,9 @@ def initial_state() -> MarkedBipolarState:
     st.bottom = s
     st.top = a
     st.active = a
-    rec = _Edge(s, a, _W, _E)
-    st._sew(rec)
-    st.west_edges.append(rec)
+    r = st._record(s, a, _W, _E)
+    st._sew(r)
+    st.west_edges.append(r)
     return st
 
 
@@ -337,39 +339,22 @@ def unsew(state: MarkedBipolarState) -> tuple[Move, ...]:
 
 
 def state_rotate180(state: MarkedBipolarState) -> MarkedBipolarState:
-    """The same structure rotated half a turn: start and active swap roles."""
-    return _clone(state, rotate=True)
+    """The same structure rotated half a turn: start and active swap roles.
 
-
-def _clone(state: MarkedBipolarState, rotate: bool) -> MarkedBipolarState:
-    """A copy with one twin per record, optionally rotated half a turn.
-
-    The rotation reverses every edge, so each record swaps its ends and its
-    sides (the outer faces trading labels); each ledger trades places with
-    its mirror on the other boundary, read from the other end.
+    Every record keeps its number and reverses: its ends swap, and so do
+    its sides, the outer faces trading labels.  Each face side and each
+    ledger trades places with its mirror, read from the other end.
     """
-    recs = [*state.edges.values(), *state.above, *state.west_missing]
-    if rotate:
-        side = {_W: _E, _E: _W}
-        twin = {r: _Edge(r.hi, r.lo, side.get(r.east, r.east), side.get(r.west, r.west), r.id)
-                for r in recs}
-        vertices = {v: (i[::-1], o[::-1]) for v, (o, i) in state.vertices.items()}
-        sides = {fid: (f.east[::-1], f.west[::-1]) for fid, f in state.faces.items()}
-        ledgers = [x[::-1] for x in (state.west_edges, state.west_missing, state.below, state.above)]
-        poles = dict(start=state.active, active=state.start, bottom=state.top,
-                     top=state.bottom, dx=-state.dy, dy=-state.dx)
-    else:
-        twin = {r: _Edge(r.lo, r.hi, r.west, r.east, r.id) for r in recs}
-        vertices = {v: (list(o), list(i)) for v, (o, i) in state.vertices.items()}
-        sides = {fid: (f.west, f.east) for fid, f in state.faces.items()}
-        ledgers = [state.below, state.above, state.west_edges, state.west_missing]
-        poles = {}
-    below, above, west_edges, west_missing = ([twin[r] for r in x] for x in ledgers)
     return replace(
-        state, vertices=vertices, edges={e: twin[r] for e, r in state.edges.items()},
-        faces={fid: _Face([twin[r] for r in west], [twin[r] for r in east])
-               for fid, (west, east) in sides.items()},
-        below=below, above=above, west_edges=west_edges, west_missing=west_missing, **poles)
+        state, vertices={v: (i[::-1], o[::-1]) for v, (o, i) in state.vertices.items()},
+        lo=state.hi[:], hi=state.lo[:],
+        west=list(map(_OTHER_SIDE.get, state.east, state.east)),  # face ids stay
+        east=list(map(_OTHER_SIDE.get, state.west, state.west)),
+        eid=state.eid[:], faces={f: (e[::-1], w[::-1]) for f, (w, e) in state.faces.items()},
+        below=state.west_edges[::-1], above=state.west_missing[::-1],
+        west_edges=state.below[::-1], west_missing=state.above[::-1],
+        start=state.active, active=state.start, bottom=state.top, top=state.bottom,
+        dx=-state.dy, dy=-state.dx)
 
 
 # -- state <-> PlanarMap ------------------------------------------------------
@@ -383,49 +368,43 @@ def state_to_map(state: MarkedBipolarState) -> PlanarMap:
             f"{state.missing_west} missing west edges")
     v_ids = sorted(state.vertices)
     v_new = {v: k for k, v in enumerate(v_ids)}
-    e_ids = sorted(state.edges)
-    e_new = {e: k for k, e in enumerate(e_ids)}
-    edges = [(v_new[state.edges[e].lo], v_new[state.edges[e].hi]) for e in e_ids]
+    edges = [(0, 0)] * state.n_edges
+    for lo, hi, e in zip(state.lo, state.hi, state.eid):
+        if e >= 0:
+            edges[e] = (v_new[lo], v_new[hi])
     rotations = []
     for v in v_ids:
         out, inn = state.vertices[v]
-        rotations.append([2 * e_new[e] for e in reversed(out)]
-                         + [2 * e_new[e] + 1 for e in inn])
+        rotations.append([2 * e for e in reversed(out)] + [2 * e + 1 for e in inn])
     return PlanarMap(
         n_vertices=len(v_ids),
         edges=edges,
         rotations=rotations,
         south=v_new[state.bottom],
         north=v_new[state.top],
-        west_anchor=e_new[state.west_edges[0].id],
+        west_anchor=state.eid[state.west_edges[0]],
     )
 
 
 def state_from_map(m: PlanarMap) -> MarkedBipolarState:
-    """Rebuild the sewing bookkeeping of a finished (unmarked) bipolar map."""
+    """Rebuild the sewing bookkeeping of a finished (unmarked) bipolar map.
+
+    Record e is edge e; each face's sides are slices of the scan's face darts.
+    """
     m.require_valid()
-    st = MarkedBipolarState()
-    st.vertices = {v: (list(m.out_edges_we(v)), list(m.in_edges_we(v)))
-                   for v in range(m.n_vertices)}
-    face_of = m.face_of_dart()
-    st.edges = {e: _Edge(t, h, face_of[2 * e], face_of[2 * e + 1], e)
-                for e, (t, h) in enumerate(m.edges)}
-    for fd in m.interior_faces():
-        st.faces[fd.index] = _Face([st.edges[e] for e in fd.west_edges_down],
-                                   [st.edges[e] for e in reversed(fd.east_edges_up)])
-    st.below = [st.edges[e] for e in m.east_edges]
-    st.west_edges = [st.edges[e] for e in m.west_edges]
-    st.start = m.south
-    st.bottom = m.south
-    st.top = m.north
-    st.active = m.north
-    st.moves_applied = m.n_edges - 1
-    st.dx = len(m.east_edges) - 1
-    st.dy = 1 - len(m.west_edges)
-    st._next_vertex = m.n_vertices
-    st._next_edge = m.n_edges
-    st._next_face = len(m.interior_faces())
-    return st
+    s = m.scan()
+    face_of, start, split = s.face_of, s.face_start, s.face_split
+    edge = [d >> 1 for d in s.face_darts]
+    return MarkedBipolarState(
+        vertices={v: (m.out_edges_we(v), m.in_edges_we(v)) for v in range(m.n_vertices)},
+        lo=m.dart_tails[0::2], hi=m.dart_heads[0::2],
+        west=face_of[0::2], east=face_of[1::2], eid=list(range(m.n_edges)),
+        faces={f: (edge[b:c], edge[a:b][::-1])
+               for f, (a, b, c) in enumerate(zip(start, split, start[1:]))},
+        below=list(s.east), west_edges=list(s.west),
+        start=m.south, active=m.north, bottom=m.south, top=m.north,
+        dx=len(s.east) - 1, dy=1 - len(s.west), moves_applied=m.n_edges - 1,
+        _next_vertex=m.n_vertices, _next_edge=m.n_edges, _next_face=len(split))
 
 
 # -- the flat frontier replay -------------------------------------------------

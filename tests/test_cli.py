@@ -238,6 +238,8 @@ TRI_NU = ("1 -1 0.3333333333333333\n-1 0 0.3333333333333333\n"
 # 10**30, a vertex count of 10**12, and the edge refs 0 and -(E+1)
 HUGE_MAP = ('{"vertices": 2, "south": 0, "north": 1, "west": 0, "edges": [[0, 1]], '
             '"rotations": [[1], [-1]]}')
+# nested past the parser's recursion limit
+DEEP_JSON = "[" * 100000 + "]" * 100000
 
 
 @pytest.mark.parametrize("argv, infile, content", [
@@ -292,6 +294,8 @@ HUGE_MAP = ('{"vertices": 2, "south": 0, "north": 1, "west": 0, "edges": [[0, 1]
     (["sample", "--edges", "12", "--seed", "-1"], None, None),
     (["sample", "--edges", "12", "--seed", str(2**64)], None, None),
     (["sample", "--edges", "12"], ("--config", "cfg.json"), '{"seed": -1}'),
+    (["map2walk"], ("--in", "m.json"), DEEP_JSON),
+    (["count", "--edges", "6"], ("--config", "cfg.json"), DEEP_JSON),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
         "map-top-level-array", "rejection-negative-m", "count-negative-m",
         "interface-zero-replicas", "stats-zero-replicas",
@@ -305,7 +309,8 @@ HUGE_MAP = ('{"vertices": 2, "south": 0, "north": 1, "west": 0, "edges": [[0, 1]
         "weights-file-missing", "walk-file-missing", "weights-repeated-degree",
         "nu-repeated-step", "map-huge-edge-ref", "map-huge-endpoint",
         "map-huge-vertex-count", "map-zero-edge-ref", "map-negative-edge-ref",
-        "seed-negative", "seed-2**64", "config-seed-negative"])
+        "seed-negative", "seed-2**64", "config-seed-negative", "map-deep-nesting",
+        "config-deep-nesting"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         flag, name = infile
