@@ -46,7 +46,9 @@ class MarkedBipolarState:
     while missing).  ``faces[f]`` is (west records, east records), each top
     to bottom: the west side is its sewn records, then its missing ones;
     the east side its missing records, then its sewn ones.  Records of
-    undone moves stay in the lists, unreferenced and missing.
+    undone moves stay in the lists, unreferenced and missing.  Edge ids are
+    never reused, and a half-turn or ``state_from_map`` need not number
+    them in sewing order; ``state_to_map`` renumbers them in id order.
     """
 
     vertices: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
@@ -67,15 +69,12 @@ class MarkedBipolarState:
     dx: int = 0
     dy: int = 0
     moves_applied: int = 0
+    n_edges: int = 0
     _next_vertex: int = 0
-    _next_edge: int = 0  # edge ids are 0 .. n_edges - 1, in sewing order
+    _next_edge: int = 0
     _next_face: int = 0
 
     # -- bookkeeping -------------------------------------------------------
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.eid) - self.eid.count(-1)
 
     @property
     def n_faces(self) -> int:
@@ -132,6 +131,7 @@ class MarkedBipolarState:
         """Give record ``r`` the next edge id, east-most at both ends, top of ``below``."""
         self.eid[r] = e = self._next_edge
         self._next_edge += 1
+        self.n_edges += 1
         self.vertices[self.lo[r]][0].append(e)
         self.vertices[self.hi[r]][1].append(e)
         self.below.append(r)
@@ -149,7 +149,7 @@ class MarkedBipolarState:
         inn.pop()
         self.below.pop()
         self.eid[r] = -1
-        self._next_edge -= 1
+        self.n_edges -= 1
 
     # -- the three kinds of sewing steps ------------------------------------
 
@@ -265,7 +265,6 @@ class MarkedBipolarState:
         step = self.moves_applied
         fid = self.west[r]
         west, east = self.faces[fid]
-        lo, vertices = self.lo, self.vertices
         self._unsew(r)
         # the rest of the face's east side must be the southernmost missing edges
         for missing in reversed(east[:-1]):
@@ -273,11 +272,11 @@ class MarkedBipolarState:
                 raise UnsewError(f"cannot derive move {step}: east slots of the "
                                  "last face are not the southernmost missing edges")
             self.above.pop()
-            out, inn = vertices[lo[missing]]
+            out, inn = self.vertices[self.lo[missing]]
             if out or inn:
                 raise UnsewError(f"cannot derive move {step}: open-face vertex "
                                  "already has edges")
-            del vertices[lo[missing]]
+            del self.vertices[self.lo[missing]]
         # sewn west edges return to the east boundary; missing ones vanish
         for w in reversed(west):
             if self.eid[w] >= 0:
@@ -288,11 +287,11 @@ class MarkedBipolarState:
                 raise UnsewError(f"cannot derive move {step}: missing west edges "
                                  "of the last face are out of order")
             self.west_missing.pop()
-            out, inn = vertices[lo[w]]
+            out, inn = self.vertices[self.lo[w]]
             if out or inn:
                 raise UnsewError(f"cannot derive move {step}: missing-west vertex "
                                  "already has edges")
-            del vertices[lo[w]]
+            del self.vertices[self.lo[w]]
             self.bottom = self.hi[w]
         self.active = self.hi[west[0]]
         del self.faces[fid]
@@ -368,21 +367,21 @@ def state_to_map(state: MarkedBipolarState) -> PlanarMap:
             f"{state.missing_west} missing west edges")
     v_ids = sorted(state.vertices)
     v_new = {v: k for k, v in enumerate(v_ids)}
-    edges = [(0, 0)] * state.n_edges
-    for lo, hi, e in zip(state.lo, state.hi, state.eid):
-        if e >= 0:
-            edges[e] = (v_new[lo], v_new[hi])
+    sewn = sorted((e, r) for r, e in enumerate(state.eid) if e >= 0)
+    e_new = {e: k for k, (e, _) in enumerate(sewn)}
+    edges = [(v_new[state.lo[r]], v_new[state.hi[r]]) for _, r in sewn]
     rotations = []
     for v in v_ids:
         out, inn = state.vertices[v]
-        rotations.append([2 * e for e in reversed(out)] + [2 * e + 1 for e in inn])
+        rotations.append([2 * e_new[e] for e in reversed(out)]
+                         + [2 * e_new[e] + 1 for e in inn])
     return PlanarMap(
         n_vertices=len(v_ids),
         edges=edges,
         rotations=rotations,
         south=v_new[state.bottom],
         north=v_new[state.top],
-        west_anchor=state.eid[state.west_edges[0]],
+        west_anchor=e_new[state.eid[state.west_edges[0]]],
     )
 
 
@@ -403,7 +402,8 @@ def state_from_map(m: PlanarMap) -> MarkedBipolarState:
                for f, (a, b, c) in enumerate(zip(start, split, start[1:]))},
         below=list(s.east), west_edges=list(s.west),
         start=m.south, active=m.north, bottom=m.south, top=m.north,
-        dx=len(s.east) - 1, dy=1 - len(s.west), moves_applied=m.n_edges - 1,
+        dx=len(s.east) - 1, dy=1 - len(s.west),
+        moves_applied=m.n_edges - 1, n_edges=m.n_edges,
         _next_vertex=m.n_vertices, _next_edge=m.n_edges, _next_face=len(split))
 
 

@@ -15,7 +15,7 @@ from bipolar_maps.walks import (EDGE, FaceMove, LatticeWalk, reverse_moves,
                                 walk_from_text, walk_to_text)
 from bipolar_maps.weights import FaceWeights, preset_weights
 
-from conftest import FIG_MOVES, all_triangulation_walks
+from conftest import FIG_MOVES, all_triangulation_walks, relabel
 
 
 def random_moves(rng, length, max_ij=4):
@@ -104,6 +104,35 @@ def test_rotation_twice_is_the_identity_and_copies_are_independent():
         apply_move(st, random_moves(rng, 1)[0])
         assert unsew(st) == seq
     assert unmarked > 0 and both_exits > 0
+
+
+def _undo_and_redo(st):
+    """Undo every move of ``st``, then apply them again: each unmarked prefix
+    freezes into its own map, and sewn edge ids stay distinct."""
+    seq = unsew(st)
+    whole = state_to_map(st) if st.is_unmarked() else None
+    for k in range(len(seq), 0, -1):
+        assert st.undo() == seq[k - 1]
+        if st.is_unmarked():
+            assert unsew(state_from_map(state_to_map(st))) == seq[:k - 1]
+    for mv in seq:
+        st.apply(mv)
+        ids = [e for out, _ in st.vertices.values() for e in out]
+        assert len(set(ids)) == len(ids) == st.n_edges
+    assert unsew(st) == seq
+    if whole is not None:
+        assert state_to_map(st) == whole
+
+
+def test_undo_and_redo_on_half_turns_and_relabelled_maps():
+    # neither a half-turn nor a map read from JSON numbers its edges in
+    # sewing order, so the last edge sewn need not have the largest id
+    rng = random.Random(1604)
+    for _ in range(300):
+        _undo_and_redo(state_rotate180(sew(random_moves(rng, rng.randint(1, 40)))))
+    for walk in all_triangulation_walks(6):
+        _undo_and_redo(state_from_map(relabel(walk_to_map(walk), rng)[0]))
+    _undo_and_redo(state_rotate180(sew((EDGE,))))
 
 
 def test_length2_sequences_pairwise_distinct():

@@ -9,14 +9,13 @@ from bipolar_maps.embedding import (Embedding, certify_upward_planar,
                                     segments_conflict, upward_embed,
                                     verify_upward_planar)
 from bipolar_maps.errors import EmbeddingInternalError, EmbeddingUnsupportedError
-from bipolar_maps.planar_map import PlanarMap
 from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import walk_to_map
 from bipolar_maps.simulate import sample_simple_triangulation_walk
 from bipolar_maps.svg import render_svg
 from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk
 
-from conftest import all_triangulation_walks, is_simple
+from conftest import all_triangulation_walks, is_simple, relabel
 
 
 def F(a, b=1):
@@ -142,26 +141,6 @@ def test_certificate_rejects_a_mirrored_drawing():
     assert "face 0 is not positively oriented" in certify_upward_planar(m, mirror)
 
 
-def _relabel(m, rng):
-    """The same map with shuffled vertex and edge ids and every rotation list
-    started at a random dart, as a map read from JSON may come; returns the
-    map and its vertex relabeling."""
-    pv = list(range(m.n_vertices))
-    pe = list(range(m.n_edges))
-    rng.shuffle(pv)
-    rng.shuffle(pe)
-    edges = [None] * m.n_edges
-    for e, (t, h) in enumerate(m.edges):
-        edges[pe[e]] = (pv[t], pv[h])
-    rotations = [None] * m.n_vertices
-    for v, rot in enumerate(m.rotations):
-        darts = [2 * pe[d >> 1] + (d & 1) for d in rot]
-        k = rng.randrange(len(darts))
-        rotations[pv[v]] = darts[k:] + darts[:k]
-    return PlanarMap(m.n_vertices, edges, rotations, pv[m.south], pv[m.north],
-                     pe[m.west_anchor]), pv
-
-
 def test_relabeled_maps_draw_the_same():
     rng = random.Random(1511)
     maps = [walk_to_map(w) for w in all_triangulation_walks(6)]
@@ -170,7 +149,7 @@ def test_relabeled_maps_draw_the_same():
              for ell in (60, 150)]
     for m in maps:
         emb = upward_embed(m)
-        shuffled, pv = _relabel(m, rng)
+        shuffled, pv = relabel(m, rng)
         got = upward_embed(shuffled)
         assert list(got.coords.items()) == [(pv[v], p) for v, p in emb.coords.items()]
 
