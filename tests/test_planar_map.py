@@ -48,6 +48,45 @@ def test_malformed_rotation_is_structural(rotations):
         PlanarMap(2, [(0, 1)], rotations, south=0, north=1, west_anchor=0)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((1, [], [[]], 0, 0, 0), "zero-edge maps are rejected"),
+    ((0, [(0, 1)], [], 0, 0, 0), "need at least one vertex"),
+    ((2, [(0, 1), (1, 2)], [[0], [1, 2], [3]], 0, 1, 0), "edge 1 endpoint out of range"),
+    ((2, [(0, 1), (-1, 1)], [[0], [1, 2], [3]], 0, 1, 0), "edge 1 endpoint out of range"),
+    ((2, [(0, 1)], [[0], [1]], 0, 2, 0), "pole id out of range"),
+    ((2, [(0, 1)], [[0], [1]], -1, 1, 0), "pole id out of range"),
+    ((2, [(0, 1)], [[0], [1]], 0, 1, 1), "west_anchor out of range"),
+    ((2, [(0, 1)], [[0], [1]], 0, 1, -1), "west_anchor out of range"),
+    ((2, [(0, 1)], [[0], [1]], 1, 0, 0), "west_anchor edge must leave the south pole"),
+    ((2, [(0, 1)], [[0], [-1]], 0, 1, 0), "rotation at vertex 1: bad dart -1"),
+    ((2, [(0, 1)], [[0], [2]], 0, 1, 0), "rotation at vertex 1: bad dart 2"),
+    ((2, [(0, 1)], [[0, 1], []], 0, 1, 0),
+     "rotation at vertex 0: dart of edge 0 is based at 1"),
+    ((2, [(0, 1)], [[0, 0], [1]], 0, 1, 0), "dart of edge 0 listed twice"),
+    ((2, [(0, 1)], [[0], [1], []], 0, 1, 0), "rotations must list every vertex"),
+    ((3, [(0, 1)], [[0], [1]], 0, 1, 0), "rotations must list every vertex"),
+    ((2, [(0, 1)], [[0]], 0, 1, 0), "rotations must list every vertex"),
+    ((2, [(0, 1)], [[0], []], 0, 1, 0), "some darts are missing from the rotation system"),
+    ((2, [(0, 1)], [[], [1]], 0, 1, 0), "some darts are missing from the rotation system"),
+], ids=["zero-edges", "no-vertex", "endpoint-above", "endpoint-negative",
+        "pole-above", "pole-negative", "anchor-above", "anchor-negative",
+        "anchor-not-south", "dart-negative", "dart-2E", "dart-wrong-vertex",
+        "dart-twice", "extra-vertex-row", "vertex-row-missing", "short-rotations",
+        "north-dart-missing", "south-dart-missing"])
+def test_constructor_error_messages(args, message):
+    with pytest.raises(MapStructureError) as exc:
+        PlanarMap(*args)
+    assert str(exc.value) == message
+
+
+def test_numpy_int_edges_are_accepted():
+    import numpy as np
+    m = PlanarMap(2, np.array([[0, 1]]), [[0], [1]], south=0, north=1, west_anchor=0)
+    assert m.edges == ((0, 1),) and type(m.edges[0][0]) is int
+    assert map_to_json(m) == map_to_json(single_edge())
+    assert validate_bipolar(m) == []
+
+
 def test_disconnected_maps_differing_off_the_south_component_are_unequal():
     # beside the south pole's edge, a path in one map and a star in the other
     a = PlanarMap(5, [(0, 1), (2, 3), (3, 4)], [[0], [1], [2], [3, 4], [5]], 0, 1, 0)
