@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import InvalidMapError, MapStructureError
 from .walks import FaceMove
@@ -85,34 +84,52 @@ class PlanarMap:
     """
 
     def __init__(self, n_vertices, edges, rotations, south, north, west_anchor):
-        edges = tuple([(int(t), int(h)) for t, h in edges])
-        if not edges:
+        tail = [int(x) for t, h in edges for x in (t, h)]  # dart 2e is based at t, 2e + 1 at h
+        rot: list[int] = []
+        first = [0]
+        for darts in rotations:
+            rot.extend(darts)
+            first.append(len(rot))
+        self._build(n_vertices, tail, rot, first, south, north, west_anchor)
+
+    @classmethod
+    def from_darts(cls, n_vertices, dart_tails, rotation, first, south, north,
+                   west_anchor) -> PlanarMap:
+        """Build a map from flat lists, checked as ``PlanarMap(...)`` checks them.
+
+        ``dart_tails[d]`` is the vertex dart d is based at, and vertex v's
+        counterclockwise rotation is ``rotation[first[v]:first[v + 1]]``.
+        The lists become the map's own, so the caller must not change them.
+        """
+        m = cls.__new__(cls)
+        m._build(n_vertices, dart_tails, rotation, first, south, north, west_anchor)
+        return m
+
+    def _build(self, n_vertices, tail, rot, first, south, north, west_anchor):
+        """The construction checks, on flat lists, and the derived dart lists."""
+        n_darts = len(tail)
+        if not n_darts:
             raise MapStructureError("zero-edge maps are rejected")
         if n_vertices <= 0:
             raise MapStructureError("need at least one vertex")
-        tail = list(chain.from_iterable(edges))  # dart 2e is based at t, 2e + 1 at h
         if min(tail) < 0 or max(tail) >= n_vertices:
-            e = next(e for e, (t, h) in enumerate(edges)
-                     if not (0 <= t < n_vertices and 0 <= h < n_vertices))
-            raise MapStructureError(f"edge {e} endpoint out of range")
+            d = next(d for d, v in enumerate(tail) if not 0 <= v < n_vertices)
+            raise MapStructureError(f"edge {d >> 1} endpoint out of range")
         if not (0 <= south < n_vertices and 0 <= north < n_vertices):
             raise MapStructureError("pole id out of range")
-        if not (0 <= west_anchor < len(edges)):
+        if not (0 <= west_anchor < n_darts >> 1):
             raise MapStructureError("west_anchor out of range")
-        if edges[west_anchor][0] != south:
+        if tail[2 * west_anchor] != south:
             raise MapStructureError("west_anchor edge must leave the south pole")
 
-        n_darts = len(tail)
         # one pass over the darts: each is checked, in range before it
         # indexes anything, and linked to its counterclockwise predecessor
         # (-1 marks a dart not yet listed)
-        rot: list[int] = []
-        first = [0]
         prv = [-1] * n_darts
         last = 0
-        for v, darts in enumerate(rotations):
-            start = len(rot)
-            for d in darts:
+        for v in range(len(first) - 1):
+            a, b = first[v], first[v + 1]
+            for d in rot[a:b]:
                 if not 0 <= d < n_darts:
                     raise MapStructureError(f"rotation at vertex {v}: bad dart {d}")
                 if tail[d] != v:
@@ -122,17 +139,14 @@ class PlanarMap:
                     raise MapStructureError(f"dart of edge {d // 2} listed twice")
                 prv[d] = last
                 last = d
-                rot.append(d)
-            if len(rot) > start:
-                prv[rot[start]] = last
-            first.append(len(rot))
+            if b > a:
+                prv[rot[a]] = last
         if len(first) - 1 != n_vertices:
             raise MapStructureError("rotations must list every vertex")
         if len(rot) != n_darts:
             raise MapStructureError("some darts are missing from the rotation system")
 
         self.n_vertices = n_vertices
-        self.edges = edges
         self.south = south
         self.north = north
         self.west_anchor = west_anchor
@@ -151,7 +165,15 @@ class PlanarMap:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.dart_tails) >> 1
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge as (tail, head), its north-going direction."""
+        if "edges" not in self._cache:
+            tail = self.dart_tails
+            self._cache["edges"] = tuple(zip(tail[0::2], tail[1::2]))
+        return self._cache["edges"]  # type: ignore[return-value]
 
     @property
     def rotations(self) -> tuple[tuple[int, ...], ...]:
@@ -219,12 +241,21 @@ class PlanarMap:
     # -- oriented-edge orderings at a vertex ------------------------------
 
     def out_edges_we(self, v: int) -> list[int]:
-        """North-going edges leaving v, ordered west to east; requires a valid map.
+        """North-going edges leaving v, ordered west to east; requires a valid map."""
+        self.require_valid()
+        return self._out_edges_we(v)
+
+    def in_edges_we(self, v: int) -> list[int]:
+        """North-going edges entering v, ordered west to east; requires a valid map."""
+        self.require_valid()
+        return self._in_edges_we(v)
+
+    def _out_edges_we(self, v: int) -> list[int]:
+        """``out_edges_we`` on a map known to be valid.
 
         Counterclockwise the outgoing darts run east to west, so from the
         west-most one each clockwise step (``dart_prev``) goes one edge east.
         """
-        self.require_valid()
         s, prv = self.scan(), self.dart_prev
         d = s.west_out[v]
         out = []
@@ -233,13 +264,12 @@ class PlanarMap:
             d = prv[d]
         return out
 
-    def in_edges_we(self, v: int) -> list[int]:
-        """North-going edges entering v, ordered west to east; requires a valid map.
+    def _in_edges_we(self, v: int) -> list[int]:
+        """``in_edges_we`` on a map known to be valid.
 
         The incoming run ends counterclockwise just before the cut, so
         clockwise steps from the cut meet it east to west.
         """
-        self.require_valid()
         s, prv = self.scan(), self.dart_prev
         d = s.cut[v]
         inn = []
@@ -250,9 +280,9 @@ class PlanarMap:
         return inn
 
     def require_valid(self) -> None:
-        report = validate_bipolar(self)
+        report = self.scan().report
         if report:
-            raise InvalidMapError(report)
+            raise InvalidMapError(list(report))
 
     def __eq__(self, other):
         return isinstance(other, PlanarMap) and canonical_form(self) == canonical_form(other)
@@ -308,7 +338,7 @@ def _scan(m: PlanarMap) -> MapScan:
     report: list[Violation] = []
     indeg = [0] * n_vertices
     outdeg = [0] * n_vertices
-    for t, h in m.edges:
+    for t, h in zip(tail[0::2], tail[1::2]):
         outdeg[t] += 1
         indeg[h] += 1
         if t == h:
@@ -585,14 +615,9 @@ def canonical_form(m: PlanarMap) -> tuple:
 
 def reverse_map(m: PlanarMap) -> PlanarMap:
     """The same map rotated half a turn: orientations reversed, poles swapped."""
-    return PlanarMap(
-        n_vertices=m.n_vertices,
-        edges=[(h, t) for t, h in m.edges],
-        rotations=[[d ^ 1 for d in darts] for darts in m.rotations],
-        south=m.north,
-        north=m.south,
-        west_anchor=m.east_edges[-1],
-    )
+    return PlanarMap.from_darts(m.n_vertices, m.dart_heads[:], [d ^ 1 for d in m._rot],
+                                m._first[:], south=m.north, north=m.south,
+                                west_anchor=m.east_edges[-1])
 
 
 def dual_map(m: PlanarMap) -> PlanarMap:
@@ -608,25 +633,24 @@ def dual_map(m: PlanarMap) -> PlanarMap:
     # dual vertex of each face label: interior faces keep their index, and
     # WEST_OUTER (-1) and EAST_OUTER (-2) index the list from its end
     vertex_of = [*range(n_int), n_int + 1, n_int]
-    face_of = s.face_of
-    # dual edge per primal edge, oriented from the east face to the west face
-    dual_edges = [(vertex_of[face_of[d + 1]], vertex_of[face_of[d]])
-                  for d in range(0, 2 * m.n_edges, 2)]
+    # dual edge e goes from the face east of primal edge e (left of its
+    # south dart) to the face west of it, so dual dart d is based at the
+    # face left of primal dart d ^ 1
+    face_vertex = list(map(vertex_of.__getitem__, s.face_of))
+    tail = face_vertex[:]
+    tail[0::2] = face_vertex[1::2]
+    tail[1::2] = face_vertex[0::2]
     # the rotation at a dual vertex follows the primal face boundary: the
     # face's east side (it lies west of those edges) gives incoming dual
-    # darts, its west side outgoing ones, so each dart flips to its twin
-    flipped = [d ^ 1 for d in s.face_darts]
-    rotations = [flipped[a:b] for a, b in zip(s.face_start, s.face_start[1:])]
-    rotations.append([2 * e + 1 for e in s.west])
-    rotations.append([2 * e for e in reversed(s.east)])
-    return PlanarMap(
-        n_vertices=n_int + 2,
-        edges=dual_edges,
-        rotations=rotations,
-        south=n_int + 1,
-        north=n_int,
-        west_anchor=s.east[0],
-    )
+    # darts, its west side outgoing ones, so each dart flips to its twin;
+    # then the west outer face (the dual sink) and the east one (the source)
+    rot = [d ^ 1 for d in s.face_darts]
+    rot += [2 * e + 1 for e in s.west]
+    first = s.face_start + [len(rot)]
+    rot += [2 * e for e in reversed(s.east)]
+    first.append(len(rot))
+    return PlanarMap.from_darts(n_int + 2, tail, rot, first,
+                                south=n_int + 1, north=n_int, west_anchor=s.east[0])
 
 
 # -- JSON wire format ---------------------------------------------------------
@@ -644,7 +668,8 @@ def map_to_json(m: PlanarMap) -> str:
     ``-(e+1)`` for dart ``2*e + 1``.
     """
     row = "\n  ],\n  [\n   "
-    edges = row.join(map("%d,\n   %d".__mod__, m.edges))
+    tail = m.dart_tails
+    edges = row.join(map("%d,\n   %d".__mod__, zip(tail[0::2], tail[1::2])))
     refs = [str(-(d >> 1) - 1 if d & 1 else (d >> 1) + 1) for d in m._rot]
     first = m._first
     rotations = row.join([",\n   ".join(refs[a:b]) for a, b in zip(first, first[1:])])
@@ -664,6 +689,8 @@ def map_from_json(text: str) -> PlanarMap:
     """
     try:
         obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MapStructureError(f"map JSON is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise MapStructureError("map JSON nests too deeply") from exc
     if not isinstance(obj, dict):

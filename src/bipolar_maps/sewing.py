@@ -27,6 +27,8 @@ each vertex, the order in which ``Frontier`` numbers them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from operator import add
 
 from .errors import BipolarError, NotBipolarCodeError, UnsewError
 from .planar_map import EAST_OUTER, WEST_OUTER, PlanarMap, nw_depths, se_depths
@@ -395,7 +397,7 @@ def state_from_map(m: PlanarMap) -> MarkedBipolarState:
     face_of, start, split = s.face_of, s.face_start, s.face_split
     edge = [d >> 1 for d in s.face_darts]
     return MarkedBipolarState(
-        vertices={v: (m.out_edges_we(v), m.in_edges_we(v)) for v in range(m.n_vertices)},
+        vertices={v: (m._out_edges_we(v), m._in_edges_we(v)) for v in range(m.n_vertices)},
         lo=m.dart_tails[0::2], hi=m.dart_heads[0::2],
         west=face_of[0::2], east=face_of[1::2], eid=list(range(m.n_edges)),
         faces={f: (edge[b:c], edge[a:b][::-1])
@@ -411,7 +413,7 @@ def state_from_map(m: PlanarMap) -> MarkedBipolarState:
 
 
 class Frontier:
-    """The east frontier of a map being sewn, one move at a time.
+    """The east frontier of a map being sewn.
 
     ``below`` lists the frontier vertices under the active one, bottom to
     top; ``above`` those over it, nearest last.  Each move adds one edge and
@@ -426,60 +428,87 @@ class Frontier:
         self.n_vertices = 2
 
     def edge_of(self, move: Move) -> tuple[int, int]:
-        """The (tail, head) edge ``move`` would add; new vertices get the next ids.
-
-        A face move F(i, j) joins the frontier vertex i places below the
-        top of ``below`` to the last of its j new vertices, or to the active
-        vertex when j = 0.
-        """
+        """The (tail, head) edge ``push`` would add for ``move``, without adding it."""
         if isinstance(move, EdgeMove):
             return self.active, self.above[-1] if self.above else self.n_vertices
         if move.i >= len(self.below):
-            raise NotBipolarCodeError(
-                f"not a closed bipolar code: {move!r} at x = {len(self.below) - 1} "
-                "leaves the quadrant")
+            raise _leaves_quadrant(move, self.below)
         return (self.below[-1 - move.i],
                 self.n_vertices + move.j - 1 if move.j else self.active)
 
+    def push_all(self, moves) -> tuple[list[int], list[int]]:
+        """Apply ``moves`` in order; returns the tails and heads of the edges they add.
+
+        An edge move joins the active vertex to the nearest vertex above it,
+        or to a new vertex; a face move F(i, j) joins the frontier vertex i
+        places below the top of ``below`` to the last of its j new vertices,
+        or to the active vertex when j = 0.  The head becomes active.
+        """
+        below, above = self.below, self.above
+        active, n = self.active, self.n_vertices
+        tails: list[int] = []
+        heads: list[int] = []
+        add_tail, add_head = tails.append, heads.append
+        for mv in moves:
+            if isinstance(mv, EdgeMove):
+                add_tail(active)
+                below.append(active)
+                if above:
+                    active = above.pop()
+                else:
+                    active = n
+                    n += 1
+            else:
+                i, j = mv.i, mv.j
+                if i >= len(below):
+                    self.active, self.n_vertices = active, n
+                    raise _leaves_quadrant(mv, below)
+                add_tail(below[-1 - i])
+                if i:
+                    del below[-i:]
+                if j:
+                    above.append(active)
+                    above.extend(range(n, n + j - 1))
+                    n += j
+                    active = n - 1
+            add_head(active)
+        self.active, self.n_vertices = active, n
+        return tails, heads
+
     def push(self, move: Move) -> tuple[int, int]:
         """Apply ``move``; returns the edge (tail, head) it adds."""
-        tail, head = self.edge_of(move)
-        below = self.below
-        if isinstance(move, EdgeMove):
-            if head == self.n_vertices:
-                self.n_vertices += 1
-            else:
-                self.above.pop()
-            below.append(tail)
-        else:
-            if move.i:
-                del below[-move.i:]
-            if move.j:
-                self.above.append(self.active)
-                self.above.extend(range(self.n_vertices, head))
-                self.n_vertices = head + 1
-        self.active = head
-        return tail, head
+        tails, heads = self.push_all((move,))
+        return tails[0], heads[0]
 
-    def replay(self, walk: LatticeWalk):
-        """Push every move of ``walk``, yielding each new edge (tail, head).
 
-        Raises NotBipolarCodeError unless the walk is a closed bipolar code:
-        it must start at (0, m), stay in the quadrant and end at (n, 0).  The
-        end is checked once the last edge has been yielded.
-        """
-        if walk.start[0] != 0 or walk.start[1] < 0:
-            raise NotBipolarCodeError(
-                f"not a closed bipolar code: walk must start at (0, m), got {walk.start}")
-        yield from map(self.push, walk.moves)
-        if self.above:
-            raise NotBipolarCodeError(
-                "not a closed bipolar code: walk leaves the quadrant or does not "
-                "end on the x-axis")
-        end = walk.end
-        if end[1] != 0:
-            raise NotBipolarCodeError(
-                f"not a closed bipolar code: walk ends at {end}, not (n, 0)")
+def _leaves_quadrant(move: Move, below: list[int]) -> NotBipolarCodeError:
+    return NotBipolarCodeError(
+        f"not a closed bipolar code: {move!r} at x = {len(below) - 1} leaves the quadrant")
+
+
+def walk_edges(walk: LatticeWalk) -> tuple[Frontier, list[int], list[int]]:
+    """Replay a closed bipolar code: the final frontier, and the tails and
+    heads of every edge in creation order, the first edge (0, 1) included.
+
+    Raises NotBipolarCodeError unless the walk starts at (0, m), stays in
+    the quadrant and ends at (n, 0).
+    """
+    if walk.start[0] != 0 or walk.start[1] < 0:
+        raise NotBipolarCodeError(
+            f"not a closed bipolar code: walk must start at (0, m), got {walk.start}")
+    frontier = Frontier()
+    tails, heads = frontier.push_all(walk.moves)
+    if frontier.above:
+        raise NotBipolarCodeError(
+            "not a closed bipolar code: walk leaves the quadrant or does not "
+            "end on the x-axis")
+    end = walk.end
+    if end[1] != 0:
+        raise NotBipolarCodeError(
+            f"not a closed bipolar code: walk ends at {end}, not (n, 0)")
+    tails.insert(0, 0)
+    heads.insert(0, 1)
+    return frontier, tails, heads
 
 
 # -- walk <-> map --------------------------------------------------------------
@@ -490,25 +519,34 @@ def walk_to_map(walk: LatticeWalk) -> PlanarMap:
 
     One frontier replay lists the edges in creation order.  At each vertex
     the counterclockwise rotation is its outgoing edges, newest (east-most)
-    first, then its incoming edges, oldest (west-most) first.
+    first, then its incoming edges, oldest (west-most) first; a counting
+    pass places every dart in the one flat rotation list.
     """
-    frontier = Frontier()
-    edges = [(0, 1)]
-    edges.extend(frontier.replay(walk))
+    frontier, tails, heads = walk_edges(walk)
     n = frontier.n_vertices
-    outs: list[list[int]] = [[] for _ in range(n)]
-    ins: list[list[int]] = [[] for _ in range(n)]
-    for e, (tail, head) in enumerate(edges):
-        outs[tail].append(2 * e)
-        ins[head].append(2 * e + 1)
-    return PlanarMap(
-        n_vertices=n,
-        edges=edges,
-        rotations=[out[::-1] + inn for out, inn in zip(outs, ins)],
-        south=0,
-        north=frontier.active,
-        west_anchor=0,
-    )
+    outdeg = [0] * n
+    indeg = [0] * n
+    for t in tails:
+        outdeg[t] += 1
+    for h in heads:
+        indeg[h] += 1
+    first = [0, *accumulate(map(add, outdeg, indeg))]
+    # vertex v's incoming run starts at mid[v]; its outgoing run fills down to it
+    mid = list(map(add, first, outdeg))
+    rot = [0] * (2 * len(tails))
+    pos = mid[:]
+    for e, t in enumerate(tails):
+        pos[t] -= 1
+        rot[pos[t]] = 2 * e
+    pos = mid
+    for e, h in enumerate(heads):
+        rot[pos[h]] = 2 * e + 1
+        pos[h] += 1
+    dart_tails = rot[:]
+    dart_tails[0::2] = tails
+    dart_tails[1::2] = heads
+    return PlanarMap.from_darts(n, dart_tails, rot, first,
+                                south=0, north=frontier.active, west_anchor=0)
 
 
 def interface_order(m: PlanarMap) -> tuple[list[int], tuple[Move, ...]]:
@@ -565,21 +603,23 @@ def map_to_walk(m: PlanarMap) -> LatticeWalk:
 
     The t-th point is (distance from the south pole to the t-th edge's tail
     in the SE tree, distance from the north pole to its head in the NW tree);
-    the increments must agree with the interface path's own edge/face steps.
+    each increment must agree with the interface path's own edge/face step.
     """
     order, moves = interface_order(m)
     xd = se_depths(m)
     yd = nw_depths(m)
-    edges = m.edges
-    pts = [(xd[t], yd[h]) for t, h in map(edges.__getitem__, order)]
-    walk = LatticeWalk(pts[0], moves)
-    steps = walk.points()
-    if steps != pts:
-        t = next(k for k, p in enumerate(pts) if steps[k] != p) - 1
-        got = (pts[t + 1][0] - pts[t][0], pts[t + 1][1] - pts[t][1])
-        raise BipolarError(
-            f"tree distances disagree with the interface path at step {t}: "
-            f"{got} vs {moves[t].delta}")
-    if pts[0] != (0, len(m.west_edges) - 1) or pts[-1] != (len(m.east_edges) - 1, 0):
+    tail, head = m.dart_tails, m.dart_heads
+    d = 2 * order[0]
+    x, y = start = (xd[tail[d]], yd[head[d]])
+    for t, e in enumerate(order[1:]):
+        dx, dy = moves[t].delta
+        d = 2 * e
+        px, py = x, y
+        x, y = xd[tail[d]], yd[head[d]]
+        if x - px != dx or y - py != dy:
+            raise BipolarError(
+                f"tree distances disagree with the interface path at step {t}: "
+                f"{(x - px, y - py)} vs {moves[t].delta}")
+    if start != (0, len(m.west_edges) - 1) or (x, y) != (len(m.east_edges) - 1, 0):
         raise BipolarError("interface walk endpoints disagree with boundary lengths")
-    return walk
+    return LatticeWalk(start, moves)

@@ -18,7 +18,7 @@ from math import sqrt
 
 from .errors import BipolarError, NoMapsError, RejectionBudgetError
 from .rng import CounterRng
-from .sewing import Frontier
+from .sewing import Frontier, walk_edges
 from .walks import EDGE, FaceMove, LatticeWalk, Move
 from .weights import (StepDistribution, TheoryStats, check_boundary, congruence,
                       theory_stats)
@@ -202,18 +202,19 @@ def degrees_from_walk(walk: LatticeWalk) -> FrontierTrace:
     Every face move is supported; a walk that is not a closed bipolar code
     raises NotBipolarCodeError, as in ``walk_to_map``.
     """
-    frontier = Frontier()
-    indeg = [0, 1]
-    outdeg = [1, 0]
-    created = [0, 0]
-    for t, (tail, head) in enumerate(frontier.replay(walk), start=1):
-        new = frontier.n_vertices - len(indeg)
-        if new:
-            indeg.extend([0] * new)
-            outdeg.extend([0] * new)
-            created.extend([t] * new)
-        outdeg[tail] += 1
-        indeg[head] += 1
+    frontier, tails, heads = walk_edges(walk)
+    n = frontier.n_vertices
+    indeg = [0] * n
+    outdeg = [0] * n
+    for t in tails:
+        outdeg[t] += 1
+    for h in heads:
+        indeg[h] += 1
+    # a move that creates vertices makes the newest of them its head
+    created: list[int] = []
+    for t, h in enumerate(heads):
+        if h >= len(created):
+            created += [t] * (h + 1 - len(created))
     return FrontierTrace(
         indegree=indeg, outdegree=outdeg, created_at=created,
         final_frontier=set(frontier.below) | set(frontier.above) | {frontier.active},
@@ -326,16 +327,11 @@ def covariance_report(walks: list[LatticeWalk], dist: StepDistribution | None = 
     conditioned on its end point are dependent, so there it is only indicative.
     """
     import numpy as np
-    dxs, dys = [], []
-    for w in walks:
-        for mv in w.moves:
-            dx, dy = mv.delta
-            dxs.append(dx)
-            dys.append(dy)
-    n = len(dxs)
+    deltas = [mv.delta for w in walks for mv in w.moves]
+    n = len(deltas)
     if n < 2:
         raise BipolarError("degenerate sample: need at least two increments")
-    dx, dy = np.array([dxs, dys], dtype=float)
+    dx, dy = np.ascontiguousarray(np.array(deltas, dtype=float).T)
     diff = dx - dy
     tot = dx + dy
     var_diff = float(diff.var())
@@ -348,7 +344,7 @@ def covariance_report(walks: list[LatticeWalk], dist: StepDistribution | None = 
 
     # n increments drawn with replacement are a multinomial count vector over
     # the distinct increments; the ratio is taken where Var[X+Y] > 0
-    steps = sorted(Counter(zip(dxs, dys)).items())
+    steps = sorted(Counter(deltas).items())
     values = np.array([(a - b, a + b) for (a, b), _ in steps], dtype=float)
     freqs = np.array([k for _, k in steps]) / n
     c = (rng or CounterRng(0)).np.multinomial(n, freqs, size=bootstrap)[..., None]
@@ -373,15 +369,17 @@ def attach_degree_stats(report: StatReport, *traces: FrontierTrace,
                         eps: float = 0.05) -> StatReport:
     """Fill the degree section of a report from the pooled bulk vertices of traces."""
     import numpy as np
-    pairs = [(trace.indegree[v], trace.outdegree[v])
-             for trace in traces for v in trace.bulk_interior(eps)]
-    if not pairs:
+    ins: list[int] = []
+    outs: list[int] = []
+    for trace in traces:
+        bulk = trace.bulk_interior(eps)
+        ins += map(trace.indegree.__getitem__, bulk)
+        outs += map(trace.outdegree.__getitem__, bulk)
+    if not ins:
         raise BipolarError("no bulk interior vertices at this size")
-    ins = [a for a, _ in pairs]
-    outs = [b for _, b in pairs]
     report.degree_in_hist = dict(sorted(Counter(ins).items()))
     report.degree_out_hist = dict(sorted(Counter(outs).items()))
-    report.degree_joint_hist = dict(sorted(Counter(f"{a},{b}" for a, b in pairs).items()))
+    report.degree_joint_hist = dict(sorted(Counter(map("{},{}".format, ins, outs)).items()))
     report.tv_in = tv_to_geometric(ins)
     report.tv_out = tv_to_geometric(outs)
     report.degree_corr = float(np.corrcoef(ins, outs)[0, 1])

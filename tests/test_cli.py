@@ -296,6 +296,9 @@ DEEP_JSON = "[" * 100000 + "]" * 100000
     (["sample", "--edges", "12"], ("--config", "cfg.json"), '{"seed": -1}'),
     (["map2walk"], ("--in", "m.json"), DEEP_JSON),
     (["count", "--edges", "6"], ("--config", "cfg.json"), DEEP_JSON),
+    (["map2walk"], ("--in", "m.json"), "{"),
+    (["map2walk"], ("--in", "m.json"), ""),
+    (["map2walk"], ("--in", "m.json"), "nul"),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
         "map-top-level-array", "rejection-negative-m", "count-negative-m",
         "interface-zero-replicas", "stats-zero-replicas",
@@ -310,7 +313,7 @@ DEEP_JSON = "[" * 100000 + "]" * 100000
         "nu-repeated-step", "map-huge-edge-ref", "map-huge-endpoint",
         "map-huge-vertex-count", "map-zero-edge-ref", "map-negative-edge-ref",
         "seed-negative", "seed-2**64", "config-seed-negative", "map-deep-nesting",
-        "config-deep-nesting"])
+        "config-deep-nesting", "map-open-brace", "map-empty", "map-nul"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         flag, name = infile

@@ -11,7 +11,7 @@ from bipolar_maps.planar_map import (PlanarMap, canonical_form, dual_map,
                                      nw_depths, nw_tree, reverse_map,
                                      se_depths, se_tree, validate_bipolar)
 from bipolar_maps.rng import CounterRng
-from bipolar_maps.sewing import map_to_walk, walk_to_map
+from bipolar_maps.sewing import map_to_walk, state_from_map, walk_to_map
 from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk
 from bipolar_maps.weights import preset_weights
 
@@ -174,6 +174,12 @@ def test_json_round_trip(fig_walk):
     assert map_to_json(again) == text  # byte-stable re-serialization
 
 
+@pytest.mark.parametrize("text", ["{", "", "nul"], ids=["open-brace", "empty", "nul"])
+def test_json_that_is_not_json_is_structural(text):
+    with pytest.raises(MapStructureError, match="^map JSON is not valid JSON: "):
+        map_from_json(text)
+
+
 @pytest.mark.parametrize("ref", [0, -2])
 def test_json_bad_edge_ref_is_named_as_written(ref):
     text = json.dumps({"vertices": 2, "south": 0, "north": 1, "west": 0,
@@ -192,6 +198,24 @@ def test_require_valid_raises_with_report(fig_walk):
     bad = _flip_edge(m, m.out_edges_we(v)[0])
     with pytest.raises(InvalidMapError):
         nw_tree(bad)
+
+
+def test_edge_orders_at_a_vertex_require_a_valid_map(fig_walk):
+    m = walk_to_map(fig_walk)
+    v = next(v for v in range(m.n_vertices)
+             if v not in (m.south, m.north) and len(m.out_edges_we(v)) == 1)
+    bad = _flip_edge(m, m.out_edges_we(v)[0])  # v becomes an interior sink
+    assert validate_bipolar(bad)
+    for v in range(bad.n_vertices):
+        with pytest.raises(InvalidMapError):
+            bad.out_edges_we(v)
+        with pytest.raises(InvalidMapError):
+            bad.in_edges_we(v)
+    with pytest.raises(InvalidMapError):
+        state_from_map(bad)
+    # the valid map still reads every vertex's edges west to east
+    assert m.out_edges_we(m.south)[0] == m.west_anchor
+    assert m.in_edges_we(m.north)[0] == m.west_edges[-1]
 
 
 def test_canonical_form_distinguishes():
