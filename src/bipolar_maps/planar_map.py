@@ -5,8 +5,11 @@ A map is stored as flat per-dart lists: every edge contributes two darts
 tail, a head and its counterclockwise predecessor at its tail (``dart_prev``),
 and each vertex's counterclockwise rotation is a slice of one flat dart
 list.  ``face_next`` follows the face lying to the left of a dart.  The
-constructor takes the rotations as dart lists, the shape ``rotations``
-returns; signed 1-based edge refs are the JSON wire format only.
+construction checks run once, on flat lists (``PlanarMap.from_darts``: the
+dart tails, one rotation list and its cut offsets, the poles and the
+anchor); ``PlanarMap(...)`` adapts edge pairs and per-vertex dart lists,
+the shape ``rotations`` returns, to it, and ``edges`` is a view built on
+first use.  Signed 1-based edge refs are the JSON wire format only.
 
 The outer face of the sphere map is split by the two poles into a west side
 and an east side.  Which side is west is a convention the data must carry,

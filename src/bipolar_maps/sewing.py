@@ -16,12 +16,16 @@ boundary ledgers, and restricting to quadrant walks from (0, m) to (n, 0)
 gives the bijection with unmarked bipolar maps.
 
 ``Frontier`` is the same sewing rule on plain vertex ids: it keeps only the
-east frontier, which is all a move needs to know which edge it adds.  It is
-the one replay that decodes walks (``walk_to_map``) and feeds degrees and
-the steered sampler; the marked-state fold stays as the reference and the
-unsew engine.  The upward embedding reads the map instead: its vertex
-creation order is the order in which ``interface_order`` first reaches
-each vertex, the order in which ``Frontier`` numbers them.
+east frontier, which is all a move needs to know which edge it adds.
+``Frontier.push_all`` applies the rule to a whole move sequence in one loop
+and returns flat lists of edge tails and heads.  ``walk_edges`` checks a
+walk through it, and ``walk_to_map`` and the degree tracer decode that;
+``walk_to_map`` places every dart in one flat rotation list by a counting
+pass, so no layer holds a tuple or list per edge.  The steered sampler
+pushes one move at a time.  The marked-state fold stays as the reference
+and the unsew engine.  The upward embedding reads the map instead: its
+vertex creation order is the order in which ``interface_order`` first
+reaches each vertex, the order in which ``Frontier`` numbers them.
 """
 
 from __future__ import annotations
