@@ -355,9 +355,17 @@ def _philox_reference(seed, stream):
 def test_counter_rng_keeps_every_stream(seed, stream):
     rng = CounterRng(seed, stream)
     _, randrange = _philox_reference(seed, stream)
-    for n in (2**70, 3):
+    # one and two words at 2**64 and 2**64 + 1, then bounds of 3 to 8 words
+    wide = [2**70, 3, 2**64, 2**64 + 1] + [3 * 2**(64 * k - 7) + 1 for k in range(3, 9)]
+    for n in wide:
         assert [rng.randrange(n) for _ in range(5000)] == [
             randrange(n) for _ in range(5000)]
+    # 1 365 three-word draws that never reject leave one word of the first
+    # block, so the 1 366th takes words from two blocks
+    rng = CounterRng(seed, stream)
+    _, randrange = _philox_reference(seed, stream)
+    assert [rng.randrange(2**192 - 1) for _ in range(1400)] == [
+        randrange(2**192 - 1) for _ in range(1400)]
     # word draws and rng.np draws share one generator state, block by block
     rng = CounterRng(seed, stream)
     gen, randrange = _philox_reference(seed, stream)
