@@ -5,9 +5,12 @@ exact with big integers (or Fractions for non-integer face weights).  Each
 layer is a dense array over the box of positions a walk can hold at that
 time, computed from the previous layer by one shifted add per move.  The
 same layers drive backward sampling that is exactly uniform (or exactly
-Boltzmann for weighted models).  Triangulation families with tiny
-boundaries scale far beyond the table budget through an equivalent
-tableau encoding, drawn cell by cell by the hook-length ratio rule.
+Boltzmann for weighted models) and the exhaustive enumeration.  Both read
+them as nested lists padded with zeros (``CountTable.rows``), so every
+move from a cell of one layer reads the next layer in range, with no
+bounds check.  Triangulation families with tiny boundaries scale far
+beyond the table budget through an equivalent tableau encoding, drawn
+cell by cell by the hook-length ratio rule.
 
 numpy is imported by ``build_count_table`` only, so the closed form, the
 tableau sampler and ``DEFAULT_BUDGET`` load without it.
@@ -43,6 +46,8 @@ class CountTable:
     layers 1..length that walks from the start reach without losing the
     end.  A table whose total is 0 has no layers; when the boundary data
     fail ``weights.feasible`` it is empty: no moves, no layers, states 0.
+    The draws and the enumeration read ``rows``, the same layers as
+    zero-padded nested lists, built once on first use.
 
     Immutable once built; safe to share between sampling threads.
     """
@@ -60,17 +65,28 @@ class CountTable:
 
     @cached_property
     def rows(self) -> list[list[list]]:
-        """The layers as nested lists, which the readers index far faster."""
-        return [layer.tolist() for layer in self.layers]
+        """The layers as nested lists padded with zeros, for the readers.
 
-
-def _count_at(layer: list[list], x: int, y: int):
-    """The count of one layer (as rows) at (x, y); 0 off its box."""
-    if 0 <= x < len(layer):
-        row = layer[x]
-        if 0 <= y < len(row):
-            return row[y]
-    return 0
+        ``rows[r][x][y]`` is layer r's count at (x, y), and 0 in the
+        padding.  A move from any cell of layer r's box reads
+        ``rows[r - 1][x + dx][y + dy]`` in range: layer r - 1 reaches past
+        the larger of the two boxes by the largest move step, in x and in
+        y, and a negative index (a step below x = 0 or y = 0) wraps into
+        the zeros at the end.  A layer's zero rows share one list.
+        """
+        step = max((max(abs(dx), abs(dy)) for (dx, dy) in
+                    (mv.delta for mv, _ in self.moves)), default=1)
+        shapes = [layer.shape for layer in self.layers]
+        rows = []
+        for r, layer in enumerate(self.layers):
+            bx, by = shapes[r]
+            nx, ny = shapes[r + 1] if r < self.length else shapes[r]
+            width = max(by, ny) + step
+            pad = [0] * (width - by)
+            out = [row + pad for row in layer.tolist()]
+            out += [[0] * width] * (max(bx, nx) + step - bx)
+            rows.append(out)
+        return rows
 
 
 def _weighted_moves(w: FaceWeights) -> tuple[tuple[Move, object], ...]:
@@ -213,7 +229,7 @@ def enumerate_walks(w: FaceWeights, m: int, n: int, ell: int,
             return
         prev = rows[r - 1]
         for mv, dx, dy in steps:
-            if _count_at(prev, x + dx, y + dy):
+            if prev[x + dx][y + dy]:
                 prefix.append(mv)
                 yield from rec(x + dx, y + dy, r - 1)
                 prefix.pop()
@@ -234,33 +250,33 @@ def enumerate_maps(w: FaceWeights, m: int, n: int, ell: int,
 def sample_from_table(table: CountTable, rng: CounterRng) -> LatticeWalk:
     """Backward sampling proportional to sub-counts; exact for int weights.
 
-    Fractional weights are rescaled to integers by the lcm of their
+    Each step draws below the sum of weight x count over all moves, zero
+    terms included, and takes the first move whose running sum passes the
+    draw.  Fractional weights are rescaled to integers by the lcm of their
     denominators before each draw, which preserves exactness.
     """
     if not table.total:
         raise NoMapsError("no such maps: the count is zero")
-    pos = table.start
+    x, y = table.start
     moves: list[Move] = []
     rows = table.rows
+    steps = [(mv, *mv.delta, wt) for mv, wt in table.moves]
+    integral = all(type(wt) is int for _, wt in table.moves)
     for r in range(table.length, 0, -1):
         prev = rows[r - 1]
-        opts: list[tuple[Move, object]] = []
-        for mv, wt in table.moves:
-            dx, dy = mv.delta
-            c = _count_at(prev, pos[0] + dx, pos[1] + dy)
-            if c:
-                opts.append((mv, wt * c))
-        weights = [wv for _, wv in opts]
-        scale = lcm(*(wv.denominator for wv in weights))
-        ints = [int(wv * scale) for wv in weights]
-        u = rng.randrange(sum(ints))
+        weights = [wt * prev[x + dx][y + dy] for _, dx, dy, wt in steps]
+        if not integral:
+            scale = lcm(*(wv.denominator for wv in weights))
+            weights = [int(wv * scale) for wv in weights]
+        u = rng.randrange(sum(weights))
         k = 0
-        while u >= ints[k]:
-            u -= ints[k]
+        while u >= weights[k]:
+            u -= weights[k]
             k += 1
-        mv = opts[k][0]
+        mv, dx, dy, _ = steps[k]
         moves.append(mv)
-        pos = (pos[0] + mv.delta[0], pos[1] + mv.delta[1])
+        x += dx
+        y += dy
     return LatticeWalk(table.start, tuple(moves))
 
 

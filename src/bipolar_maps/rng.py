@@ -23,6 +23,11 @@ class CounterRng:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
+        # Philox takes a 128-bit key; a value outside 64 bits would alias
+        # another (seed, stream) pair
+        if not (0 <= self.seed < _WORD and 0 <= self.stream < _WORD):
+            raise ValueError("seed and stream must be in [0, 2**64), got "
+                             f"{self.seed} and {self.stream}")
         self._buf: list[int] = []
         # set here, not added on first use, so the instance keeps its
         # attributes inline and the per-draw attribute reads stay fast
@@ -33,8 +38,7 @@ class CounterRng:
         """The numpy Generator: one per instance, built on first use."""
         if self._np is None:
             import numpy as np
-            key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
-                            self.stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+            key = np.array([self.seed, self.stream], dtype=np.uint64)
             self._np = np.random.Generator(np.random.Philox(key=key))
         return self._np
 
@@ -56,10 +60,18 @@ class CounterRng:
                     return w % n
         bits = n.bit_length()
         words = (bits + 63) // 64
+        mask = (1 << bits) - 1
         while True:
             raw = 0
-            for _ in range(words):
-                raw = (raw << 64) | self._word()
-            raw &= (1 << bits) - 1
+            buf = self._buf
+            if len(buf) >= words:
+                # one slice, read in the order pop() would give
+                for w in buf[:-words - 1:-1]:
+                    raw = (raw << 64) | w
+                del buf[-words:]
+            else:
+                for _ in range(words):
+                    raw = (raw << 64) | self._word()
+            raw &= mask
             if raw < n:
                 return raw

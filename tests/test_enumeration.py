@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import table_oracle
+
 from bipolar_maps.enumeration import (_syt_walk, _weighted_moves,
                                       build_count_table,
                                       closed_form_triangulations, count_walks,
@@ -255,6 +257,39 @@ def test_dense_table_matches_dict_oracle(name):
                  for layer in table.layers] or [{} for _ in layers]
         assert cells == [{p: (type(c), c) for p, c in layer.items()}
                          for layer in layers], (m, n, ell)
+
+
+# -- the bounds-checked readers that the padded rows replaced, kept as an oracle
+
+
+@pytest.mark.parametrize("name", ORACLE_WEIGHTS)
+def test_table_draws_match_the_bounds_checked_reader(name):
+    w = ORACLE_WEIGHTS[name]
+    cases = [(m, n, ell) for m, n, ell in itertools.product(range(3), range(3), range(1, 15))
+             if feasible(w, m, n, ell)[0]]
+    # and one table whose counts pass 2**64, so the draws take several words
+    cases.append(next((m, n, ell) for ell in range(60, 70) for m in (2, 1) for n in (2, 1)
+                      if feasible(w, m, n, ell)[0]))
+    for m, n, ell in cases:
+        table = build_count_table(w, m, n, ell)
+        if not table.total:
+            continue
+        for seed in range(10):
+            rng, ref = CounterRng(seed), CounterRng(seed)
+            got = [sample_from_table(table, rng) for _ in range(3)]
+            want = [table_oracle.sample_from_table(table, ref) for _ in range(3)]
+            assert got == want, (m, n, ell, seed)
+            # the same words were taken
+            assert rng.randrange(2**64) == ref.randrange(2**64)
+
+
+@pytest.mark.parametrize("name", ORACLE_WEIGHTS)
+def test_enumeration_order_matches_the_bounds_checked_reader(name):
+    w = ORACLE_WEIGHTS[name]
+    for m, n, ell in itertools.product(range(3), range(3), range(1, 10)):
+        table = build_count_table(w, m, n, ell)
+        assert list(enumerate_walks(w, m, n, ell)) == \
+            list(table_oracle.enumerate_walks(table)), (m, n, ell)
 
 
 def walks_digest(walks) -> str:

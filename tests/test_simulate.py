@@ -377,6 +377,14 @@ def test_counter_rng_keeps_every_stream(seed, stream):
     assert rng.np is rng.np
 
 
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 5), (0, -1), (3, 2**64)])
+def test_counter_rng_refuses_keys_outside_64_bits(seed, stream):
+    # Philox would key them as (seed mod 2**64, stream mod 2**64), the same
+    # streams as another pair
+    with pytest.raises(ValueError, match=r"in \[0, 2\*\*64\)"):
+        CounterRng(seed, stream)
+
+
 def test_local_iid_window():
     # bulk steps of a conditioned walk look i.i.d.: TV below 0.05
     from bipolar_maps.enumeration import exact_sampler
