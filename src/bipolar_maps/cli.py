@@ -126,6 +126,11 @@ def cmd_count(args) -> int:
 
 def cmd_sample(args, parser) -> int:
     _require_seed(parser, args)
+    if args.replicas > 1:
+        for flag, path in (("--walk-out", args.walk_out), ("--map-out", args.map_out)):
+            if path not in (None, "-") and "{}" not in path:
+                parser.error(f"{flag} {path}: with --replicas {args.replicas} "
+                             "the file name needs {} for the replica number")
     dist, w = _dist_from_args(args)
     walks = _replica_walks(args, w, dist)
     for rep, walk in enumerate(walks):

@@ -184,6 +184,23 @@ def test_sample_replica_r_draws_stream_r(tmp_path, monkeypatch, capsys):
         assert (tmp_path / f"w{r:03d}.txt").read_text() == walk_to_text(walk)
 
 
+def test_sample_replicas_need_numbered_files(tmp_path, monkeypatch, capsys):
+    # one file for several replicas would keep only the last; stdout keeps all
+    monkeypatch.chdir(tmp_path)
+    argv = ["sample", "--weights", "quad", "--m", "0", "--n", "0", "--edges", "9",
+            "--seed", "1", "--replicas", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--walk-out", "w.txt"])
+    assert exc.value.code == 2 and list(tmp_path.iterdir()) == []
+    assert "--walk-out w.txt" in capsys.readouterr().err
+    code, out, _ = run(capsys, *argv, "--walk-out", "-")
+    quad = preset_weights("quad")
+    assert code == 0 and out == "".join(
+        walk_to_text(exact_sample(quad, 0, 0, 9, CounterRng(1, r))) for r in range(2))
+    code, _, _ = run(capsys, *argv[:-1], "1", "--walk-out", "w.txt")
+    assert code == 0 and [p.name for p in tmp_path.iterdir()] == ["w.txt"]
+
+
 def test_stats_bootstrap_stream_is_no_replica_stream(monkeypatch, capsys):
     streams = []
 
@@ -299,6 +316,10 @@ DEEP_JSON = "[" * 100000 + "]" * 100000
     (["map2walk"], ("--in", "m.json"), "{"),
     (["map2walk"], ("--in", "m.json"), ""),
     (["map2walk"], ("--in", "m.json"), "nul"),
+    (["sample", "--weights", "quad", "--m", "0", "--n", "0", "--edges", "9",
+      "--seed", "1", "--replicas", "3"], ("--walk-out", "w.txt"), ""),
+    (["sample", "--weights", "quad", "--m", "0", "--n", "0", "--edges", "9",
+      "--seed", "1", "--replicas", "2", "--walk-out", "-"], ("--map-out", "m.json"), ""),
 ], ids=["count-zero-edges", "walk-negative-face", "map-string-vertices",
         "map-top-level-array", "rejection-negative-m", "count-negative-m",
         "interface-zero-replicas", "stats-zero-replicas",
@@ -313,7 +334,8 @@ DEEP_JSON = "[" * 100000 + "]" * 100000
         "nu-repeated-step", "map-huge-edge-ref", "map-huge-endpoint",
         "map-huge-vertex-count", "map-zero-edge-ref", "map-negative-edge-ref",
         "seed-negative", "seed-2**64", "config-seed-negative", "map-deep-nesting",
-        "config-deep-nesting", "map-open-brace", "map-empty", "map-nul"])
+        "config-deep-nesting", "map-open-brace", "map-empty", "map-nul",
+        "replicas-one-walk-file", "replicas-one-map-file"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, infile, content):
     if infile is not None:
         flag, name = infile
