@@ -83,8 +83,10 @@ class CountTable:
             nx, ny = shapes[r + 1] if r < self.length else shapes[r]
             width = max(by, ny) + step
             pad = [0] * (width - by)
-            out = [row + pad for row in layer.tolist()]
-            out += [[0] * width] * (max(bx, nx) + step - bx)
+            out = layer.tolist()
+            for row in out:
+                row += pad
+            out +=[[0] * width] * (max(bx, nx) + step - bx)
             rows.append(out)
         return rows
 
