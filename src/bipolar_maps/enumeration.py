@@ -74,8 +74,7 @@ class CountTable:
         y, and a negative index (a step below x = 0 or y = 0) wraps into
         the zeros at the end.  A layer's zero rows share one list.
         """
-        step = max((max(abs(dx), abs(dy)) for (dx, dy) in
-                    (mv.delta for mv, _ in self.moves)), default=1)
+        step = max((abs(d) for mv, _ in self.moves for d in mv.delta), default=1)
         shapes = [layer.shape for layer in self.layers]
         rows = []
         for r, layer in enumerate(self.layers):
@@ -86,7 +85,7 @@ class CountTable:
             out = layer.tolist()
             for row in out:
                 row += pad
-            out +=[[0] * width] * (max(bx, nx) + step - bx)
+            out += [[0] * width] * (max(bx, nx) + step - bx)
             rows.append(out)
         return rows
 

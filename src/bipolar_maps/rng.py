@@ -4,7 +4,8 @@ All stochastic code draws from a Philox generator keyed by
 ``(seed, stream)``; the counter-based design makes replica streams
 independent and output reproducible across platforms.  Exact integer draws
 below arbitrary (big) bounds use rejection on raw 64-bit words, which are
-buffered in blocks to keep per-draw overhead small.
+buffered in blocks to keep per-draw overhead small; a bound above 2**64
+takes its words from the buffer in one slice when the buffer holds them.
 
 numpy is imported, and the generator built, at the first draw (the first
 ``randrange`` word or the first read of ``rng.np``), so code that builds a
