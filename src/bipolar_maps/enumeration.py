@@ -82,9 +82,8 @@ class CountTable:
             nx, ny = shapes[r + 1] if r < self.length else shapes[r]
             width = max(by, ny) + step
             pad = [0] * (width - by)
-            out = layer.tolist()
-            for row in out:
-                row += pad
+            # row + pad allocates each row at its size; += would over-allocate
+            out = [row + pad for row in layer.tolist()]
             out += [[0] * width] * (max(bx, nx) + step - bx)
             rows.append(out)
         return rows
