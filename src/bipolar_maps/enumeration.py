@@ -260,20 +260,25 @@ def sample_from_table(table: CountTable, rng: CounterRng) -> LatticeWalk:
     x, y = table.start
     moves: list[Move] = []
     rows = table.rows
-    steps = [(mv, *mv.delta, wt) for mv, wt in table.moves]
-    integral = all(type(wt) is int for _, wt in table.moves)
+    steps = [(mv, *mv.delta) for mv, _ in table.moves]
+    wts = [wt for _, wt in table.moves]
+    # a product with 1 still copies a big int, so unit weights skip it
+    unit = all(type(wt) is int and wt == 1 for wt in wts)
+    integral = all(type(wt) is int for wt in wts)
     for r in range(table.length, 0, -1):
         prev = rows[r - 1]
-        weights = [wt * prev[x + dx][y + dy] for _, dx, dy, wt in steps]
-        if not integral:
-            scale = lcm(*(wv.denominator for wv in weights))
-            weights = [int(wv * scale) for wv in weights]
+        weights = [prev[x + dx][y + dy] for _, dx, dy in steps]
+        if not unit:
+            weights = [wt * c for wt, c in zip(wts, weights)]
+            if not integral:
+                scale = lcm(*(wv.denominator for wv in weights))
+                weights = [int(wv * scale) for wv in weights]
         u = rng.randrange(sum(weights))
         k = 0
         while u >= weights[k]:
             u -= weights[k]
             k += 1
-        mv, dx, dy, _ = steps[k]
+        mv, dx, dy = steps[k]
         moves.append(mv)
         x += dx
         y += dy
