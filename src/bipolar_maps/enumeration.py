@@ -3,24 +3,26 @@
 Counts come from a layered dynamic program over quadrant positions, kept
 exact with big integers (or Fractions for non-integer face weights).  Each
 layer is a dense array over the box of positions a walk can hold at that
-time, computed from the previous layer by one shifted add per move.  The
-same layers drive backward sampling that is exactly uniform (or exactly
-Boltzmann for weighted models) and the exhaustive enumeration.  Both read
-them as nested lists padded with zeros (``CountTable.rows``), so every
-move from a cell of one layer reads the next layer in range, with no
-bounds check.  Triangulation families with tiny boundaries scale far
-beyond the table budget through an equivalent tableau encoding, drawn
-cell by cell by the hook-length ratio rule.
+time, allocated once with a margin of zeros, and computed from the
+previous layer by one shifted slice per move.  ``build_count_table`` keeps
+each finished layer as nested lists padded with zeros (``CountTable.rows``);
+``count_walks`` keeps only the newest layer.  The rows drive backward
+sampling that is exactly uniform (or exactly Boltzmann for weighted
+models) and the exhaustive enumeration: every move from a cell of one
+layer reads the next row in range, with no bounds check.  Triangulation
+families with tiny boundaries scale far beyond the table budget through an
+equivalent tableau encoding, drawn cell by cell by the hook-length ratio
+rule.
 
-numpy is imported by ``build_count_table`` only, so the closed form, the
+numpy is imported by the count-table DP only, so the closed form, the
 tableau sampler and ``DEFAULT_BUDGET`` load without it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import factorial, lcm
 
 from .errors import EnumerationBudgetError, NoMapsError
@@ -36,18 +38,21 @@ DEFAULT_BUDGET = 2_000_000
 class CountTable:
     """Backward table: layer r holds weighted counts of r-step walks to the end.
 
-    Layer r is a ``dtype=object`` array of exact ints (Fractions for
-    non-integer weights) indexed ``[x, y]`` over the box
-    ``0 <= x <= min(t, n + r*span)``, ``0 <= y <= min(m + t*span, r)`` for
-    time ``t = length - r``, where ``span`` is the largest face degree
-    minus 2; cells that no walk from the start holds at time t are 0.  The
-    boxes' total size is the table's allocation in cells.  ``states``
+    ``rows[r][x][y]`` is layer r's count, an exact int (a Fraction for
+    non-integer weights), at (x, y) in the box
+    ``0 <= x <= min(t, n + r*step)``, ``0 <= y <= min(m + t*step, r)`` for
+    time ``t = length - r``, where ``step`` is the largest coordinate change
+    of a move; cells that no walk from the start holds at time t are 0.
+    Past its box each layer is padded with zeros: layer r - 1 and each of
+    its rows reach past the boxes of layers r - 1 and r by at least
+    ``step``, so a move from any cell of layer r's box reads
+    ``rows[r - 1][x + dx][y + dy]`` in range, and a negative index (a step
+    below x = 0 or y = 0) wraps into the zeros at the end.  The boxes'
+    total size is the cell count checked against the budget.  ``states``
     counts the start cell (even when no walk leaves it) plus the cells of
     layers 1..length that walks from the start reach without losing the
-    end.  A table whose total is 0 has no layers; when the boundary data
-    fail ``weights.feasible`` it is empty: no moves, no layers, states 0.
-    The draws and the enumeration read ``rows``, the same layers as
-    zero-padded nested lists, built once on first use.
+    end.  A table whose total is 0 has no rows; when the boundary data
+    fail ``weights.feasible`` it is empty: no moves, no rows, states 0.
 
     Immutable once built; safe to share between sampling threads.
     """
@@ -56,66 +61,26 @@ class CountTable:
     start: tuple[int, int]
     end: tuple[int, int]
     length: int
-    layers: list  # numpy object arrays, see above
+    rows: list[list[list]]  # see above
     states: int
-
-    @property
-    def total(self):
-        return self.layers[self.length][self.start] if self.layers else 0
-
-    @cached_property
-    def rows(self) -> list[list[list]]:
-        """The layers as nested lists padded with zeros, for the readers.
-
-        ``rows[r][x][y]`` is layer r's count at (x, y), and 0 in the
-        padding.  A move from any cell of layer r's box reads
-        ``rows[r - 1][x + dx][y + dy]`` in range: layer r - 1 reaches past
-        the larger of the two boxes by the largest move step, in x and in
-        y, and a negative index (a step below x = 0 or y = 0) wraps into
-        the zeros at the end.  A layer's zero rows share one list.
-        """
-        step = max((abs(d) for mv, _ in self.moves for d in mv.delta), default=1)
-        shapes = [layer.shape for layer in self.layers]
-        rows = []
-        for r, layer in enumerate(self.layers):
-            bx, by = shapes[r]
-            nx, ny = shapes[r + 1] if r < self.length else shapes[r]
-            width = max(by, ny) + step
-            pad = [0] * (width - by)
-            # row + pad allocates each row at its size; += would over-allocate
-            out = [row + pad for row in layer.tolist()]
-            out += [[0] * width] * (max(bx, nx) + step - bx)
-            rows.append(out)
-        return rows
+    total: object
 
 
-def _weighted_moves(w: FaceWeights) -> tuple[tuple[Move, object], ...]:
-    mvs = w.moves()
+def _weighted_moves(w: FaceWeights, most: int) -> tuple[tuple[Move, object], ...]:
+    mvs = w.moves(most)
     integral = all(a.denominator == 1 for _, a in mvs)
     return tuple((mv, int(a) if integral else a) for mv, a in mvs)
 
 
-def _aligned(dst_shape, src_shape, dx: int, dy: int):
-    """Slices pairing dst[x, y] with src[x + dx, y + dy], or None if none do."""
-    (dst_x, dst_y), (src_x, src_y) = dst_shape, src_shape
-    # conditionals, not min/max: this runs once per move and layer
-    x0 = -dx if dx < 0 else 0
-    x1 = dst_x if dst_x < src_x - dx else src_x - dx
-    y0 = -dy if dy < 0 else 0
-    y1 = dst_y if dst_y < src_y - dy else src_y - dy
-    if x0 >= x1 or y0 >= y1:
-        return None
-    return ((slice(x0, x1), slice(y0, y1)),
-            (slice(x0 + dx, x1 + dx), slice(y0 + dy, y1 + dy)))
+def _count_layers(w: FaceWeights, m: int, n: int, ell: int, budget: int):
+    """The layered DP behind ``build_count_table`` and ``count_walks``.
 
-
-def build_count_table(w: FaceWeights, m: int, n: int, ell: int,
-                      budget: int = DEFAULT_BUDGET) -> CountTable:
-    """Layered quadrant DP for walks of ell-1 steps from (0, m) to (n, 0).
-
-    Every layer is allocated on its whole box (see ``CountTable``), so the
-    sum of the box sizes is the table's real allocation in cells; it is
-    checked against ``budget`` before any work is done.
+    Returns ``(moves, states, layers)``: the table's moves and states (see
+    ``CountTable``), and an iterator over layers 0..ell-1 in turn, each a
+    numpy object array indexed ``[x, y]`` and padded with zeros as
+    ``CountTable.rows`` is.  The iterator computes each layer from the one
+    before and then drops that one; it yields nothing when the count is 0.
+    Every layer's box is counted against ``budget`` before any work.
     """
     import numpy as np
     check_boundary(m, n, ell)
@@ -126,17 +91,18 @@ def build_count_table(w: FaceWeights, m: int, n: int, ell: int,
             "free walks (--method rejection or --method free)")
     T = ell - 1
     start, end = (0, m), (n, 0)
-    # the edge move is (1, -1); a face of degree k moves by (-i, j) with
-    # i + j = k - 2, so no move changes x or y by more than `span`
-    span = max(w.support) - 2
+    moves = _weighted_moves(w, T)
+    # the edge move is (1, -1) and a face move is (-i, j), so no move
+    # changes x or y by more than `step`
+    step = max(abs(d) for mv, _ in moves for d in mv.delta)
 
     boxes = []
     estimate = 0
     for t in range(T + 1):
-        # walks from the start keep x <= t and y <= m + t*span; walks that
-        # can still reach the end in r steps keep x <= n + r*span and y <= r
+        # walks from the start keep x <= t and y <= m + t*step; walks that
+        # can still reach the end in r steps keep x <= n + r*step and y <= r
         r = T - t
-        boxes.append((min(t, n + r * span) + 1, min(m + t * span, r) + 1))
+        boxes.append((min(t, n + r * step) + 1, min(m + t * step, r) + 1))
         estimate += boxes[t][0] * boxes[t][1]
         if estimate > budget:
             raise EnumerationBudgetError(
@@ -144,46 +110,65 @@ def build_count_table(w: FaceWeights, m: int, n: int, ell: int,
                 f"budget is {budget}",
                 required_cells=estimate, budget_cells=budget)
     if not feasible(w, m, n, ell)[0]:
-        return CountTable(moves=(), start=start, end=end, length=T,
-                          layers=[], states=0)
-    moves = _weighted_moves(w)
+        return (), 0, iter(())
 
-    # shifts[t][k] pairs the cells of box t with their images under move k
-    # in box t + 1
+    # an array of time t holds box t at offset (step, step) and reaches
+    # `step` past boxes t - 1, t and t + 1 on every side, so each move
+    # between neighbouring times reads one slice of it
+    def padded(t):
+        near = boxes[max(t - 1, 0):t + 2]
+        return (max(bx for bx, _ in near) + 2 * step,
+                max(by for _, by in near) + 2 * step)
+
+    def box(a, t, dx=0, dy=0):
+        """The cells of `a` at box t, or one move (dx, dy) away from it."""
+        x, y = step + dx, step + dy
+        return a[x:x + boxes[t][0], y:y + boxes[t][1]]
+
     deltas = [mv.delta for mv, _ in moves]
-    shifts = [[_aligned(boxes[t], boxes[t + 1], dx, dy) for dx, dy in deltas]
-              for t in range(T)]
     # the forward reach: cells a walk from the start holds at time t without
     # losing the end (left of x = n - r, the r edge moves to come fall short)
-    live = [np.zeros(shape, dtype=bool) for shape in boxes]
+    live = [np.zeros(padded(t), dtype=bool) for t in range(T + 1)]
     if m < boxes[0][1] and n <= T:
-        live[0][start] = True
+        box(live[0], 0)[start] = True
     for t in range(T):
-        cur, nxt = live[t], live[t + 1]
-        for pair in shifts[t]:
-            if pair:
-                nxt[pair[1]] |= cur[pair[0]]
+        nxt = box(live[t + 1], t + 1)
+        for dx, dy in deltas:
+            nxt |= box(live[t], t + 1, -dx, -dy)
         if n > T - t - 1:
             nxt[:n - (T - t - 1)] = False
     states = 1 + sum(int(np.count_nonzero(a)) for a in live[1:])
-    if not (n < boxes[T][0] and live[T][end]):  # no walk: total 0
-        return CountTable(moves=moves, start=start, end=end, length=T,
-                          layers=[], states=states)
+    if not (n < boxes[T][0] and box(live[T], T)[end]):  # no walk: total 0
+        return moves, states, iter(())
 
-    layer = np.zeros(boxes[T], dtype=object)
-    layer[end] = 1
-    layers = [layer]
-    for t in range(T - 1, -1, -1):
-        prev, layer = layer, np.zeros(boxes[t], dtype=object)
-        for (_, wt), pair in zip(moves, shifts[t]):
-            if pair:
-                dst, mask = layer[pair[0]], live[t][pair[0]]
-                src = prev[pair[1]][mask]
+    def layers():
+        layer = np.zeros(padded(T), dtype=object)
+        box(layer, T)[end] = 1
+        yield layer[step:, step:]
+        for t in range(T - 1, -1, -1):
+            prev, layer = layer, np.zeros(padded(t), dtype=object)
+            dst, mask = box(layer, t), box(live[t], t)
+            for (_, wt), (dx, dy) in zip(moves, deltas):
+                src = box(prev, t, dx, dy)[mask]
                 # a Fraction weight of 1 still makes the counts Fractions
                 dst[mask] += src if wt == 1 and isinstance(wt, int) else wt * src
-        layers.append(layer)
-    return CountTable(moves=moves, start=start, end=end, length=T,
-                      layers=layers, states=states)
+            yield layer[step:, step:]
+
+    return moves, states, layers()
+
+
+def build_count_table(w: FaceWeights, m: int, n: int, ell: int,
+                      budget: int = DEFAULT_BUDGET) -> CountTable:
+    """Layered quadrant DP for walks of ell-1 steps from (0, m) to (n, 0).
+
+    Every layer is allocated once, on its box (see ``CountTable``) with a
+    margin of zeros; the sum of the box sizes is checked against
+    ``budget`` before any work is done.
+    """
+    moves, states, layers = _count_layers(w, m, n, ell, budget)
+    rows = [layer.tolist() for layer in layers]
+    return CountTable(moves=moves, start=(0, m), end=(n, 0), length=ell - 1,
+                      rows=rows, states=states, total=rows[-1][0][m] if rows else 0)
 
 
 def count_walks(w: FaceWeights, m: int, n: int, ell: int,
@@ -192,11 +177,12 @@ def count_walks(w: FaceWeights, m: int, n: int, ell: int,
 
     Counts walks over the allowed step set (pure counting: weight values do
     not enter, only which degrees are allowed), which equals the number of
-    bipolar maps with ell edges and boundary lengths m+1, n+1.
+    bipolar maps with ell edges and boundary lengths m+1, n+1.  Only the
+    newest layer of the DP is kept.
     """
     counting = FaceWeights({k: Fraction(1) for k in w.support}) if not w.uniform else w
-    table = build_count_table(counting, m, n, ell, budget)
-    return int(table.total)
+    newest = deque(_count_layers(counting, m, n, ell, budget)[2], maxlen=1)
+    return int(newest[0][0, m]) if newest else 0
 
 
 def closed_form_triangulations(n: int) -> int:
@@ -361,7 +347,6 @@ def exact_sampler(w: FaceWeights, m: int, n: int, ell: int,
         else:
             if not table.total:
                 raise NoMapsError("no such maps: the count is zero")
-            table.rows  # convert the layers for the draws once, at set-up
             return lambda rng: sample_from_table(table, rng)
     n_rows, drop = syt
     return lambda rng: _syt_walk(n_rows, rng, drop_last=drop)

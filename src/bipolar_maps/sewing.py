@@ -500,16 +500,19 @@ def walk_edges(walk: LatticeWalk) -> tuple[Frontier, list[int], list[int]]:
     if walk.start[0] != 0 or walk.start[1] < 0:
         raise NotBipolarCodeError(
             f"not a closed bipolar code: walk must start at (0, m), got {walk.start}")
+    # the end comes first: the replay makes j new vertices for each F(i, j),
+    # and the j of a walk that ends on the x-axis sum to at most its number
+    # of edge moves, so its replay makes at most two vertices per edge move
+    end = walk.end
+    if end[1] != 0:
+        raise NotBipolarCodeError(
+            f"not a closed bipolar code: walk ends at {end}, not (n, 0)")
     frontier = Frontier()
     tails, heads = frontier.push_all(walk.moves)
     if frontier.above:
         raise NotBipolarCodeError(
             "not a closed bipolar code: walk leaves the quadrant or does not "
             "end on the x-axis")
-    end = walk.end
-    if end[1] != 0:
-        raise NotBipolarCodeError(
-            f"not a closed bipolar code: walk ends at {end}, not (n, 0)")
     tails.insert(0, 0)
     heads.insert(0, 1)
     return frontier, tails, heads

@@ -51,9 +51,12 @@ class FaceWeights:
             raise BipolarError("uniform weights have unbounded support")
         return sorted(self.support)
 
-    def moves(self) -> list[tuple[Move, Fraction]]:
-        """Every allowed move with its face weight (edge move has weight 1).
+    def moves(self, most: int) -> list[tuple[Move, Fraction]]:
+        """Every allowed move with its face weight (edge move has weight 1),
+        save the face moves F(i, j) with i or j above ``most``.
 
+        A walk of ``most`` steps takes none of those: x never passes the
+        number of steps taken, and y must come back down by edge moves.
         The order is fixed: the edge move, then face moves by degree, then
         by i.  Walks are enumerated and drawn in this order, so the pinned
         digests depend on it.
@@ -61,7 +64,7 @@ class FaceWeights:
         out: list[tuple[Move, Fraction]] = [(EDGE, Fraction(1))]
         for k in self.degrees():
             a = self.support[k]
-            for i in range(k - 1):
+            for i in range(max(0, k - 2 - most), min(k - 2, most) + 1):
                 out.append((FaceMove(i, k - 2 - i), a))
         return out
 

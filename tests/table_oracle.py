@@ -2,11 +2,12 @@
 
 These are the bounds-checked readers that ``enumeration`` used before its
 rows were padded with zeros: every count is read through ``count_at``,
-which returns 0 off a layer's box, and each draw step keeps only the moves
-with a nonzero count and rescales the weights by the lcm of their
-denominators.  They read only ``table.layers`` (the unpadded numpy
-layers), ``table.moves``, ``table.start`` and ``table.length``, and share
-no code with the readers they check.
+which returns 0 off a layer's rows, so a negative index reads 0 and does
+not wrap, and each draw step keeps only the moves with a nonzero count and
+rescales the weights by the lcm of their denominators.
+They read only ``table.rows``, ``table.moves``, ``table.start``,
+``table.length`` and ``table.total``, and share no code with the readers
+they check.
 """
 
 from math import lcm
@@ -15,13 +16,8 @@ from bipolar_maps.errors import NoMapsError
 from bipolar_maps.walks import LatticeWalk
 
 
-def plain_rows(table):
-    """The layers as nested lists over their own boxes, without padding."""
-    return [layer.tolist() for layer in table.layers]
-
-
 def count_at(layer, x, y):
-    """The count of one layer (as rows) at (x, y); 0 off its box."""
+    """The count of one layer (as rows) at (x, y); 0 off its rows."""
     if 0 <= x < len(layer):
         row = layer[x]
         if 0 <= y < len(row):
@@ -35,9 +31,8 @@ def sample_from_table(table, rng):
         raise NoMapsError("no such maps: the count is zero")
     pos = table.start
     moves = []
-    rows = plain_rows(table)
     for r in range(table.length, 0, -1):
-        prev = rows[r - 1]
+        prev = table.rows[r - 1]
         opts = []
         for mv, wt in table.moves:
             dx, dy = mv.delta
@@ -62,7 +57,7 @@ def enumerate_walks(table):
     """Every walk of the table, depth first in the table's move order."""
     if not table.total:
         return
-    rows = plain_rows(table)
+    rows = table.rows
     prefix = []
 
     def rec(x, y, r):

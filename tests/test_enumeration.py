@@ -1,9 +1,9 @@
 import hashlib
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import table_oracle
@@ -76,6 +76,31 @@ def test_budget_error():
     with pytest.raises(EnumerationBudgetError) as err:
         build_count_table(TRI, 0, 1, 3000, budget=1000)
     assert err.value.required_cells > err.value.budget_cells
+
+
+def test_a_count_keeps_one_layer():
+    # with every layer kept, this count peaks at about 31 MB under
+    # tracemalloc; with one live layer and the reach masks, about 3 MB
+    tracemalloc.start()
+    try:
+        count_walks(TRI, 0, 1, 300, budget=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
+
+
+def test_moves_no_walk_can_take_are_left_out():
+    # no walk of 29 steps takes a face move of degree 300 000, so the table
+    # is the tri table, and so are its draws
+    w = FaceWeights({3: 1, 300_000: 1})
+    table, tri = build_count_table(w, 0, 1, 30), build_count_table(TRI, 0, 1, 30)
+    assert len(table.moves) == 3
+    assert (table.moves, table.states, table.total) == (tri.moves, tri.states, tri.total)
+    assert count_walks(w, 0, 1, 30) == count_walks(TRI, 0, 1, 30) == tri.total
+    draw, tri_draw = exact_sampler(w, 0, 1, 30), exact_sampler(TRI, 0, 1, 30)
+    assert [draw(CounterRng(s)) for s in range(10)] == \
+        [tri_draw(CounterRng(s)) for s in range(10)]
 
 
 def test_exact_sample_unique_walk():
@@ -178,9 +203,9 @@ def test_all_triangulation_walks_is_the_enumerator():
 
 def dict_count_table(w, m, n, ell):
     """(layers, states) of the dict DP: layer r maps (x, y) to its count."""
-    moves = _weighted_moves(w)
-    deltas = [mv.delta for mv, _ in moves]
     T = ell - 1
+    moves = _weighted_moves(w, T)
+    deltas = [mv.delta for mv, _ in moves]
     start, end = (0, m), (n, 0)
     max_i = max((-dx for dx, _ in deltas), default=0)
     max_j = max((dy for _, dy in deltas), default=0)
@@ -247,14 +272,16 @@ def test_dense_table_matches_dict_oracle(name):
         total = layers[ell - 1].get((0, m), 0)
         assert (type(table.total), table.total) == (type(total), total)
         if not feasible(w, m, n, ell)[0]:
-            assert (table.layers, table.states, total) == ([], 0, 0)
+            assert (table.rows, table.states, total) == ([], 0, 0)
             continue
         # the start cell counts even when no walk leaves it (ell = 1, start
         # off the end), as it did in the dict DP
         assert table.states == states, (m, n, ell)
-        # a table with total 0 keeps no layers; the dict ones are all empty
-        cells = [{(x, y): (type(c), c) for (x, y), c in np.ndenumerate(layer) if c}
-                 for layer in table.layers] or [{} for _ in layers]
+        # a table with total 0 keeps no rows; the dict layers are all empty.
+        # The padding is read too, so a stray count there shows.
+        cells = [{(x, y): (type(c), c) for x, row in enumerate(layer)
+                  for y, c in enumerate(row) if c}
+                 for layer in table.rows] or [{} for _ in layers]
         assert cells == [{p: (type(c), c) for p, c in layer.items()}
                          for layer in layers], (m, n, ell)
 

@@ -138,7 +138,9 @@ def test_degrees_reject_quadrant_exit():
 @pytest.mark.parametrize("walk", [
     LatticeWalk((0, 0), (EDGE, EDGE)),   # leaves the quadrant in y
     LatticeWalk((1, 0), ()),             # does not start at (0, m)
-], ids=["y-exit", "start-off-axis"])
+    # ends off the axis; a replay would first make 10**9 vertices
+    LatticeWalk((0, 0), (FaceMove(0, 10**9),)),
+], ids=["y-exit", "start-off-axis", "huge-face-off-axis"])
 def test_degrees_reject_what_walk_to_map_rejects(walk):
     with pytest.raises(NotBipolarCodeError):
         walk_to_map(walk)

@@ -136,7 +136,7 @@ def test_repeated_lines_are_rejected():
 def test_period_divides_return_times():
     # unconstrained-walk return times to the origin, by plane DP up to 60 steps
     def return_times(w, horizon=60):
-        moves = [mv.delta for mv, _ in w.moves()]
+        moves = [mv.delta for mv, _ in w.moves(horizon)]
         reach = {(0, 0)}
         times = []
         for t in range(1, horizon + 1):
