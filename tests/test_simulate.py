@@ -17,7 +17,7 @@ from bipolar_maps.simulate import (covariance_report, degrees_from_walk,
                                    sample_simple_triangulation_walk,
                                    tv_to_geometric)
 from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk, walk_to_text
-from bipolar_maps.weights import (direct_distribution,
+from bipolar_maps.weights import (FaceWeights, direct_distribution,
                                   direct_distribution_from_text,
                                   preset_weights, step_distribution)
 
@@ -86,6 +86,20 @@ def test_rejection_many_uniform_at_l6():
     walks = rejection_sample_many(TRI, 0, 1, 6, CounterRng(6), 5000)
     counts = Counter(tuple(w.moves) for w in walks)
     assert len(counts) == 5 and min(counts.values()) > 850
+
+
+def test_rejection_uniform_law_is_exact_at_l5():
+    # under the uniform step law every walk of 4 steps from (0, 0) back to
+    # (0, 0) has probability 2**-12, so the draws are uniform over the 6
+    # walks that the table with every face degree 2..7 enumerates
+    import scipy.stats
+    walks = list(enumerate_walks(FaceWeights({k: 1 for k in range(2, 8)}), 0, 0, 5))
+    assert len(walks) == 6
+    draws = rejection_sample_many(UNI, 0, 0, 5, CounterRng(31), 1200,
+                                  max_tries=10_000_000)
+    counts = Counter(draws)
+    assert set(counts) <= set(walks)
+    assert scipy.stats.chisquare([counts[w] for w in walks]).pvalue > 0.001
 
 
 def test_degrees_smallest():
