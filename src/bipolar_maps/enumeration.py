@@ -146,6 +146,7 @@ def _count_layers(w: FaceWeights, m: int, n: int, ell: int, budget: int):
         box(layer, T)[end] = 1
         yield layer[step:, step:]
         for t in range(T - 1, -1, -1):
+            live.pop()  # the mask of time t + 1, which no later layer reads
             prev, layer = layer, np.zeros(padded(t), dtype=object)
             dst, mask = box(layer, t), box(live[t], t)
             for (_, wt), (dx, dy) in zip(moves, deltas):

@@ -5,8 +5,13 @@ infinite-volume statistics; the frontier tracer reads vertex degrees
 straight off a walk; covariance reports compare empirical
 increment structure against the zero-drift theory values.
 
+Both walk samplers take their steps from one flat increment draw.  A free
+walk is one draw of all its steps.  Rejection grows a batch of proposals
+one step at a time, with one draw per step for the proposals still inside
+the quadrant, so a proposal stops costing at its first step out.
+
 numpy is imported inside the functions that compute with arrays (the
-proposal batches, rejection, the covariance report and the degree
+increment draws, rejection, the covariance report and the degree
 correlation), so the frontier tracer and the interface export load without it.
 """
 
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from math import sqrt
 
 from .errors import BipolarError, NoMapsError, RejectionBudgetError
@@ -21,64 +27,62 @@ from .rng import CounterRng
 from .sewing import Frontier, walk_edges
 from .walks import EDGE, FaceMove, LatticeWalk, Move
 from .weights import (StepDistribution, TheoryStats, check_boundary, congruence,
-                      theory_stats)
+                      theory_stats, walk_length)
 
 
 # -- step generation -------------------------------------------------------------
 
 
-def _propose_batch(dist: StepDistribution, steps: int, size: int, rng: CounterRng):
-    """``size`` rows of ``steps`` i.i.d. increments, as (dx, dy) arrays."""
+def _increments(dist: StepDistribution, count: int, rng: CounterRng):
+    """``count`` i.i.d. increments, as flat (dx, dy) arrays."""
     import numpy as np
     if dist.kind == "uniform":
-        is_edge = rng.np.integers(0, 2, size=(size, steps)).astype(bool)
-        iis = rng.np.geometric(0.5, size=(size, steps)) - 1
-        jjs = rng.np.geometric(0.5, size=(size, steps)) - 1
-        dxs = np.where(is_edge, 1, -iis)
-        dys = np.where(is_edge, -1, jjs)
-    else:
-        moves_probs = dist.finite_moves()
-        probs = np.array([p for _, p in moves_probs])
-        probs = probs / probs.sum()
-        deltas = np.array([mv.delta for mv, _ in moves_probs])
-        idx = rng.np.choice(len(moves_probs), size=(size, steps), p=probs)
-        dxs = deltas[idx, 0]
-        dys = deltas[idx, 1]
-    return dxs, dys
+        is_edge = rng.np.integers(0, 2, size=count).astype(bool)
+        iis = rng.np.geometric(0.5, size=count) - 1
+        jjs = rng.np.geometric(0.5, size=count) - 1
+        return np.where(is_edge, 1, -iis), np.where(is_edge, -1, jjs)
+    moves_probs = dist.finite_moves()
+    probs = np.array([p for _, p in moves_probs])
+    deltas = np.array([mv.delta for mv, _ in moves_probs])
+    idx = rng.np.choice(len(moves_probs), size=count, p=probs / probs.sum())
+    return deltas[idx, 0], deltas[idx, 1]
 
 
-def _row_walk(dxs, dys, row: int, m: int) -> LatticeWalk:
-    moves = tuple(EDGE if (dx, dy) == (1, -1) else FaceMove(-dx, dy)
-                  for dx, dy in zip(dxs[row].tolist(), dys[row].tolist()))
-    return LatticeWalk((0, m), moves)
+def _walk(start: tuple[int, int], dxs, dys) -> LatticeWalk:
+    return LatticeWalk(start, tuple(EDGE if (dx, dy) == (1, -1) else FaceMove(-dx, dy)
+                                    for dx, dy in zip(dxs, dys)))
 
 
 def free_walk(dist: StepDistribution, steps: int, rng: CounterRng) -> LatticeWalk:
-    """Unconditioned i.i.d. walk from the origin (may leave the quadrant).
-
-    It is one row of the rejection sampler's proposals.
-    """
-    return _row_walk(*_propose_batch(dist, steps, 1, rng), 0, 0)
+    """Unconditioned i.i.d. walk from the origin (may leave the quadrant)."""
+    dxs, dys = _increments(dist, steps, rng)
+    return _walk((0, 0), dxs.tolist(), dys.tolist())
 
 
 def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
                           rng: CounterRng, count: int,
                           max_tries: int = 1_000_000) -> list[LatticeWalk]:
-    """Accept ``count`` conditioned walks; proposals run in vectorized batches.
+    """Accept ``count`` conditioned walks from batches of proposals.
 
-    Raises RejectionBudgetError carrying the observed acceptance rate when
+    A batch grows its proposals one step at a time: each step draws one
+    increment for every proposal still inside the quadrant and drops those
+    that leave it, so most proposals cost one or two increments.  After the
+    last step the proposals that end at (n, 0) are accepted in batch order.
+    Every proposal counts as a try however early it is dropped.  Boundary
+    data that fail ``weights.walk_length`` (or, for a finite law, the
+    congruence) raise NoMapsError before any proposal.  Raises
+    RejectionBudgetError carrying the observed acceptance rate when
     max_tries proposals do not yield enough accepted walks.
     """
     import numpy as np
     check_boundary(m, n, ell)
-    if dist.kind != "uniform":
+    ok, reason = walk_length(m, n, ell)
+    if ok and dist.kind != "uniform":
         ok, reason = congruence(dist.degrees(), m, n, ell)
-        if not ok:
-            raise NoMapsError(f"no such maps: {reason}")
+    if not ok:
+        raise NoMapsError(f"no such maps: {reason}")
     steps = ell - 1
     if steps == 0:
-        if (0, m) != (n, 0):
-            raise NoMapsError("no such maps: a single edge needs m = n = 0")
         return [LatticeWalk((0, m), ()) for _ in range(count)]
     out: list[LatticeWalk] = []
     tried = 0
@@ -87,15 +91,29 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
         size = min(batch, max_tries - tried)
         tried += size
         batch = min(batch * 4, 65536)
-        dxs, dys = _propose_batch(dist, steps, size, rng)
-        xs = np.cumsum(dxs, axis=1)
-        ys = np.cumsum(dys, axis=1) + m
-        good = ((xs.min(axis=1) >= 0) & (ys.min(axis=1) >= 0)
-                & (xs[:, -1] == n) & (ys[:, -1] == 0))
-        for row in np.flatnonzero(good):
-            out.append(_row_walk(dxs, dys, int(row), m))
-            if len(out) == count:
+        # rows: the proposals still inside, by batch index; history: for
+        # each step, the rows that took it and their increments
+        rows = np.arange(size)
+        xs = np.zeros(size, dtype=np.int64)
+        ys = np.full(size, m, dtype=np.int64)
+        history = []
+        for _ in range(steps):
+            dxs, dys = _increments(dist, len(rows), rng)
+            history.append((rows, dxs, dys))
+            xs += dxs
+            ys += dys
+            inside = (xs >= 0) & (ys >= 0)
+            rows, xs, ys = rows[inside], xs[inside], ys[inside]
+            if not len(rows):
                 break
+        done = rows[(xs == n) & (ys == 0)][:count - len(out)]
+        # rows only shrink, so each step's rows are sorted and hold `done`
+        walk_dxs = np.empty((len(done), steps), dtype=np.int64)
+        walk_dys = np.empty_like(walk_dxs)
+        for t, (took, dxs, dys) in enumerate(history):
+            at = np.searchsorted(took, done)
+            walk_dxs[:, t], walk_dys[:, t] = dxs[at], dys[at]
+        out += map(partial(_walk, (0, m)), walk_dxs.tolist(), walk_dys.tolist())
     if len(out) < count:
         raise RejectionBudgetError(
             f"accepted only {len(out)} of {count} samples in {tried} tries "

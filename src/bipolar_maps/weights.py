@@ -223,6 +223,9 @@ def feasible(w: FaceWeights, m: int, n: int, ell: int) -> tuple[bool, str]:
     Passing is necessary, not sufficient; exact counts settle small sizes.
     """
     check_boundary(m, n, ell)
+    ok, reason = walk_length(m, n, ell)
+    if not ok:
+        return ok, reason
     if w.uniform:
         return True, "necessary conditions pass (period 1)"
     return congruence(w.support, m, n, ell)
@@ -232,6 +235,19 @@ def check_boundary(m: int, n: int, ell: int) -> None:
     """Reject boundary data off the quadrant: need m, n >= 0 and ell >= 1."""
     if m < 0 or n < 0 or ell < 1:
         raise ValueError("need m, n >= 0 and ell >= 1")
+
+
+def walk_length(m: int, n: int, ell: int) -> tuple[bool, str]:
+    """Are ell - 1 steps enough to go from (0, m) to (n, 0), whatever the faces?
+
+    Only the edge move (1, -1) raises x or lowers y, each by one, and a
+    face move (-i, j) has i, j >= 0; so a walk needs at least max(m, n)
+    edge moves, and ``ell - 1 >= max(m, n)``.
+    """
+    if ell - 1 < max(m, n):
+        return False, (f"a walk from (0, {m}) to ({n}, 0) needs at least "
+                       f"{max(m, n)} edge moves, more than ell-1 = {ell - 1}")
+    return True, "necessary conditions pass"
 
 
 def congruence(degrees, m: int, n: int, ell: int) -> tuple[bool, str]:

@@ -66,6 +66,14 @@ def test_sample_infeasible_exit_code(capsys):
     assert code == 1 and "odd" in err
 
 
+def test_sample_without_a_walk_exit_code(capsys):
+    # 29 steps cannot bring y down from 40; no proposal is drawn
+    code, _, err = run(capsys, "sample", "--weights", "uniform", "--method",
+                       "rejection", "--m", "40", "--n", "0", "--edges", "30",
+                       "--seed", "1")
+    assert code == 1 and err.startswith("error: no such maps") and "edge moves" in err
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "count", "--weights", "tri", "--m", "2",
                        "--n", "2", "--edges", "2000", "--budget", "1000")

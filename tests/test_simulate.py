@@ -71,6 +71,16 @@ def test_rejection_off_congruence_direct_distribution():
         rejection_sample(nu, 0, 1, 4, CounterRng(3))
 
 
+@pytest.mark.parametrize("law,m,n,ell", [("uniform", 40, 0, 30), ("tri", 9, 0, 4),
+                                         ("direct", 0, 3, 3)])
+def test_rejection_without_a_walk_raises_before_any_proposal(law, m, n, ell):
+    # fewer than max(m, n) steps: no walk exists, whatever the congruence says
+    rng = CounterRng(1)
+    with pytest.raises(NoMapsError, match="edge moves"):
+        rejection_sample(PINNED_LAWS[law], m, n, ell, rng)
+    assert rng.np.integers(0, 2**32) == CounterRng(1).np.integers(0, 2**32)
+
+
 def test_rejection_budget_error():
     with pytest.raises(RejectionBudgetError):
         rejection_sample(TRI, 0, 1, 30, CounterRng(3), max_tries=3)
@@ -315,8 +325,8 @@ def test_free_walk_is_pinned(law):
 
 
 REJECTION_SHA256 = {
-    ("uniform", 0, 0, 9): "ba53990c7270f342d3bbc8ec91b623a1b85dcfeea23f91118d7d410c068accc4",
-    ("tri", 0, 1, 12): "0a2527fe381517519c5b68a2655ba99a5b98abc91d1a00de5aaca4fd900e44ab",
+    ("uniform", 0, 0, 9): "f394d7bd6024782e68382d4f1cfe84b0c5f314050c4caf5968038c90690c12c2",
+    ("tri", 0, 1, 12): "e01c00f172701410b4b388a43a36584c91eb6b41f1388b7ab289a4de601c285e",
 }
 
 

@@ -66,6 +66,16 @@ def test_feasible_examples():
     assert not feasible(quad, 0, 0, 6)[0]  # sharper than the even-b congruence
 
 
+def test_too_few_steps_is_infeasible_for_every_family():
+    # a walk from (0, m) to (n, 0) takes at least max(m, n) edge moves
+    uniform, tri = preset_weights("uniform"), preset_weights("tri")
+    for w, m, n, ell in ((uniform, 40, 0, 30), (uniform, 0, 5, 5), (tri, 9, 0, 4)):
+        ok, reason = feasible(w, m, n, ell)
+        assert not ok and "edge moves" in reason
+    assert feasible(uniform, 4, 0, 5)[0] and feasible(uniform, 0, 4, 5)[0]
+    assert feasible(tri, 9, 0, 10)[0]
+
+
 def test_theory_values_triangulation():
     ts = theory_stats(step_distribution(preset_weights("tri")))
     assert abs(ts.var_diff - 2.0) <= 1e-9
