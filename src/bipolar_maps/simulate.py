@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from math import sqrt
 
 from .errors import BipolarError, NoMapsError, RejectionBudgetError
@@ -66,8 +65,9 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
 
     A batch grows its proposals one step at a time: each step draws one
     increment for every proposal still inside the quadrant and drops those
-    that leave it, so most proposals cost one or two increments.  After the
-    last step the proposals that end at (n, 0) are accepted in batch order.
+    that leave it, so a proposal costs no draw after its first step out.
+    After the last step the proposals that end at (n, 0) are accepted in
+    batch order.
     Every proposal counts as a try however early it is dropped.  Boundary
     data that fail ``weights.walk_length`` (or, for a finite law, the
     congruence) raise NoMapsError before any proposal.  Raises
@@ -113,7 +113,8 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
         for t, (took, dxs, dys) in enumerate(history):
             at = np.searchsorted(took, done)
             walk_dxs[:, t], walk_dys[:, t] = dxs[at], dys[at]
-        out += map(partial(_walk, (0, m)), walk_dxs.tolist(), walk_dys.tolist())
+        out += [_walk((0, m), dx, dy)
+                for dx, dy in zip(walk_dxs.tolist(), walk_dys.tolist())]
     if len(out) < count:
         raise RejectionBudgetError(
             f"accepted only {len(out)} of {count} samples in {tried} tries "
