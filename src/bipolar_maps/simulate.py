@@ -67,11 +67,10 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
     increment for every proposal still inside the quadrant and drops those
     that leave it, so a proposal costs no draw after its first step out.
     After the last step the proposals that end at (n, 0) are accepted in
-    batch order.
-    Every proposal counts as a try however early it is dropped.  Boundary
-    data that fail ``weights.walk_length`` (or, for a finite law, the
-    congruence) raise NoMapsError before any proposal.  Raises
-    RejectionBudgetError carrying the observed acceptance rate when
+    batch order.  Every proposal counts as a try however early it is
+    dropped.  Boundary data that fail ``weights.walk_length`` (or, for a
+    finite law, the congruence) raise NoMapsError before any proposal.
+    Raises RejectionBudgetError carrying the observed acceptance rate when
     max_tries proposals do not yield enough accepted walks.
     """
     import numpy as np
