@@ -28,8 +28,8 @@ from .simulate import (FrontierTrace, StatReport, covariance_report,
                        interface_export, rejection_sample,
                        sample_simple_triangulation_walk)
 from .svg import render_svg
-from .walks import (EDGE, EdgeMove, FaceMove, LatticeWalk, Move, reverse_moves,
-                    walk_from_text, walk_to_text)
+from .walks import (EDGE, EdgeMove, FaceMove, LatticeWalk, Move, face_move, move_of,
+                    reverse_moves, walk_from_text, walk_to_text)
 from .weights import (FaceWeights, StepDistribution, TheoryStats,
                       direct_distribution, direct_distribution_from_text,
                       feasible, period, preset_weights, solve_lambda,

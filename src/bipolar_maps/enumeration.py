@@ -28,7 +28,7 @@ from math import factorial, lcm
 from .errors import EnumerationBudgetError, NoMapsError
 from .rng import CounterRng
 from .sewing import walk_to_map
-from .walks import EDGE, FaceMove, LatticeWalk, Move
+from .walks import EDGE, LatticeWalk, Move, face_move
 from .weights import FaceWeights, check_boundary, feasible
 
 DEFAULT_BUDGET = 2_000_000
@@ -301,7 +301,7 @@ def sample_syt_word(n: int, rng: CounterRng) -> list[int]:
     return word
 
 
-_SYT_MOVES = {0: FaceMove(0, 1), 1: EDGE, 2: FaceMove(1, 0)}
+_SYT_MOVES = {0: face_move(0, 1), 1: EDGE, 2: face_move(1, 0)}
 
 
 def _syt_walk(n: int, rng: CounterRng, drop_last: bool) -> LatticeWalk:

@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidMapError, MapStructureError
-from .walks import FaceMove
+from .walks import FaceMove, face_move
 
 WEST_OUTER = -1
 EAST_OUTER = -2
@@ -55,7 +55,7 @@ class FaceData:
     @property
     def face_type(self) -> FaceMove:
         """The face move (i, j) that sews this face: i + 1 west, j + 1 east edges."""
-        return FaceMove(len(self.west_edges_down) - 1, len(self.east_edges_up) - 1)
+        return face_move(len(self.west_edges_down) - 1, len(self.east_edges_up) - 1)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from operator import add
 
 from .errors import BipolarError, NotBipolarCodeError, UnsewError
 from .planar_map import EAST_OUTER, WEST_OUTER, PlanarMap, nw_depths, se_depths
-from .walks import EDGE, EdgeMove, FaceMove, LatticeWalk, Move
+from .walks import EDGE, EdgeMove, LatticeWalk, Move, face_move
 
 _W = WEST_OUTER
 _E = EAST_OUTER
@@ -301,7 +301,7 @@ class MarkedBipolarState:
             self.bottom = self.hi[w]
         self.active = self.hi[west[0]]
         del self.faces[fid]
-        return FaceMove(len(west) - 1, len(east) - 1)
+        return face_move(len(west) - 1, len(east) - 1)
 
 
 def initial_state() -> MarkedBipolarState:
@@ -571,7 +571,6 @@ def interface_order(m: PlanarMap) -> tuple[list[int], tuple[Move, ...]]:
     face_of, fd, start, split = s.face_of, s.face_darts, s.face_start, s.face_split
     nxt = s.west_out[:]     # per vertex, its west-most untraversed outgoing dart
     left = s.outdeg[:]      # and how many are left
-    face_moves: dict[tuple[int, int], FaceMove] = {}
     order: list[int] = []
     moves: list[Move] = []
     v, expected, north = m.south, -1, m.north
@@ -587,11 +586,7 @@ def interface_order(m: PlanarMap) -> tuple[list[int], tuple[Move, ...]]:
         f = face_of[d ^ 1]
         if f >= 0 and fd[split[f]] == d ^ 1:  # the top of its east face's west side
             a, b, c = start[f], split[f], start[f + 1]
-            ij = (c - b - 1, b - a - 1)
-            mv = face_moves.get(ij)
-            if mv is None:
-                mv = face_moves[ij] = FaceMove(*ij)
-            moves.append(mv)
+            moves.append(face_move(c - b - 1, b - a - 1))
             expected = fd[a]
             v = tail[expected]
         elif head[d] == north:

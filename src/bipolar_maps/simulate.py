@@ -24,7 +24,7 @@ from math import sqrt
 from .errors import BipolarError, NoMapsError, RejectionBudgetError
 from .rng import CounterRng
 from .sewing import Frontier, walk_edges
-from .walks import EDGE, FaceMove, LatticeWalk, Move
+from .walks import EDGE, LatticeWalk, Move, face_move, move_of
 from .weights import (StepDistribution, TheoryStats, check_boundary, congruence,
                       theory_stats, walk_length)
 
@@ -48,8 +48,7 @@ def _increments(dist: StepDistribution, count: int, rng: CounterRng):
 
 
 def _walk(start: tuple[int, int], dxs, dys) -> LatticeWalk:
-    return LatticeWalk(start, tuple(EDGE if (dx, dy) == (1, -1) else FaceMove(-dx, dy)
-                                    for dx, dy in zip(dxs, dys)))
+    return LatticeWalk(start, tuple(map(move_of, dxs, dys)))
 
 
 def free_walk(dist: StepDistribution, steps: int, rng: CounterRng) -> LatticeWalk:
@@ -141,8 +140,8 @@ def closable_triangulation(x: int, y: int, n: int, r: int) -> bool:
     return x + y + c >= n
 
 
-WEST_TRIANGLE = FaceMove(1, 0)
-EAST_TRIANGLE = FaceMove(0, 1)
+WEST_TRIANGLE = face_move(1, 0)
+EAST_TRIANGLE = face_move(0, 1)
 
 
 def sample_simple_triangulation_walk(m: int, n: int, ell: int,

@@ -16,7 +16,7 @@ from .embedding import upward_embed, verify_upward_planar
 from .planar_map import (canonical_form, dual_map, map_from_json, map_to_json,
                          reverse_map, validate_bipolar)
 from .sewing import map_to_walk, sew, state_from_map, state_rotate180, unsew, walk_to_map
-from .walks import EDGE, FaceMove, reverse_moves, walk_from_text, walk_to_text
+from .walks import EDGE, face_move, reverse_moves, walk_from_text, walk_to_text
 
 
 def all_triangulation_walks(max_moves):
@@ -67,7 +67,7 @@ def run_verification(quick: bool = False, seed: int = 0, log=None) -> int:
         n_seq = 200 if quick else 1000
         for _ in range(n_seq):
             seq = tuple(EDGE if rng.random() < 0.5
-                        else FaceMove(rng.randint(0, 3), rng.randint(0, 3))
+                        else face_move(rng.randint(0, 3), rng.randint(0, 3))
                         for _ in range(rng.randint(1, 60)))
             st = sew(seq)
             assert unsew(st) == seq

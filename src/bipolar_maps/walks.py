@@ -3,12 +3,32 @@
 A walk is a start point plus a sequence of moves.  An edge move steps by
 (1, -1); a face move ``FaceMove(i, j)`` steps by (-i, j) and, on the map
 side, stands for a face with ``i + 1`` west edges and ``j + 1`` east edges.
+
+Every layer gets its moves here: ``face_move(i, j)`` returns the one shared
+``FaceMove`` of each face type, and ``move_of(dx, dy)`` decodes an
+increment to ``EDGE`` or that shared face move.  So a walk holds one object
+per face type, not one per step; ``FaceMove`` compares by (i, j), and a
+move built directly equals the shared one.  Whether a walk is a closed
+bipolar code is checked in one place, ``sewing.walk_edges``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import index
 from typing import Iterable
+
+# how many face types (and increments) the shared-move caches keep
+_SHARED_MOVES = 4096
+
+
+def _as_int(v, what: str) -> int:
+    """``v`` as an int (numpy ints included); ValueError for anything else."""
+    try:
+        return index(v)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -31,9 +51,12 @@ class FaceMove:
     delta: tuple[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.i < 0 or self.j < 0:
-            raise ValueError(f"face move needs i, j >= 0, got ({self.i}, {self.j})")
-        object.__setattr__(self, "delta", (-self.i, self.j))
+        i, j = _as_int(self.i, "face move i"), _as_int(self.j, "face move j")
+        if i < 0 or j < 0:
+            raise ValueError(f"face move needs i, j >= 0, got ({i}, {j})")
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "delta", (-i, j))
 
     @property
     def degree(self) -> int:
@@ -48,6 +71,30 @@ Move = EdgeMove | FaceMove
 EDGE = EdgeMove()
 
 
+_shared_face_move = lru_cache(maxsize=_SHARED_MOVES)(FaceMove)
+
+
+def face_move(i, j) -> FaceMove:
+    """The shared ``FaceMove(i, j)``: one object per face type.
+
+    i and j become ints first (ValueError for a float or a string), so a
+    float never meets the cache: ``1.0 == 1`` and both hash alike.  The
+    cache keeps the last ``_SHARED_MOVES`` face types; one evicted and
+    asked for again is built anew, equal to the old object.
+    """
+    if type(i) is not int or type(j) is not int:  # ints, the usual case, skip it
+        i, j = _as_int(i, "face move i"), _as_int(j, "face move j")
+    return _shared_face_move(i, j)
+
+
+# typed: a float increment gets its own entry, whose first call raises
+@lru_cache(maxsize=_SHARED_MOVES, typed=True)
+def move_of(dx, dy) -> Move:
+    """The move that steps by (dx, dy): ``EDGE`` or the shared face move."""
+    dx, dy = _as_int(dx, "step dx"), _as_int(dy, "step dy")
+    return EDGE if (dx, dy) == (1, -1) else face_move(-dx, dy)
+
+
 @dataclass(frozen=True)
 class LatticeWalk:
     """A start point and a move sequence; points are derived by prefix sums."""
@@ -56,6 +103,13 @@ class LatticeWalk:
     moves: tuple[Move, ...]
 
     def __post_init__(self):
+        try:
+            x, y = self.start
+        except (TypeError, ValueError):
+            raise ValueError(f"walk start must be a point (x, y), "
+                             f"got {self.start!r}") from None
+        start = (_as_int(x, "walk start x"), _as_int(y, "walk start y"))
+        object.__setattr__(self, "start", start)
         object.__setattr__(self, "moves", tuple(self.moves))
 
     def __len__(self) -> int:
@@ -80,20 +134,6 @@ class LatticeWalk:
             x += dx
             y += dy
         return (x, y)
-
-    def is_quadrant_valid(self) -> bool:
-        """True iff every point has both coordinates >= 0."""
-        return all(x >= 0 and y >= 0 for x, y in self.points())
-
-    def is_bipolar_code(self) -> bool:
-        """True iff the walk encodes an (unmarked) bipolar map.
-
-        Requires a quadrant-valid walk from (0, m) to (n, 0); ending on the
-        x-axis puts the y-minimum at the last step automatically.
-        """
-        if self.start[0] != 0 or self.end[1] != 0:
-            return False
-        return self.is_quadrant_valid()
 
 
 def walk_to_text(walk: LatticeWalk) -> str:
@@ -126,7 +166,7 @@ def walk_from_text(text: str) -> LatticeWalk:
         if parts[0] == "E" and len(parts) == 1:
             moves.append(EDGE)
         elif parts[0] == "F" and len(parts) == 3:
-            moves.append(FaceMove(int(parts[1]), int(parts[2])))
+            moves.append(face_move(int(parts[1]), int(parts[2])))
         else:
             raise ValueError(f"bad move line: {line!r}")
     return LatticeWalk(start, tuple(moves))
@@ -142,7 +182,7 @@ def reverse_moves(moves: Iterable[Move]) -> tuple[Move, ...]:
     out: list[Move] = []
     for mv in reversed(list(moves)):
         if isinstance(mv, FaceMove):
-            out.append(FaceMove(mv.j, mv.i))
+            out.append(face_move(mv.j, mv.i))
         else:
             out.append(mv)
     return tuple(out)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isclose
 
 from .errors import BipolarError, NoZeroDriftError
-from .walks import EDGE, FaceMove, Move
+from .walks import EDGE, FaceMove, Move, face_move, move_of
 
 _UNIFORM_TAIL_EPS = 1e-15
 
@@ -65,7 +65,7 @@ class FaceWeights:
         for k in self.degrees():
             a = self.support[k]
             for i in range(max(0, k - 2 - most), min(k - 2, most) + 1):
-                out.append((FaceMove(i, k - 2 - i), a))
+                out.append((face_move(i, k - 2 - i), a))
         return out
 
 
@@ -191,15 +191,11 @@ class StepDistribution:
         if self.kind == "uniform":
             raise BipolarError("uniform family has infinitely many moves")
         if self.kind == "direct":
-            out = []
-            for (dx, dy), p in sorted(self.direct.items()):
-                mv = EDGE if (dx, dy) == (1, -1) else FaceMove(-dx, dy)
-                out.append((mv, p))
-            return out
+            return [(move_of(dx, dy), p) for (dx, dy), p in sorted(self.direct.items())]
         out = [(EDGE, self.p_edge)]
         for k in sorted(self.face_probs):
             for i in range(k - 1):
-                out.append((FaceMove(i, k - 2 - i), self.face_probs[k]))
+                out.append((face_move(i, k - 2 - i), self.face_probs[k]))
         return out
 
 

@@ -18,6 +18,7 @@ from bipolar_maps.enumeration import (_syt_walk, _weighted_moves,
 from bipolar_maps.errors import EnumerationBudgetError, NoMapsError
 from bipolar_maps.planar_map import canonical_form
 from bipolar_maps.rng import CounterRng
+from bipolar_maps.sewing import walk_edges
 from bipolar_maps.verify import all_triangulation_walks
 from bipolar_maps.walks import walk_to_text
 from bipolar_maps.weights import FaceWeights, feasible, preset_weights
@@ -146,9 +147,11 @@ def test_syt_sampler_agrees_with_table():
 
 def test_syt_large_is_valid():
     w = exact_sample(TRI, 0, 1, 3000, CounterRng(3))
-    assert w.is_bipolar_code() and w.end == (1, 0)
+    walk_edges(w)  # raises unless w is a closed bipolar code
+    assert w.end == (1, 0)
     w0 = exact_sample(TRI, 0, 0, 1000, CounterRng(4))
-    assert w0.is_bipolar_code() and w0.end == (0, 0)
+    walk_edges(w0)
+    assert w0.end == (0, 0)
 
 
 def test_weighted_sampling_rational():
@@ -157,7 +160,7 @@ def test_weighted_sampling_rational():
     assert isinstance(table.total, Fraction)
     rng = CounterRng(5)
     for _ in range(20):
-        assert sample_from_table(table, rng).is_bipolar_code()
+        walk_edges(sample_from_table(table, rng))
 
 
 def test_exact_sample_marginals_match_enumeration():
