@@ -6,10 +6,12 @@ layer is a dense array over the box of positions a walk can hold at that
 time, allocated once with a margin of zeros, and computed from the
 previous layer by one shifted slice per move.  ``build_count_table`` keeps
 each finished layer as nested lists padded with zeros (``CountTable.rows``);
-``count_walks`` keeps only the newest layer.  The rows drive backward
-sampling that is exactly uniform (or exactly Boltzmann for weighted
-models) and the exhaustive enumeration: every move from a cell of one
-layer reads the next row in range, with no bounds check.  Triangulation
+``count_walks`` keeps only the newest layer.  The rows drive the
+exhaustive enumeration and exact sampling by rank: every move from a cell
+of one layer reads the next row in range, with no bounds check.  The walks
+own consecutive ranks in enumeration order, as many as their weight, so a
+draw is one uniform rank, decoded down the rows (``walk_of_rank``): exactly
+uniform, or exactly Boltzmann for weighted models.  Triangulation
 families with tiny boundaries scale far beyond the table budget through an
 equivalent tableau encoding, drawn cell by cell by the hook-length ratio
 rule.
@@ -53,6 +55,8 @@ class CountTable:
     layers 1..length that walks from the start reach without losing the
     end.  A table whose total is 0 has no rows; when the boundary data
     fail ``weights.feasible`` it is empty: no moves, no rows, states 0.
+    Its walks own ``rank_count(table)`` ranks, which ``walk_of_rank``
+    decodes and ``sample_from_table`` draws.
 
     Immutable once built; safe to share between sampling threads.
     """
@@ -234,42 +238,82 @@ def enumerate_maps(w: FaceWeights, m: int, n: int, ell: int,
 # -- exact sampling -------------------------------------------------------------
 
 
-def sample_from_table(table: CountTable, rng: CounterRng) -> LatticeWalk:
-    """Backward sampling proportional to sub-counts; exact for int weights.
+def _denominator_lcm(table: CountTable) -> int:
+    """L, the lcm of the weights' denominators: 1 for int weights."""
+    return lcm(*(wt.denominator for _, wt in table.moves))
 
-    Each step draws below the sum of weight x count over all moves, zero
-    terms included, and takes the first move whose running sum passes the
-    draw.  Fractional weights are rescaled to integers by the lcm of their
-    denominators before each draw, which preserves exactness.
+
+def rank_count(table: CountTable) -> int:
+    """How many ranks the table's walks own: ``total`` for int weights.
+
+    For Fraction weights it is ``total * L**length``, where L is the lcm of
+    the weights' denominators, so that every walk owns a whole number of
+    ranks: its weight (the product of its moves' weights) times L**length.
     """
-    if not table.total:
-        raise NoMapsError("no such maps: the count is zero")
+    scale = _denominator_lcm(table)
+    return table.total if scale == 1 else int(table.total * scale ** table.length)
+
+
+def walk_of_rank(table: CountTable, rank: int) -> LatticeWalk:
+    """The walk that owns ``rank``, for ``0 <= rank < rank_count(table)``.
+
+    Walks own consecutive ranks in ``enumerate_walks`` order, each as many
+    as ``rank_count`` gives it, so a uniform rank is an exact draw.  The
+    descent takes no draws: at each step the rank falls in the share of
+    one move (its weight times its sub-count, in ``table.moves`` order);
+    the shares before it are subtracted, and the rank is floor-divided by
+    the move's weight (times L for Fraction weights), which leaves a rank
+    of the walks from the next cell.
+    """
+    ranks = rank_count(table)
+    if not 0 <= rank < ranks:
+        raise ValueError(f"rank {rank} is not in [0, {ranks})")
     x, y = table.start
     moves: list[Move] = []
     rows = table.rows
     steps = [(mv, *mv.delta) for mv, _ in table.moves]
-    wts = [wt for _, wt in table.moves]
-    # a product with 1 still copies a big int, so unit weights skip it
-    unit = all(type(wt) is int and wt == 1 for wt in wts)
-    integral = all(type(wt) is int for wt in wts)
-    for r in range(table.length, 0, -1):
-        prev = rows[r - 1]
-        weights = [prev[x + dx][y + dy] for _, dx, dy in steps]
-        if not unit:
-            weights = [wt * c for wt, c in zip(wts, weights)]
-            if not integral:
-                scale = lcm(*(wv.denominator for wv in weights))
-                weights = [int(wv * scale) for wv in weights]
-        u = rng.randrange(sum(weights))
-        k = 0
-        while u >= weights[k]:
-            u -= weights[k]
-            k += 1
-        mv, dx, dy = steps[k]
+    if all(type(wt) is int and wt == 1 for _, wt in table.moves):
+        # each walk owns one rank, and a share is the sub-count itself
+        for r in range(table.length - 1, -1, -1):
+            prev = rows[r]
+            for mv, dx, dy in steps:
+                c = prev[x + dx][y + dy]
+                if rank < c:
+                    break
+                rank -= c
+            moves.append(mv)
+            x += dx
+            y += dy
+        return LatticeWalk(table.start, tuple(moves))
+    # the walks from a cell of layer r own its count times L**r ranks (the
+    # count's denominator divides L**r), and a move of weight wt multiplies
+    # them by wt * L, an int
+    scale = _denominator_lcm(table)
+    wts = [int(wt * scale) for _, wt in table.moves]
+    for r in range(table.length - 1, -1, -1):
+        prev = rows[r]
+        unit = scale ** r
+        for (mv, dx, dy), wt in zip(steps, wts):
+            c = prev[x + dx][y + dy]
+            share = wt * c.numerator * (unit // c.denominator)
+            if rank < share:
+                break
+            rank -= share
+        rank //= wt
         moves.append(mv)
         x += dx
         y += dy
     return LatticeWalk(table.start, tuple(moves))
+
+
+def sample_from_table(table: CountTable, rng: CounterRng) -> LatticeWalk:
+    """An exact draw: the walk of one uniform rank (see ``walk_of_rank``).
+
+    The draw takes the words of one ``randrange`` below ``rank_count``.
+    """
+    if not table.total:
+        raise NoMapsError("no such maps: the count is zero")
+    return walk_of_rank(table, rng.randrange(rank_count(table)))
 
 
 # -- tableau sampling for large triangulation families --------------------------
@@ -330,10 +374,11 @@ def exact_sampler(w: FaceWeights, m: int, n: int, ell: int,
                   budget: int = DEFAULT_BUDGET):
     """One-time setup returning a draw(rng) closure for repeated sampling.
 
-    Small instances share one count table across draws; triangulations with
-    boundaries (0,0) or (0,1) use the tableau sampler beyond 120 edges or
-    past the table budget: exactly uniform at any size, and linear-time,
-    with one ``randrange`` per edge.
+    Small instances share one count table across draws, and each draw
+    takes one ``randrange`` (see ``sample_from_table``); triangulations
+    with boundaries (0,0) or (0,1) use the tableau sampler beyond 120 edges
+    or past the table budget: exactly uniform at any size, and
+    linear-time, with one ``randrange`` per edge.
     """
     ok, reason = feasible(w, m, n, ell)
     if not ok:

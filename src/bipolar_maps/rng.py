@@ -3,9 +3,12 @@
 All stochastic code draws from a Philox generator keyed by
 ``(seed, stream)``; the counter-based design makes replica streams
 independent and output reproducible across platforms.  Exact integer draws
-below arbitrary (big) bounds use rejection on raw 64-bit words, which are
-buffered in blocks to keep per-draw overhead small; a bound above 2**64
-takes its words from the buffer in one slice when the buffer holds them.
+below arbitrary (big) bounds use rejection on raw 64-bit words.  The words
+are drawn from numpy in blocks of 4 096 and turned into Python ints
+512 at a time, from the end of the block, as they are taken, so a stream
+that takes a few words does not convert the whole block; a bound above
+2**64 takes its words from the converted ones in one slice when they hold
+them.
 
 numpy is imported, and the generator built, at the first draw (the first
 ``randrange`` word or the first read of ``rng.np``), so code that builds a
@@ -14,7 +17,10 @@ numpy is imported, and the generator built, at the first draw (the first
 
 from __future__ import annotations
 
+from operator import index
+
 _BLOCK = 4096
+_CHUNK = 512  # words of the block turned into ints at a time
 _WORD = 1 << 64
 
 
@@ -22,14 +28,19 @@ class CounterRng:
     """Philox generator keyed by (seed, stream) with exact integer draws."""
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
+        # ints only (numpy ints included): int(1.5) would alias seed 1
+        try:
+            self.seed, self.stream = index(seed), index(stream)
+        except TypeError:
+            raise ValueError("seed and stream must be integers, got "
+                             f"{seed!r} and {stream!r}") from None
         # Philox takes a 128-bit key; a value outside 64 bits would alias
         # another (seed, stream) pair
         if not (0 <= self.seed < _WORD and 0 <= self.stream < _WORD):
             raise ValueError("seed and stream must be in [0, 2**64), got "
                              f"{self.seed} and {self.stream}")
-        self._buf: list[int] = []
+        self._buf: list[int] = []  # converted words, taken by pop()
+        self._block = ()  # the numpy words not yet converted
         # set here, not added on first use, so the instance keeps its
         # attributes inline and the per-draw attribute reads stay fast
         self._np = None
@@ -45,8 +56,13 @@ class CounterRng:
 
     def _word(self) -> int:
         if not self._buf:
-            self._buf = self.np.integers(0, _WORD, size=_BLOCK,
-                                         dtype="uint64").tolist()
+            block = self._block
+            if not len(block):
+                block = self.np.integers(0, _WORD, size=_BLOCK, dtype="uint64")
+            # the block's tail, so pop() takes the words in the block's
+            # order from its end, as it would from the whole block
+            self._buf = block[-_CHUNK:].tolist()
+            self._block = block[:-_CHUNK]
         return self._buf.pop()
 
     def randrange(self, n: int) -> int:

@@ -1,7 +1,8 @@
 """Built-in invariant suite behind the ``verify`` CLI verb.
 
 Runs cheap exhaustive checks over small sizes: bijection round trips,
-enumeration against the closed form, dual validation and involution,
+enumeration against the closed form, table ranks against the enumeration
+order (full mode only), dual validation and involution,
 zero-drift and variance identities, feasibility against exact counts, and
 embeddings checked by both the certificate and the pairwise verifier.
 Quick mode trims the ranges.
@@ -61,6 +62,18 @@ def run_verification(quick: bool = False, seed: int = 0, log=None) -> int:
             assert enumeration.count_walks(tri, 0, 1, ell) == expect
             assert enumeration.triangulation_count_by_edges(ell) == expect
     check("triangulation counts match the closed form", check_counts)
+
+    def check_ranks():
+        quad = weights.preset_weights("quad")
+        for w, m, n, top in ((tri, 0, 1, 12), (quad, 0, 0, 13)):
+            for ell in range(1, top + 1):
+                table = enumeration.build_count_table(w, m, n, ell)
+                walks = list(enumeration.enumerate_walks(w, m, n, ell))
+                assert enumeration.rank_count(table) == len(walks)
+                for rank, walk in enumerate(walks):
+                    assert enumeration.walk_of_rank(table, rank) == walk
+    if not quick:
+        check("table ranks decode to the enumeration order", check_ranks)
 
     def check_roundtrips():
         rng = random.Random(seed)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isclose
 
 from .errors import BipolarError, NoZeroDriftError
-from .walks import EDGE, FaceMove, Move, face_move, move_of
+from .walks import EDGE, FaceMove, Move, _as_int, face_move, move_of
 
 _UNIFORM_TAIL_EPS = 1e-15
 
@@ -298,13 +298,15 @@ def direct_distribution(probs: dict[tuple[int, int], float]) -> StepDistribution
     """
     clean = {}
     for (dx, dy), p in probs.items():
+        # int(-1.2) would turn a law it should refuse into another one
+        dx, dy = _as_int(dx, "step dx"), _as_int(dy, "step dy")
         if p < 0:
             raise ValueError("negative probability")
         if p == 0:
             continue
         if (dx, dy) != (1, -1) and not (dx <= 0 <= dy):
             raise ValueError(f"not a legal increment: ({dx}, {dy})")
-        clean[(int(dx), int(dy))] = float(p)
+        clean[(dx, dy)] = float(p)
     total = sum(clean.values())
     if not isclose(total, 1.0, abs_tol=1e-9):
         raise ValueError(f"probabilities sum to {total}, not 1")

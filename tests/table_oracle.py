@@ -1,18 +1,17 @@
 """Reference readers of a count table, for the tests.
 
-These are the bounds-checked readers that ``enumeration`` used before its
-rows were padded with zeros: every count is read through ``count_at``,
-which returns 0 off a layer's rows, so a negative index reads 0 and does
-not wrap, and each draw step keeps only the moves with a nonzero count and
-rescales the weights by the lcm of their denominators.
+Every count is read through ``count_at``, which returns 0 off a layer's
+rows, so a negative index reads 0 and does not wrap.  The rank decoder
+keeps the rank as an exact Fraction position in [0, total) and divides it
+by each move's weight, with no floor and no integer rescaling.
 They read only ``table.rows``, ``table.moves``, ``table.start``,
 ``table.length`` and ``table.total``, and share no code with the readers
 they check.
 """
 
+from fractions import Fraction
 from math import lcm
 
-from bipolar_maps.errors import NoMapsError
 from bipolar_maps.walks import LatticeWalk
 
 
@@ -25,31 +24,41 @@ def count_at(layer, x, y):
     return 0
 
 
-def sample_from_table(table, rng):
-    """Backward sampling over the moves with a nonzero sub-count."""
-    if not table.total:
-        raise NoMapsError("no such maps: the count is zero")
+def rank_scale(table):
+    """L, the lcm of the weights' denominators (1 for int weights)."""
+    return lcm(*(Fraction(wt).denominator for _, wt in table.moves))
+
+
+def rank_count(table):
+    """total * L**length: each walk owns its weight times L**length ranks."""
+    ranks = Fraction(table.total) * rank_scale(table) ** table.length
+    assert ranks.denominator == 1
+    return int(ranks)
+
+
+def walk_of_rank(table, rank):
+    """The walk that owns ``rank``: rank / L**length is a point of
+    [0, total), and each step takes the move whose weighted sub-count holds
+    it, then divides by that weight."""
+    if not 0 <= rank < rank_count(table):
+        raise ValueError(f"rank {rank} out of range")
+    u = Fraction(rank, rank_scale(table) ** table.length)
     pos = table.start
     moves = []
     for r in range(table.length, 0, -1):
         prev = table.rows[r - 1]
-        opts = []
         for mv, wt in table.moves:
             dx, dy = mv.delta
-            c = count_at(prev, pos[0] + dx, pos[1] + dy)
-            if c:
-                opts.append((mv, wt * c))
-        weights = [wv for _, wv in opts]
-        scale = lcm(*(wv.denominator for wv in weights))
-        ints = [int(wv * scale) for wv in weights]
-        u = rng.randrange(sum(ints))
-        k = 0
-        while u >= ints[k]:
-            u -= ints[k]
-            k += 1
-        mv = opts[k][0]
+            share = wt * count_at(prev, pos[0] + dx, pos[1] + dy)
+            if u < share:
+                break
+            u -= share
+        else:
+            raise AssertionError("the rank is past every move's share")
+        u /= wt
         moves.append(mv)
-        pos = (pos[0] + mv.delta[0], pos[1] + mv.delta[1])
+        pos = (pos[0] + dx, pos[1] + dy)
+    assert u < 1
     return LatticeWalk(table.start, tuple(moves))
 
 

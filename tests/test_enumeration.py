@@ -3,6 +3,7 @@ import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -12,9 +13,9 @@ from bipolar_maps.enumeration import (_syt_walk, _weighted_moves,
                                       build_count_table,
                                       closed_form_triangulations, count_walks,
                                       enumerate_maps, enumerate_walks,
-                                      exact_sample, exact_sampler,
+                                      exact_sample, exact_sampler, rank_count,
                                       sample_from_table, sample_syt_word,
-                                      triangulation_count_by_edges)
+                                      triangulation_count_by_edges, walk_of_rank)
 from bipolar_maps.errors import EnumerationBudgetError, NoMapsError
 from bipolar_maps.planar_map import canonical_form
 from bipolar_maps.rng import CounterRng
@@ -161,6 +162,14 @@ def test_weighted_sampling_rational():
     rng = CounterRng(5)
     for _ in range(20):
         walk_edges(sample_from_table(table, rng))
+    # exact weights: every walk owns its weight times 2**5 of the ranks
+    wt = dict(table.moves)
+    weights = {walk: prod((wt[mv] for mv in walk.moves), start=Fraction(1))
+               for walk in enumerate_walks(w, 0, 1, 6)}
+    assert sum(weights.values()) == table.total
+    assert rank_count(table) == table.total * 2**5
+    owned = Counter(walk_of_rank(table, k) for k in range(rank_count(table)))
+    assert owned == {walk: weight * 2**5 for walk, weight in weights.items()}
 
 
 def test_exact_sample_marginals_match_enumeration():
@@ -291,11 +300,48 @@ def test_dense_table_matches_dict_oracle(name):
                          for layer in layers], (m, n, ell)
 
 
-# -- the bounds-checked readers that the padded rows replaced, kept as an oracle
+# -- the bounds-checked readers, kept as an oracle ------------------------------
+
+
+# the longest walks whose every rank interval is checked: mixed-2346 has
+# 25 865 walks with m, n <= 2 up to ell = 9 and 2.7 million up to 12, and
+# rational-3-4 10 481 up to 10 and 138 863 up to 12, each decoded in Python
+RANK_ORACLE_ELL = {"mixed-2346": 9, "rational-3-4": 10}
+
+
+@pytest.mark.parametrize("name", ORACLE_WEIGHTS)
+def test_every_walk_owns_its_interval_of_ranks(name):
+    # walk k of the enumeration owns the ranks from the sum of the sizes
+    # before it, as many as its weight times L**length; both decoders must
+    # give it at both ends, and the library's at every rank of a small rank
+    # space
+    w = ORACLE_WEIGHTS[name]
+    top = RANK_ORACLE_ELL.get(name, 12)
+    for m, n, ell in itertools.product(range(3), range(3), range(1, top + 1)):
+        table = build_count_table(w, m, n, ell)
+        ranks = table_oracle.rank_count(table)
+        assert rank_count(table) == ranks, (m, n, ell)
+        wt = dict(table.moves)
+        unit = table_oracle.rank_scale(table) ** table.length
+        lo = 0
+        for walk in table_oracle.enumerate_walks(table):
+            size = prod((wt[mv] for mv in walk.moves), start=Fraction(unit))
+            assert size.denominator == 1 and size > 0
+            hi = lo + int(size)
+            for k in range(lo, hi) if ranks <= 10**4 else {lo, hi - 1}:
+                assert walk_of_rank(table, k) == walk, (m, n, ell, k)
+            for k in {lo, hi - 1}:
+                assert table_oracle.walk_of_rank(table, k) == walk, (m, n, ell, k)
+            lo = hi
+        assert lo == ranks, (m, n, ell)
+        for k in (-1, ranks):
+            with pytest.raises(ValueError):
+                walk_of_rank(table, k)
 
 
 @pytest.mark.parametrize("name", ORACLE_WEIGHTS)
 def test_table_draws_match_the_bounds_checked_reader(name):
+    # a draw is the oracle's walk of one randrange below the rank count
     w = ORACLE_WEIGHTS[name]
     cases = [(m, n, ell) for m, n, ell in itertools.product(range(3), range(3), range(1, 15))
              if feasible(w, m, n, ell)[0]]
@@ -309,7 +355,8 @@ def test_table_draws_match_the_bounds_checked_reader(name):
         for seed in range(10):
             rng, ref = CounterRng(seed), CounterRng(seed)
             got = [sample_from_table(table, rng) for _ in range(3)]
-            want = [table_oracle.sample_from_table(table, ref) for _ in range(3)]
+            want = [table_oracle.walk_of_rank(table, ref.randrange(table_oracle.rank_count(table)))
+                    for _ in range(3)]
             assert got == want, (m, n, ell, seed)
             # the same words were taken
             assert rng.randrange(2**64) == ref.randrange(2**64)
@@ -333,17 +380,18 @@ def walks_digest(walks) -> str:
 
 def test_draws_and_enumeration_order_are_pinned():
     # digests of the dict DP's output; any change to the table, the readers
-    # or the move order shows here
+    # or the move order shows here.  The three draw digests are of one rank
+    # per walk, decoded down the table (the oracle's decoder gives them too)
     quad, rational = preset_weights("quad"), ORACLE_WEIGHTS["rational-3-4"]
     draw = exact_sampler(quad, 0, 0, 201)
     assert walks_digest(draw(CounterRng(s)) for s in range(3)) == \
-        "c534285d5321d64709d3620397e6d17eaec4af853498329e25b6e89c2a56d3c7"
+        "17240ee7ffebb90ce0ed971ca43ace2593ce9b7ded0d1c73b45e1e80f267a215"
     draw = exact_sampler(TRI, 0, 1, 12)  # the README sample line, replica 0
     assert walks_digest([draw(CounterRng(7, 0))]) == \
-        "e37b9b3b47c3a8a483962906d15b621aa6e4fd2bfdb5cbbc14d83d6ee44e5944"
+        "e819b69a82adb456de00fff6bafe8e678aa879cad67293d4e8aafca88c36aa5c"
     draw = exact_sampler(rational, 0, 1, 6)
     assert walks_digest(draw(CounterRng(s)) for s in range(3)) == \
-        "dbe5393750f988ffb48bea9dd7ee88477eb3e9aa47c4282b91e7f83247198510"
+        "f06c86d079d4ec47484c1350dcc1cbb0e07bac5005649191daf85073b6000def"
     assert walks_digest(enumerate_walks(TRI, 0, 1, 9)) == \
         "99a2b7569e2926cd2ea285bec461992a18e15c452854172434b31ccc80ebe0ff"
     # kgon:5 (0,0) has walks only at ell = 1 mod 5; ell = 16 has 3 094

@@ -411,6 +411,19 @@ def test_counter_rng_refuses_keys_outside_64_bits(seed, stream):
         CounterRng(seed, stream)
 
 
+@pytest.mark.parametrize("seed, stream", [(1.5, 0), (1.0, 0), ("7", 0), (0, 2.5), (0, "3")])
+def test_counter_rng_refuses_keys_that_are_not_integers(seed, stream):
+    # int(1.5) would give the stream of seed 1, and int("7") that of seed 7
+    with pytest.raises(ValueError, match="must be integers"):
+        CounterRng(seed, stream)
+
+
+def test_counter_rng_takes_numpy_ints():
+    rng = CounterRng(np.uint64(7), np.int32(3))
+    assert (type(rng.seed), type(rng.stream)) == (int, int)
+    assert rng.randrange(2**70) == CounterRng(7, 3).randrange(2**70)
+
+
 def test_local_iid_window():
     # bulk steps of a conditioned walk look i.i.d.: TV below 0.05
     from bipolar_maps.enumeration import exact_sampler

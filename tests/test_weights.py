@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bipolar_maps.walks import EDGE, FaceMove
@@ -126,6 +127,19 @@ def test_direct_distribution_validation():
         direct_distribution({(1, -1): 0.6, (-1, 0): 0.2, (0, 1): 0.2})  # drift
     with pytest.raises(ValueError):
         direct_distribution({(1, -1): 0.5, (-2, 0): 0.3, (0, 2): 0.2})  # asymmetric
+
+
+def test_direct_distribution_refuses_non_integer_increments():
+    # int() would read this law as the triangulation law and accept it
+    with pytest.raises(ValueError, match="must be an integer"):
+        direct_distribution({(1, -1): 1 / 3, (-1.2, 0): 1 / 3, (0, 1.2): 1 / 3})
+    with pytest.raises(ValueError, match="must be an integer"):
+        direct_distribution({(1, -1): 1 / 3, (-1, 0): 1 / 3, (0, "1"): 1 / 3})
+    # numpy ints are integers
+    d = direct_distribution({(np.int64(1), np.int64(-1)): 1 / 3, (-1, 0): 1 / 3,
+                             (0, np.int64(1)): 1 / 3})
+    assert d.direct == {(1, -1): 1 / 3, (-1, 0): 1 / 3, (0, 1): 1 / 3}
+    assert all(type(v) is int for step in d.direct for v in step)
 
 
 def test_weights_file_parsing():
