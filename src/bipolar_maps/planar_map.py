@@ -4,12 +4,12 @@ A map is stored as flat per-dart lists: every edge contributes two darts
 (dart ``2*e`` points north, ``2*e + 1`` points south), each dart has a
 tail, a head and its counterclockwise predecessor at its tail (``dart_prev``),
 and each vertex's counterclockwise rotation is a slice of one flat dart
-list.  ``face_next`` follows the face lying to the left of a dart.  The
-construction checks run once, on flat lists (``PlanarMap.from_darts``: the
-dart tails, one rotation list and its cut offsets, the poles and the
-anchor); ``PlanarMap(...)`` adapts edge pairs and per-vertex dart lists,
-the shape ``rotations`` returns, to it, and ``edges`` is a view built on
-first use.  Signed 1-based edge refs are the JSON wire format only.
+list.  The construction checks run once, on flat lists
+(``PlanarMap.from_darts``: the dart tails, one rotation list and its cut
+offsets, the poles and the anchor); ``PlanarMap(...)`` adapts edge pairs
+and per-vertex dart lists, the shape ``rotations`` returns, to it, and
+``edges`` is a view built on first use.  Signed 1-based edge refs are the
+JSON wire format only.
 
 The outer face of the sphere map is split by the two poles into a west side
 and an east side.  Which side is west is a convention the data must carry,
@@ -34,12 +34,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 
 from .errors import InvalidMapError, MapStructureError
 from .walks import FaceMove, face_move
 
 WEST_OUTER = -1
 EAST_OUTER = -2
+
+
+def _ids(values, what: str) -> list[int]:
+    """``values`` as ints, numpy ints included; int() would read 0.9 as 0."""
+    try:
+        return [index(v) for v in values]
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise MapStructureError(f"{what} must be integers, got {bad!r}") from None
 
 
 @dataclass(frozen=True)
@@ -87,13 +97,18 @@ class PlanarMap:
     """
 
     def __init__(self, n_vertices, edges, rotations, south, north, west_anchor):
-        tail = [int(x) for t, h in edges for x in (t, h)]  # dart 2e is based at t, 2e + 1 at h
+        n_vertices, south, north, west_anchor = _ids(
+            (n_vertices, south, north, west_anchor),
+            "the vertex count, poles and west_anchor")
+        # dart 2e is based at t, 2e + 1 at h
+        tail = _ids([x for t, h in edges for x in (t, h)], "edge ends")
         rot: list[int] = []
         first = [0]
         for darts in rotations:
             rot.extend(darts)
             first.append(len(rot))
-        self._build(n_vertices, tail, rot, first, south, north, west_anchor)
+        self._build(n_vertices, tail, _ids(rot, "rotation darts"), first,
+                    south, north, west_anchor)
 
     @classmethod
     def from_darts(cls, n_vertices, dart_tails, rotation, first, south, north,
@@ -186,14 +201,6 @@ class PlanarMap:
             self._cache["rotations"] = tuple(
                 tuple(rot[a:b]) for a, b in zip(first, first[1:]))
         return self._cache["rotations"]  # type: ignore[return-value]
-
-    def face_next(self, d: int) -> int:
-        """Next dart along the face to the left of ``d``.
-
-        The face on the left of ``d`` hugs the clockwise side of the twin
-        dart, so the boundary continues along the twin's CCW predecessor.
-        """
-        return self.dart_prev[d ^ 1]
 
     # -- the validation pass and what it derives ---------------------------
 

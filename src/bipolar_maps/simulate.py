@@ -36,9 +36,12 @@ def _increments(dist: StepDistribution, count: int, rng: CounterRng):
     """``count`` i.i.d. increments, as flat (dx, dy) arrays."""
     import numpy as np
     if dist.kind == "uniform":
+        # P(E) = 1/2, and a face move's i and j are independent with
+        # P(i) = (1 - lambda) lambda^i: P(F(i, j)) = 2^-(i+j+3) at lambda = 1/2
+        q = 1.0 - dist.lam
         is_edge = rng.np.integers(0, 2, size=count).astype(bool)
-        iis = rng.np.geometric(0.5, size=count) - 1
-        jjs = rng.np.geometric(0.5, size=count) - 1
+        iis = rng.np.geometric(q, size=count) - 1
+        jjs = rng.np.geometric(q, size=count) - 1
         return np.where(is_edge, 1, -iis), np.where(is_edge, -1, jjs)
     moves_probs = dist.finite_moves()
     probs = np.array([p for _, p in moves_probs])

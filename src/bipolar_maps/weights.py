@@ -5,8 +5,10 @@ distribution: ``lambda`` solves ``sum (k-1)(k-2)/2 * a_k * lambda^k = 1``,
 ``C = lambda^-2 + sum (k-1) a_k lambda^(k-2)`` normalizes, the edge move
 gets probability ``lambda^-2 / C`` and each of the ``k-1`` face moves of a
 k-gon gets ``a_k lambda^(k-2) / C``.  Finite supports are kept exact as
-Fractions; the all-ones family is evaluated through closed forms.  A
-direct step distribution can also be supplied, bypassing weights.
+Fractions.  The all-ones family is given in closed form: lambda = 1/2,
+C = 8, P(E) = 1/2 and P(F(i, j)) = 2^-(i+j+3), so Var[X-Y] = 6 and
+Var[X+Y] = 2 (Kenyon-Miller-Sheffield-Wilson).  A direct step
+distribution can also be supplied, bypassing weights.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from math import gcd, isclose
 
 from .errors import BipolarError, NoZeroDriftError
 from .walks import EDGE, FaceMove, Move, _as_int, face_move, move_of
-
-_UNIFORM_TAIL_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,18 @@ class FaceWeights:
             return
         clean = {}
         for k, a in self.support.items():
-            a = Fraction(a)
+            # int() would read degree 3.5 as 3
+            k = _as_int(k, "face degree")
             if k < 2:
                 raise ValueError(f"face degree {k} < 2")
+            try:
+                a = Fraction(a)
+            except OverflowError:  # Fraction(nan) raises ValueError itself
+                raise ValueError(f"weight {a} for degree {k} is not finite") from None
             if a < 0:
                 raise ValueError(f"negative weight for degree {k}")
             if a > 0:
-                clean[int(k)] = a
+                clean[k] = a
         if not any(k >= 3 for k in clean):
             raise ValueError("need a positive weight on some face degree >= 3")
         object.__setattr__(self, "support", clean)
@@ -115,11 +120,7 @@ def weights_from_text(text: str) -> FaceWeights:
 
 
 def _drift_sum(w: FaceWeights, lam: float) -> float:
-    """sum over k of (k-1)(k-2)/2 * a_k * lambda^k."""
-    if w.uniform:
-        if lam >= 1.0:
-            return float("inf")
-        return lam ** 3 / (1.0 - lam) ** 3
+    """sum over k of (k-1)(k-2)/2 * a_k * lambda^k, for a finite support."""
     return sum(float(a) * (k - 1) * (k - 2) / 2.0 * lam ** k
                for k, a in w.support.items())
 
@@ -127,21 +128,20 @@ def _drift_sum(w: FaceWeights, lam: float) -> float:
 def solve_lambda(w: FaceWeights) -> float:
     """Solve the zero-drift equation by bisection on its monotone left side.
 
-    Returns lambda in (0, R] with |1 - drift_sum(lambda)| <= 1e-12, or 1e-9
-    where float bisection cannot get closer.  Raises NoZeroDriftError when
-    the equation has no root in (0, R].
+    The all-ones family has the root 1/2: its drift sum is
+    lambda^3 / (1 - lambda)^3.  Otherwise returns lambda in (0, R] with
+    |1 - drift_sum(lambda)| <= 1e-12, or 1e-9 where float bisection cannot
+    get closer.  Raises NoZeroDriftError when the equation has no root in
+    (0, R], or when the drift sum is not a number there.
     """
-    tol = 1e-12
     if w.uniform:
-        lo, hi = tol, 1.0 - 1e-15
-        if _drift_sum(w, hi) < 1.0:
+        return 0.5
+    tol = 1e-12
+    lo, hi = tol, 1.0
+    while _drift_sum(w, hi) < 1.0:
+        hi *= 2.0
+        if hi > 1e12:
             raise NoZeroDriftError("no zero-drift distribution exists")
-    else:
-        lo, hi = tol, 1.0
-        while _drift_sum(w, hi) < 1.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise NoZeroDriftError("no zero-drift distribution exists")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -151,9 +151,10 @@ def solve_lambda(w: FaceWeights) -> float:
         else:
             hi = mid
     lam = hi
-    if abs(1.0 - _drift_sum(w, lam)) > tol:
+    # both checks are written so that a NaN drift sum fails them
+    if not abs(1.0 - _drift_sum(w, lam)) <= tol:
         lam = 0.5 * (lo + hi)
-    if abs(1.0 - _drift_sum(w, lam)) > 1e-9:
+    if not abs(1.0 - _drift_sum(w, lam)) <= 1e-9:
         raise NoZeroDriftError(
             f"bisection failed to meet tolerance at lambda={lam}")
     return lam
@@ -272,20 +273,19 @@ def step_distribution(w: FaceWeights) -> StepDistribution:
     """Build the zero-drift step distribution for the given weights."""
     lam = solve_lambda(w)
     if w.uniform:
+        # sum over k >= 2 of (k-1) lambda^(k-2) is 1/(1-lambda)^2: C = 4 + 4
         norm = lam ** -2 + 1.0 / (1.0 - lam) ** 2
-        p_edge = lam ** -2 / norm
-        dist = StepDistribution(
-            kind="uniform", lam=lam, norm=norm, p_edge=p_edge,
+        return StepDistribution(
+            kind="uniform", lam=lam, norm=norm, p_edge=lam ** -2 / norm,
             face_probs={}, direct={})
-    else:
-        norm = lam ** -2 + sum(float(a) * (k - 1) * lam ** (k - 2)
-                               for k, a in w.support.items())
-        p_edge = lam ** -2 / norm
-        face_probs = {k: float(a) * lam ** (k - 2) / norm
-                      for k, a in w.support.items()}
-        dist = StepDistribution(
-            kind="finite", lam=lam, norm=norm, p_edge=p_edge,
-            face_probs=face_probs, direct={})
+    norm = lam ** -2 + sum(float(a) * (k - 1) * lam ** (k - 2)
+                           for k, a in w.support.items())
+    p_edge = lam ** -2 / norm
+    face_probs = {k: float(a) * lam ** (k - 2) / norm
+                  for k, a in w.support.items()}
+    dist = StepDistribution(
+        kind="finite", lam=lam, norm=norm, p_edge=p_edge,
+        face_probs=face_probs, direct={})
     _check_distribution(dist)
     return dist
 
@@ -342,34 +342,17 @@ def direct_distribution_from_text(text: str) -> StepDistribution:
 
 
 def _check_distribution(dist: StepDistribution) -> None:
-    if dist.kind == "uniform":
-        lam = dist.lam
-        total = dist.p_edge + sum(
-            (k - 1) * lam ** (k - 2) / dist.norm for k in range(2, 800))
-    else:
-        total = dist.p_edge + sum((k - 1) * p for k, p in dist.face_probs.items())
+    """Normalization and zero drift of a finite law, in floats."""
+    total = dist.p_edge + sum((k - 1) * p for k, p in dist.face_probs.items())
     if not isclose(total, 1.0, abs_tol=1e-9):
         raise BipolarError(f"step probabilities sum to {total}")
-    drift = _drift_of(dist)
-    if abs(drift[0]) > 1e-9 or abs(drift[1]) > 1e-9:
-        raise BipolarError(f"step distribution has drift {drift}")
-
-
-def _drift_of(dist: StepDistribution) -> tuple[float, float]:
     # sum over the k-1 moves of a k-gon: dx totals -(k-1)(k-2)/2, dy likewise
-    ex = dist.p_edge
-    ey = -dist.p_edge
-    if dist.kind == "uniform":
-        lam = dist.lam
-        for k in range(2, 800):
-            pk = lam ** (k - 2) / dist.norm
-            ex -= (k - 1) * (k - 2) / 2.0 * pk
-            ey += (k - 1) * (k - 2) / 2.0 * pk
-    else:
-        for k, pk in dist.face_probs.items():
-            ex -= (k - 1) * (k - 2) / 2.0 * pk
-            ey += (k - 1) * (k - 2) / 2.0 * pk
-    return ex, ey
+    ex, ey = dist.p_edge, -dist.p_edge
+    for k, pk in dist.face_probs.items():
+        ex -= (k - 1) * (k - 2) / 2.0 * pk
+        ey += (k - 1) * (k - 2) / 2.0 * pk
+    if abs(ex) > 1e-9 or abs(ey) > 1e-9:
+        raise BipolarError(f"step distribution has drift {(ex, ey)}")
 
 
 # -- theory values --------------------------------------------------------------
@@ -389,30 +372,22 @@ class TheoryStats:
 def theory_stats(dist: StepDistribution) -> TheoryStats:
     """Variances of X-Y and X+Y, the increment covariance, the degree law.
 
-    For weight-derived distributions the identity Var[X-Y] = 3 Var[X+Y] is
-    enforced to 1e-9 and the covariance matrix is a scalar multiple of
-    ((2/3, -1/3), (-1/3, 2/3)); direct distributions report whatever ratio
-    they produce.
+    For weight-derived distributions the identity Var[X-Y] = 3 Var[X+Y]
+    holds, so the covariance matrix is a scalar multiple of
+    ((2/3, -1/3), (-1/3, 2/3)): the all-ones family takes its exact values,
+    and finite supports are checked to 1e-9.  Direct distributions report
+    whatever ratio they produce.
     """
     if dist.kind == "direct":
         var_diff = sum((dx - dy) ** 2 * p for (dx, dy), p in dist.direct.items())
         var_sum = sum((dx + dy) ** 2 * p for (dx, dy), p in dist.direct.items())
         law: dict[int, float] = {}
     elif dist.kind == "uniform":
-        lam, norm = dist.lam, dist.norm
-        p0 = dist.p_edge
-        var_diff = 4.0 * p0
-        var_sum = 0.0
-        law = {}
-        k = 2
-        tail = 1.0
-        while tail > _UNIFORM_TAIL_EPS and k < 2000:
-            pk = lam ** (k - 2) / norm
-            var_diff += (k - 2) ** 2 * (k - 1) * pk
-            var_sum += pk * 2.0 * _binom3(k)
-            law[k] = (k - 1) * pk / (1.0 - p0)
-            tail = (k - 1) * pk
-            k += 1
+        # P(E) = 1/2 and the k-1 moves of a k-gon have mass (k-1) 2^-(k+1):
+        # E[(dx-dy)^2] = 4/2 + 4 and E[(dx+dy)^2] = 2.  The degree law
+        # (k-1)/2^k is listed up to the first k whose step mass is <= 1e-15.
+        var_diff, var_sum = 6.0, 2.0
+        law = {k: (k - 1) / 2 ** k for k in range(2, 56)}
     else:
         p0 = dist.p_edge
         fourth = sum(k ** 4 * (k - 1) * pk for k, pk in dist.face_probs.items())
@@ -423,9 +398,9 @@ def theory_stats(dist: StepDistribution) -> TheoryStats:
         var_sum = sum(pk * 2.0 * _binom3(k) for k, pk in dist.face_probs.items())
         law = {k: (k - 1) * pk / (1.0 - p0)
                for k, pk in dist.face_probs.items()}
-    if dist.kind != "direct" and abs(var_diff - 3.0 * var_sum) > 1e-9 * max(1.0, var_diff):
-        raise BipolarError(
-            f"variance identity broken: {var_diff} != 3 * {var_sum}")
+        if abs(var_diff - 3.0 * var_sum) > 1e-9 * max(1.0, var_diff):
+            raise BipolarError(
+                f"variance identity broken: {var_diff} != 3 * {var_sum}")
     exx = (var_diff + var_sum) / 4.0
     exy = (var_sum - var_diff) / 4.0
     return TheoryStats(

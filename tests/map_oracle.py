@@ -4,7 +4,7 @@ These are the orbit-and-tuple versions of what ``planar_map`` derives in
 its single validation pass: face orbits as tuples, each cut by
 ``two_runs``, the validation report, the west-to-east edge orders at each
 vertex, and tree depths by walking parent chains.  They read only the
-map's public accessors (``edges``, ``rotations``, ``face_next``) and share
+map's public accessors (``edges``, ``rotations``) and share
 no code with the flat passes they check.
 """
 
@@ -48,8 +48,16 @@ def dart_tail(m, d):
 
 
 def face_orbits(m):
-    """All face orbits of the sphere map (outer face included once)."""
+    """All face orbits of the sphere map (outer face included once).
+
+    The face on the left of a dart hugs the clockwise side of its twin, so
+    the boundary goes on along the twin's counterclockwise predecessor.
+    """
     n_darts = 2 * len(m.edges)
+    face_next = [0] * n_darts
+    for rot in m.rotations:
+        for before, d in zip(rot[-1:] + rot[:-1], rot):
+            face_next[d ^ 1] = before
     seen = [False] * n_darts
     orbits = []
     for d0 in range(n_darts):
@@ -60,7 +68,7 @@ def face_orbits(m):
         while not seen[d]:
             seen[d] = True
             orbit.append(d)
-            d = m.face_next(d)
+            d = face_next[d]
         orbits.append(tuple(orbit))
     return orbits
 

@@ -74,6 +74,20 @@ def test_sample_without_a_walk_exit_code(capsys):
     assert code == 1 and err.startswith("error: no such maps") and "edge moves" in err
 
 
+def test_weights_without_a_zero_drift_root_are_an_error(tmp_path, capsys):
+    # below lambda = 1 the drift sum is NaN: the degree-10**200 term is inf * 0.0
+    weights = tmp_path / "w.txt"
+    weights.write_text(f"3 1\n{10 ** 200} 1\n")
+    for argv in (["sample", "--seed", "1"], ["sample", "--seed", "1", "--method", "free"],
+                 ["stats", "--seed", "1"], ["stats", "--seed", "1", "--method", "free"]):
+        code, _, err = run(capsys, *argv, "--weights", str(weights), "--edges", "30")
+        assert code == 1, argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    # counting needs no step law, and only the triangles fit in 29 steps
+    code, out, _ = run(capsys, "count", "--weights", str(weights), "--edges", "30")
+    assert code == 0 and out == run(capsys, "count", "--edges", "30")[1]
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "count", "--weights", "tri", "--m", "2",
                        "--n", "2", "--edges", "2000", "--budget", "1000")

@@ -79,6 +79,25 @@ def test_constructor_error_messages(args, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("args, message", [
+    ((2, [(0.9, 1)], [[0], [1]], 0, 1, 0), "edge ends must be integers, got 0.9"),
+    ((2, [("0", "1")], [[0], [1]], 0, 1, 0), "edge ends must be integers, got '0'"),
+    ((2, [(0, 1)], [[0.0], [1]], 0, 1, 0), "rotation darts must be integers, got 0.0"),
+    ((2.0, [(0, 1)], [[0], [1]], 0, 1, 0),
+     "the vertex count, poles and west_anchor must be integers, got 2.0"),
+    ((2, [(0, 1)], [[0], [1]], 0, 1.0, 0),
+     "the vertex count, poles and west_anchor must be integers, got 1.0"),
+    ((2, [(0, 1)], [[0], [1]], 0, 1, 0.5),
+     "the vertex count, poles and west_anchor must be integers, got 0.5"),
+], ids=["endpoint-float", "endpoint-str", "dart-float", "vertex-count-float",
+        "pole-float", "anchor-float"])
+def test_constructor_refuses_non_integer_ids(args, message):
+    # int() would read 0.9 as 0 and build the edge (0, 1)
+    with pytest.raises(MapStructureError) as exc:
+        PlanarMap(*args)
+    assert str(exc.value) == message
+
+
 def test_numpy_int_edges_are_accepted():
     import numpy as np
     m = PlanarMap(2, np.array([[0, 1]]), [[0], [1]], south=0, north=1, west_anchor=0)

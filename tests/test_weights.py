@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bipolar_maps.walks import EDGE, FaceMove
+from bipolar_maps.errors import NoZeroDriftError
+from bipolar_maps.walks import EDGE, FaceMove, move_of
 from bipolar_maps.weights import (FaceWeights, direct_distribution,
                                   direct_distribution_from_text, feasible,
                                   period, preset_weights, solve_lambda,
@@ -90,6 +91,58 @@ def test_theory_values_uniform():
     assert abs(ts.var_diff - 6.0) <= 1e-6
     assert abs(ts.var_sum - 2.0) <= 1e-6
     assert abs(ts.ratio - 3.0) <= 1e-9
+
+
+def test_uniform_law_in_closed_form():
+    w = preset_weights("uniform")
+    assert solve_lambda(w) == 0.5
+    d = step_distribution(w)
+    ts = theory_stats(d)
+    assert (ts.var_diff, ts.var_sum, ts.ratio) == (6.0, 2.0, 3.0)
+    assert ts.cov == ((2.0, -1.0), (-1.0, 2.0))
+    assert ts.face_degree_law == {k: (k - 1) / 2 ** k for k in range(2, 56)}
+    # exact partial sums of P(E) = 1/2 and P(F(i, j)) = 2^-(i+j+3), i + j <= 60
+    law = {(1, -1): Fraction(1, 2)}
+    law.update({(-i, s - i): Fraction(1, 2 ** (s + 3))
+                for s in range(61) for i in range(s + 1)})
+    assert all(d.prob_of_move(move_of(dx, dy)) == p for (dx, dy), p in law.items())
+    partial = {
+        "total": sum(law.values()),
+        "E[dx]": sum(dx * p for (dx, _), p in law.items()),
+        "E[dy]": sum(dy * p for (_, dy), p in law.items()),
+        "Var[X-Y]": sum((dx - dy) ** 2 * p for (dx, dy), p in law.items()),
+        "Var[X+Y]": sum((dx + dy) ** 2 * p for (dx, dy), p in law.items()),
+    }
+    closed = {"total": 1, "E[dx]": 0, "E[dy]": 0,
+              "Var[X-Y]": ts.var_diff, "Var[X+Y]": ts.var_sum}
+    for name, value in partial.items():
+        assert abs(value - Fraction(closed[name])) <= 1e-12, name
+
+
+def test_nan_drift_sum_has_no_root():
+    # below lambda = 1 the degree-10**200 term is inf * 0.0 = NaN
+    with pytest.raises(NoZeroDriftError):
+        solve_lambda(FaceWeights({3: 1, 10 ** 200: 1}))
+
+
+@pytest.mark.parametrize("support, message", [
+    ({3.5: 1}, "face degree must be an integer, got 3.5"),
+    ({3.9: 1}, "face degree must be an integer, got 3.9"),
+    ({"3": 1}, "face degree must be an integer, got '3'"),
+    ({3: float("inf")}, "weight inf for degree 3 is not finite"),
+    ({3: float("-inf")}, "weight -inf for degree 3 is not finite"),
+    ({3: float("nan")}, "NaN"),
+], ids=["degree-3.5", "degree-3.9", "degree-str", "weight-inf", "weight-minus-inf",
+        "weight-nan"])
+def test_face_weights_refuse_non_integer_degrees_and_non_finite_weights(support, message):
+    with pytest.raises(ValueError, match=message):
+        FaceWeights(support)
+
+
+def test_face_weights_accept_numpy_int_degrees():
+    w = FaceWeights({np.int64(3): 1, np.int32(5): Fraction(1, 2)})
+    assert w.support == {3: 1, 5: Fraction(1, 2)}
+    assert all(type(k) is int for k in w.support)
 
 
 def test_quad_degree_law_mass_on_four():
