@@ -1,27 +1,28 @@
 """Upward straight-line embedding of simple bipolar triangulations.
 
 Every interior face is a triangle with a lowest, a middle and a highest
-corner, and ``_triangle`` reads them off the map: an east triangle (middle
-corner on its east side) or a west triangle.  Drawing the map so that
-every edge rises and every triangle keeps its middle corner on the
-correct side of its min-max chord tiles the region between the two
-boundary paths exactly once, which forces planarity.  Vertices are placed
-in creation order, the order in which the interface path first reaches
-them.  The k-th west-boundary vertex sits at height k; every other vertex
-is created as the middle corner of the east triangle the path crosses
-just before it, at the midpoint of that triangle's lowest and highest
-corners.  Each orientation constraint is resolved when its last-created
-corner is placed, where it reduces to an exact rational bound on that
-corner's horizontal position.  Placement runs on plain integers: the
-dyadic heights are scaled once by the lcm of their denominators (a power
-of two), every x and every bound is an integer pair (num, den), and the
-``Fraction`` coordinates are built once, at the end.  When an interval
-empties, the slack search raises the vertices that support it and
-resumes placement at the lowest of them.  A linear-time certificate of
-two local rules with exact integer predicates (rising edges, positively
-oriented triangles), reading the same ``_triangle``, checks every
-returned embedding; the independent quadratic-time pairwise verifier
-stays as its oracle.
+corner, and ``_triangles`` reads them once from the scan's flat face lists:
+an east triangle (middle corner on its east side) or a west triangle.
+Drawing the map so that every edge rises and every triangle keeps its
+middle corner on the correct side of its min-max chord tiles the region
+between the two boundary paths exactly once, which forces planarity.
+Vertices are placed in creation order, the order in which the interface
+path first reaches them.  The k-th west-boundary vertex sits at height k;
+every other vertex is created as the middle corner of the east triangle
+the path crosses just before it, at the midpoint of that triangle's lowest
+and highest corners.  Each orientation constraint is resolved when its
+last-created corner is placed, where it reduces to an exact rational bound
+on that corner's horizontal position.  Placement runs on plain integers:
+the dyadic heights are integers over one power of two (the lcm of their
+denominators), every x and every bound is an integer pair (num, den), each
+constraint is a record of its two fixed corners and their height gaps, and
+the ``Fraction`` coordinates are built once, at the end.  When an interval
+empties, the slack search raises the vertices that support it and resumes
+placement at the lowest of them.  A linear-time certificate of two local
+rules with exact integer predicates (rising edges, positively oriented
+triangles), reading the same ``_triangles``, checks every returned
+embedding; the independent quadratic-time pairwise verifier stays as its
+oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import EmbeddingInternalError, EmbeddingUnsupportedError
-from .planar_map import FaceData, PlanarMap
+from .planar_map import PlanarMap
 from .sewing import interface_order
 from .walks import FaceMove
 
@@ -57,126 +58,165 @@ class Embedding:
         return bits
 
 
-def _triangle(m: PlanarMap, fd: FaceData) -> tuple[int, int, int, str] | None:
-    """(lowest, middle, highest, side) corners of face ``fd``; None unless
-    it is a triangle.  ``side`` is the side of the face the middle corner is on.
+def _triangles(m: PlanarMap) -> list[tuple[int, int, int, str] | None]:
+    """(lowest, middle, highest, side) corners of every interior face, in
+    face order, or None for a face that is not a triangle.  ``side`` is the
+    side of the face the middle corner is on.
+
+    Face f is ``face_darts[a:c]``: its east side going up, then from ``b``
+    its west side coming down, so a triangle has one dart on one side and
+    two on the other.
     """
-    west, east = fd.west_edges_down, fd.east_edges_up
-    if len(west) == 2 and len(east) == 1:
-        return fd.min_vertex, m.edges[west[0]][0], fd.max_vertex, WEST
-    if len(west) == 1 and len(east) == 2:
-        return fd.min_vertex, m.edges[east[0]][1], fd.max_vertex, EAST
-    return None
+    s = m._face_scan()
+    fd, tail, head = s.face_darts, m.dart_tails, m.dart_heads
+    tris: list[tuple[int, int, int, str] | None] = []
+    for a, b, c in zip(s.face_start, s.face_split, s.face_start[1:]):
+        if c - a != 3:
+            tris.append(None)
+        elif b - a == 1:  # the west side's top dart comes down to the middle
+            tris.append((tail[fd[a]], head[fd[b]], head[fd[a]], WEST))
+        else:
+            tris.append((tail[fd[a]], head[fd[a]], head[fd[b - 1]], EAST))
+    return tris
 
 
-def _check_simple_triangulation(m: PlanarMap) -> None:
-    for fd in m.interior_faces():
-        if _triangle(m, fd) is None:
+def _check_simple_triangulation(m: PlanarMap, tris) -> None:
+    """Refuse the first interior face that is not a triangle, then the first
+    edge that doubles an earlier one (a valid map has no self-loops)."""
+    start = m.scan().face_start
+    for f, tri in enumerate(tris):
+        if tri is None:
             raise EmbeddingUnsupportedError(
                 "unsupported for embedding: interior face of degree "
-                f"{fd.face_type.degree} (triangulations only)")
+                f"{start[f + 1] - start[f]} (triangulations only)")
     seen = set()
     for t, h in m.edges:
-        if t == h:
-            raise EmbeddingUnsupportedError("unsupported for embedding: self-loop")
         if (t, h) in seen:
             raise EmbeddingUnsupportedError(
                 f"unsupported for embedding: multiple edges between {t} and {h}")
         seen.add((t, h))
 
 
-def _x_bound(u, w, z, side, free, pos, ys):
-    """Bound on x(free) from: middle w strictly ``side`` of upward chord u->z.
-
-    East means clockwise of the chord vector (cross(z-u, w-u) < 0).  The
-    cross product is linear in each coordinate, so fixing the other two
-    corners leaves a half-line whose threshold is the x of the line through
-    them at the free corner's height.  Heights are integers and every x is
-    an integer pair (num, den) with den > 0; returns ("lo"/"hi", threshold)
-    with the threshold as such a pair, not reduced.
-    """
-    p, q = (u, z) if free == w else (u, w) if free == z else (w, z)
-    (xp, dp), (xq, dq) = pos[p], pos[q]
-    yp, yq, y = ys[p], ys[q], ys[free]
-    thr = (xp * dq * (yq - y) + xq * dp * (y - yp), dp * dq * (yq - yp))
-    return ("lo" if (free == w) == (side == EAST) else "hi"), thr
-
-
-def _creation_order(m: PlanarMap):
+def _creation_order(m: PlanarMap, tris):
     """Vertices in creation order, with their heights and triangles.
 
-    Returns (verts, ys, below, triangles): ``verts[r]`` is the vertex of
-    creation rank r, the order in which the interface path first reaches
-    it as a head; ``ys[r]`` is its height; ``below[r]`` is the rank of its
-    west-chain predecessor, or None off the west boundary; the triangles,
-    in the order the path crosses them, are (lowest, middle, highest,
-    side) with corners given as ranks.
+    Returns (verts, ys, scale, below, triangles): ``verts[r]`` is the
+    vertex of creation rank r, the order in which the interface path first
+    reaches it as a head; ``ys[r] / scale`` is its height, with ``scale``
+    the least power of two that makes every height an integer; ``below[r]``
+    is the rank of its west-chain predecessor, or None off the west
+    boundary; the triangles, in the order the path crosses them, are
+    (lowest, middle, highest, side) with corners given as ranks.
+
+    Each new height is at most one halving finer than the heights it comes
+    from, so with V vertices every height is a multiple of 2^-V: the
+    heights are built as integers over 2^V, then divided by the largest
+    power of two they all share (at most 2^V).
     """
     order, moves = interface_order(m)
-    faces, face_of = m.interior_faces(), m.face_of_dart()
+    face_of, tail, head = m.scan().face_of, m.dart_tails, m.dart_heads
     rank = [-1] * m.n_vertices
     rank[m.south] = 0
-    verts, ys, below = [m.south], [Fraction(0)], [None]
+    unit = 1 << m.n_vertices
+    verts, ys, below = [m.south], [0], [None]
     crossed = []
     tri = None  # the triangle the path crossed just before edge e
-    for t, e in enumerate(order):
-        tail, head = m.edges[e]
-        if rank[head] < 0:
-            rank[head] = len(verts)
-            verts.append(head)
+    for e, move in zip(order, moves + (None,)):
+        h = head[2 * e]
+        if rank[h] < 0:
+            rank[h] = len(verts)
+            verts.append(h)
             if tri is None:  # a west-boundary vertex, a unit step up
-                ys.append(ys[rank[tail]] + 1)
-                below.append(rank[tail])
+                r = rank[tail[2 * e]]
+                ys.append(ys[r] + unit)
+                below.append(r)
             else:  # the middle corner of an east triangle
-                ys.append((ys[rank[tri[0]]] + ys[rank[tri[2]]]) / 2)
+                ys.append((ys[rank[tri[0]]] + ys[rank[tri[2]]]) >> 1)
                 below.append(None)
         tri = None
-        if t < len(moves) and isinstance(moves[t], FaceMove):
-            tri = _triangle(m, faces[face_of[2 * e + 1]])
+        if isinstance(move, FaceMove):
+            tri = tris[face_of[2 * e + 1]]
             crossed.append(tri)
+    shared = 0
+    for y in ys:
+        shared |= y
+    shift = min(m.n_vertices, (shared & -shared).bit_length() - 1)
+    ys = [y >> shift for y in ys]
     triangles = [(rank[u], rank[w], rank[z], side) for u, w, z, side in crossed]
-    return verts, ys, below, triangles
+    return verts, ys, 1 << (m.n_vertices - shift), below, triangles
 
 
-def _place(start, below, resolve_at, ys, boost, pos, hi_tri_of, free_topped):
+def _constraints(triangles, ys):
+    """Per creation rank, its lower and upper bound records.
+
+    Each triangle binds its last-created corner v, which must keep the
+    middle corner strictly on the triangle's side of the upward chord from
+    the lowest to the highest corner (east means clockwise of the chord).
+    The cross product is linear in each coordinate, so fixing the other two
+    corners p, q leaves a half-line whose threshold is the x of the line
+    through them at v's height:
+    (x_p (y_q - y) + x_q (y - y_p)) / (y_q - y_p).  A record holds p, q and
+    the three height gaps; an upper record also holds the triangle's lowest
+    and highest corners, which the slack search raises.
+    """
+    los: list[list] = [[] for _ in ys]
+    his: list[list] = [[] for _ in ys]
+    for u, w, z, side in triangles:
+        v = max(u, w, z)
+        p, q = (u, z) if v == w else (u, w) if v == z else (w, z)
+        gaps = (p, q, ys[q] - ys[v], ys[v] - ys[p], ys[q] - ys[p])
+        if (v == w) == (side == EAST):
+            los[v].append(gaps)
+        else:
+            his[v].append(gaps + ((u, z),))
+    return los, his
+
+
+def _place(start, below, los, his, boost, pos, hi_tri_of, free_topped):
     """Place creation ranks ``start``, ``start + 1``, ... in order.
 
     Returns the first rank whose interval empties, or None once every rank
-    is placed.  ``ys`` are integer heights and ``pos[v]`` is the x of rank v
-    as a reduced integer pair (num, den) with den > 0; bounds compare by
-    cross-multiplying, and each placed rank costs one ``gcd``.  The x of v
-    depends only on the positions below v and on ``boost[v]``, so a pass
-    may resume at the lowest rank whose boost changed and keep what lies
-    below it, ``hi_tri_of`` (the triangle that binds each rank from above)
-    and ``free_topped`` (ranks bounded below only) included.  A
-    west-boundary vertex is bounded below by its west-chain predecessor.
-    Boosts are extra slack exponents for free-topped ranks; raising them
-    widens every later interval that interpolates through them.
+    is placed.  ``pos[v]`` is the x of rank v as a reduced integer pair
+    (num, den) with den > 0; each bound of ``_constraints`` is such a pair,
+    not reduced, bounds compare by cross-multiplying, and each placed rank
+    costs one ``gcd``.  The x of v depends only on the positions below v
+    and on ``boost[v]``, so a pass may resume at the lowest rank whose boost
+    changed and keep what lies below it, ``hi_tri_of`` (the lowest and
+    highest corners of the triangle that binds each rank from above) and
+    ``free_topped`` (ranks bounded below only) included.  A west-boundary
+    vertex is bounded below by its west-chain predecessor.  Boosts are
+    extra slack exponents for free-topped ranks; raising them widens every
+    later interval that interpolates through them.
     """
-    for v in range(start, len(ys)):
-        lo = None if below[v] is None else pos[below[v]]
-        hi = hi_tri = None
-        for (u, w, z, side) in resolve_at[v]:
-            kind, thr = _x_bound(u, w, z, side, v, pos, ys)
-            if kind == "lo":
-                if lo is None or thr[0] * lo[1] > lo[0] * thr[1]:
-                    lo = thr
-            elif hi is None or thr[0] * hi[1] < hi[0] * thr[1]:
-                hi, hi_tri = thr, (u, w, z)
+    for v in range(start, len(pos)):
+        # a bound is a pair (num, den) with den > 0; den = 0 stands for none
+        lo_n, lo_d = (0, 0) if below[v] is None else pos[below[v]]
+        for p, q, a, b, c in los[v]:
+            (xp, dp), (xq, dq) = pos[p], pos[q]
+            num, den = xp * dq * a + xq * dp * b, dp * dq * c
+            if not lo_d or num * lo_d > lo_n * den:
+                lo_n, lo_d = num, den
+        hi_n = hi_d = 0
+        hi_tri = None
+        for p, q, a, b, c, ends in his[v]:
+            (xp, dp), (xq, dq) = pos[p], pos[q]
+            num, den = xp * dq * a + xq * dp * b, dp * dq * c
+            if not hi_d or num * hi_d < hi_n * den:
+                hi_n, hi_d, hi_tri = num, den, ends
         hi_tri_of[v] = hi_tri
-        free_topped[v] = hi is None
-        if hi is None:
+        free_topped[v] = not hi_d
+        if not hi_d:
             # exponential slack leaves room for everything hung here later
-            if lo is None:
+            if not lo_d:
                 num, den = 0, 1
             else:
-                num, den = lo[0] + (lo[1] << 2 * (v + boost.get(v, 0))), lo[1]
-        elif lo is None:
-            num, den = hi[0] - hi[1], hi[1]
-        elif lo[0] * hi[1] >= hi[0] * lo[1]:
+                num, den = lo_n + (lo_d << 2 * (v + boost.get(v, 0))), lo_d
+        elif not lo_d:
+            num, den = hi_n - hi_d, hi_d
+        elif lo_n * hi_d >= hi_n * lo_d:
             return v
         else:
-            num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+            num, den = lo_n * hi_d + hi_n * lo_d, 2 * lo_d * hi_d
         g = gcd(num, den)
         pos[v] = (num // g, den // g)
     return None
@@ -191,10 +231,10 @@ def _raisable(bad, hi_tri_of, free_topped) -> set[int]:
     queue = [bad]
     seen = {bad}
     while queue:
-        tri = hi_tri_of[queue.pop()]
-        if tri is None:
+        ends = hi_tri_of[queue.pop()]
+        if ends is None:
             continue
-        for e in (tri[0], tri[2]):
+        for e in ends:
             if e < 2 or e in seen:
                 continue
             seen.add(e)
@@ -208,17 +248,12 @@ def _raisable(bad, hi_tri_of, free_topped) -> set[int]:
 def upward_embed(m: PlanarMap) -> Embedding:
     """Straight-line embedding with all edges oriented upward, exactly certified."""
     m.require_valid()
-    _check_simple_triangulation(m)
-    verts, ys, below, triangles = _creation_order(m)
+    tris = _triangles(m)
+    _check_simple_triangulation(m, tris)
+    verts, ys, scale, below, triangles = _creation_order(m, tris)
     n_creation = len(verts)
 
-    # each orientation constraint is resolved when its last corner is placed
-    resolve_at: list[list[tuple[int, int, int, str]]] = [[] for _ in range(n_creation)]
-    for tri in triangles:
-        resolve_at[max(tri[:3])].append(tri)
-    # dyadic heights over their common denominator, a power of two
-    scale = lcm(*(y.denominator for y in ys))
-    iys = [y.numerator * (scale // y.denominator) for y in ys]
+    los, his = _constraints(triangles, ys)
     pos: list = [(0, 1), (0, 1)] + [None] * (n_creation - 2)
     hi_tri_of: list = [None] * n_creation
     free_topped = [True] * n_creation
@@ -226,7 +261,7 @@ def upward_embed(m: PlanarMap) -> Embedding:
     raise_step: dict[int, int] = {}
     start = 2
     for _ in range(400):
-        bad = _place(start, below, resolve_at, iys, boost, pos, hi_tri_of, free_topped)
+        bad = _place(start, below, los, his, boost, pos, hi_tri_of, free_topped)
         if bad is None:
             break
         raisable = _raisable(bad, hi_tri_of, free_topped)
@@ -244,7 +279,8 @@ def upward_embed(m: PlanarMap) -> Embedding:
             "embedding construction failed: slack search did not converge",
             trace=[f"boost={boost}"])
 
-    emb = Embedding(coords={v: (Fraction(*x), y) for v, x, y in zip(verts, pos, ys)})
+    emb = Embedding(coords={v: (Fraction(*x), Fraction(y, scale))
+                            for v, x, y in zip(verts, pos, ys)})
     problems = certify_upward_planar(m, emb)
     if problems:
         raise EmbeddingInternalError("embedding post-check failed",
@@ -257,9 +293,9 @@ def upward_embed(m: PlanarMap) -> Embedding:
 
 def _homogeneous(p: Point) -> tuple[int, int, int]:
     """(X, Y, D) with D = lcm of the denominators > 0 and (x, y) = (X/D, Y/D)."""
-    x, y = p
-    d = lcm(x.denominator, y.denominator)
-    return (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d)
+    (xn, xd), (yn, yd) = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+    g = gcd(xd, yd)
+    return (xn * (yd // g), yn * (xd // g), xd * (yd // g))
 
 
 def _orientation(o, a, b) -> int:
@@ -313,15 +349,14 @@ def certify_upward_planar(m: PlanarMap, emb: Embedding) -> list[str]:
     if problems:
         return problems  # orientation means something only once corners rise
 
-    for fd in m.interior_faces():
-        tri = _triangle(m, fd)
+    for f, tri in enumerate(_triangles(m)):
         if tri is None:
-            problems.append(f"face {fd.index} is not a triangle")
+            problems.append(f"face {f} is not a triangle")
             continue
         u, w, z, side = tri
         sign = _orientation(pos[u], pos[z], pos[w])
         if (sign if side == WEST else -sign) <= 0:
-            problems.append(f"face {fd.index} is not positively oriented")
+            problems.append(f"face {f} is not positively oriented")
     return problems
 
 

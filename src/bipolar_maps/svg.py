@@ -3,10 +3,12 @@
 Edges carry CSS classes: west-most-outgoing tree edges are ``nw-tree``
 (red), east-most-incoming tree edges ``se-tree`` (blue), everything else
 plain ``edge``; the ``interface`` polyline (green) walks the edge midpoints
-in interface order, dipping through each face it crosses.  Output is byte
-deterministic for fixed inputs: stable element order and 6 significant
-digits after an affine fit to a fixed viewbox, computed once per vertex
-before any element is written.
+in interface order, dipping through each face it crosses, whose corners it
+reads from the scan's flat face lists.  Output is byte deterministic for
+fixed inputs: stable element order and 6 significant digits after an
+affine fit to a fixed viewbox, computed once per vertex before any element
+is written; each vertex's coordinates are formatted once, and its
+``<line>`` ends and ``<circle>`` reuse the strings.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ _STYLE = (
 )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def _fit_floats(emb: Embedding) -> dict[int, tuple[float, float]]:
     """Float coordinates, each axis scaled by 2^-k so that none overflows.
 
@@ -42,14 +40,15 @@ def _fit_floats(emb: Embedding) -> dict[int, tuple[float, float]]:
     Scaling by a power of two is exact in binary floating point, and the
     affine fit to the viewbox cancels it.
     """
+    ratios = {v: (x.as_integer_ratio(), y.as_integer_ratio())
+              for v, (x, y) in emb.coords.items()}
     shifts = []
     for axis in (0, 1):
-        top = max(abs(p[axis]) for p in emb.coords.values())
-        shifts.append(max(0, int(top).bit_length() - 1000))
+        top = max(abs(p[axis][0]) // p[axis][1] for p in ratios.values())
+        shifts.append(max(0, top.bit_length() - 1000))
     kx, ky = shifts
-    return {v: (x.numerator / (x.denominator << kx),
-                y.numerator / (y.denominator << ky))
-            for v, (x, y) in emb.coords.items()}
+    return {v: (xn / (xd << kx), yn / (yd << ky))
+            for v, ((xn, xd), (yn, yd)) in ratios.items()}
 
 
 def layered_layout(m: PlanarMap) -> dict[int, tuple[float, float]]:
@@ -124,55 +123,51 @@ def render_svg(m: PlanarMap, embedding: Embedding | None = None,
     x0, y0 = min(xs), min(ys)
     sx = (VIEW_W - 2 * MARGIN) / (max(xs) - x0 or 1.0)
     sy = (VIEW_H - 2 * MARGIN) / (max(ys) - y0 or 1.0)
-    fit = {v: (MARGIN + (x - x0) * sx, VIEW_H - MARGIN - (y - y0) * sy)
-           for v, (x, y) in coords.items()}
-
-    nw = set(nw_tree(m))
-    se = set(se_tree(m))
-    order, moves = interface_order(m)
-    faces = m.interior_faces()
-    face_of = m.face_of_dart()
+    fx = {v: MARGIN + (x - x0) * sx for v, (x, _) in coords.items()}
+    fy = {v: VIEW_H - MARGIN - (y - y0) * sy for v, (_, y) in coords.items()}
+    # each vertex formatted once, for its ends of <line> and its <circle>
+    tx = {v: "%.6g" % x for v, x in fx.items()}
+    ty = {v: "%.6g" % y for v, y in fy.items()}
+    tree = [0] * m.n_edges  # bit 1: in the NW tree, bit 2: in the SE tree
+    for bit, parents in ((1, nw_tree(m)), (2, se_tree(m))):
+        for e in parents:
+            if e is not None:
+                tree[e] |= bit
+    classes = ("edge", "edge nw-tree", "edge se-tree", "edge nw-tree se-tree")
 
     lines = []
     attrs = f' data-planarity="unverified"' if warning else ""
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="0 0 {_fmt(VIEW_W)} {_fmt(VIEW_H)}"{attrs}>')
+        f'viewBox="0 0 {VIEW_W:.6g} {VIEW_H:.6g}"{attrs}>')
     lines.append(f"<style>{_STYLE}</style>")
     for e, (t, h) in enumerate(m.edges):
-        cls = "edge"
-        if e in nw:
-            cls += " nw-tree"
-        if e in se:
-            cls += " se-tree"
-        x1, y1 = fit[t]
-        x2, y2 = fit[h]
-        lines.append(f'<line id="e{e}" class="{cls}" x1="{_fmt(x1)}" '
-                     f'y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
+        lines.append(f'<line id="e{e}" class="{classes[tree[e]]}" x1="{tx[t]}" '
+                     f'y1="{ty[t]}" x2="{tx[h]}" y2="{ty[h]}"/>')
 
-    path = [fit[m.south]]
-    for k, e in enumerate(order):
-        t, h = m.edges[e]
-        x1, y1 = fit[t]
-        x2, y2 = fit[h]
-        path.append(((x1 + x2) / 2, (y1 + y2) / 2))
-        if k < len(moves) and isinstance(moves[k], FaceMove):
-            fd = faces[face_of[2 * e + 1]]
-            corners = set()
-            for e2 in fd.west_edges_down + fd.east_edges_up:
-                corners.update(m.edges[e2])
-            cx = sum(fit[v][0] for v in sorted(corners)) / len(corners)
-            cy = sum(fit[v][1] for v in sorted(corners)) / len(corners)
-            path.append((cx, cy))
-    path.append(fit[m.north])
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in path)
-    lines.append(f'<polyline class="interface" points="{pts}"/>')
+    # the interface path: each edge's midpoint, then the mean of the
+    # corners (summed in vertex order) of the face it crosses after it
+    s = m.scan()
+    face_of, fd, start = s.face_of, s.face_darts, s.face_start
+    order, moves = interface_order(m)
+    tail = m.dart_tails
+    x_of, y_of = fx.__getitem__, fy.__getitem__
+    pts = [f"{tx[m.south]},{ty[m.south]}"]
+    for e, move in zip(order, moves + (None,)):
+        t, h = tail[2 * e], tail[2 * e + 1]
+        pts.append("%.6g,%.6g" % ((fx[t] + fx[h]) / 2, (fy[t] + fy[h]) / 2))
+        if isinstance(move, FaceMove):
+            f = face_of[2 * e + 1]
+            corners = sorted(map(tail.__getitem__, fd[start[f]:start[f + 1]]))
+            k = len(corners)
+            pts.append("%.6g,%.6g" % (sum(map(x_of, corners)) / k,
+                                       sum(map(y_of, corners)) / k))
+    pts.append(f"{tx[m.north]},{ty[m.north]}")
+    lines.append(f'<polyline class="interface" points="{" ".join(pts)}"/>')
 
     for v in range(m.n_vertices):
-        x, y = fit[v]
         cls = "vertex pole" if v in (m.south, m.north) else "vertex"
-        lines.append(f'<circle id="v{v}" class="{cls}" cx="{_fmt(x)}" '
-                     f'cy="{_fmt(y)}" r="3"/>')
+        lines.append(f'<circle id="v{v}" class="{cls}" cx="{tx[v]}" cy="{ty[v]}" r="3"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -132,7 +132,8 @@ def solve_lambda(w: FaceWeights) -> float:
     lambda^3 / (1 - lambda)^3.  Otherwise returns lambda in (0, R] with
     |1 - drift_sum(lambda)| <= 1e-12, or 1e-9 where float bisection cannot
     get closer.  Raises NoZeroDriftError when the equation has no root in
-    (0, R], or when the drift sum is not a number there.
+    (0, R], when the drift sum is not a number there, or when the root lies
+    between two adjacent floats and neither meets 1e-9.
     """
     if w.uniform:
         return 0.5
@@ -151,12 +152,19 @@ def solve_lambda(w: FaceWeights) -> float:
         else:
             hi = mid
     lam = hi
-    # both checks are written so that a NaN drift sum fails them
+    # written so that a NaN drift sum fails it
     if not abs(1.0 - _drift_sum(w, lam)) <= tol:
         lam = 0.5 * (lo + hi)
-    if not abs(1.0 - _drift_sum(w, lam)) <= 1e-9:
+    drift = _drift_sum(w, lam)
+    if drift != drift:
         raise NoZeroDriftError(
-            f"bisection failed to meet tolerance at lambda={lam}")
+            f"no zero-drift distribution: the drift sum is NaN at lambda={lam}")
+    if not abs(1.0 - drift) <= 1e-9:
+        # lo and hi are adjacent floats, the root between them
+        raise NoZeroDriftError(
+            f"no zero-drift distribution in floats: the root lies within a "
+            f"float step of lambda={hi}, where the drift sum jumps from "
+            f"{_drift_sum(w, lo)} to {_drift_sum(w, hi)}")
     return lam
 
 

@@ -75,17 +75,23 @@ def test_sample_without_a_walk_exit_code(capsys):
 
 
 def test_weights_without_a_zero_drift_root_are_an_error(tmp_path, capsys):
-    # below lambda = 1 the drift sum is NaN: the degree-10**200 term is inf * 0.0
-    weights = tmp_path / "w.txt"
-    weights.write_text(f"3 1\n{10 ** 200} 1\n")
-    for argv in (["sample", "--seed", "1"], ["sample", "--seed", "1", "--method", "free"],
-                 ["stats", "--seed", "1"], ["stats", "--seed", "1", "--method", "free"]):
-        code, _, err = run(capsys, *argv, "--weights", str(weights), "--edges", "30")
-        assert code == 1, argv
-        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-    # counting needs no step law, and only the triangles fit in 29 steps
-    code, out, _ = run(capsys, "count", "--weights", str(weights), "--edges", "30")
-    assert code == 0 and out == run(capsys, "count", "--edges", "30")[1]
+    for degree, reason in (
+            # below lambda = 1 the drift sum is NaN: the degree-10**200 term is inf * 0.0
+            (10 ** 200, "the drift sum is NaN"),
+            # the root lies between 1.0 and the float below it
+            (10 ** 20, "the root lies within a float step of lambda=1.0,")):
+        weights = tmp_path / "w.txt"
+        weights.write_text(f"3 1\n{degree} 1\n")
+        for argv in (["sample", "--seed", "1"], ["sample", "--seed", "1", "--method", "free"],
+                     ["stats", "--seed", "1"], ["stats", "--seed", "1", "--method", "free"]):
+            code, _, err = run(capsys, *argv, "--weights", str(weights), "--edges", "30")
+            assert code == 1, argv
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+            if "free" in argv:
+                assert reason in err, err
+        # counting needs no step law, and only the triangles fit in 29 steps
+        code, out, _ = run(capsys, "count", "--weights", str(weights), "--edges", "30")
+        assert code == 0 and out == run(capsys, "count", "--edges", "30")[1]
 
 
 def test_budget_exit_code(capsys):

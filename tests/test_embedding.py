@@ -8,12 +8,14 @@ from bipolar_maps import embedding
 from bipolar_maps.embedding import (Embedding, certify_upward_planar,
                                     segments_conflict, upward_embed,
                                     verify_upward_planar)
+from bipolar_maps.enumeration import exact_sample
 from bipolar_maps.errors import EmbeddingInternalError, EmbeddingUnsupportedError
 from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import walk_to_map
 from bipolar_maps.simulate import sample_simple_triangulation_walk
 from bipolar_maps.svg import render_svg
 from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk
+from bipolar_maps.weights import preset_weights
 
 from conftest import all_triangulation_walks, is_simple, relabel
 
@@ -37,17 +39,29 @@ def test_smallest_triangulation():
     assert verify_upward_planar(m, emb) == []
 
 
+def _refusal(m) -> str:
+    with pytest.raises(EmbeddingUnsupportedError) as err:
+        upward_embed(m)
+    return str(err.value)
+
+
 def test_rejects_multi_edge():
     # the closed 4-edge map has a doubled pole edge
     m = walk_to_map(LatticeWalk((0, 0), (FaceMove(0, 1), EDGE, FaceMove(1, 0))))
-    with pytest.raises(EmbeddingUnsupportedError):
-        upward_embed(m)
+    assert _refusal(m) == "unsupported for embedding: multiple edges between 0 and 1"
 
 
 def test_rejects_general_faces():
     m = walk_to_map(LatticeWalk((0, 0), (FaceMove(0, 2), EDGE, EDGE)))
-    with pytest.raises(EmbeddingUnsupportedError):
-        upward_embed(m)
+    assert _refusal(m) == ("unsupported for embedding: interior face of degree 4 "
+                           "(triangulations only)")
+
+
+def test_face_degree_refusal_comes_before_multi_edge():
+    m = walk_to_map(LatticeWalk((0, 0), (FaceMove(0, 2), EDGE, EDGE, FaceMove(2, 0))))
+    assert len(set(m.edges)) < m.n_edges
+    assert _refusal(m) == ("unsupported for embedding: interior face of degree 4 "
+                           "(triangulations only)")
 
 
 def test_exhaustive_small():
@@ -214,11 +228,16 @@ def test_render_svg_past_float_range():
 
 
 def test_render_svg_ignores_a_power_of_two():
+    # on either axis, and with a sign that mirrors it, a power of two past
+    # float range draws the same bytes as the drawing it scales
     m = walk_to_map(sample_simple_triangulation_walk(0, 1, 30, CounterRng(3)))
     emb = upward_embed(m)
-    huge = Embedding(coords={v: (x * 2 ** 1100, y)
-                             for v, (x, y) in emb.coords.items()})
-    assert render_svg(m, huge) == render_svg(m, emb)
+    for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        base = Embedding(coords={v: (sx * x, sy * y) for v, (x, y) in emb.coords.items()})
+        for kx, ky in ((1100, 0), (0, 1100), (1100, 1100)):
+            huge = Embedding(coords={v: (x * 2 ** kx, y * 2 ** ky)
+                                     for v, (x, y) in base.coords.items()})
+            assert render_svg(m, huge) == render_svg(m, base), (sx, sy, kx, ky)
 
 
 # SHA-256 of repr(list(coords.items())), the SVG and the number of placement
@@ -263,3 +282,23 @@ def test_large_maps_draw(ell):
     svg = render_svg(m, emb)
     assert svg.count("<line ") == m.n_edges
     assert svg.count("<circle ") == m.n_vertices
+
+
+# SHA-256 of render_svg(m, layers_fallback=True) for maps outside the
+# embedder's domain: the README's sample map (tri (0, 1), 12 edges, drawn by
+# CounterRng(7, 0); it has a doubled edge) and a quad map with square faces
+FALLBACK_SVG_SHA256 = {
+    ("tri", 0, 1, 12, 7): "9fa3185cfabdb0ba32e1c10f932d133f4db821f0807bba2d68e6f98650d59115",
+    ("quad", 0, 0, 21, 1): "58386a8f17b894d3d5d645b27d4cac07e384fdec3f2a7a2bbfffd14b4bd99b8a",
+}
+
+
+@pytest.mark.parametrize("family, m0, n0, ell, seed", sorted(FALLBACK_SVG_SHA256))
+def test_fallback_drawings_are_pinned(family, m0, n0, ell, seed):
+    m = walk_to_map(exact_sample(preset_weights(family), m0, n0, ell, CounterRng(seed, 0)))
+    with pytest.raises(EmbeddingUnsupportedError):
+        upward_embed(m)
+    svg = render_svg(m, layers_fallback=True)
+    assert 'data-planarity="unverified"' in svg
+    digest = hashlib.sha256(svg.encode()).hexdigest()
+    assert digest == FALLBACK_SVG_SHA256[family, m0, n0, ell, seed]

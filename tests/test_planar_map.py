@@ -143,6 +143,21 @@ def test_interior_sink_reported(fig_walk):
     assert any(f"interior sink at vertex {v}" in str(viol) for viol in report)
 
 
+@pytest.mark.parametrize("edges, rotations, west_anchor", [
+    ([(1, 2), (0, 1), (1, 2), (0, 1)], [[2, 6], [0, 3, 4, 7], [1, 5]], 1),
+    ([(0, 1), (1, 2), (0, 1), (1, 2)], [[0, 4], [1, 2, 5, 6], [3, 7]], 0),
+], ids=["first-cut-is-dart-0", "dart-0-inside-a-run"])
+def test_mixed_rotation_reported_whatever_its_first_cut(edges, rotations, west_anchor):
+    # vertex 1 turns out, in, out, in: two cuts where a north dart follows a
+    # south dart.  Dart 0 is the first dart the scan reads, so in the first
+    # map the cut it records first is dart 0, and a second cut must still
+    # count against it.
+    m = PlanarMap(3, edges, rotations, south=0, north=2, west_anchor=west_anchor)
+    report = validate_bipolar(m)
+    assert "rotation at vertex 1 mixes outgoing/incoming blocks" in map(str, report)
+    _agrees_with_oracle(m)
+
+
 def test_trees_on_small_maps():
     # a tree is each vertex's parent edge id, None at the root only
     m1 = single_edge()

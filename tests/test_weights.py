@@ -121,8 +121,21 @@ def test_uniform_law_in_closed_form():
 
 def test_nan_drift_sum_has_no_root():
     # below lambda = 1 the degree-10**200 term is inf * 0.0 = NaN
-    with pytest.raises(NoZeroDriftError):
+    with pytest.raises(NoZeroDriftError) as err:
         solve_lambda(FaceWeights({3: 1, 10 ** 200: 1}))
+    assert str(err.value) == ("no zero-drift distribution: the drift sum is NaN "
+                              "at lambda=1.0000000000000002e-12")
+
+
+def test_root_within_a_float_step_of_one_is_named():
+    # at 10**18 the root is the float below 1; at 10**20 it lies between them
+    assert solve_lambda(FaceWeights({3: 1, 10 ** 18: 1})) == 1 - 2 ** -53
+    with pytest.raises(NoZeroDriftError) as err:
+        solve_lambda(FaceWeights({3: 1, 10 ** 20: 1}))
+    assert str(err.value) == (
+        "no zero-drift distribution in floats: the root lies within a float "
+        "step of lambda=1.0, where the drift sum jumps from 0.9999999999999997 "
+        "to 5e+39")
 
 
 @pytest.mark.parametrize("support, message", [
