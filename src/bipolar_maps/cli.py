@@ -4,7 +4,7 @@ Verbs: count, sample, stats, interface, walk2map, map2walk, embed, verify.
 Stdout carries data, stderr carries diagnostics; every stochastic verb
 requires an explicit --seed.  Exit codes: 0 success, 1 infeasible inputs or
 failed verification, 2 usage errors or malformed input, 3 resource budget
-exceeded.
+exceeded (out of memory included).
 """
 
 from __future__ import annotations
@@ -86,11 +86,6 @@ def _seed(text: str) -> int:
     return value
 
 
-def _require_seed(parser, args) -> None:
-    if args.seed is None:
-        parser.error("--seed is required for stochastic verbs")
-
-
 def _sampler(args, w, dist):
     """The run's one draw(rng) function, chosen from --method and built once."""
     if args.method == "exact":
@@ -111,7 +106,7 @@ def _replica_walks(args, w, dist):
             for rep in range(args.replicas)]
 
 
-def cmd_count(args) -> int:
+def cmd_count(args, parser) -> int:
     w = _load_weights(args.weights)
     if args.closed_form:
         if not enumeration.is_triangulation(w) or (args.m, args.n) != (0, 1):
@@ -125,7 +120,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_sample(args, parser) -> int:
-    _require_seed(parser, args)
     if args.replicas > 1:
         for flag, path in (("--walk-out", args.walk_out), ("--map-out", args.map_out)):
             if path not in (None, "-") and "{}" not in path:
@@ -147,7 +141,6 @@ def cmd_sample(args, parser) -> int:
 
 
 def cmd_stats(args, parser) -> int:
-    _require_seed(parser, args)
     dist, w = _dist_from_args(args)
     walks = _replica_walks(args, w, dist)
     rng = CounterRng(args.seed, _REDUCER_STREAM)
@@ -164,7 +157,6 @@ def cmd_stats(args, parser) -> int:
 
 
 def cmd_interface(args, parser) -> int:
-    _require_seed(parser, args)
     dist, w = _dist_from_args(args)
     walk = _sampler(args, w, dist)(CounterRng(args.seed, 0))
     rows = simulate.interface_export(walk, args.grid_points)
@@ -172,25 +164,25 @@ def cmd_interface(args, parser) -> int:
     return 0
 
 
-def cmd_walk2map(args) -> int:
+def cmd_walk2map(args, parser) -> int:
     walk = walk_from_text(_read(args.infile))
     _write(args.out, map_to_json(walk_to_map(walk)))
     return 0
 
 
-def cmd_map2walk(args) -> int:
+def cmd_map2walk(args, parser) -> int:
     mp = map_from_json(_read(args.infile))
     _write(args.out, walk_to_text(map_to_walk(mp)))
     return 0
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args, parser) -> int:
     mp = map_from_json(_read(args.infile))
     _write(args.out, render_svg(mp, layers_fallback=args.layers_fallback))
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, parser) -> int:
     from .verify import run_verification
     failures = run_verification(quick=args.quick, seed=args.seed or 0,
                                 log=sys.stderr)
@@ -236,17 +228,20 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--max-tries", type=_positive_int, default=1_000_000)
 
     q = sub.add_parser("count", help="exact number of maps / quadrant walks")
+    q.set_defaults(run=cmd_count)
     add_common(q)
     q.add_argument("--closed-form", action="store_true",
                    help="use the closed-form triangulation count")
 
     q = sub.add_parser("sample", help="draw walks/maps and write them out")
+    q.set_defaults(run=cmd_sample)
     add_common(q, stochastic=True)
     q.add_argument("--replicas", type=_positive_int, default=1)
     q.add_argument("--walk-out", help="walk file ({} expands to the replica)")
     q.add_argument("--map-out", help="map JSON file ({} expands to the replica)")
 
     q = sub.add_parser("stats", help="covariance / degree statistics report")
+    q.set_defaults(run=cmd_stats)
     add_common(q, stochastic=True)
     q.add_argument("--replicas", type=_positive_int, default=1)
     q.add_argument("--json", help="also write the report as JSON")
@@ -255,25 +250,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of walk ends excluded from degree stats")
 
     q = sub.add_parser("interface", help="scaled interface functions as CSV")
+    q.set_defaults(run=cmd_interface)
     add_common(q, stochastic=True)
     q.add_argument("--grid-points", type=int, default=101)
     q.add_argument("--out", default="-")
 
     q = sub.add_parser("walk2map", help="walk text to map JSON")
+    q.set_defaults(run=cmd_walk2map)
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--out", default="-")
 
     q = sub.add_parser("map2walk", help="map JSON to walk text")
+    q.set_defaults(run=cmd_map2walk)
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--out", default="-")
 
     q = sub.add_parser("embed", help="upward straight-line drawing as SVG")
+    q.set_defaults(run=cmd_embed)
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--out", default="-")
     q.add_argument("--layers-fallback", action="store_true",
                    help="layered layout for maps outside the embedding domain")
 
     q = sub.add_parser("verify", help="run the built-in invariant suite")
+    q.set_defaults(run=cmd_verify)
     q.add_argument("--quick", action="store_true")
     q.add_argument("--seed", type=_seed, default=0)
     return p
@@ -314,6 +314,13 @@ def _apply_config(parser, path: str) -> None:
         verb.set_defaults(**defaults)
 
 
+# the exit code of each kind of error, the first match counting
+_EXIT_CODES = ((NoMapsError, 1),
+               ((EnumerationBudgetError, RejectionBudgetError, MemoryError), 3),
+               ((MapStructureError, ValueError, OSError), 2),  # malformed input
+               (BipolarError, 1))
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -324,37 +331,14 @@ def main(argv=None) -> int:
     if known.config:
         _apply_config(parser, known.config)
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) is None:
+        parser.error("--seed is required for stochastic verbs")
     try:
-        if args.verb == "count":
-            return cmd_count(args)
-        if args.verb == "sample":
-            return cmd_sample(args, parser)
-        if args.verb == "stats":
-            return cmd_stats(args, parser)
-        if args.verb == "interface":
-            return cmd_interface(args, parser)
-        if args.verb == "walk2map":
-            return cmd_walk2map(args)
-        if args.verb == "map2walk":
-            return cmd_map2walk(args)
-        if args.verb == "embed":
-            return cmd_embed(args)
-        if args.verb == "verify":
-            return cmd_verify(args)
-        parser.error(f"unknown verb {args.verb}")
-    except NoMapsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (EnumerationBudgetError, RejectionBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (MapStructureError, ValueError, OSError) as exc:  # malformed input
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BipolarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        return args.run(args, parser)
+    except (BipolarError, ValueError, OSError, MemoryError) as exc:
+        # a MemoryError may carry no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -146,7 +146,7 @@ def _creation_order(m: PlanarMap, tris):
     return verts, ys, 1 << (m.n_vertices - shift), below, triangles
 
 
-def _constraints(triangles, ys):
+def _constraints(triangles, ys, below):
     """Per creation rank, its lower and upper bound records.
 
     Each triangle binds its last-created corner v, which must keep the
@@ -157,9 +157,11 @@ def _constraints(triangles, ys):
     through them at v's height:
     (x_p (y_q - y) + x_q (y - y_p)) / (y_q - y_p).  A record holds p, q and
     the three height gaps; an upper record also holds the triangle's lowest
-    and highest corners, which the slack search raises.
+    and highest corners, which the slack search raises.  A west-boundary
+    vertex is bounded below by its west-chain predecessor b, the leading
+    lower record (b, b, 0, 1, 1), whose threshold is x_b.
     """
-    los: list[list] = [[] for _ in ys]
+    los: list[list] = [[] if b is None else [(b, b, 0, 1, 1)] for b in below]
     his: list[list] = [[] for _ in ys]
     for u, w, z, side in triangles:
         v = max(u, w, z)
@@ -172,7 +174,7 @@ def _constraints(triangles, ys):
     return los, his
 
 
-def _place(start, below, los, his, boost, pos, hi_tri_of, free_topped):
+def _place(start, los, his, boost, pos, hi_tri_of):
     """Place creation ranks ``start``, ``start + 1``, ... in order.
 
     Returns the first rank whose interval empties, or None once every rank
@@ -182,15 +184,14 @@ def _place(start, below, los, his, boost, pos, hi_tri_of, free_topped):
     costs one ``gcd``.  The x of v depends only on the positions below v
     and on ``boost[v]``, so a pass may resume at the lowest rank whose boost
     changed and keep what lies below it, ``hi_tri_of`` (the lowest and
-    highest corners of the triangle that binds each rank from above) and
-    ``free_topped`` (ranks bounded below only) included.  A west-boundary
-    vertex is bounded below by its west-chain predecessor.  Boosts are
-    extra slack exponents for free-topped ranks; raising them widens every
-    later interval that interpolates through them.
+    highest corners of the triangle that binds each rank from above)
+    included.  A rank with no upper record is free-topped; boosts are extra
+    slack exponents for those ranks, and raising them widens every later
+    interval that interpolates through them.
     """
     for v in range(start, len(pos)):
         # a bound is a pair (num, den) with den > 0; den = 0 stands for none
-        lo_n, lo_d = (0, 0) if below[v] is None else pos[below[v]]
+        lo_n = lo_d = 0
         for p, q, a, b, c in los[v]:
             (xp, dp), (xq, dq) = pos[p], pos[q]
             num, den = xp * dq * a + xq * dp * b, dp * dq * c
@@ -204,7 +205,6 @@ def _place(start, below, los, his, boost, pos, hi_tri_of, free_topped):
             if not hi_d or num * hi_d < hi_n * den:
                 hi_n, hi_d, hi_tri = num, den, ends
         hi_tri_of[v] = hi_tri
-        free_topped[v] = not hi_d
         if not hi_d:
             # exponential slack leaves room for everything hung here later
             if not lo_d:
@@ -222,8 +222,9 @@ def _place(start, below, los, his, boost, pos, hi_tri_of, free_topped):
     return None
 
 
-def _raisable(bad, hi_tri_of, free_topped) -> set[int]:
-    """Free-topped ranks reached by chasing binding upper triangles from ``bad``.
+def _raisable(bad, hi_tri_of, his) -> set[int]:
+    """Free-topped ranks (those with no upper record) reached by chasing
+    binding upper triangles from ``bad``.
 
     Pushing those east widens the emptied interval.
     """
@@ -238,7 +239,7 @@ def _raisable(bad, hi_tri_of, free_topped) -> set[int]:
             if e < 2 or e in seen:
                 continue
             seen.add(e)
-            if free_topped[e]:
+            if not his[e]:
                 raisable.add(e)
             else:
                 queue.append(e)
@@ -253,26 +254,23 @@ def upward_embed(m: PlanarMap) -> Embedding:
     verts, ys, scale, below, triangles = _creation_order(m, tris)
     n_creation = len(verts)
 
-    los, his = _constraints(triangles, ys)
+    los, his = _constraints(triangles, ys, below)
     pos: list = [(0, 1), (0, 1)] + [None] * (n_creation - 2)
     hi_tri_of: list = [None] * n_creation
-    free_topped = [True] * n_creation
     boost: dict[int, int] = {}
-    raise_step: dict[int, int] = {}
     start = 2
     for _ in range(400):
-        bad = _place(start, below, los, his, boost, pos, hi_tri_of, free_topped)
+        bad = _place(start, los, his, boost, pos, hi_tri_of)
         if bad is None:
             break
-        raisable = _raisable(bad, hi_tri_of, free_topped)
+        raisable = _raisable(bad, hi_tri_of, his)
         if not raisable:
             raise EmbeddingInternalError(
                 "embedding construction failed: empty placement interval "
                 "with no raisable support", trace=[f"vertex {bad}"])
         for c in raisable:
-            step = raise_step.get(c, 4)
-            boost[c] = boost.get(c, 0) + step
-            raise_step[c] = step * 2
+            # the k-th raise adds 4 * 2^(k-1), so boost[c] = 4 (2^k - 1)
+            boost[c] = 2 * boost.get(c, 0) + 4
         start = min(raisable)
     else:
         raise EmbeddingInternalError(

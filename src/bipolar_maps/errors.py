@@ -40,10 +40,13 @@ class NoMapsError(BipolarError):
 
 
 class EnumerationBudgetError(BipolarError):
-    """A count table would allocate more cells than the configured budget.
+    """A count table would allocate more cells than the configured budget,
+    or a finite step law's draw table would hold more face moves than
+    ``enumeration.DEFAULT_BUDGET``.
 
-    ``required_cells`` is the allocation summed up to the layer that passed
-    the budget, so it is a lower bound on the whole table's cells.
+    For a count table, ``required_cells`` is the allocation summed up to
+    the layer that passed the budget, so it is a lower bound on the whole
+    table's cells; for a draw table, it is the number of face moves.
     """
 
     def __init__(self, message, required_cells, budget_cells):

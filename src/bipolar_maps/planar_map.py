@@ -251,21 +251,12 @@ class PlanarMap:
     # -- oriented-edge orderings at a vertex ------------------------------
 
     def out_edges_we(self, v: int) -> list[int]:
-        """North-going edges leaving v, ordered west to east; requires a valid map."""
-        self.require_valid()
-        return self._out_edges_we(v)
-
-    def in_edges_we(self, v: int) -> list[int]:
-        """North-going edges entering v, ordered west to east; requires a valid map."""
-        self.require_valid()
-        return self._in_edges_we(v)
-
-    def _out_edges_we(self, v: int) -> list[int]:
-        """``out_edges_we`` on a map known to be valid.
+        """North-going edges leaving v, ordered west to east; requires a valid map.
 
         Counterclockwise the outgoing darts run east to west, so from the
         west-most one each clockwise step (``dart_prev``) goes one edge east.
         """
+        self.require_valid()
         s, prv = self.scan(), self.dart_prev
         d = s.west_out[v]
         out = []
@@ -274,12 +265,13 @@ class PlanarMap:
             d = prv[d]
         return out
 
-    def _in_edges_we(self, v: int) -> list[int]:
-        """``in_edges_we`` on a map known to be valid.
+    def in_edges_we(self, v: int) -> list[int]:
+        """North-going edges entering v, ordered west to east; requires a valid map.
 
         The incoming run ends counterclockwise just before the cut, so
         clockwise steps from the cut meet it east to west.
         """
+        self.require_valid()
         s, prv = self.scan(), self.dart_prev
         d = s.cut[v]
         inn = []

@@ -19,9 +19,10 @@ gives the bijection with unmarked bipolar maps.
 east frontier, which is all a move needs to know which edge it adds.
 ``Frontier.push_all`` applies the rule to a whole move sequence in one loop
 and returns flat lists of edge tails and heads.  ``walk_edges`` checks a
-walk through it, and ``walk_to_map`` and the degree tracer decode that;
-``walk_to_map`` places every dart in one flat rotation list by a counting
-pass, so no layer holds a tuple or list per edge.  The steered sampler
+walk through it and counts every vertex's degrees once, and
+``walk_to_map`` and the degree tracer decode that; ``walk_to_map``
+places every dart in one flat rotation list by a counting pass, so no
+layer holds a tuple or list per edge.  The steered sampler
 pushes one move at a time.  The marked-state fold stays as the reference
 and the unsew engine.  The upward embedding reads the map instead: its
 vertex creation order is the order in which ``interface_order`` first
@@ -55,6 +56,8 @@ class MarkedBipolarState:
     undone moves stay in the lists, unreferenced and missing.  Edge ids are
     never reused, and a half-turn or ``state_from_map`` need not number
     them in sewing order; ``state_to_map`` renumbers them in id order.
+    The first edge and every move sew one record each, so ``n_edges`` is
+    read off ``moves_applied``.
     """
 
     vertices: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
@@ -75,12 +78,15 @@ class MarkedBipolarState:
     dx: int = 0
     dy: int = 0
     moves_applied: int = 0
-    n_edges: int = 0
     _next_vertex: int = 0
     _next_edge: int = 0
     _next_face: int = 0
 
     # -- bookkeeping -------------------------------------------------------
+
+    @property
+    def n_edges(self) -> int:
+        return self.moves_applied + 1
 
     @property
     def n_faces(self) -> int:
@@ -137,7 +143,6 @@ class MarkedBipolarState:
         """Give record ``r`` the next edge id, east-most at both ends, top of ``below``."""
         self.eid[r] = e = self._next_edge
         self._next_edge += 1
-        self.n_edges += 1
         self.vertices[self.lo[r]][0].append(e)
         self.vertices[self.hi[r]][1].append(e)
         self.below.append(r)
@@ -155,7 +160,6 @@ class MarkedBipolarState:
         inn.pop()
         self.below.pop()
         self.eid[r] = -1
-        self.n_edges -= 1
 
     # -- the three kinds of sewing steps ------------------------------------
 
@@ -401,7 +405,7 @@ def state_from_map(m: PlanarMap) -> MarkedBipolarState:
     face_of, start, split = s.face_of, s.face_start, s.face_split
     edge = [d >> 1 for d in s.face_darts]
     return MarkedBipolarState(
-        vertices={v: (m._out_edges_we(v), m._in_edges_we(v)) for v in range(m.n_vertices)},
+        vertices={v: (m.out_edges_we(v), m.in_edges_we(v)) for v in range(m.n_vertices)},
         lo=m.dart_tails[0::2], hi=m.dart_heads[0::2],
         west=face_of[0::2], east=face_of[1::2], eid=list(range(m.n_edges)),
         faces={f: (edge[b:c], edge[a:b][::-1])
@@ -409,7 +413,7 @@ def state_from_map(m: PlanarMap) -> MarkedBipolarState:
         below=list(s.east), west_edges=list(s.west),
         start=m.south, active=m.north, bottom=m.south, top=m.north,
         dx=len(s.east) - 1, dy=1 - len(s.west),
-        moves_applied=m.n_edges - 1, n_edges=m.n_edges,
+        moves_applied=m.n_edges - 1,
         _next_vertex=m.n_vertices, _next_edge=m.n_edges, _next_face=len(split))
 
 
@@ -490,9 +494,11 @@ def _leaves_quadrant(move: Move, below: list[int]) -> NotBipolarCodeError:
         f"not a closed bipolar code: {move!r} at x = {len(below) - 1} leaves the quadrant")
 
 
-def walk_edges(walk: LatticeWalk) -> tuple[Frontier, list[int], list[int]]:
-    """Replay a closed bipolar code: the final frontier, and the tails and
-    heads of every edge in creation order, the first edge (0, 1) included.
+def walk_edges(walk: LatticeWalk) -> tuple[Frontier, list[int], list[int],
+                                            list[int], list[int]]:
+    """Replay a closed bipolar code: the final frontier, the tails and heads
+    of every edge in creation order, the first edge (0, 1) included, and
+    the out- and in-degree of every vertex.
 
     Raises NotBipolarCodeError unless the walk starts at (0, m), stays in
     the quadrant and ends at (n, 0).
@@ -515,7 +521,13 @@ def walk_edges(walk: LatticeWalk) -> tuple[Frontier, list[int], list[int]]:
             "end on the x-axis")
     tails.insert(0, 0)
     heads.insert(0, 1)
-    return frontier, tails, heads
+    outdeg = [0] * frontier.n_vertices
+    indeg = [0] * frontier.n_vertices
+    for t in tails:
+        outdeg[t] += 1
+    for h in heads:
+        indeg[h] += 1
+    return frontier, tails, heads, outdeg, indeg
 
 
 # -- walk <-> map --------------------------------------------------------------
@@ -529,14 +541,7 @@ def walk_to_map(walk: LatticeWalk) -> PlanarMap:
     first, then its incoming edges, oldest (west-most) first; a counting
     pass places every dart in the one flat rotation list.
     """
-    frontier, tails, heads = walk_edges(walk)
-    n = frontier.n_vertices
-    outdeg = [0] * n
-    indeg = [0] * n
-    for t in tails:
-        outdeg[t] += 1
-    for h in heads:
-        indeg[h] += 1
+    frontier, tails, heads, outdeg, indeg = walk_edges(walk)
     first = [0, *accumulate(map(add, outdeg, indeg))]
     # vertex v's incoming run starts at mid[v]; its outgoing run fills down to it
     mid = list(map(add, first, outdeg))
@@ -552,7 +557,7 @@ def walk_to_map(walk: LatticeWalk) -> PlanarMap:
     dart_tails = rot[:]
     dart_tails[0::2] = tails
     dart_tails[1::2] = heads
-    return PlanarMap.from_darts(n, dart_tails, rot, first,
+    return PlanarMap.from_darts(frontier.n_vertices, dart_tails, rot, first,
                                 south=0, north=frontier.active, west_anchor=0)
 
 

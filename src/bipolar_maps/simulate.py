@@ -8,7 +8,9 @@ increment structure against the zero-drift theory values.
 Both walk samplers take their steps from one flat increment draw.  A free
 walk is one draw of all its steps.  Rejection grows a batch of proposals
 one step at a time, with one draw per step for the proposals still inside
-the quadrant, so a proposal stops costing at its first step out.
+the quadrant, so a proposal stops costing at its first step out.  A finite
+law's draw table is built once per sampler call, and a law of more face
+moves than ``enumeration.DEFAULT_BUDGET`` is refused before it is built.
 
 numpy is imported inside the functions that compute with arrays (the
 increment draws, rejection, the covariance report and the degree
@@ -21,7 +23,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import sqrt
 
-from .errors import BipolarError, NoMapsError, RejectionBudgetError
+from .enumeration import DEFAULT_BUDGET
+from .errors import (BipolarError, EnumerationBudgetError, NoMapsError,
+                     RejectionBudgetError)
 from .rng import CounterRng
 from .sewing import Frontier, walk_edges
 from .walks import EDGE, LatticeWalk, Move, face_move, move_of
@@ -32,22 +36,38 @@ from .weights import (StepDistribution, TheoryStats, check_boundary, congruence,
 # -- step generation -------------------------------------------------------------
 
 
-def _increments(dist: StepDistribution, count: int, rng: CounterRng):
-    """``count`` i.i.d. increments, as flat (dx, dy) arrays."""
+def _increment_draw(dist: StepDistribution):
+    """The law's draw(count, rng) of ``count`` i.i.d. increments, as flat
+    (dx, dy) arrays.  A finite law's table of moves is built here, once;
+    raises EnumerationBudgetError if it would hold more face moves than
+    ``DEFAULT_BUDGET``."""
     import numpy as np
     if dist.kind == "uniform":
         # P(E) = 1/2, and a face move's i and j are independent with
         # P(i) = (1 - lambda) lambda^i: P(F(i, j)) = 2^-(i+j+3) at lambda = 1/2
         q = 1.0 - dist.lam
-        is_edge = rng.np.integers(0, 2, size=count).astype(bool)
-        iis = rng.np.geometric(q, size=count) - 1
-        jjs = rng.np.geometric(q, size=count) - 1
-        return np.where(is_edge, 1, -iis), np.where(is_edge, -1, jjs)
+
+        def draw(count, rng):
+            is_edge = rng.np.integers(0, 2, size=count).astype(bool)
+            iis = rng.np.geometric(q, size=count) - 1
+            jjs = rng.np.geometric(q, size=count) - 1
+            return np.where(is_edge, 1, -iis), np.where(is_edge, -1, jjs)
+        return draw
+    faces = sum(k - 1 for k in dist.face_probs)  # 0 for a direct law: it lists its moves
+    if faces > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(
+            f"draw table too large: the step law has {faces} face moves, "
+            f"budget is {DEFAULT_BUDGET}",
+            required_cells=faces, budget_cells=DEFAULT_BUDGET)
     moves_probs = dist.finite_moves()
     probs = np.array([p for _, p in moves_probs])
+    probs = probs / probs.sum()
     deltas = np.array([mv.delta for mv, _ in moves_probs])
-    idx = rng.np.choice(len(moves_probs), size=count, p=probs / probs.sum())
-    return deltas[idx, 0], deltas[idx, 1]
+
+    def draw(count, rng):
+        idx = rng.np.choice(len(probs), size=count, p=probs)
+        return deltas[idx, 0], deltas[idx, 1]
+    return draw
 
 
 def _walk(start: tuple[int, int], dxs, dys) -> LatticeWalk:
@@ -56,7 +76,7 @@ def _walk(start: tuple[int, int], dxs, dys) -> LatticeWalk:
 
 def free_walk(dist: StepDistribution, steps: int, rng: CounterRng) -> LatticeWalk:
     """Unconditioned i.i.d. walk from the origin (may leave the quadrant)."""
-    dxs, dys = _increments(dist, steps, rng)
+    dxs, dys = _increment_draw(dist)(steps, rng)
     return _walk((0, 0), dxs.tolist(), dys.tolist())
 
 
@@ -85,6 +105,7 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
     steps = ell - 1
     if steps == 0:
         return [LatticeWalk((0, m), ()) for _ in range(count)]
+    draw = _increment_draw(dist)
     out: list[LatticeWalk] = []
     tried = 0
     batch = 256
@@ -99,7 +120,7 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
         ys = np.full(size, m, dtype=np.int64)
         history = []
         for _ in range(steps):
-            dxs, dys = _increments(dist, len(rows), rng)
+            dxs, dys = draw(len(rows), rng)
             history.append((rows, dxs, dys))
             xs += dxs
             ys += dys
@@ -222,14 +243,7 @@ def degrees_from_walk(walk: LatticeWalk) -> FrontierTrace:
     Every face move is supported; a walk that is not a closed bipolar code
     raises NotBipolarCodeError, as in ``walk_to_map``.
     """
-    frontier, tails, heads = walk_edges(walk)
-    n = frontier.n_vertices
-    indeg = [0] * n
-    outdeg = [0] * n
-    for t in tails:
-        outdeg[t] += 1
-    for h in heads:
-        indeg[h] += 1
+    frontier, _, heads, outdeg, indeg = walk_edges(walk)
     # a move that creates vertices makes the newest of them its head
     created: list[int] = []
     for t, h in enumerate(heads):

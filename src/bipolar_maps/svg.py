@@ -82,9 +82,7 @@ def layered_layout(m: PlanarMap) -> dict[int, tuple[float, float]]:
 
 
 def _topological(m: PlanarMap) -> list[int]:
-    indeg = [0] * m.n_vertices
-    for _, h in m.edges:
-        indeg[h] += 1
+    indeg = m.scan().indeg[:]
     stack = [m.south]
     out = []
     while stack:

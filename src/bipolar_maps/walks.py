@@ -147,13 +147,18 @@ def walk_to_text(walk: LatticeWalk) -> str:
     return "\n".join(lines) + "\n"
 
 
-def walk_from_text(text: str) -> LatticeWalk:
-    """Parse the line format; blank lines and '#' comments are ignored."""
-    rows = []
+def _content_lines(text: str):
+    """(raw line, its content) for every line of ``text`` with content:
+    the reader of every text format, which drops '#' comments and blanks."""
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            rows.append(line)
+            yield raw, line
+
+
+def walk_from_text(text: str) -> LatticeWalk:
+    """Parse the line format; blank lines and '#' comments are ignored."""
+    rows = [line for _, line in _content_lines(text)]
     if not rows:
         raise ValueError("walk text has no content lines")
     head = rows[0].split()

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isclose
 
 from .errors import BipolarError, NoZeroDriftError
-from .walks import EDGE, FaceMove, Move, _as_int, face_move, move_of
+from .walks import EDGE, FaceMove, Move, _as_int, _content_lines, face_move, move_of
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,7 @@ def weights_from_text(text: str) -> FaceWeights:
     """Parse a weights config: lines "k a_k", or the single keyword "uniform"."""
     support: dict[int, Fraction] = {}
     uniform = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in _content_lines(text):
         if line == "uniform":
             uniform = True
             continue
@@ -192,6 +189,8 @@ class StepDistribution:
 
     def degrees(self) -> list[int]:
         """Face degrees with positive probability; rejects the uniform family."""
+        if self.kind == "finite":
+            return sorted(self.face_probs)
         return sorted({mv.degree for mv, _ in self.finite_moves()
                        if isinstance(mv, FaceMove)})
 
@@ -335,10 +334,7 @@ def direct_distribution(probs: dict[tuple[int, int], float]) -> StepDistribution
 def direct_distribution_from_text(text: str) -> StepDistribution:
     """Parse direct-step config: lines "dx dy prob"."""
     probs: dict[tuple[int, int], float] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in _content_lines(text):
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"bad step line: {raw!r}")

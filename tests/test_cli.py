@@ -100,6 +100,40 @@ def test_budget_exit_code(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_law_too_large_to_draw_from_is_a_budget_error(tmp_path, capsys):
+    # a draw table of 10**9 face moves is refused before it is built; an
+    # exact draw of 29 steps takes only the triangles and draws as tri does
+    weights = tmp_path / "w.txt"
+    weights.write_text("3 1\n1000000000 1\n")
+    for method, edges in (("free", "10"), ("rejection", "30")):
+        code, out, err = run(capsys, "sample", "--weights", str(weights), "--method",
+                             method, "--edges", edges, "--seed", "1")
+        assert code == 3 and out == "", method
+        assert len(err.splitlines()) == 1 and err.startswith("error: draw table"), err
+        assert "1000000001 face moves" in err and str(enumeration.DEFAULT_BUDGET) in err
+    code, out, _ = run(capsys, "sample", "--weights", str(weights), "--edges", "30",
+                       "--seed", "1")
+    assert code == 0
+    assert out == run(capsys, "sample", "--edges", "30", "--seed", "1")[1]
+
+
+@pytest.mark.parametrize("argv, call, message", [
+    (["stats", "--method", "free", "--edges", "30", "--seed", "1",
+      "--bootstrap", "1000000000"], "covariance_report",
+     "Unable to allocate 22.4 GiB for an array with shape (1000000000, 3) and "
+     "data type int64"),
+    (["interface", "--edges", "30", "--seed", "1", "--grid-points", "1000000000"],
+     "interface_export", ""),
+])
+def test_out_of_memory_is_a_budget_error(monkeypatch, capsys, argv, call, message):
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli.simulate, call, allocate)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: {message or 'out of memory'}\n"
+
+
 def test_walk_map_conversion(tmp_path, capsys):
     walk_file = tmp_path / "w.txt"
     map_file = tmp_path / "m.json"

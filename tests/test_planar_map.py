@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,7 @@ from bipolar_maps.planar_map import (PlanarMap, canonical_form, dual_map,
 from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import map_to_walk, state_from_map, walk_to_map
 from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk
-from bipolar_maps.weights import preset_weights
+from bipolar_maps.weights import FaceWeights, preset_weights
 
 from conftest import all_triangulation_walks
 
@@ -121,11 +122,12 @@ def test_fig_map_valid(fig_walk):
     assert len(m.east_edges) == 4
 
 
-def _flip_edge(m, e):
+def _flip_edges(m, *flipped):
     edges = list(m.edges)
-    t, h = edges[e]
-    edges[e] = (h, t)
-    rotations = [[d ^ 1 if d >> 1 == e else d for d in rot] for rot in m.rotations]
+    for e in flipped:
+        t, h = edges[e]
+        edges[e] = (h, t)
+    rotations = [[d ^ 1 if d >> 1 in flipped else d for d in rot] for rot in m.rotations]
     return PlanarMap(m.n_vertices, edges, rotations, m.south, m.north,
                      m.west_anchor)
 
@@ -139,7 +141,7 @@ def test_interior_sink_reported(fig_walk):
     v = next(v for v in range(m.n_vertices)
              if v not in (m.south, m.north) and outdeg[v] == 1)
     e = m.out_edges_we(v)[0]
-    report = validate_bipolar(_flip_edge(m, e))
+    report = validate_bipolar(_flip_edges(m, e))
     assert any(f"interior sink at vertex {v}" in str(viol) for viol in report)
 
 
@@ -229,7 +231,7 @@ def test_require_valid_raises_with_report(fig_walk):
         outdeg[t] += 1
     v = next(v for v in range(m.n_vertices)
              if v not in (m.south, m.north) and outdeg[v] == 1)
-    bad = _flip_edge(m, m.out_edges_we(v)[0])
+    bad = _flip_edges(m, m.out_edges_we(v)[0])
     with pytest.raises(InvalidMapError):
         nw_tree(bad)
 
@@ -238,7 +240,7 @@ def test_edge_orders_at_a_vertex_require_a_valid_map(fig_walk):
     m = walk_to_map(fig_walk)
     v = next(v for v in range(m.n_vertices)
              if v not in (m.south, m.north) and len(m.out_edges_we(v)) == 1)
-    bad = _flip_edge(m, m.out_edges_we(v)[0])  # v becomes an interior sink
+    bad = _flip_edges(m, m.out_edges_we(v)[0])  # v becomes an interior sink
     assert validate_bipolar(bad)
     for v in range(bad.n_vertices):
         with pytest.raises(InvalidMapError):
@@ -296,7 +298,7 @@ def test_validator_agrees_with_naive_checker():
         vs = [v for v in range(m.n_vertices)
               if v not in (m.south, m.north) and outdeg[v] == 1]
         if vs:
-            bad = _flip_edge(m, m.out_edges_we(vs[0])[0])
+            bad = _flip_edges(m, m.out_edges_we(vs[0])[0])
             assert not naive_orientation_check(bad)
             assert validate_bipolar(bad) != []
 
@@ -325,7 +327,7 @@ def corruptions(m):
     for e in range(m.n_edges):
         yield lambda e=e: PlanarMap(m.n_vertices, m.edges, rotations, m.south,
                                     m.north, e)
-        yield lambda e=e: _flip_edge(m, e)
+        yield lambda e=e: _flip_edges(m, e)
 
 
 def test_validator_on_corrupted_maps():
@@ -402,6 +404,37 @@ def test_scan_agrees_with_oracle_on_corrupted_maps():
                             _agrees_with_oracle(c)
                             checked += 1
     assert checked == 6334
+
+
+def test_scan_agrees_with_oracle_on_multi_edge_reversals():
+    """Every pair and every triple of edges reversed in the small maps with
+    faces of degree 2 to 7: the scan's report is the oracle's, and a map
+    whose one violation is a directed cycle has a face the scan cannot
+    split.  A map that passes every other check is bipolar by the local
+    rules alone (Tamassia-Tollis), so no such map has a cycle."""
+    w = FaceWeights({k: 1 for k in range(2, 8)})
+    maps = cycles = 0
+    built = Counter()
+    for ell in range(1, 8):
+        for m in range(3):
+            for n in range(3):
+                for walk in enumerate_walks(w, m, n, ell):
+                    mp = walk_to_map(walk)
+                    maps += 1
+                    for size in (2, 3):
+                        for flipped in combinations(range(mp.n_edges), size):
+                            try:
+                                c = _flip_edges(mp, *flipped)
+                            except MapStructureError:
+                                continue
+                            built[size] += 1
+                            report = validate_bipolar(c)
+                            assert report == map_oracle.validate(c)
+                            kinds = [v.kind for v in report]
+                            if "cycle" in kinds:
+                                cycles += 1
+                                assert kinds != ["cycle"] or c.scan().face_problem is not None
+    assert (maps, built[2], built[3], cycles) == (1699, 22944, 29231, 39535)
 
 
 def test_scan_agrees_with_oracle_on_small_triangulations():
