@@ -331,7 +331,7 @@ def main(argv=None) -> int:
     if known.config:
         _apply_config(parser, known.config)
     args = parser.parse_args(argv)
-    if getattr(args, "seed", 0) is None:
+    if getattr(args, "seed", 0) is None:  # a stochastic verb without --seed
         parser.error("--seed is required for stochastic verbs")
     try:
         return args.run(args, parser)

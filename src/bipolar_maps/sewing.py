@@ -19,11 +19,11 @@ gives the bijection with unmarked bipolar maps.
 east frontier, which is all a move needs to know which edge it adds.
 ``Frontier.push_all`` applies the rule to a whole move sequence in one loop
 and returns flat lists of edge tails and heads.  ``walk_edges`` checks a
-walk through it and counts every vertex's degrees once, and
+walk through it and counts every vertex's in- and out-degree, and
 ``walk_to_map`` and the degree tracer decode that; ``walk_to_map``
 places every dart in one flat rotation list by a counting pass, so no
-layer holds a tuple or list per edge.  The steered sampler
-pushes one move at a time.  The marked-state fold stays as the reference
+layer holds a tuple or list per edge.  The steered sampler pushes one
+move at a time.  The marked-state fold stays as the reference
 and the unsew engine.  The upward embedding reads the map instead: its
 vertex creation order is the order in which ``interface_order`` first
 reaches each vertex, the order in which ``Frontier`` numbers them.

@@ -57,8 +57,7 @@ def _increment_draw(dist: StepDistribution):
     if faces > DEFAULT_BUDGET:
         raise EnumerationBudgetError(
             f"draw table too large: the step law has {faces} face moves, "
-            f"budget is {DEFAULT_BUDGET}",
-            required_cells=faces, budget_cells=DEFAULT_BUDGET)
+            f"budget is {DEFAULT_BUDGET}", faces, DEFAULT_BUDGET)
     moves_probs = dist.finite_moves()
     probs = np.array([p for _, p in moves_probs])
     probs = probs / probs.sum()

@@ -124,7 +124,7 @@ def test_law_too_large_to_draw_from_is_a_budget_error(tmp_path, capsys):
      "data type int64"),
     (["interface", "--edges", "30", "--seed", "1", "--grid-points", "1000000000"],
      "interface_export", ""),
-])
+], ids=["stats-bootstrap", "interface-grid"])
 def test_out_of_memory_is_a_budget_error(monkeypatch, capsys, argv, call, message):
     def allocate(*args, **kwargs):
         raise MemoryError(message)

@@ -413,7 +413,7 @@ def test_scan_agrees_with_oracle_on_multi_edge_reversals():
     split.  A map that passes every other check is bipolar by the local
     rules alone (Tamassia-Tollis), so no such map has a cycle."""
     w = FaceWeights({k: 1 for k in range(2, 8)})
-    maps = cycles = 0
+    maps = cycles = lone = 0
     built = Counter()
     for ell in range(1, 8):
         for m in range(3):
@@ -433,8 +433,10 @@ def test_scan_agrees_with_oracle_on_multi_edge_reversals():
                             kinds = [v.kind for v in report]
                             if "cycle" in kinds:
                                 cycles += 1
-                                assert kinds != ["cycle"] or c.scan().face_problem is not None
-    assert (maps, built[2], built[3], cycles) == (1699, 22944, 29231, 39535)
+                            if kinds == ["cycle"]:
+                                lone += 1
+                                assert c.scan().face_problem is not None
+    assert (maps, built[2], built[3], cycles, lone) == (1699, 22944, 29231, 39535, 73)
 
 
 def test_scan_agrees_with_oracle_on_small_triangulations():
