@@ -4,7 +4,7 @@ The package implements the two-way correspondence between bipolar-oriented
 planar maps and lattice walks in the nonnegative quadrant whose steps are
 an edge move (1, -1) and face moves (-i, j), together with exact
 enumeration, exact and rejection sampling, degree and covariance
-statistics, and upward straight-line drawings.
+statistics, and certified upward drawings.
 """
 
 from .embedding import Embedding, upward_embed, verify_upward_planar

@@ -178,7 +178,7 @@ def cmd_map2walk(args, parser) -> int:
 
 def cmd_embed(args, parser) -> int:
     mp = map_from_json(_read(args.infile))
-    _write(args.out, render_svg(mp, layers_fallback=args.layers_fallback))
+    _write(args.out, render_svg(mp))
     return 0
 
 
@@ -265,12 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--out", default="-")
 
-    q = sub.add_parser("embed", help="upward straight-line drawing as SVG")
+    q = sub.add_parser("embed", help="certified upward drawing as SVG")
     q.set_defaults(run=cmd_embed)
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--out", default="-")
-    q.add_argument("--layers-fallback", action="store_true",
-                   help="layered layout for maps outside the embedding domain")
 
     q = sub.add_parser("verify", help="run the built-in invariant suite")
     q.set_defaults(run=cmd_verify)

@@ -1,4 +1,10 @@
-"""Upward straight-line embedding of simple bipolar triangulations.
+"""Upward straight-line embedding of simple bipolar triangulations, and the
+triangulation that carries any other bipolar map into that domain.
+
+``triangulated`` splits each repeated parallel edge at a bend vertex and
+puts an apex in every face that is not a triangle; ``svg.render_svg``
+draws every map through it.  ``upward_embed`` itself takes only simple
+triangulations.
 
 Every interior face is a triangle with a lowest, a middle and a highest
 corner, and ``_triangles`` reads them once from the scan's flat face lists:
@@ -244,6 +250,59 @@ def _raisable(bad, hi_tri_of, his) -> set[int]:
             else:
                 queue.append(e)
     return raisable
+
+
+def triangulated(m: PlanarMap) -> tuple[PlanarMap, dict[int, int]]:
+    """A simple triangulation that contains ``m``, and the bends of ``m``'s
+    split edges (Di Battista-Tamassia 1988).
+
+    In each class of parallel edges the first stays straight and every
+    later edge e = (t, h) is split at a new vertex x, its bend: e becomes
+    (t, x), and an appended edge (x, h) takes e's south dart's place at h.
+    Then every interior face with more than three darts gets an apex c: an
+    edge w -> c from each of its vertices w but its top, and c -> top, each
+    inserted at w in the corner the face walk turns through.  Every new
+    edge meets c, so no edge doubles, and c reaches only the top, so no
+    cycle arises.  ``m``'s ids keep their meaning, new ones are appended
+    (the bends first), and ``bends`` maps each split edge of ``m`` to its
+    bend.  A simple triangulation is returned as it is.
+    """
+    m.require_valid()
+    edges = list(m.edges)
+    rots = [list(r) for r in m.rotations]
+    bends: dict[int, int] = {}
+    seen = set()
+    for e, (t, h) in enumerate(m.edges):
+        if (t, h) in seen:
+            x = bends[e] = len(rots)
+            edges[e] = (t, x)
+            rot = rots[h]
+            rot[rot.index(2 * e + 1)] = 2 * len(edges) + 1
+            rots.append([2 * e + 1, 2 * len(edges)])
+            edges.append((x, h))
+        seen.add((t, h))
+    split = PlanarMap(len(rots), edges, rots, m.south, m.north,
+                      m.west_anchor) if bends else m
+
+    s = split.scan()
+    fd, head = s.face_darts, split.dart_heads
+    before = {}  # dart -> the new dart just counterclockwise-before it
+    for a, b, c in zip(s.face_start, s.face_split, s.face_start[1:]):
+        if c - a == 3:
+            continue
+        apex, top = len(rots), head[fd[b - 1]]
+        rots.append([])
+        for d in fd[a:c]:  # the face walk turns at head[d] just before d ^ 1
+            w, f = head[d], len(edges)
+            edges.append((apex, w) if w == top else (w, apex))
+            before[d ^ 1] = 2 * f + (w == top)
+            rots[apex].append(2 * f + (w != top))
+    if not before:
+        return split, bends
+    rots = [[x for d in rot for x in ((before[d], d) if d in before else (d,))]
+            for rot in rots]
+    return PlanarMap(len(rots), edges, rots, m.south, m.north,
+                     m.west_anchor), bends
 
 
 def upward_embed(m: PlanarMap) -> Embedding:

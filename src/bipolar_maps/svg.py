@@ -1,20 +1,23 @@
 """SVG rendering of bipolar maps with their trees and interface path.
 
-Edges carry CSS classes: west-most-outgoing tree edges are ``nw-tree``
-(red), east-most-incoming tree edges ``se-tree`` (blue), everything else
-plain ``edge``; the ``interface`` polyline (green) walks the edge midpoints
-in interface order, dipping through each face it crosses, whose corners it
-reads from the scan's flat face lists.  Output is byte deterministic for
-fixed inputs: stable element order and 6 significant digits after an
-affine fit to a fixed viewbox, computed once per vertex before any element
-is written; each vertex's coordinates are formatted once, and its
-``<line>`` ends and ``<circle>`` reuse the strings.
+Every valid map gets one certified upward drawing: a simple triangulation
+draws as it is, and any other map through the triangulation that
+``embedding.triangulated`` builds around it, where each split parallel
+edge is a ``<polyline>`` bent at its bend vertex and every other edge a
+straight ``<line>``.  Edges carry CSS classes: west-most-outgoing tree
+edges are ``nw-tree`` (red), east-most-incoming tree edges ``se-tree``
+(blue), everything else plain ``edge``; the ``interface`` polyline (green)
+walks the edge midpoints in interface order, dipping through each face it
+crosses, whose corners it reads from the scan's flat face lists.  Output
+is byte deterministic for fixed inputs: stable element order and 6
+significant digits after an affine fit to a fixed viewbox, computed once
+per vertex before any element is written; each vertex's coordinates are
+formatted once, and its edge ends and ``<circle>`` reuse the strings.
 """
 
 from __future__ import annotations
 
-from .embedding import Embedding, upward_embed
-from .errors import EmbeddingUnsupportedError
+from .embedding import Embedding, triangulated, upward_embed
 from .planar_map import PlanarMap, nw_tree, se_tree
 from .sewing import interface_order
 from .walks import FaceMove
@@ -51,70 +54,20 @@ def _fit_floats(emb: Embedding) -> dict[int, tuple[float, float]]:
             for v, ((xn, xd), (yn, yd)) in ratios.items()}
 
 
-def layered_layout(m: PlanarMap) -> dict[int, tuple[float, float]]:
-    """Fallback layout: longest-path heights, averaged x; not planarity-safe."""
-    m.require_valid()
-    depth = [0] * m.n_vertices
-    order = _topological(m)
-    for v in order:
-        for e in m.out_edges_we(v):
-            h = m.edges[e][1]
-            depth[h] = max(depth[h], depth[v] + 1)
-    levels: dict[int, list[int]] = {}
-    for v in order:
-        levels.setdefault(depth[v], []).append(v)
-    x = [0.0] * m.n_vertices
-    for lev in sorted(levels):
-        for k, v in enumerate(levels[lev]):
-            x[v] = float(k)
-    for _ in range(40):
-        for v in order:
-            nbrs = [m.edges[e][1] for e in m.out_edges_we(v)]
-            nbrs += [m.edges[e][0] for e in m.in_edges_we(v)]
-            if nbrs and v not in (m.south, m.north):
-                x[v] = (x[v] + sum(x[u] for u in nbrs) / len(nbrs)) / 2.0
-        # keep level-mates separated, in a stable order
-        for lev in sorted(levels):
-            row = sorted(levels[lev], key=lambda u: (x[u], u))
-            for k, v in enumerate(row):
-                x[v] = (x[v] + float(k)) / 2.0
-    return {v: (x[v], float(depth[v])) for v in range(m.n_vertices)}
+def render_svg(m: PlanarMap, embedding: Embedding | None = None) -> str:
+    """Draw the map; computes a certified upward embedding unless one is supplied.
 
-
-def _topological(m: PlanarMap) -> list[int]:
-    indeg = m.scan().indeg[:]
-    stack = [m.south]
-    out = []
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        for e in m.out_edges_we(v):
-            h = m.edges[e][1]
-            indeg[h] -= 1
-            if indeg[h] == 0:
-                stack.append(h)
-    return out
-
-
-def render_svg(m: PlanarMap, embedding: Embedding | None = None,
-               layers_fallback: bool = False) -> str:
-    """Draw the map; computes an upward embedding unless one is supplied.
-
-    Maps outside the embedder's domain raise unless ``layers_fallback`` is
-    set, in which case a layered layout is used and the root element gets
-    ``data-planarity="unverified"``.
+    Without one, any valid map is drawn through ``triangulated(m)``: the
+    upward embedding of that triangulation, certified, places ``m``'s
+    vertices and the bend of each split edge, which is drawn as one bent
+    ``<polyline>``.  The apexes are not drawn; each lies inside a face, so
+    the fit to the viewbox is the same without them.
     """
-    warning = False
-    if embedding is not None:
-        coords = _fit_floats(embedding)
-    else:
-        try:
-            coords = _fit_floats(upward_embed(m))
-        except EmbeddingUnsupportedError:
-            if not layers_fallback:
-                raise
-            coords = layered_layout(m)
-            warning = True
+    drawn, bends = m, {}
+    if embedding is None:
+        drawn, bends = triangulated(m)
+        embedding = upward_embed(drawn)
+    coords = _fit_floats(embedding)
 
     xs = [p[0] for p in coords.values()]
     ys = [p[1] for p in coords.values()]
@@ -134,26 +87,31 @@ def render_svg(m: PlanarMap, embedding: Embedding | None = None,
     classes = ("edge", "edge nw-tree", "edge se-tree", "edge nw-tree se-tree")
 
     lines = []
-    attrs = f' data-planarity="unverified"' if warning else ""
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="0 0 {VIEW_W:.6g} {VIEW_H:.6g}"{attrs}>')
+        f'viewBox="0 0 {VIEW_W:.6g} {VIEW_H:.6g}">')
     lines.append(f"<style>{_STYLE}</style>")
+    e0 = len(lines)
     for e, (t, h) in enumerate(m.edges):
         lines.append(f'<line id="e{e}" class="{classes[tree[e]]}" x1="{tx[t]}" '
                      f'y1="{ty[t]}" x2="{tx[h]}" y2="{ty[h]}"/>')
+    for e, x in bends.items():
+        t, h = m.edges[e]
+        lines[e0 + e] = (f'<polyline id="e{e}" class="{classes[tree[e]]}" points="'
+                         f'{tx[t]},{ty[t]} {tx[x]},{ty[x]} {tx[h]},{ty[h]}"/>')
 
-    # the interface path: each edge's midpoint, then the mean of the
-    # corners (summed in vertex order) of the face it crosses after it
+    # the interface path: each edge's midpoint in ``drawn`` (on a bent
+    # edge, its lower segment's), then the mean of the corners (summed in
+    # vertex order) of the face it crosses after it
     s = m.scan()
     face_of, fd, start = s.face_of, s.face_darts, s.face_start
     order, moves = interface_order(m)
-    tail = m.dart_tails
+    tail, ends = m.dart_tails, drawn.dart_tails
     x_of, y_of = fx.__getitem__, fy.__getitem__
     pts = [f"{tx[m.south]},{ty[m.south]}"]
     for e, move in zip(order, moves + (None,)):
-        t, h = tail[2 * e], tail[2 * e + 1]
+        t, h = ends[2 * e], ends[2 * e + 1]
         pts.append("%.6g,%.6g" % ((fx[t] + fx[h]) / 2, (fy[t] + fy[h]) / 2))
         if isinstance(move, FaceMove):
             f = face_of[2 * e + 1]

@@ -170,15 +170,18 @@ def test_embed_svg(tmp_path, capsys):
 
 
 def test_embed_fallback(tmp_path, capsys):
-    # the closed 4-edge map has a doubled edge; fallback must be explicit
+    # the closed 4-edge map has a doubled edge: it draws certified, the
+    # second copy bent, and the layered fallback's flag is gone
     map_file = tmp_path / "m.json"
     run(capsys, "sample", "--weights", "tri", "--edges", "4", "--m", "0",
         "--n", "0", "--seed", "1", "--map-out", str(map_file))
-    code, _, err = run(capsys, "embed", "--in", str(map_file))
-    assert code == 1 and "unsupported" in err
-    code, out, _ = run(capsys, "embed", "--in", str(map_file),
-                       "--layers-fallback")
-    assert code == 0 and 'data-planarity="unverified"' in out
+    code, out, _ = run(capsys, "embed", "--in", str(map_file))
+    assert code == 0 and "data-planarity" not in out
+    mp = map_from_json(map_file.read_text())
+    assert out.count('<polyline id="e') == mp.n_edges - len(set(mp.edges)) == 1
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "embed", "--in", str(map_file), "--layers-fallback")
+    assert exc.value.code == 2
 
 
 def test_interface_csv(capsys):
@@ -469,7 +472,7 @@ def test_numpy_free_verbs_run_with_numpy_blocked(tmp_path, monkeypatch, capsys):
                "--walk-out", "w.txt", "--map-out", "m.json")[0] == 0
     lines = [["walk2map", "--in", "w.txt"],
              ["map2walk", "--in", "m.json"],
-             ["embed", "--in", "m.json", "--layers-fallback"],
+             ["embed", "--in", "m.json"],
              ["count", "--edges", "18", "--closed-form"],
              ["stats", "--weights", "tri", "--edges", "2", "--seed", "1"]]
     expected = [list(run(capsys, *argv)) for argv in lines]

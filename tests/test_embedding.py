@@ -6,16 +6,16 @@ import pytest
 
 from bipolar_maps import embedding
 from bipolar_maps.embedding import (Embedding, certify_upward_planar,
-                                    segments_conflict, upward_embed,
-                                    verify_upward_planar)
-from bipolar_maps.enumeration import exact_sample
+                                    segments_conflict, triangulated,
+                                    upward_embed, verify_upward_planar)
+from bipolar_maps.enumeration import enumerate_walks, exact_sample
 from bipolar_maps.errors import EmbeddingInternalError, EmbeddingUnsupportedError
 from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import walk_to_map
-from bipolar_maps.simulate import sample_simple_triangulation_walk
+from bipolar_maps.simulate import rejection_sample_many, sample_simple_triangulation_walk
 from bipolar_maps.svg import render_svg
 from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk
-from bipolar_maps.weights import preset_weights
+from bipolar_maps.weights import FaceWeights, preset_weights, step_distribution
 
 from conftest import all_triangulation_walks, is_simple, relabel
 
@@ -84,6 +84,33 @@ def test_boundary_chains_sharing_cut_vertices_embed(start, moves):
     emb = upward_embed(m)
     assert certify_upward_planar(m, emb) == []
     assert verify_upward_planar(m, emb) == []
+
+
+def test_every_small_map_draws_through_its_triangulation():
+    # every map of face degrees 2-7 with at most 8 edges and boundaries
+    # m, n <= 2, relabelled copies of those with at most 7 edges, and
+    # uniform rejection draws at 9 edges
+    rng = random.Random(1988)
+    mixed = FaceWeights({k: 1 for k in range(2, 8)})
+    maps = [walk_to_map(w) for ell in range(1, 9) for m0 in range(3)
+            for n0 in range(3) for w in enumerate_walks(mixed, m0, n0, ell)]
+    assert len(maps) == 7806
+    maps += [relabel(m, rng)[0] for m in maps if m.n_edges <= 7]
+    maps += map(walk_to_map, rejection_sample_many(
+        step_distribution(preset_weights("uniform")), 0, 1, 9, CounterRng(1, 9), 200))
+    assert len(maps) == 7806 + 1699 + 200
+    for m in maps:
+        t, bends = triangulated(m)
+        emb = upward_embed(t)  # raises on any certificate violation
+        assert verify_upward_planar(t, emb) == []
+        start = m.scan().face_start
+        tri = all(b - a == 3 for a, b in zip(start, start[1:]))
+        assert (t is m) == (tri and is_simple(m))
+        added = set(t.edges[m.n_edges:])
+        for e, (u, w) in enumerate(m.edges):
+            x = bends.get(e)
+            assert t.edges[e] == ((u, w) if x is None else (u, x))
+            assert x is None or (x >= m.n_vertices and (x, w) in added)
 
 
 def test_certificate_failure_is_an_internal_error(monkeypatch):
@@ -284,12 +311,13 @@ def test_large_maps_draw(ell):
     assert svg.count("<circle ") == m.n_vertices
 
 
-# SHA-256 of render_svg(m, layers_fallback=True) for maps outside the
-# embedder's domain: the README's sample map (tri (0, 1), 12 edges, drawn by
-# CounterRng(7, 0); it has a doubled edge) and a quad map with square faces
+# SHA-256 of render_svg(m) for maps outside upward_embed's domain, drawn
+# through triangulated(m): the README's sample map (tri (0, 1), 12 edges,
+# drawn by CounterRng(7, 0); it has two doubled edges) and a quad map with
+# square faces and one doubled edge
 FALLBACK_SVG_SHA256 = {
-    ("tri", 0, 1, 12, 7): "9fa3185cfabdb0ba32e1c10f932d133f4db821f0807bba2d68e6f98650d59115",
-    ("quad", 0, 0, 21, 1): "58386a8f17b894d3d5d645b27d4cac07e384fdec3f2a7a2bbfffd14b4bd99b8a",
+    ("tri", 0, 1, 12, 7): "363ee54ccf08798a36485fae6434de0a4f36b960f7533d95f4b7ff6036d9b958",
+    ("quad", 0, 0, 21, 1): "2059fa10977c5b98601a0a0efbecbaf1a4b9d404f01ead67a6a6f6f30c3a8aba",
 }
 
 
@@ -298,7 +326,8 @@ def test_fallback_drawings_are_pinned(family, m0, n0, ell, seed):
     m = walk_to_map(exact_sample(preset_weights(family), m0, n0, ell, CounterRng(seed, 0)))
     with pytest.raises(EmbeddingUnsupportedError):
         upward_embed(m)
-    svg = render_svg(m, layers_fallback=True)
-    assert 'data-planarity="unverified"' in svg
+    svg = render_svg(m)
+    assert "data-planarity" not in svg
+    assert svg.count('<polyline id="e') == m.n_edges - len(set(m.edges))
     digest = hashlib.sha256(svg.encode()).hexdigest()
     assert digest == FALLBACK_SVG_SHA256[family, m0, n0, ell, seed]
