@@ -5,6 +5,12 @@ Stdout carries data, stderr carries diagnostics; every stochastic verb
 requires an explicit --seed.  Exit codes: 0 success, 1 infeasible inputs or
 failed verification, 2 usage errors or malformed input, 3 resource budget
 exceeded (out of memory included).
+
+At load this module imports only ``errors`` and ``rng``, which import no
+other module of the package; each verb imports the modules it runs, so
+``walk2map`` and ``map2walk`` load ``walks``, ``planar_map`` and
+``sewing``, ``embed`` adds ``embedding`` and ``svg``, and
+``count --closed-form`` loads no map code.
 """
 
 from __future__ import annotations
@@ -14,22 +20,16 @@ import json
 import sys
 from pathlib import Path
 
-from . import enumeration, simulate
-from .errors import (BipolarError, EnumerationBudgetError, MapStructureError,
-                     NoMapsError, RejectionBudgetError)
-from .planar_map import map_from_json, map_to_json
+from .errors import (DEFAULT_BUDGET, BipolarError, EnumerationBudgetError,
+                     MapStructureError, NoMapsError, RejectionBudgetError)
 from .rng import CounterRng
-from .sewing import map_to_walk, walk_to_map
-from .svg import render_svg
-from .walks import walk_from_text, walk_to_text
-from .weights import (direct_distribution_from_text, preset_weights,
-                      step_distribution, weights_from_text)
 
 _PRESETS = ("tri", "quad", "uniform")
 _REDUCER_STREAM = 10_000  # the stats bootstrap's stream; no replica draws from it
 
 
 def _load_weights(spec: str):
+    from .weights import preset_weights, weights_from_text
     if spec in _PRESETS or spec.startswith("kgon:"):
         return preset_weights(spec)
     return weights_from_text(Path(spec).read_text())
@@ -49,6 +49,7 @@ def _write(path: str | None, data: str) -> None:
 
 
 def _dist_from_args(args):
+    from .weights import direct_distribution_from_text, step_distribution
     if getattr(args, "nu", None):
         return direct_distribution_from_text(Path(args.nu).read_text()), None
     w = _load_weights(args.weights)
@@ -87,17 +88,21 @@ def _seed(text: str) -> int:
 
 
 def _sampler(args, w, dist):
-    """The run's one draw(rng) function, chosen from --method and built once."""
+    """The run's one draw(rng) function, chosen from --method and built
+    once: the exact count table, or the law's increment draw table, serves
+    every replica."""
     if args.method == "exact":
         if w is None:
             raise ValueError("exact sampling needs --weights, not --nu; "
                              "use --method rejection or --method free")
-        return enumeration.exact_sampler(w, args.m, args.n, args.edges,
-                                         budget=args.budget)
+        from .enumeration import exact_sampler
+        return exact_sampler(w, args.m, args.n, args.edges, budget=args.budget)
+    from . import simulate
     if args.method == "rejection":
-        return lambda rng: simulate.rejection_sample(
-            dist, args.m, args.n, args.edges, rng, max_tries=args.max_tries)
-    return lambda rng: simulate.free_walk(dist, args.edges - 1, rng)
+        draw = simulate.rejection_sampler(dist, args.m, args.n, args.edges,
+                                          max_tries=args.max_tries)
+        return lambda rng: draw(rng, 1)[0]
+    return simulate.free_sampler(dist, args.edges - 1)
 
 
 def _replica_walks(args, w, dist):
@@ -107,6 +112,7 @@ def _replica_walks(args, w, dist):
 
 
 def cmd_count(args, parser) -> int:
+    from . import enumeration
     w = _load_weights(args.weights)
     if args.closed_form:
         if not enumeration.is_triangulation(w) or (args.m, args.n) != (0, 1):
@@ -125,6 +131,9 @@ def cmd_sample(args, parser) -> int:
             if path not in (None, "-") and "{}" not in path:
                 parser.error(f"{flag} {path}: with --replicas {args.replicas} "
                              "the file name needs {} for the replica number")
+    from .planar_map import map_to_json
+    from .sewing import walk_to_map
+    from .walks import walk_to_text
     dist, w = _dist_from_args(args)
     walks = _replica_walks(args, w, dist)
     for rep, walk in enumerate(walks):
@@ -141,6 +150,7 @@ def cmd_sample(args, parser) -> int:
 
 
 def cmd_stats(args, parser) -> int:
+    from . import enumeration, simulate
     dist, w = _dist_from_args(args)
     walks = _replica_walks(args, w, dist)
     rng = CounterRng(args.seed, _REDUCER_STREAM)
@@ -158,25 +168,37 @@ def cmd_stats(args, parser) -> int:
 
 def cmd_interface(args, parser) -> int:
     dist, w = _dist_from_args(args)
-    walk = _sampler(args, w, dist)(CounterRng(args.seed, 0))
+    draw = _sampler(args, w, dist)
+    # after the sampler accepts the boundary data, so infeasible data exit
+    # without it, and before the draw, so compiling it adds no peak memory
+    from . import simulate
+    walk = draw(CounterRng(args.seed, 0))
     rows = simulate.interface_export(walk, args.grid_points)
     _write(args.out, simulate.interface_csv(rows))
     return 0
 
 
 def cmd_walk2map(args, parser) -> int:
+    from .planar_map import map_to_json
+    from .sewing import walk_to_map
+    from .walks import walk_from_text
     walk = walk_from_text(_read(args.infile))
     _write(args.out, map_to_json(walk_to_map(walk)))
     return 0
 
 
 def cmd_map2walk(args, parser) -> int:
+    from .planar_map import map_from_json
+    from .sewing import map_to_walk
+    from .walks import walk_to_text
     mp = map_from_json(_read(args.infile))
     _write(args.out, walk_to_text(map_to_walk(mp)))
     return 0
 
 
 def cmd_embed(args, parser) -> int:
+    from .planar_map import map_from_json
+    from .svg import render_svg
     mp = map_from_json(_read(args.infile))
     _write(args.out, render_svg(mp))
     return 0
@@ -215,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--edges", type=_positive_int, required=True,
                        help="total edge count of the map")
         q.add_argument("--budget", type=_positive_int,
-                       default=enumeration.DEFAULT_BUDGET,
+                       default=DEFAULT_BUDGET,
                        help="cell budget for exact count tables")
         if stochastic:
             q.add_argument("--nu", help="direct step-distribution file "

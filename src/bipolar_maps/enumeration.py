@@ -16,8 +16,11 @@ families with tiny boundaries scale far beyond the table budget through an
 equivalent tableau encoding, drawn cell by cell by the hook-length ratio
 rule.
 
-numpy is imported by the count-table DP only, so the closed form, the
-tableau sampler and ``DEFAULT_BUDGET`` load without it.
+numpy is imported by the count-table DP only, so the closed form and the
+tableau sampler load without it.  ``enumerate_maps`` imports ``sewing``
+itself, the one function here that decodes walks into maps, so counting
+and drawing walks load no map code.  ``DEFAULT_BUDGET`` is
+``errors.DEFAULT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -27,13 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .errors import EnumerationBudgetError, NoMapsError
+from .errors import DEFAULT_BUDGET, EnumerationBudgetError, NoMapsError
 from .rng import CounterRng
-from .sewing import walk_to_map
 from .walks import EDGE, LatticeWalk, Move, face_move
 from .weights import FaceWeights, check_boundary, feasible
-
-DEFAULT_BUDGET = 2_000_000
 
 
 @dataclass
@@ -231,6 +231,7 @@ def enumerate_walks(w: FaceWeights, m: int, n: int, ell: int,
 def enumerate_maps(w: FaceWeights, m: int, n: int, ell: int,
                    budget: int = DEFAULT_BUDGET):
     """Decode every enumerated walk; stream length equals count_walks."""
+    from .sewing import walk_to_map
     for walk in enumerate_walks(w, m, n, ell, budget):
         yield walk_to_map(walk)
 

@@ -1,6 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cell budget they
+enforce.
+
+This module imports nothing, so the command-line parser reads
+``DEFAULT_BUDGET`` and maps errors to exit codes without loading the
+modules that count or draw.
+"""
 
 from __future__ import annotations
+
+DEFAULT_BUDGET = 2_000_000  # cells of a count table, face moves of a draw table
 
 
 class BipolarError(Exception):
@@ -42,7 +50,7 @@ class NoMapsError(BipolarError):
 class EnumerationBudgetError(BipolarError):
     """A count table would allocate more cells than the configured budget,
     or a finite step law's draw table would hold more face moves than
-    ``enumeration.DEFAULT_BUDGET``.
+    ``DEFAULT_BUDGET``.
 
     For a count table, ``required_cells`` is the allocation summed up to
     the layer that passed the budget, so it is a lower bound on the whole

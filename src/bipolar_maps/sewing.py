@@ -561,7 +561,7 @@ def walk_to_map(walk: LatticeWalk) -> PlanarMap:
                                 south=0, north=frontier.active, west_anchor=0)
 
 
-def interface_order(m: PlanarMap) -> tuple[list[int], tuple[Move, ...]]:
+def interface_order(m: PlanarMap) -> tuple[tuple[int, ...], tuple[Move, ...]]:
     """Edge order along the interface path, plus the move between neighbors.
 
     The path starts on the bottom west-boundary edge; after an edge whose
@@ -569,7 +569,16 @@ def interface_order(m: PlanarMap) -> tuple[list[int], tuple[Move, ...]]:
     to the bottom edge of the face's east side; otherwise it continues on the
     west-most untraversed outgoing edge at the head.  It reads the flat
     lists of ``m.scan()``, and each face type (i, j) is one shared move.
+    The path is traced once per map and kept, as tuples, in the map's cache
+    beside its scan, so ``map_to_walk``, ``upward_embed`` and ``render_svg``
+    of one map share it.
     """
+    if "interface" not in m._cache:
+        m._cache["interface"] = _interface_order(m)
+    return m._cache["interface"]  # type: ignore[return-value]
+
+
+def _interface_order(m: PlanarMap) -> tuple[tuple[int, ...], tuple[Move, ...]]:
     m.require_valid()
     s = m.scan()
     prv, head, tail = m.dart_prev, m.dart_heads, m.dart_tails
@@ -602,7 +611,7 @@ def interface_order(m: PlanarMap) -> tuple[list[int], tuple[Move, ...]]:
             v = head[d]
     if len(order) != m.n_edges:
         raise BipolarError("interface path did not visit every edge")
-    return order, tuple(moves)
+    return tuple(order), tuple(moves)
 
 
 def map_to_walk(m: PlanarMap) -> LatticeWalk:

@@ -9,8 +9,9 @@ Both walk samplers take their steps from one flat increment draw.  A free
 walk is one draw of all its steps.  Rejection grows a batch of proposals
 one step at a time, with one draw per step for the proposals still inside
 the quadrant, so a proposal stops costing at its first step out.  A finite
-law's draw table is built once per sampler call, and a law of more face
-moves than ``enumeration.DEFAULT_BUDGET`` is refused before it is built.
+law's draw table is built once per sampler (``free_sampler``,
+``rejection_sampler``), which serves every draw, and a law of more face
+moves than ``errors.DEFAULT_BUDGET`` is refused before it is built.
 
 numpy is imported inside the functions that compute with arrays (the
 increment draws, rejection, the covariance report and the degree
@@ -23,9 +24,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import sqrt
 
-from .enumeration import DEFAULT_BUDGET
-from .errors import (BipolarError, EnumerationBudgetError, NoMapsError,
-                     RejectionBudgetError)
+from .errors import (DEFAULT_BUDGET, BipolarError, EnumerationBudgetError,
+                     NoMapsError, RejectionBudgetError)
 from .rng import CounterRng
 from .sewing import Frontier, walk_edges
 from .walks import EDGE, LatticeWalk, Move, face_move, move_of
@@ -73,16 +73,28 @@ def _walk(start: tuple[int, int], dxs, dys) -> LatticeWalk:
     return LatticeWalk(start, tuple(map(move_of, dxs, dys)))
 
 
+def free_sampler(dist: StepDistribution, steps: int):
+    """The draw(rng) of unconditioned i.i.d. walks of ``steps`` steps from
+    the origin (they may leave the quadrant).  The law's draw table is
+    built here, once, for every draw."""
+    draw = _increment_draw(dist)
+
+    def sample(rng: CounterRng) -> LatticeWalk:
+        dxs, dys = draw(steps, rng)
+        return _walk((0, 0), dxs.tolist(), dys.tolist())
+    return sample
+
+
 def free_walk(dist: StepDistribution, steps: int, rng: CounterRng) -> LatticeWalk:
     """Unconditioned i.i.d. walk from the origin (may leave the quadrant)."""
-    dxs, dys = _increment_draw(dist)(steps, rng)
-    return _walk((0, 0), dxs.tolist(), dys.tolist())
+    return free_sampler(dist, steps)(rng)
 
 
-def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
-                          rng: CounterRng, count: int,
-                          max_tries: int = 1_000_000) -> list[LatticeWalk]:
-    """Accept ``count`` conditioned walks from batches of proposals.
+def rejection_sampler(dist: StepDistribution, m: int, n: int, ell: int,
+                      max_tries: int = 1_000_000):
+    """The draw(rng, count) of ``count`` conditioned walks from batches of
+    proposals; the boundary data are checked and the law's draw table is
+    built here, once, for every draw.
 
     A batch grows its proposals one step at a time: each step draws one
     increment for every proposal still inside the quadrant and drops those
@@ -91,8 +103,8 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
     batch order.  Every proposal counts as a try however early it is
     dropped.  Boundary data that fail ``weights.walk_length`` (or, for a
     finite law, the congruence) raise NoMapsError before any proposal.
-    Raises RejectionBudgetError carrying the observed acceptance rate when
-    max_tries proposals do not yield enough accepted walks.
+    A draw raises RejectionBudgetError carrying the observed acceptance
+    rate when max_tries proposals do not yield enough accepted walks.
     """
     import numpy as np
     check_boundary(m, n, ell)
@@ -103,44 +115,54 @@ def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
         raise NoMapsError(f"no such maps: {reason}")
     steps = ell - 1
     if steps == 0:
-        return [LatticeWalk((0, m), ()) for _ in range(count)]
+        return lambda rng, count: [LatticeWalk((0, m), ()) for _ in range(count)]
     draw = _increment_draw(dist)
-    out: list[LatticeWalk] = []
-    tried = 0
-    batch = 256
-    while tried < max_tries and len(out) < count:
-        size = min(batch, max_tries - tried)
-        tried += size
-        batch = min(batch * 4, 65536)
-        # rows: the proposals still inside, by batch index; history: for
-        # each step, the rows that took it and their increments
-        rows = np.arange(size)
-        xs = np.zeros(size, dtype=np.int64)
-        ys = np.full(size, m, dtype=np.int64)
-        history = []
-        for _ in range(steps):
-            dxs, dys = draw(len(rows), rng)
-            history.append((rows, dxs, dys))
-            xs += dxs
-            ys += dys
-            inside = (xs >= 0) & (ys >= 0)
-            rows, xs, ys = rows[inside], xs[inside], ys[inside]
-            if not len(rows):
-                break
-        done = rows[(xs == n) & (ys == 0)][:count - len(out)]
-        # rows only shrink, so each step's rows are sorted and hold `done`
-        walk_dxs = np.empty((len(done), steps), dtype=np.int64)
-        walk_dys = np.empty_like(walk_dxs)
-        for t, (took, dxs, dys) in enumerate(history):
-            at = np.searchsorted(took, done)
-            walk_dxs[:, t], walk_dys[:, t] = dxs[at], dys[at]
-        out += [_walk((0, m), dx, dy)
-                for dx, dy in zip(walk_dxs.tolist(), walk_dys.tolist())]
-    if len(out) < count:
-        raise RejectionBudgetError(
-            f"accepted only {len(out)} of {count} samples in {tried} tries "
-            f"(ell={ell}, m={m}, n={n})", tries=tried, accepted=len(out))
-    return out
+
+    def sample(rng: CounterRng, count: int) -> list[LatticeWalk]:
+        out: list[LatticeWalk] = []
+        tried = 0
+        batch = 256
+        while tried < max_tries and len(out) < count:
+            size = min(batch, max_tries - tried)
+            tried += size
+            batch = min(batch * 4, 65536)
+            # rows: the proposals still inside, by batch index; history: for
+            # each step, the rows that took it and their increments
+            rows = np.arange(size)
+            xs = np.zeros(size, dtype=np.int64)
+            ys = np.full(size, m, dtype=np.int64)
+            history = []
+            for _ in range(steps):
+                dxs, dys = draw(len(rows), rng)
+                history.append((rows, dxs, dys))
+                xs += dxs
+                ys += dys
+                inside = (xs >= 0) & (ys >= 0)
+                rows, xs, ys = rows[inside], xs[inside], ys[inside]
+                if not len(rows):
+                    break
+            done = rows[(xs == n) & (ys == 0)][:count - len(out)]
+            # rows only shrink, so each step's rows are sorted and hold `done`
+            walk_dxs = np.empty((len(done), steps), dtype=np.int64)
+            walk_dys = np.empty_like(walk_dxs)
+            for t, (took, dxs, dys) in enumerate(history):
+                at = np.searchsorted(took, done)
+                walk_dxs[:, t], walk_dys[:, t] = dxs[at], dys[at]
+            out += [_walk((0, m), dx, dy)
+                    for dx, dy in zip(walk_dxs.tolist(), walk_dys.tolist())]
+        if len(out) < count:
+            raise RejectionBudgetError(
+                f"accepted only {len(out)} of {count} samples in {tried} tries "
+                f"(ell={ell}, m={m}, n={n})", tries=tried, accepted=len(out))
+        return out
+    return sample
+
+
+def rejection_sample_many(dist: StepDistribution, m: int, n: int, ell: int,
+                          rng: CounterRng, count: int,
+                          max_tries: int = 1_000_000) -> list[LatticeWalk]:
+    """Accept ``count`` conditioned walks: one draw of ``rejection_sampler``."""
+    return rejection_sampler(dist, m, n, ell, max_tries)(rng, count)
 
 
 def rejection_sample(dist: StepDistribution, m: int, n: int, ell: int,

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shlex
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bipolar_maps
-from bipolar_maps import cli, enumeration
+from bipolar_maps import cli, enumeration, simulate
 from bipolar_maps.cli import main
 from bipolar_maps.enumeration import exact_sample
 from bipolar_maps.planar_map import canonical_form, map_from_json
@@ -17,7 +18,7 @@ from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import walk_to_map
 from bipolar_maps.simulate import interface_csv, interface_export
 from bipolar_maps.walks import walk_from_text, walk_to_text
-from bipolar_maps.weights import preset_weights
+from bipolar_maps.weights import preset_weights, step_distribution, weights_from_text
 
 
 def run(capsys, *argv):
@@ -128,7 +129,7 @@ def test_law_too_large_to_draw_from_is_a_budget_error(tmp_path, capsys):
 def test_out_of_memory_is_a_budget_error(monkeypatch, capsys, argv, call, message):
     def allocate(*args, **kwargs):
         raise MemoryError(message)
-    monkeypatch.setattr(cli.simulate, call, allocate)
+    monkeypatch.setattr(bipolar_maps.simulate, call, allocate)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err == f"error: {message or 'out of memory'}\n"
@@ -233,6 +234,29 @@ def test_stats_builds_one_count_table(monkeypatch, capsys):
                      "--edges", "21", "--seed", "1", "--replicas", "3",
                      "--bootstrap", "10")
     assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["free", "rejection"])
+def test_sample_builds_one_draw_table(tmp_path, monkeypatch, capsys, method):
+    # the replicas share one draw table of the step law (building it was the
+    # cost of a 300 000-gon law's draw), and replica r still draws stream r
+    law = tmp_path / "law.txt"
+    law.write_text("3 1\n30 1\n")
+    dist = step_distribution(weights_from_text(law.read_text()))
+    draws = {"free": lambda rng: simulate.free_walk(dist, 29, rng),
+             "rejection": lambda rng: simulate.rejection_sample(dist, 0, 1, 30, rng)}
+    expected = "".join(walk_to_text(draws[method](CounterRng(1, r))) for r in range(3))
+    calls = []
+    build = simulate._increment_draw
+
+    def counted(dist):
+        calls.append(dist)
+        return build(dist)
+
+    monkeypatch.setattr(simulate, "_increment_draw", counted)
+    assert run(capsys, "sample", "--weights", str(law), "--method", method,
+               "--edges", "30", "--seed", "1", "--replicas", "3") == (0, expected, "")
+    assert len(calls) == 1
 
 
 def test_sample_replica_r_draws_stream_r(tmp_path, monkeypatch, capsys):
@@ -487,13 +511,117 @@ def test_numpy_free_verbs_run_with_numpy_blocked(tmp_path, monkeypatch, capsys):
 
 
 def test_package_import_leaves_numpy_out():
-    # numpy loads at the first count table or draw, not with the package
+    # numpy loads at the first count table or draw, not with the package,
+    # and the package loads no submodule until a name is first read
     src = Path(bipolar_maps.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = ("import sys, bipolar_maps; print('numpy' in sys.modules); "
+             "print(sorted(k for k in sys.modules if k.startswith('bipolar_maps.'))); "
              "from bipolar_maps.cli import main; "
              "main(['count', '--weights', 'tri', '--m', '0', '--n', '1', "
              "'--edges', '6'])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "5"]
+    assert out.split() == ["False", "[]", "5"]
+
+
+# the 75 public names and the submodule each comes from; every one must stay
+# importable from the package
+PUBLIC_NAMES = {
+    "embedding": "Embedding upward_embed verify_upward_planar",
+    "enumeration": "CountTable closed_form_triangulations count_walks enumerate_maps "
+                   "enumerate_walks exact_sample exact_sampler",
+    "errors": "BipolarError EmbeddingInternalError EmbeddingUnsupportedError "
+              "EnumerationBudgetError InvalidMapError MapStructureError NoMapsError "
+              "NotBipolarCodeError NoZeroDriftError RejectionBudgetError UnsewError",
+    "planar_map": "PlanarMap canonical_form dual_map face_types map_from_json "
+                  "map_to_json nw_tree reverse_map se_tree validate_bipolar",
+    "rng": "CounterRng",
+    "sewing": "MarkedBipolarState apply_move initial_state interface_order "
+              "map_to_walk sew state_from_map state_rotate180 state_to_map unsew "
+              "walk_to_map",
+    "simulate": "FrontierTrace StatReport covariance_report degrees_from_walk "
+                "free_walk interface_csv interface_export rejection_sample "
+                "sample_simple_triangulation_walk",
+    "svg": "render_svg",
+    "walks": "EDGE EdgeMove FaceMove LatticeWalk Move face_move move_of "
+             "reverse_moves walk_from_text walk_to_text",
+    "weights": "FaceWeights StepDistribution TheoryStats direct_distribution "
+               "direct_distribution_from_text feasible period preset_weights "
+               "solve_lambda step_distribution theory_stats weights_from_text",
+}
+
+
+def test_package_namespace_serves_every_public_name():
+    names = {name: module for module, text in PUBLIC_NAMES.items()
+             for name in text.split()}
+    assert len(names) == 75 and sorted(bipolar_maps.__all__) == sorted(names)
+    for name, module in names.items():
+        source = importlib.import_module(f"bipolar_maps.{module}")
+        assert getattr(bipolar_maps, name) is getattr(source, name), name
+    star: dict = {}
+    exec("from bipolar_maps import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
+    assert set(names) <= set(dir(bipolar_maps))
+    with pytest.raises(AttributeError):
+        bipolar_maps.no_such_name
+    with pytest.raises(ImportError):
+        exec("from bipolar_maps import no_such_name", {})
+
+
+FIRST_READ = """
+import sys, bipolar_maps
+def loaded():
+    return sorted(k[13:] for k in sys.modules if k.startswith("bipolar_maps."))
+first = loaded()
+walk_to_map = bipolar_maps.walk_to_map
+print(first, loaded(), "walk_to_map" in vars(bipolar_maps),
+      walk_to_map is bipolar_maps.sewing.walk_to_map,
+      bipolar_maps.weights.preset_weights is bipolar_maps.preset_weights)
+"""
+
+
+def test_first_read_of_a_name_loads_its_submodule_and_binds_it():
+    src = Path(bipolar_maps.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", FIRST_READ], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["[]", "['errors',", "'planar_map',", "'sewing',",
+                           "'walks']", "True", "True", "True"]
+
+
+VERB_MODULES = """
+import contextlib, io, sys
+from bipolar_maps.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(k for k in sys.modules if k.startswith("bipolar_maps.")))
+"""
+
+MAP_CODEC = {"bipolar_maps." + m for m in
+             ("cli", "errors", "rng", "walks", "planar_map", "sewing")}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["walk2map", "--in", "w.txt"], MAP_CODEC),
+    (["map2walk", "--in", "m.json"], MAP_CODEC),
+    (["embed", "--in", "m.json"], MAP_CODEC | {"bipolar_maps.embedding",
+                                               "bipolar_maps.svg"}),
+    (["count", "--edges", "18", "--closed-form"], None),
+], ids=["walk2map", "map2walk", "embed", "count-closed-form"])
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path, monkeypatch, capsys,
+                                                  argv, expected):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "sample", "--weights", "tri", "--edges", "12", "--seed", "7",
+               "--walk-out", "w.txt", "--map-out", "m.json")[0] == 0
+    src = Path(bipolar_maps.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code, *loaded = subprocess.run(
+        [sys.executable, "-c", VERB_MODULES, *argv], env=env, cwd=tmp_path,
+        check=True, capture_output=True, text=True).stdout.split()
+    assert code == "0"
+    if expected is not None:
+        assert set(loaded) == expected
+    else:  # the closed form loads no map, sampling or drawing code
+        assert not {"bipolar_maps." + m for m in ("planar_map", "sewing", "simulate",
+                                                  "embedding", "svg")} & set(loaded)

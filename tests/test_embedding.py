@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bipolar_maps import embedding
+from bipolar_maps import embedding, sewing
 from bipolar_maps.embedding import (Embedding, certify_upward_planar,
                                     segments_conflict, triangulated,
                                     upward_embed, verify_upward_planar)
@@ -299,6 +299,25 @@ def test_drawings_are_pinned(monkeypatch):
         h.update(render_svg(m, emb).encode())
         h.update(str(len(rounds)).encode())
         assert h.hexdigest() == digest, (ell, seed)
+
+
+def test_interface_path_is_traced_once_per_map(monkeypatch):
+    # the drawing, its SVG and the walk of one map share one interface path
+    traces = []
+    trace = sewing._interface_order
+
+    def counted(m):
+        traces.append(m)
+        return trace(m)
+
+    monkeypatch.setattr(sewing, "_interface_order", counted)
+    walk = sample_simple_triangulation_walk(0, 1, 60, CounterRng(1, 60))
+    m = walk_to_map(walk)
+    order, moves = sewing.interface_order(m)
+    render_svg(m, upward_embed(m))
+    assert sewing.map_to_walk(m) == walk
+    assert len(traces) == 1 and sewing.interface_order(m) == (order, moves)
+    assert isinstance(order, tuple) and isinstance(moves, tuple)
 
 
 @pytest.mark.parametrize("ell", [1200, 2400])
