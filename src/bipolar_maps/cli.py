@@ -56,35 +56,22 @@ def _dist_from_args(args):
     return step_distribution(w), w
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # not a number: fails the check below
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _checked(parse, ok, want: str):
+    """An argparse type: ``parse(text)``, refused unless it parses and is ``ok``."""
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None  # not a number: refused below
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text}")
+        return value
+    return check
 
 
-def _trim_fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")  # not a number: fails the check below
-    if not 0 <= value < 0.5:
-        raise argparse.ArgumentTypeError(f"must be in [0, 0.5), got {text}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1  # not a number: fails the check below
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer in [0, 2**64), got {text}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_trim_fraction = _checked(float, lambda v: 0 <= v < 0.5, "in [0, 0.5)")
+_seed = _checked(int, lambda v: 0 <= v < 1 << 64, "an integer in [0, 2**64)")
 
 
 def _sampler(args, w, dist):
@@ -131,8 +118,6 @@ def cmd_sample(args, parser) -> int:
             if path not in (None, "-") and "{}" not in path:
                 parser.error(f"{flag} {path}: with --replicas {args.replicas} "
                              "the file name needs {} for the replica number")
-    from .planar_map import map_to_json
-    from .sewing import walk_to_map
     from .walks import walk_to_text
     dist, w = _dist_from_args(args)
     walks = _replica_walks(args, w, dist)
@@ -141,6 +126,8 @@ def cmd_sample(args, parser) -> int:
         if args.walk_out:
             _write(args.walk_out.replace("{}", tag), walk_to_text(walk))
         if args.map_out:
+            from .planar_map import map_to_json
+            from .sewing import walk_to_map
             mp = walk_to_map(walk)
             _write(args.map_out.replace("{}", tag), map_to_json(mp))
     if not args.walk_out and not args.map_out:

@@ -1,39 +1,45 @@
-"""Upward straight-line embedding of simple bipolar triangulations, and the
-triangulation that carries any other bipolar map into that domain.
+"""Upward drawings of bipolar maps: a polyline drawing of every map on an
+integer grid, read straight off its two sweep orders, and a straight-line
+embedding of simple triangulations.
 
-``triangulated`` splits each repeated parallel edge at a bend vertex and
-puts an apex in every face that is not a triangle; ``svg.render_svg``
-draws every map through it.  ``upward_embed`` itself takes only simple
-triangulations.
+``visibility_drawing`` takes any valid map (Rosenstiehl-Tarjan 1986,
+Tamassia-Tollis 1986).  The scan orders the vertices south to north and
+the interface path crosses the faces west to east; a vertex's height is
+twice its rank in the first order, an edge runs up the column of the face
+west of it, and a vertex sits in the column of its west-most outgoing
+edge.  No search is made, and ``svg.render_svg`` draws every map this way.
 
-Every interior face is a triangle with a lowest, a middle and a highest
-corner, and ``_triangles`` reads them once from the scan's flat face lists:
-an east triangle (middle corner on its east side) or a west triangle.
-Drawing the map so that every edge rises and every triangle keeps its
-middle corner on the correct side of its min-max chord tiles the region
-between the two boundary paths exactly once, which forces planarity.
-Vertices are placed in creation order, the order in which the interface
-path first reaches them.  The k-th west-boundary vertex sits at height k;
-every other vertex is created as the middle corner of the east triangle
-the path crosses just before it, at the midpoint of that triangle's lowest
-and highest corners.  Each orientation constraint is resolved when its
-last-created corner is placed, where it reduces to an exact rational bound
-on that corner's horizontal position.  Placement runs on plain integers:
-the dyadic heights are integers over one power of two (the lcm of their
-denominators), every x and every bound is an integer pair (num, den), each
-constraint is a record of its two fixed corners and their height gaps, and
-the ``Fraction`` coordinates are built once, at the end.  When an interval
+``upward_embed`` takes only simple triangulations.  Every interior face is
+a triangle with a lowest, a middle and a highest corner, and
+``_triangles`` reads them once from the scan's flat face lists: an east
+triangle (middle corner on its east side) or a west triangle.  Drawing the
+map so that every edge rises and every triangle keeps its middle corner on
+the correct side of its min-max chord tiles the region between the two
+boundary paths exactly once, which forces planarity.  Vertices are placed
+in creation order, the order in which the interface path first reaches
+them.  The k-th west-boundary vertex sits at height k; every other vertex
+is created as the middle corner of the east triangle the path crosses just
+before it, at the midpoint of that triangle's lowest and highest corners.
+Each orientation constraint is resolved when its last-created corner is
+placed, where it reduces to an exact rational bound on that corner's
+horizontal position.  Placement runs on plain integers: the dyadic heights
+are integers over one power of two (the lcm of their denominators), every
+x and every bound is an integer pair (num, den), each constraint is a
+record of its two fixed corners and their height gaps, and the
+``Fraction`` coordinates are built once, at the end.  When an interval
 empties, the slack search raises the vertices that support it and resumes
-placement at the lowest of them.  A linear-time certificate of two local
-rules with exact integer predicates (rising edges, positively oriented
-triangles), reading the same ``_triangles``, checks every returned
-embedding; the independent quadratic-time pairwise verifier stays as its
-oracle.
+placement at the lowest of them.
+
+Both functions return only drawings that pass one linear-time certificate
+of two local rules with exact integer predicates: every segment rises, and
+in every face the west side lies strictly west of the east side, a chain
+rule that for a triangle says its middle corner is on its own side.  The
+independent quadratic-time pairwise verifier stays as its oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -42,7 +48,7 @@ from .planar_map import PlanarMap
 from .sewing import interface_order
 from .walks import FaceMove
 
-Point = tuple[Fraction, Fraction]
+Point = tuple[Fraction | int, Fraction | int]
 
 EAST = "east"
 WEST = "west"
@@ -50,18 +56,19 @@ WEST = "west"
 
 @dataclass(frozen=True)
 class Embedding:
-    """Exact vertex coordinates with every edge pointing strictly upward."""
+    """Exact vertex coordinates with every edge pointing strictly upward.
+
+    ``bends`` holds, for each edge drawn as a polyline, its interior points
+    from tail to head; every other edge is a straight segment.
+    """
 
     coords: dict[int, Point]
+    bends: dict[int, tuple[Point, ...]] = field(default_factory=dict)
 
     def max_coord_bits(self) -> int:
         """Largest numerator/denominator bit length; tracks coordinate growth."""
-        bits = 0
-        for x, y in self.coords.values():
-            for f in (x, y):
-                bits = max(bits, f.numerator.bit_length(),
-                           f.denominator.bit_length())
-        return bits
+        return max(n.bit_length() for p in self.coords.values() for c in p
+                   for n in (c.numerator, c.denominator))
 
 
 def _triangles(m: PlanarMap) -> list[tuple[int, int, int, str] | None]:
@@ -252,59 +259,6 @@ def _raisable(bad, hi_tri_of, his) -> set[int]:
     return raisable
 
 
-def triangulated(m: PlanarMap) -> tuple[PlanarMap, dict[int, int]]:
-    """A simple triangulation that contains ``m``, and the bends of ``m``'s
-    split edges (Di Battista-Tamassia 1988).
-
-    In each class of parallel edges the first stays straight and every
-    later edge e = (t, h) is split at a new vertex x, its bend: e becomes
-    (t, x), and an appended edge (x, h) takes e's south dart's place at h.
-    Then every interior face with more than three darts gets an apex c: an
-    edge w -> c from each of its vertices w but its top, and c -> top, each
-    inserted at w in the corner the face walk turns through.  Every new
-    edge meets c, so no edge doubles, and c reaches only the top, so no
-    cycle arises.  ``m``'s ids keep their meaning, new ones are appended
-    (the bends first), and ``bends`` maps each split edge of ``m`` to its
-    bend.  A simple triangulation is returned as it is.
-    """
-    m.require_valid()
-    edges = list(m.edges)
-    rots = [list(r) for r in m.rotations]
-    bends: dict[int, int] = {}
-    seen = set()
-    for e, (t, h) in enumerate(m.edges):
-        if (t, h) in seen:
-            x = bends[e] = len(rots)
-            edges[e] = (t, x)
-            rot = rots[h]
-            rot[rot.index(2 * e + 1)] = 2 * len(edges) + 1
-            rots.append([2 * e + 1, 2 * len(edges)])
-            edges.append((x, h))
-        seen.add((t, h))
-    split = PlanarMap(len(rots), edges, rots, m.south, m.north,
-                      m.west_anchor) if bends else m
-
-    s = split.scan()
-    fd, head = s.face_darts, split.dart_heads
-    before = {}  # dart -> the new dart just counterclockwise-before it
-    for a, b, c in zip(s.face_start, s.face_split, s.face_start[1:]):
-        if c - a == 3:
-            continue
-        apex, top = len(rots), head[fd[b - 1]]
-        rots.append([])
-        for d in fd[a:c]:  # the face walk turns at head[d] just before d ^ 1
-            w, f = head[d], len(edges)
-            edges.append((apex, w) if w == top else (w, apex))
-            before[d ^ 1] = 2 * f + (w == top)
-            rots[apex].append(2 * f + (w != top))
-    if not before:
-        return split, bends
-    rots = [[x for d in rot for x in ((before[d], d) if d in before else (d,))]
-            for rot in rots]
-    return PlanarMap(len(rots), edges, rots, m.south, m.north,
-                     m.west_anchor), bends
-
-
 def upward_embed(m: PlanarMap) -> Embedding:
     """Straight-line embedding with all edges oriented upward, exactly certified."""
     m.require_valid()
@@ -336,12 +290,55 @@ def upward_embed(m: PlanarMap) -> Embedding:
             "embedding construction failed: slack search did not converge",
             trace=[f"boost={boost}"])
 
-    emb = Embedding(coords={v: (Fraction(*x), Fraction(y, scale))
-                            for v, x, y in zip(verts, pos, ys)})
+    return _certified(m, Embedding(coords={v: (Fraction(*x), Fraction(y, scale))
+                                           for v, x, y in zip(verts, pos, ys)}))
+
+
+def visibility_drawing(m: PlanarMap) -> Embedding:
+    """Upward polyline drawing of any valid map, certified, with integer x
+    in [0, F] and y in [0, 2V - 2] for F interior faces and V vertices.
+
+    Column 0 is the west outer face's, and interior faces take columns 1,
+    2, ... in the order the interface path crosses them, an order of the
+    dual from west to east.  Vertex v sits at height 2 * (its rank in the
+    scan's ``topo``), in the column of the face west of its west-most
+    outgoing edge (the north pole: of its west-most incoming edge).  Edge
+    e = (t, h) runs from t to (c, y(t) + 1), up to (c, y(h) - 1) and on to
+    h, where c is the column of the face west of it; repeated and
+    collinear points are dropped, and what remains between t and h are
+    its bends.
+    """
+    order, moves = interface_order(m)  # raises on an invalid map
+    s = m.scan()
+    face_of, tail = s.face_of, m.dart_tails
+    crossed = [face_of[2 * e + 1] for e, move in zip(order, moves)
+               if isinstance(move, FaceMove)]
+    col = [0] * (len(crossed) + 1)  # col[WEST_OUTER], the last, stays 0
+    for k, f in enumerate(crossed, 1):
+        col[f] = k
+    psi = [col[f] for f in face_of[0::2]]
+    x = [psi[d >> 1] for d in s.west_out]
+    x[m.north] = psi[s.cut[m.north] >> 1]
+    y = [0] * m.n_vertices
+    for r, v in enumerate(s.topo):
+        y[v] = 2 * r
+    bends = {}
+    for e, c in enumerate(psi):
+        t, h = tail[2 * e], tail[2 * e + 1]
+        p, q = (c, y[t] + 1), (c, y[h] - 1)
+        kept = [(x[t], y[t])]
+        for a, b in ((p, q), (q, (x[h], y[h]))):
+            if a != b and _cross(kept[-1], a, b):
+                kept.append(a)
+        if len(kept) > 1:
+            bends[e] = tuple(kept[1:])
+    return _certified(m, Embedding(coords=dict(enumerate(zip(x, y))), bends=bends))
+
+
+def _certified(m: PlanarMap, emb: Embedding) -> Embedding:
     problems = certify_upward_planar(m, emb)
     if problems:
-        raise EmbeddingInternalError("embedding post-check failed",
-                                     trace=problems)
+        raise EmbeddingInternalError("embedding post-check failed", trace=problems)
     return emb
 
 
@@ -363,56 +360,92 @@ def _orientation(o, a, b) -> int:
             + do * (xa * yb - ya * xb))
 
 
-def certify_upward_planar(m: PlanarMap, emb: Embedding) -> list[str]:
-    """Linear-time certificate that ``emb`` draws the triangulated disk ``m``
-    upward and planar; returns the violations (empty when it holds).
+def _sides_ordered(west, east) -> bool:
+    """Do two rising chains of homogeneous points from one bottom to one
+    top bound a face: is every breakpoint strictly inside strictly on its
+    own side of the other chain's segment at its height?
 
-    Two local rules, each an exact integer predicate on per-vertex
+    The breakpoints are merged bottom to top, one ``_orientation`` test
+    each.  Two chains with no breakpoint between them coincide.
+    """
+    p, q = len(west) - 1, len(east) - 1
+    i = j = 1
+    while i < p or j < q:
+        w, e = west[i], east[j]
+        if i < p and w[1] * e[2] <= e[1] * w[2]:
+            if _orientation(east[j - 1], e, w) <= 0:
+                return False
+            i += 1
+        else:
+            if _orientation(west[i - 1], w, e) >= 0:
+                return False
+            j += 1
+    return p + q > 2
+
+
+def certify_upward_planar(m: PlanarMap, emb: Embedding) -> list[str]:
+    """Linear-time certificate that ``emb`` draws the map ``m`` upward and
+    planar; returns the violations (empty when it holds).
+
+    Each edge is the chain of segments from its tail through its bends to
+    its head.  Two local rules, each an exact integer predicate on
     homogeneous coordinates:
 
-    * every edge rises strictly;
-    * every interior triangle is positively oriented in the map's rotation
-      order: its middle corner lies strictly on its own side (west or
-      east) of the chord from its lowest to its highest corner.
+    * every segment rises strictly;
+    * every interior face is positively oriented in the map's rotation
+      order: its two sides, the scan's ``face_darts`` split at
+      ``face_split``, are chains from its bottom to its top, and each
+      breakpoint strictly between lies strictly on its own side (west or
+      east) of the other side (``_sides_ordered``).  For a triangle this
+      says that its middle corner lies strictly on its own side of the
+      chord from its lowest to its highest corner.
 
     Together they order the two boundary chains.  Take a height h strictly
     between two consecutive vertices shared by both chains (the poles and
-    the cut vertices) that no bridge joins, and at no vertex.  Read west
-    to east, the edges that cross h run from an edge of the west chain to
-    an edge of the east chain, and each consecutive pair bounds one
-    triangle that crosses h.  A positively oriented triangle puts its west
+    the cut vertices) that no bridge joins, and at no breakpoint.  Read
+    west to east, the edges that cross h run from an edge of the west
+    chain to an edge of the east chain, and each consecutive pair bounds
+    one face that crosses h.  A positively oriented face puts its west
     side strictly west of its east side inside it, so the chains are
-    strictly ordered at h.  At the height of a vertex, strictness comes
-    from the face just inside the west chain there: the face beside an
-    unshared west vertex, where that vertex is the middle corner, or else
-    the face east of the chain's edge.  Its west side lies strictly west
-    of its east side at that height, and its east side lies weakly west of
-    the east chain, by the cuts just above and just below.
+    strictly ordered at h.  At the height of a breakpoint, strictness
+    comes from the face just inside the west chain there: the face beside
+    an unshared west vertex, where that vertex is a breakpoint of its west
+    side, or else the face east of the chain's edge.  Its west side lies
+    strictly west of its east side at that height, and its east side lies
+    weakly west of the east chain, by the cuts just above and just below.
 
     So the shared vertices split the map into blocks and bridges stacked
     in disjoint height slabs, each block with a simple boundary.
-    Positively oriented triangles inside a simple boundary cover each point
-    as often as the boundary winds around it, once inside and never
-    outside, so no two triangles overlap (Gortler-Gotsman-Thurston 2006).
-    A drawing that is planar but mirrors the rotation order fails the
-    second rule.
+    Positively oriented faces inside a simple boundary cover each point as
+    often as the boundary winds around it, once inside and never outside,
+    so no two faces overlap (Gortler-Gotsman-Thurston 2006).  A drawing
+    that is planar but mirrors the rotation order fails the second rule.
     """
     if len(emb.coords) != m.n_vertices:
         return [f"{len(emb.coords)} coordinates for {m.n_vertices} vertices"]
     pos = {v: _homogeneous(p) for v, p in emb.coords.items()}
-    problems = [f"edge {e} does not point strictly upward"
-                for e, (t, h) in enumerate(m.edges)
-                if not pos[t][1] * pos[h][2] < pos[h][1] * pos[t][2]]
+    tail = m.dart_tails
+    up = [[pos[h]] for h in tail[1::2]]  # per edge, its points above its tail
+    for e, pts in emb.bends.items():
+        up[e] = [*map(_homogeneous, pts), *up[e]]
+    problems = []
+    for e, t in enumerate(tail[0::2]):
+        lo = pos[t]
+        for p in up[e]:
+            if not lo[1] * p[2] < p[1] * lo[2]:
+                problems.append(f"edge {e} does not point strictly upward")
+                break
+            lo = p
     if problems:
-        return problems  # orientation means something only once corners rise
+        return problems  # orientation means something only once segments rise
 
-    for f, tri in enumerate(_triangles(m)):
-        if tri is None:
-            problems.append(f"face {f} is not a triangle")
-            continue
-        u, w, z, side = tri
-        sign = _orientation(pos[u], pos[z], pos[w])
-        if (sign if side == WEST else -sign) <= 0:
+    s = m._face_scan()
+    fd = s.face_darts
+    along = [up[d >> 1] for d in fd]  # per face dart, what ``up`` holds for its edge
+    for f, (a, b, c) in enumerate(zip(s.face_start, s.face_split, s.face_start[1:])):
+        east = sum(along[a:b], [pos[tail[fd[a]]]])
+        west = sum(reversed(along[b:c]), east[:1])
+        if not _sides_ordered(west, east):
             problems.append(f"face {f} is not positively oriented")
     return problems
 
@@ -464,37 +497,45 @@ def segments_conflict(p1, q1, p2, q2) -> bool:
 def verify_upward_planar(m: PlanarMap, emb: Embedding) -> list[str]:
     """Exact check of upwardness and planarity; independent of the embedder.
 
-    Returns a list of violations (empty when the embedding is good):
-    duplicate vertex positions, non-increasing edges, or any pair of closed
-    edge segments meeting outside a shared endpoint.  Coordinates are
-    rescaled by the common denominator so all predicates run on integers.
+    Returns a list of violations (empty when the embedding is good): two
+    points (vertices or bends) at one position, a segment that does not
+    rise, or any pair of closed segments of two edges meeting outside a
+    shared endpoint.  With every point distinct, segments of two edges can
+    share an endpoint only at a map vertex that both edges end at.
+    Coordinates are rescaled by the common denominator so all predicates
+    run on integers.
     """
     problems = []
-    scale = 1
-    for x, y in emb.coords.values():
-        scale = lcm(scale, x.denominator, y.denominator)
-    ipos = {v: (int(x * scale), int(y * scale))
-            for v, (x, y) in emb.coords.items()}
-    seen_pts: dict[tuple[int, int], int] = {}
-    for v, pt in ipos.items():
+    points = [(f"vertex {v}", p) for v, p in emb.coords.items()]
+    points += [(f"a bend of edge {e}", p) for e, ps in emb.bends.items() for p in ps]
+    scale = lcm(*(c.denominator for _, p in points for c in p))
+
+    def ipos(p):
+        return (int(p[0] * scale), int(p[1] * scale))
+
+    seen_pts: dict[tuple[int, int], str] = {}
+    for name, p in points:
+        pt = ipos(p)
         if pt in seen_pts:
-            problems.append(f"vertices {seen_pts[pt]} and {v} coincide")
-        seen_pts[pt] = v
+            problems.append(f"{seen_pts[pt]} and {name} coincide")
+        seen_pts[pt] = name
     segs = []
     for e, (t, h) in enumerate(m.edges):
-        pt, ph = ipos[t], ipos[h]
-        if not pt[1] < ph[1]:
+        chain = [ipos(emb.coords[t]), *map(ipos, emb.bends.get(e, ())), ipos(emb.coords[h])]
+        if any(not p[1] < q[1] for p, q in zip(chain, chain[1:])):
             problems.append(f"edge {e} does not point strictly upward")
-        segs.append((pt, ph))
+        segs += [(e, p, q) for p, q in zip(chain, chain[1:])]
+    crossing = set()
     for i in range(len(segs)):
-        p1, q1 = segs[i]
+        e1, p1, q1 = segs[i]
         for j in range(i + 1, len(segs)):
-            p2, q2 = segs[j]
+            e2, p2, q2 = segs[j]
             # cheap bounding-box rejection
             if (max(p1[0], q1[0]) < min(p2[0], q2[0])
                     or max(p2[0], q2[0]) < min(p1[0], q1[0])
-                    or q1[1] < p2[1] or q2[1] < p1[1]):
+                    or q1[1] < p2[1] or q2[1] < p1[1] or e1 == e2):
                 continue
-            if segments_conflict(p1, q1, p2, q2):
-                problems.append(f"edges {i} and {j} cross")
+            if segments_conflict(p1, q1, p2, q2) and (e1, e2) not in crossing:
+                crossing.add((e1, e2))
+                problems.append(f"edges {e1} and {e2} cross")
     return problems

@@ -570,8 +570,8 @@ def interface_order(m: PlanarMap) -> tuple[tuple[int, ...], tuple[Move, ...]]:
     west-most untraversed outgoing edge at the head.  It reads the flat
     lists of ``m.scan()``, and each face type (i, j) is one shared move.
     The path is traced once per map and kept, as tuples, in the map's cache
-    beside its scan, so ``map_to_walk``, ``upward_embed`` and ``render_svg``
-    of one map share it.
+    beside its scan, so ``map_to_walk``, ``upward_embed``,
+    ``visibility_drawing`` and ``render_svg`` of one map share it.
     """
     if "interface" not in m._cache:
         m._cache["interface"] = _interface_order(m)

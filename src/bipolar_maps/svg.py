@@ -1,23 +1,24 @@
 """SVG rendering of bipolar maps with their trees and interface path.
 
-Every valid map gets one certified upward drawing: a simple triangulation
-draws as it is, and any other map through the triangulation that
-``embedding.triangulated`` builds around it, where each split parallel
-edge is a ``<polyline>`` bent at its bend vertex and every other edge a
-straight ``<line>``.  Edges carry CSS classes: west-most-outgoing tree
-edges are ``nw-tree`` (red), east-most-incoming tree edges ``se-tree``
-(blue), everything else plain ``edge``; the ``interface`` polyline (green)
-walks the edge midpoints in interface order, dipping through each face it
+Every valid map gets one certified upward drawing on an integer grid,
+``embedding.visibility_drawing``, unless the caller passes a drawing (say,
+``upward_embed``'s).  An edge with bends is one ``<polyline>`` through
+them and every other edge a straight ``<line>``.  Edges carry CSS
+classes: west-most-outgoing tree edges are ``nw-tree`` (red),
+east-most-incoming tree edges ``se-tree`` (blue), everything else plain
+``edge``; the ``interface`` polyline (green) walks the midpoints of the
+edges' first segments in interface order, dipping through each face it
 crosses, whose corners it reads from the scan's flat face lists.  Output
 is byte deterministic for fixed inputs: stable element order and 6
-significant digits after an affine fit to a fixed viewbox, computed once
-per vertex before any element is written; each vertex's coordinates are
-formatted once, and its edge ends and ``<circle>`` reuse the strings.
+significant digits after an affine fit of every vertex and bend to a fixed
+viewbox, computed once per point before any element is written; each
+point's coordinates are formatted once, and its edge ends and ``<circle>``
+reuse the strings.
 """
 
 from __future__ import annotations
 
-from .embedding import Embedding, triangulated, upward_embed
+from .embedding import Embedding, visibility_drawing
 from .planar_map import PlanarMap, nw_tree, se_tree
 from .sewing import interface_order
 from .walks import FaceMove
@@ -36,38 +37,35 @@ _STYLE = (
 )
 
 
-def _fit_floats(emb: Embedding) -> dict[int, tuple[float, float]]:
-    """Float coordinates, each axis scaled by 2^-k so that none overflows.
+def _fit_floats(points: dict) -> dict:
+    """Float coordinates of exact points (keyed by vertex, or a bend by
+    (edge, index)), each axis scaled by 2^-k so that none overflows.
 
     k = 0 unless the axis has coordinates of more than 1 000 integer bits.
     Scaling by a power of two is exact in binary floating point, and the
     affine fit to the viewbox cancels it.
     """
-    ratios = {v: (x.as_integer_ratio(), y.as_integer_ratio())
-              for v, (x, y) in emb.coords.items()}
+    ratios = {k: (x.as_integer_ratio(), y.as_integer_ratio())
+              for k, (x, y) in points.items()}
     shifts = []
     for axis in (0, 1):
         top = max(abs(p[axis][0]) // p[axis][1] for p in ratios.values())
         shifts.append(max(0, top.bit_length() - 1000))
     kx, ky = shifts
-    return {v: (xn / (xd << kx), yn / (yd << ky))
-            for v, ((xn, xd), (yn, yd)) in ratios.items()}
+    return {k: (xn / (xd << kx), yn / (yd << ky))
+            for k, ((xn, xd), (yn, yd)) in ratios.items()}
 
 
 def render_svg(m: PlanarMap, embedding: Embedding | None = None) -> str:
-    """Draw the map; computes a certified upward embedding unless one is supplied.
-
-    Without one, any valid map is drawn through ``triangulated(m)``: the
-    upward embedding of that triangulation, certified, places ``m``'s
-    vertices and the bend of each split edge, which is drawn as one bent
-    ``<polyline>``.  The apexes are not drawn; each lies inside a face, so
-    the fit to the viewbox is the same without them.
-    """
-    drawn, bends = m, {}
+    """Draw the map: ``embedding``, or else ``visibility_drawing(m)``, which
+    is certified.  An edge with bends is one ``<polyline>`` through them,
+    and every other edge a ``<line>``."""
     if embedding is None:
-        drawn, bends = triangulated(m)
-        embedding = upward_embed(drawn)
-    coords = _fit_floats(embedding)
+        embedding = visibility_drawing(m)
+    # the i-th bend of edge e is the point (e, i), beside the vertices
+    bends = embedding.bends
+    coords = _fit_floats({**embedding.coords, **{(e, i): p for e, ps in bends.items()
+                                                 for i, p in enumerate(ps)}})
 
     xs = [p[0] for p in coords.values()]
     ys = [p[1] for p in coords.values()]
@@ -76,7 +74,7 @@ def render_svg(m: PlanarMap, embedding: Embedding | None = None) -> str:
     sy = (VIEW_H - 2 * MARGIN) / (max(ys) - y0 or 1.0)
     fx = {v: MARGIN + (x - x0) * sx for v, (x, _) in coords.items()}
     fy = {v: VIEW_H - MARGIN - (y - y0) * sy for v, (_, y) in coords.items()}
-    # each vertex formatted once, for its ends of <line> and its <circle>
+    # each point formatted once, for its ends of <line> and its <circle>
     tx = {v: "%.6g" % x for v, x in fx.items()}
     ty = {v: "%.6g" % y for v, y in fy.items()}
     tree = [0] * m.n_edges  # bit 1: in the NW tree, bit 2: in the SE tree
@@ -86,32 +84,30 @@ def render_svg(m: PlanarMap, embedding: Embedding | None = None) -> str:
                 tree[e] |= bit
     classes = ("edge", "edge nw-tree", "edge se-tree", "edge nw-tree se-tree")
 
-    lines = []
-    lines.append('<?xml version="1.0" encoding="UTF-8"?>')
-    lines.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="0 0 {VIEW_W:.6g} {VIEW_H:.6g}">')
-    lines.append(f"<style>{_STYLE}</style>")
-    e0 = len(lines)
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<svg xmlns="http://www.w3.org/2000/svg" '
+             f'viewBox="0 0 {VIEW_W:.6g} {VIEW_H:.6g}">',
+             f"<style>{_STYLE}</style>"]
     for e, (t, h) in enumerate(m.edges):
-        lines.append(f'<line id="e{e}" class="{classes[tree[e]]}" x1="{tx[t]}" '
-                     f'y1="{ty[t]}" x2="{tx[h]}" y2="{ty[h]}"/>')
-    for e, x in bends.items():
-        t, h = m.edges[e]
-        lines[e0 + e] = (f'<polyline id="e{e}" class="{classes[tree[e]]}" points="'
-                         f'{tx[t]},{ty[t]} {tx[x]},{ty[x]} {tx[h]},{ty[h]}"/>')
+        if e in bends:
+            ends = (t, *((e, i) for i in range(len(bends[e]))), h)
+            pts = " ".join(f"{tx[k]},{ty[k]}" for k in ends)
+            lines.append(f'<polyline id="e{e}" class="{classes[tree[e]]}" points="{pts}"/>')
+        else:
+            lines.append(f'<line id="e{e}" class="{classes[tree[e]]}" x1="{tx[t]}" '
+                         f'y1="{ty[t]}" x2="{tx[h]}" y2="{ty[h]}"/>')
 
-    # the interface path: each edge's midpoint in ``drawn`` (on a bent
-    # edge, its lower segment's), then the mean of the corners (summed in
-    # vertex order) of the face it crosses after it
+    # the interface path: the midpoint of each edge's first segment, then
+    # the mean of the corners (summed in vertex order) of the face it
+    # crosses after it
     s = m.scan()
     face_of, fd, start = s.face_of, s.face_darts, s.face_start
     order, moves = interface_order(m)
-    tail, ends = m.dart_tails, drawn.dart_tails
+    tail = m.dart_tails
     x_of, y_of = fx.__getitem__, fy.__getitem__
     pts = [f"{tx[m.south]},{ty[m.south]}"]
     for e, move in zip(order, moves + (None,)):
-        t, h = ends[2 * e], ends[2 * e + 1]
+        t, h = tail[2 * e], (e, 0) if e in bends else tail[2 * e + 1]
         pts.append("%.6g,%.6g" % ((fx[t] + fx[h]) / 2, (fy[t] + fy[h]) / 2))
         if isinstance(move, FaceMove):
             f = face_of[2 * e + 1]

@@ -12,6 +12,7 @@ import pytest
 import bipolar_maps
 from bipolar_maps import cli, enumeration, simulate
 from bipolar_maps.cli import main
+from bipolar_maps.embedding import visibility_drawing
 from bipolar_maps.enumeration import exact_sample
 from bipolar_maps.planar_map import canonical_form, map_from_json
 from bipolar_maps.rng import CounterRng
@@ -171,15 +172,15 @@ def test_embed_svg(tmp_path, capsys):
 
 
 def test_embed_fallback(tmp_path, capsys):
-    # the closed 4-edge map has a doubled edge: it draws certified, the
-    # second copy bent, and the layered fallback's flag is gone
+    # the closed 4-edge map has a doubled edge: it draws certified, each
+    # bent edge one polyline, and the layered fallback's flag is gone
     map_file = tmp_path / "m.json"
     run(capsys, "sample", "--weights", "tri", "--edges", "4", "--m", "0",
         "--n", "0", "--seed", "1", "--map-out", str(map_file))
     code, out, _ = run(capsys, "embed", "--in", str(map_file))
     assert code == 0 and "data-planarity" not in out
     mp = map_from_json(map_file.read_text())
-    assert out.count('<polyline id="e') == mp.n_edges - len(set(mp.edges)) == 1
+    assert out.count('<polyline id="e') == len(visibility_drawing(mp).bends) == 3
     with pytest.raises(SystemExit) as exc:
         run(capsys, "embed", "--in", str(map_file), "--layers-fallback")
     assert exc.value.code == 2
@@ -608,7 +609,8 @@ MAP_CODEC = {"bipolar_maps." + m for m in
     (["embed", "--in", "m.json"], MAP_CODEC | {"bipolar_maps.embedding",
                                                "bipolar_maps.svg"}),
     (["count", "--edges", "18", "--closed-form"], None),
-], ids=["walk2map", "map2walk", "embed", "count-closed-form"])
+    (["sample", "--edges", "12", "--seed", "7", "--walk-out", "w2.txt"], None),
+], ids=["walk2map", "map2walk", "embed", "count-closed-form", "sample-walk-out"])
 def test_each_verb_loads_only_the_modules_it_runs(tmp_path, monkeypatch, capsys,
                                                   argv, expected):
     monkeypatch.chdir(tmp_path)
@@ -622,6 +624,9 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path, monkeypatch, capsys,
     assert code == "0"
     if expected is not None:
         assert set(loaded) == expected
-    else:  # the closed form loads no map, sampling or drawing code
+    elif argv[0] == "count":  # the closed form loads no map, sampling or drawing code
         assert not {"bipolar_maps." + m for m in ("planar_map", "sewing", "simulate",
                                                   "embedding", "svg")} & set(loaded)
+    else:  # a walk written without --map-out loads no map code
+        assert not {"bipolar_maps.planar_map", "bipolar_maps.sewing"} & set(loaded)
+        assert (tmp_path / "w2.txt").read_text() == (tmp_path / "w.txt").read_text()

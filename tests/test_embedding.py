@@ -1,13 +1,14 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from bipolar_maps import embedding, sewing
 from bipolar_maps.embedding import (Embedding, certify_upward_planar,
-                                    segments_conflict, triangulated,
-                                    upward_embed, verify_upward_planar)
+                                    segments_conflict, upward_embed,
+                                    verify_upward_planar, visibility_drawing)
 from bipolar_maps.enumeration import enumerate_walks, exact_sample
 from bipolar_maps.errors import EmbeddingInternalError, EmbeddingUnsupportedError
 from bipolar_maps.rng import CounterRng
@@ -86,10 +87,10 @@ def test_boundary_chains_sharing_cut_vertices_embed(start, moves):
     assert verify_upward_planar(m, emb) == []
 
 
-def test_every_small_map_draws_through_its_triangulation():
-    # every map of face degrees 2-7 with at most 8 edges and boundaries
-    # m, n <= 2, relabelled copies of those with at most 7 edges, and
-    # uniform rejection draws at 9 edges
+def _small_maps():
+    """Every map of face degrees 2-7 with at most 8 edges and boundaries
+    m, n <= 2, relabelled copies of those with at most 7 edges, and
+    uniform rejection draws at 9 edges."""
     rng = random.Random(1988)
     mixed = FaceWeights({k: 1 for k in range(2, 8)})
     maps = [walk_to_map(w) for ell in range(1, 9) for m0 in range(3)
@@ -99,18 +100,21 @@ def test_every_small_map_draws_through_its_triangulation():
     maps += map(walk_to_map, rejection_sample_many(
         step_distribution(preset_weights("uniform")), 0, 1, 9, CounterRng(1, 9), 200))
     assert len(maps) == 7806 + 1699 + 200
-    for m in maps:
-        t, bends = triangulated(m)
-        emb = upward_embed(t)  # raises on any certificate violation
-        assert verify_upward_planar(t, emb) == []
-        start = m.scan().face_start
-        tri = all(b - a == 3 for a, b in zip(start, start[1:]))
-        assert (t is m) == (tri and is_simple(m))
-        added = set(t.edges[m.n_edges:])
-        for e, (u, w) in enumerate(m.edges):
-            x = bends.get(e)
-            assert t.edges[e] == ((u, w) if x is None else (u, x))
-            assert x is None or (x >= m.n_vertices and (x, w) in added)
+    return maps
+
+
+def test_every_small_map_has_a_certified_visibility_drawing():
+    n_bends = 0
+    for m in _small_maps():
+        emb = visibility_drawing(m)  # raises on any certificate violation
+        assert verify_upward_planar(m, emb) == []
+        n_face = len(m.scan().face_split)
+        for x, y in [*emb.coords.values(), *(p for ps in emb.bends.values() for p in ps)]:
+            assert type(x) is type(y) is int
+            assert 0 <= x <= n_face and 0 <= y < 2 * m.n_vertices
+        assert sorted(y for _, y in emb.coords.values()) == list(range(0, 2 * m.n_vertices, 2))
+        n_bends += sum(map(len, emb.bends.values()))
+    assert n_bends == 63496
 
 
 def test_certificate_failure_is_an_internal_error(monkeypatch):
@@ -120,24 +124,32 @@ def test_certificate_failure_is_an_internal_error(monkeypatch):
     with pytest.raises(EmbeddingInternalError) as err:
         upward_embed(m)
     assert err.value.trace == ["face 0 is not positively oriented"]
+    # the SVG of any map is drawn only once its drawing is certified
+    m = walk_to_map(LatticeWalk((0, 0), (FaceMove(0, 2), EDGE, EDGE)))
+    with pytest.raises(EmbeddingInternalError) as err:
+        render_svg(m)
+    assert err.value.trace == ["face 0 is not positively oriented"]
 
 
-def _corrupt(coords, kind, rng):
+def _corrupt(emb, kind, rng):
     """One change to a drawing: swap two vertices, shift one x or y onto or
-    between existing values, shift 2-4 vertices that way at once, or make
-    two vertices coincide."""
-    out = dict(coords)
+    between existing values, shift 2-4 vertices that way at once, make two
+    vertices coincide, or move one vertex or one bend 1-3 columns (on a
+    drawing with no bend, that kind makes two vertices coincide)."""
+    out = dict(emb.coords)
+    bends = dict(emb.bends)
     u, v = rng.sample(sorted(out), 2)
     xs = sorted({x for x, _ in out.values()})
     ys = sorted({y for _, y in out.values()})
+    steps = (-3, -2, -1, 1, 2, 3)
 
     def shift_x(t):
         a, b = rng.choice(xs), rng.choice(xs)
-        out[t] = (rng.choice([a, (a + b) / 2, a - 1, a + 1]), out[t][1])
+        out[t] = (rng.choice([a, Fraction(a + b, 2), a - 1, a + 1]), out[t][1])
 
     def shift_y(t):
         a, b = rng.choice(ys), rng.choice(ys)
-        out[t] = (out[t][0], rng.choice([a, (a + b) / 2]))
+        out[t] = (out[t][0], rng.choice([a, Fraction(a + b, 2)]))
 
     if kind == "swap":
         out[u], out[v] = out[v], out[u]
@@ -148,9 +160,17 @@ def _corrupt(coords, kind, rng):
     elif kind == "several":
         for t in rng.sample(sorted(out), rng.randint(2, min(4, len(out)))):
             rng.choice((shift_x, shift_y))(t)
+    elif kind == "column":
+        out[u] = (out[u][0] + rng.choice(steps), out[u][1])
+    elif kind == "bend" and bends:
+        e = rng.choice(sorted(bends))
+        ps = list(bends[e])
+        i = rng.randrange(len(ps))
+        ps[i] = (ps[i][0] + rng.choice(steps), ps[i][1])
+        bends[e] = tuple(ps)
     else:
         out[u] = out[v]
-    return Embedding(coords=out)
+    return Embedding(coords=out, bends=bends)
 
 
 def test_certificate_agrees_with_pairwise_verifier():
@@ -165,12 +185,28 @@ def test_certificate_agrees_with_pairwise_verifier():
         assert certify_upward_planar(m, emb) == []
         assert verify_upward_planar(m, emb) == []
         for kind in ("swap", "x", "y", "several", "coincide"):
-            bad = _corrupt(emb.coords, kind, rng)
+            bad = _corrupt(emb, kind, rng)
             if verify_upward_planar(m, bad):
                 n_rejected += 1
                 assert certify_upward_planar(m, bad), (walk, kind, bad.coords)
     assert n_maps == 2176
     assert n_rejected > n_maps  # the corpus is mostly broken drawings
+
+
+def test_certificate_agrees_with_pairwise_verifier_on_polylines():
+    # the visibility drawings of the small maps with at most 7 edges
+    rng = random.Random(1986)
+    maps = [m for m in _small_maps()[:7806] if m.n_edges <= 7]
+    assert len(maps) == 1699
+    n_rejected = 0
+    for m in maps:
+        emb = visibility_drawing(m)
+        for kind in ("swap", "x", "y", "column", "bend", "coincide"):
+            bad = _corrupt(emb, kind, rng)
+            if verify_upward_planar(m, bad):
+                n_rejected += 1
+                assert certify_upward_planar(m, bad), (m.edges, kind, bad)
+    assert n_rejected > 3 * len(maps)
 
 
 def test_certificate_rejects_a_mirrored_drawing():
@@ -225,6 +261,45 @@ def test_verifier_catches_coincident_vertices():
     bad = Embedding(coords={m.south: (F(0), F(0)), m.north: (F(0), F(2)),
                             v: (F(0), F(2))})
     assert any("coincide" in p for p in verify_upward_planar(m, bad))
+
+
+def _two_gon():
+    # two parallel edges from the south pole 0 to the north pole 1
+    m = walk_to_map(LatticeWalk((0, 0), (FaceMove(0, 0),)))
+    assert m.edges == ((0, 1), (0, 1))
+    return m
+
+
+def test_oracle_passes_a_bent_drawing():
+    m = _two_gon()
+    good = Embedding(coords={0: (0, 0), 1: (0, 2)}, bends={1: ((1, 1),)})
+    assert verify_upward_planar(m, good) == []
+    assert certify_upward_planar(m, good) == []
+    assert visibility_drawing(m) == good
+
+
+def test_oracle_reports_coinciding_bends():
+    m = _two_gon()
+    bad = Embedding(coords={0: (0, 0), 1: (0, 3)},
+                    bends={0: ((1, 1),), 1: ((1, 1), (2, 2))})
+    assert "a bend of edge 0 and a bend of edge 1 coincide" in verify_upward_planar(m, bad)
+    assert certify_upward_planar(m, bad) == ["face 0 is not positively oriented"]
+    # two straight parallel edges bound a face with no breakpoint
+    straight = Embedding(coords={0: (0, 0), 1: (0, 2)})
+    assert verify_upward_planar(m, straight) == ["edges 0 and 1 cross"]
+    assert certify_upward_planar(m, straight) == ["face 0 is not positively oriented"]
+
+
+def test_oracle_reports_a_bend_on_a_vertex():
+    # the closed 4-edge map: edge 0 runs straight up the west side past
+    # vertex 2, and its bend is moved onto vertex 2
+    m = walk_to_map(LatticeWalk((0, 0), (FaceMove(0, 1), EDGE, FaceMove(1, 0))))
+    emb = visibility_drawing(m)
+    assert emb.coords[2] == (1, 2) and 0 not in emb.bends
+    bad = Embedding(coords=emb.coords, bends={**emb.bends, 0: ((1, 2),)})
+    problems = verify_upward_planar(m, bad)
+    assert "vertex 2 and a bend of edge 0 coincide" in problems
+    assert certify_upward_planar(m, bad)
 
 
 def test_segment_predicates():
@@ -330,13 +405,13 @@ def test_large_maps_draw(ell):
     assert svg.count("<circle ") == m.n_vertices
 
 
-# SHA-256 of render_svg(m) for maps outside upward_embed's domain, drawn
-# through triangulated(m): the README's sample map (tri (0, 1), 12 edges,
+# SHA-256 of render_svg(m) for maps outside upward_embed's domain, drawn by
+# visibility_drawing(m): the README's sample map (tri (0, 1), 12 edges,
 # drawn by CounterRng(7, 0); it has two doubled edges) and a quad map with
 # square faces and one doubled edge
 FALLBACK_SVG_SHA256 = {
-    ("tri", 0, 1, 12, 7): "363ee54ccf08798a36485fae6434de0a4f36b960f7533d95f4b7ff6036d9b958",
-    ("quad", 0, 0, 21, 1): "2059fa10977c5b98601a0a0efbecbaf1a4b9d404f01ead67a6a6f6f30c3a8aba",
+    ("tri", 0, 1, 12, 7): "730c8fc36c69c5d235f3c22176a259e4c3553e7f5144876a95c80a71b59a2328",
+    ("quad", 0, 0, 21, 1): "cce9b6a124a0bde74074c470058842adbfc5f86afe2ec909e8c6164a0f727d24",
 }
 
 
@@ -347,6 +422,9 @@ def test_fallback_drawings_are_pinned(family, m0, n0, ell, seed):
         upward_embed(m)
     svg = render_svg(m)
     assert "data-planarity" not in svg
-    assert svg.count('<polyline id="e') == m.n_edges - len(set(m.edges))
+    assert svg.count('<polyline id="e') == len(visibility_drawing(m).bends)
+    assert svg.count("<line ") + svg.count('<polyline id="e') == m.n_edges
+    circles = re.findall(r'<circle id="v\d+" class="[^"]*" cx="([^"]*)" cy="([^"]*)"', svg)
+    assert len(set(circles)) == len(circles) == m.n_vertices
     digest = hashlib.sha256(svg.encode()).hexdigest()
     assert digest == FALLBACK_SVG_SHA256[family, m0, n0, ell, seed]

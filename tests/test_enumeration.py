@@ -407,3 +407,14 @@ def test_tableau_draws_are_pinned():
     draw = exact_sampler(TRI, 0, 0, 1000)
     assert walks_digest([draw(CounterRng(4))]) == \
         "19657e665d94b73d04009e4a975e5a7c9a371ca03f4dce3cc6b3d484b65ae462"
+
+
+def test_tableau_draws_in_a_row_are_pinned():
+    # two draws from one stream: the second pins where the first left it,
+    # so a tableau draw that takes one word fewer or more shows here
+    draw = exact_sampler(TRI, 0, 0, 124)
+    rng = CounterRng(8)
+    assert walks_digest([draw(rng)]) == \
+        "117c91871dca88138f2dd199830d82fad4fc4e9669c63f846d0d5933304c63cd"
+    assert walks_digest([draw(rng)]) == \
+        "f0947258aa2c88fa6af38d2bf9ebbb00a39de029b11dbdb0d6d3580ccb9ca5e2"
