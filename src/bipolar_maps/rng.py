@@ -1,18 +1,22 @@
 """Counter-based random number generation.
 
-All stochastic code draws from a Philox generator keyed by
-``(seed, stream)``; the counter-based design makes replica streams
-independent and output reproducible across platforms.  Exact integer draws
-below arbitrary (big) bounds use rejection on raw 64-bit words.  The words
-are drawn from numpy in blocks of 4 096 and turned into Python ints
-512 at a time, from the end of the block, as they are taken, so a stream
-that takes a few words does not convert the whole block; a bound above
-2**64 takes its words from the converted ones in one slice when they hold
-them.
+All stochastic code draws from a Philox4x64-10 generator keyed by
+``(seed, stream)`` (Salmon et al., SC 2011); the counter-based design makes
+replica streams independent and output reproducible across platforms.
+Every walk sampler reads the generator's raw 64-bit words through one
+source, ``words(count)``, and decodes them with integer arithmetic, so no
+walk depends on numpy's distribution code (the covariance bootstrap's
+multinomial, through ``rng.np``, is the one draw that does).  Exact integer draws below arbitrary
+(big) bounds use rejection on those words: ``randrange`` takes them in
+blocks of 4 096 and turns them into Python ints 512 at a time, from the
+end of the block, as they are taken, so a stream that takes a few words
+does not convert the whole block; a bound above 2**64 takes its words from
+the converted ones in one slice when they hold them.  The samplers in
+``simulate`` decode ``words`` arrays directly.
 
 numpy is imported, and the generator built, at the first draw (the first
-``randrange`` word or the first read of ``rng.np``), so code that builds a
-``CounterRng`` but never draws does not load numpy.
+``randrange`` or ``words`` call, or the first read of ``rng.np``), so code
+that builds a ``CounterRng`` but never draws does not load numpy.
 """
 
 from __future__ import annotations
@@ -54,11 +58,19 @@ class CounterRng:
             self._np = np.random.Generator(np.random.Philox(key=key))
         return self._np
 
+    def words(self, count: int):
+        """The generator's next ``count`` raw 64-bit words, as a uint64 array.
+
+        They are the words of the generator's full-range uint64 draw, and
+        they do not pass through the block that ``randrange`` holds.
+        """
+        return self.np.bit_generator.random_raw(count)
+
     def _word(self) -> int:
         if not self._buf:
             block = self._block
             if not len(block):
-                block = self.np.integers(0, _WORD, size=_BLOCK, dtype="uint64")
+                block = self.words(_BLOCK)
             # the block's tail, so pop() takes the words in the block's
             # order from its end, as it would from the whole block
             self._buf = block[-_CHUNK:].tolist()

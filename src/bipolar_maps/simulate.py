@@ -8,10 +8,19 @@ increment structure against the zero-drift theory values.
 Both walk samplers take their steps from one flat increment draw.  A free
 walk is one draw of all its steps.  Rejection grows a batch of proposals
 one step at a time, with one draw per step for the proposals still inside
-the quadrant, so a proposal stops costing at its first step out.  A finite
-law's draw table is built once per sampler (``free_sampler``,
+the quadrant, so a proposal stops costing at its first step out.  Each
+step is decoded from one raw Philox word (``CounterRng.words``) with
+integer arithmetic, so the walks do not depend on numpy's distribution
+code: the uniform law reads its edge bit and two runs of zero bits, and a
+finite law compares the word with integer weights that sum to 2**64.  A
+finite law's draw table is built once per sampler (``free_sampler``,
 ``rejection_sampler``), which serves every draw, and a law of more face
-moves than ``errors.DEFAULT_BUDGET`` is refused before it is built.
+moves than ``errors.DEFAULT_BUDGET`` is refused before it is built.  The
+uniform decode table is built once per process.
+
+The covariance bootstrap still draws its resample counts with numpy's
+``multinomial``: an exact multinomial decoded from raw words would cost
+far more than the count vectors it replaces.
 
 numpy is imported inside the functions that compute with arrays (the
 increment draws, rejection, the covariance report and the degree
@@ -22,7 +31,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import sqrt
+from fractions import Fraction
+from functools import cache
+from math import floor, sqrt
 
 from .errors import (DEFAULT_BUDGET, BipolarError, EnumerationBudgetError,
                      NoMapsError, RejectionBudgetError)
@@ -35,23 +46,123 @@ from .weights import (StepDistribution, TheoryStats, check_boundary, congruence,
 
 # -- step generation -------------------------------------------------------------
 
+_LOW_BITS = 16  # the uniform decode table covers a word's low 16 bits
+_LOW_MASK = (1 << _LOW_BITS) - 1
+_UNRESOLVED = -128  # its dy for a face word whose two runs do not end there
+_WORDS = 1 << 64
+
+
+@cache
+def _uniform_table():
+    """The (dx, dy) int8 tables of the uniform decode over a word's low 16
+    bits: bit 0 set is the edge move; otherwise i and j are the lengths of
+    the next two runs of zero bits, each ended by a set bit.  Built once
+    per process."""
+    import numpy as np
+    low = np.arange(1 << _LOW_BITS, dtype=np.int32)
+
+    def lowest_set(v):  # bit position, or _LOW_BITS where v == 0
+        pos = np.full(v.shape, _LOW_BITS, dtype=np.int32)
+        for b in range(_LOW_BITS - 1, -1, -1):
+            pos[(v >> b) & 1 == 1] = b
+        return pos
+
+    rest = low >> 1
+    i = lowest_set(rest)
+    j = lowest_set(rest >> np.minimum(i + 1, _LOW_BITS))
+    edge = (low & 1) == 1
+    dx = np.where(edge, 1, -i)
+    dy = np.where(edge, -1, np.where(j < _LOW_BITS, j, _UNRESOLVED))
+    return dx.astype(np.int8), dy.astype(np.int8)
+
+
+def _face_runs(word: int, rng) -> tuple[int, int]:
+    """The two zero runs after a face word's edge bit.  A run that passes
+    bit 63 reads on into the stream's next words."""
+    bits, width = word >> 1, 63
+    runs = []
+    for _ in range(2):
+        run = 0
+        while not bits:
+            run += width
+            bits, width = int(rng.words(1)[0]), 64
+        low = (bits & -bits).bit_length() - 1
+        runs.append(run + low)
+        bits >>= low + 1
+        width -= low + 1
+    return runs[0], runs[1]
+
+
+def _word_cuts(probs):
+    """Integer weights for a finite law's moves that sum to exactly 2**64,
+    as (kept, cuts): the indices of the moves of positive weight, and the
+    running sums of their weights but the last, so that a word w draws
+    kept[searchsorted(cuts, w, side="right")].
+
+    The weights are the float probabilities, normalised exactly, times
+    2**64, rounded by largest remainder: each is the floor of its exact
+    share, and the words left over go one each to the moves of largest
+    remainder, the earlier move first on a tie.  A run of equal
+    probabilities (the k - 1 moves of a k-gon) shares its arithmetic, so a
+    law of many face moves and few degrees costs a few passes over them.
+    """
+    import numpy as np
+    starts = np.flatnonzero(np.concatenate(([True], probs[1:] != probs[:-1])))
+    lengths = np.diff(np.append(starts, len(probs))).tolist()
+    starts = starts.tolist()
+    exact = [Fraction(p) for p in probs[starts].tolist()]
+    total = sum(n * p for n, p in zip(lengths, exact))
+    shares = [p * _WORDS / total for p in exact]
+    floors = [floor(x) for x in shares]
+    left = _WORDS - sum(n * w for n, w in zip(lengths, floors))
+    # runs are intervals of moves, so runs by remainder, then by start, list
+    # the moves by remainder, then by index: the first `left` take one more
+    more = [0] * len(starts)
+    for r in sorted(range(len(starts)), key=lambda r: (floors[r] - shares[r], r)):
+        if not left:
+            break
+        more[r] = min(lengths[r], left)
+        left -= more[r]
+    # (first move, moves, weight): each run's moves with one more word, then
+    # the rest, leaving out the empty pieces and those of weight 0
+    pieces = []
+    for start, length, w, m in zip(starts, lengths, floors, more):
+        pieces += [(start, m, w + 1), (start + m, length - m, w)]
+    pieces = [(start, n, w) for start, n, w in pieces if n and w]
+    kept = np.concatenate([np.arange(start, start + n) for start, n, _ in pieces])
+    # a lone move weighs 2**64, which is 0 in uint64: its cuts are empty
+    weights = np.repeat(np.array([w % _WORDS for _, _, w in pieces], dtype=np.uint64),
+                        [n for _, n, _ in pieces])
+    return kept, np.cumsum(weights)[:-1]
+
 
 def _increment_draw(dist: StepDistribution):
     """The law's draw(count, rng) of ``count`` i.i.d. increments, as flat
-    (dx, dy) arrays.  A finite law's table of moves is built here, once;
-    raises EnumerationBudgetError if it would hold more face moves than
-    ``DEFAULT_BUDGET``."""
+    (dx, dy) arrays decoded from ``rng.words``.  A finite law's table of
+    moves is built here, once; raises EnumerationBudgetError if it would
+    hold more face moves than ``DEFAULT_BUDGET``.
+
+    A uniform step is one word: bit 0 is the edge bit, and a face move's
+    i and j are the lengths of the next two runs of zero bits, so
+    P(E) = 1/2 and P(F(i, j)) = 2^-(i+j+3) exactly.  A run that passes bit
+    63 reads on into the words after the draw's, in step order.  A finite
+    step is one word, drawn against the integer weights of ``_word_cuts``.
+    """
     import numpy as np
     if dist.kind == "uniform":
-        # P(E) = 1/2, and a face move's i and j are independent with
-        # P(i) = (1 - lambda) lambda^i: P(F(i, j)) = 2^-(i+j+3) at lambda = 1/2
-        q = 1.0 - dist.lam
+        dx_table, dy_table = _uniform_table()
 
         def draw(count, rng):
-            is_edge = rng.np.integers(0, 2, size=count).astype(bool)
-            iis = rng.np.geometric(q, size=count) - 1
-            jjs = rng.np.geometric(q, size=count) - 1
-            return np.where(is_edge, 1, -iis), np.where(is_edge, -1, jjs)
+            words = rng.words(count)
+            low = words.view(np.int64) & _LOW_MASK  # an index-typed gather is faster
+            dxs, dys = dx_table[low], dy_table[low]
+            if count and dys.min() == _UNRESOLVED:
+                far = np.flatnonzero(dys == _UNRESOLVED)
+                dxs, dys = dxs.astype(np.int64), dys.astype(np.int64)
+                for k in far.tolist():
+                    i, j = _face_runs(int(words[k]), rng)
+                    dxs[k], dys[k] = -i, j
+            return dxs, dys
         return draw
     faces = sum(k - 1 for k in dist.face_probs)  # 0 for a direct law: it lists its moves
     if faces > DEFAULT_BUDGET:
@@ -59,13 +170,13 @@ def _increment_draw(dist: StepDistribution):
             f"draw table too large: the step law has {faces} face moves, "
             f"budget is {DEFAULT_BUDGET}", faces, DEFAULT_BUDGET)
     moves_probs = dist.finite_moves()
-    probs = np.array([p for _, p in moves_probs])
-    probs = probs / probs.sum()
-    deltas = np.array([mv.delta for mv, _ in moves_probs])
+    kept, cuts = _word_cuts(np.array([p for _, p in moves_probs]))
+    deltas = np.array([mv.delta for mv, _ in moves_probs])[kept]
+    dx_table, dy_table = deltas[:, 0].copy(), deltas[:, 1].copy()
 
     def draw(count, rng):
-        idx = rng.np.choice(len(probs), size=count, p=probs)
-        return deltas[idx, 0], deltas[idx, 1]
+        idx = np.searchsorted(cuts, rng.words(count), side="right")
+        return dx_table[idx], dy_table[idx]
     return draw
 
 

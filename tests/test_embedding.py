@@ -114,7 +114,7 @@ def test_every_small_map_has_a_certified_visibility_drawing():
             assert 0 <= x <= n_face and 0 <= y < 2 * m.n_vertices
         assert sorted(y for _, y in emb.coords.values()) == list(range(0, 2 * m.n_vertices, 2))
         n_bends += sum(map(len, emb.bends.values()))
-    assert n_bends == 63496
+    assert n_bends == 63458
 
 
 def test_certificate_failure_is_an_internal_error(monkeypatch):

@@ -1,6 +1,9 @@
 import hashlib
 import json
+from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction
+from math import floor
 
 import numpy as np
 import pytest
@@ -15,13 +18,15 @@ from bipolar_maps.simulate import (covariance_report, degrees_from_walk,
                                    interface_csv, interface_export,
                                    rejection_sample, rejection_sample_many,
                                    sample_simple_triangulation_walk,
-                                   tv_to_geometric)
+                                   tv_to_geometric, _increment_draw)
 from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk, walk_to_text
 from bipolar_maps.weights import (FaceWeights, direct_distribution,
                                   direct_distribution_from_text,
-                                  preset_weights, step_distribution)
+                                  preset_weights, step_distribution,
+                                  weights_from_text)
 
 from conftest import all_triangulation_walks, is_simple
+from philox_oracle import philox_words
 
 TRI = step_distribution(preset_weights("tri"))
 UNI = step_distribution(preset_weights("uniform"))
@@ -78,7 +83,7 @@ def test_rejection_without_a_walk_raises_before_any_proposal(law, m, n, ell):
     rng = CounterRng(1)
     with pytest.raises(NoMapsError, match="edge moves"):
         rejection_sample(PINNED_LAWS[law], m, n, ell, rng)
-    assert rng.np.integers(0, 2**32) == CounterRng(1).np.integers(0, 2**32)
+    assert rng.words(1)[0] == CounterRng(1).words(1)[0]
 
 
 def test_rejection_budget_error():
@@ -303,30 +308,30 @@ PINNED_LAWS["direct"] = direct_distribution({
     (-1, 1): 0.1})
 
 FREE_WALK_SHA256 = {
-    "tri": "8bdc3cc934a44fa7d985ae603fedc4a65c8c0bf8b0d8082e783dc82e870be810",
-    "quad": "5d4992c7a54b3febf634a62340d45fddb8551a812c542557144a2154a083679d",
-    "uniform": "318ac5b9cce95d0ca7a4ed1f14b957cbdc067aa77cd6b2838bba88c71ac25549",
-    "kgon:5": "01f86dfafc76a77c465e148ebceb821cc58bc020f51bf8fcd1ab39e79e283cc0",
-    "direct": "81eaa95e994c94b34e6058ff4a730f089cf3370be5a5a220a59f0beeb7b2e388",
+    "tri": "28fa20bf7336903c327c7410a5edfa452d17c36ba273cfe69ed3e46900bff25f",
+    "quad": "f12ef1b2d6da03b31b8f4fafb6e505fd488d4c461e1efe48f0d62a465ddc7b67",
+    "uniform": "2bdc05914bb655300989a843a5cf6156afd28144dae65cff9b855449974facd9",
+    "kgon:5": "406f96579eb37e7e64298c98ba8103cc766d7e7519bf5fe0ef4dfa528db81059",
+    "direct": "5b9210389286e1c3eb5133974ee1eb58e27ca2d4f10a20866a69b63846ddd25c",
 }
 
 
 @pytest.mark.parametrize("law", sorted(FREE_WALK_SHA256))
 def test_free_walk_is_pinned(law):
     # the walks and the stream position after them, for seeds 0-2 at 0 and
-    # 500 steps; each line after a walk is the next raw draw of its stream
+    # 500 steps; each line after a walk is the next raw word of its stream
     h = hashlib.sha256()
     for seed in range(3):
         for steps in (0, 500):
             rng = CounterRng(seed)
             h.update(walk_to_text(free_walk(PINNED_LAWS[law], steps, rng)).encode())
-            h.update(f"{rng.np.integers(0, 2**32)}\n".encode())
+            h.update(f"{rng.words(1)[0]}\n".encode())
     assert h.hexdigest() == FREE_WALK_SHA256[law]
 
 
 REJECTION_SHA256 = {
-    ("uniform", 0, 0, 9): "f394d7bd6024782e68382d4f1cfe84b0c5f314050c4caf5968038c90690c12c2",
-    ("tri", 0, 1, 12): "e01c00f172701410b4b388a43a36584c91eb6b41f1388b7ab289a4de601c285e",
+    ("uniform", 0, 0, 9): "77e523f65e7e7d2804501fca3e1ef9ddf9066f75cfd056701ae6a1735a8e0361",
+    ("tri", 0, 1, 12): "5a6345f6832a2cbb6a8b37ec314a1ebb2cf9a917e1f6111acd4f9d0b50f0bcd6",
 }
 
 
@@ -339,7 +344,7 @@ def test_rejection_sample_many_is_pinned(case):
         rng = CounterRng(seed)
         for walk in rejection_sample_many(PINNED_LAWS[law], m, n, ell, rng, 4):
             h.update(walk_to_text(walk).encode())
-        h.update(f"{rng.np.integers(0, 2**32)}\n".encode())
+        h.update(f"{rng.words(1)[0]}\n".encode())
     assert h.hexdigest() == REJECTION_SHA256[case]
 
 
@@ -422,6 +427,133 @@ def test_counter_rng_takes_numpy_ints():
     rng = CounterRng(np.uint64(7), np.int32(3))
     assert (type(rng.seed), type(rng.stream)) == (int, int)
     assert rng.randrange(2**70) == CounterRng(7, 3).randrange(2**70)
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (2**63, 1),
+                                          (2**64 - 1, 10_000)])
+def test_counter_rng_words_are_philox4x64_10(seed, stream):
+    # the raw words against a pure-Python Philox: words() in a few calls,
+    # and the words randrange takes, each block of 4 096 from its end
+    # (a bound of 2**64 never rejects: one word a draw)
+    expected = philox_words(seed, stream)
+    rng = CounterRng(seed, stream)
+    for count in (1, 5, 4096, 3):
+        assert rng.words(count).tolist() == [next(expected) for _ in range(count)]
+    expected = philox_words(seed, stream)
+    rng = CounterRng(seed, stream)
+    blocks = [[next(expected) for _ in range(4096)] for _ in range(2)]
+    assert [rng.randrange(2**64) for _ in range(5000)] == [
+        w for block in blocks for w in reversed(block)][:5000]
+
+
+class Words:
+    """A word source that hands out the given words in order."""
+
+    def __init__(self, words):
+        self.given, self.taken = list(words), 0
+
+    def words(self, count):
+        out = self.given[self.taken:self.taken + count]
+        assert len(out) == count, "the decoder read past the words given"
+        self.taken += count
+        return np.array(out, dtype=np.uint64)
+
+
+def bit_run_steps(words, count):
+    """``count`` uniform steps read bit by bit: step k starts at bit 0 of
+    words[k], 1 there is the edge move, and otherwise i and j count the zero
+    bits before each of the next two 1 bits; a run that passes bit 63 reads
+    on into words[count:], in step order."""
+    extra = iter(words[count:])
+    steps = []
+    for word in words[:count]:
+        if word & 1:
+            steps.append((1, -1))
+            continue
+        pos, runs = 1, []
+        for _ in range(2):
+            run = 0
+            while True:
+                if pos == 64:
+                    word, pos = next(extra), 0
+                pos += 1
+                if (word >> (pos - 1)) & 1:
+                    break
+                run += 1
+            runs.append(run)
+        steps.append((-runs[0], runs[1]))
+    return steps
+
+
+def decoded(dist, words, count):
+    source = Words(words)
+    dxs, dys = _increment_draw(dist)(count, source)
+    assert source.taken == len(words)
+    return list(zip(dxs.tolist(), dys.tolist()))
+
+
+def test_uniform_decode_is_the_bit_run_decoder():
+    # 10**5 Philox words, then words whose runs pass bit 15 (about one face
+    # word in 2 000 does) and bit 63, reading on into the words after them
+    words = CounterRng(5).words(100_000).tolist()
+    words += [0, 1 << 16, 1 << 17 | 1 << 40, 1 << 1, 1 << 63, 1 << 62,
+              1 << 10 | 1 << 20]
+    count = len(words)
+    words += [1 << 3, 0, 1 << 5 | 1 << 7, 1, 1 << 2, 1 << 4, 1 << 3]
+    steps = decoded(UNI, words, count)
+    assert steps == bit_run_steps(words, count)
+    assert steps[-7:] == [(-66, 129), (-15, 47), (-16, 22), (0, 64), (-62, 4),
+                          (-61, 4), (-9, 9)]
+    # the Philox words hold face words whose runs pass bit 15, too
+    assert sum(w & 1 == 0 and bin(w & 0xFFFF).count("1") < 2
+               for w in words[:100_000]) == 26
+
+
+def test_uniform_decode_reads_far_runs_in_step_order():
+    # three face words whose runs pass bit 63 take the words after the draw
+    # in step order; an edge word between them takes none
+    words = [0, 1, 1 << 1, 0] + [1 << 2, 1 << 3, 1 << 4, 1, 1 << 7]
+    assert decoded(UNI, words, 4) == [(-65, 64), (1, -1), (0, 66), (-63, 70)]
+
+
+def _largest_remainder(dist):
+    moves = dist.finite_moves()
+    probs = [Fraction(p) for _, p in moves]
+    shares = [p * 2**64 / sum(probs) for p in probs]
+    weights = [floor(x) for x in shares]
+    left = 2**64 - sum(weights)
+    for k in sorted(range(len(moves)), key=lambda k: (weights[k] - shares[k], k))[:left]:
+        weights[k] += 1
+    return [mv.delta for mv, _ in moves], weights
+
+
+FINITE_LAWS = {
+    **PINNED_LAWS,
+    "3-30": step_distribution(weights_from_text("3 1\n30 1\n")),
+    # the two moves of mass 0.15 have equal remainders, and one left-over
+    # word is theirs: the earlier move, (-1, 1), takes it
+    "split-tie": direct_distribution({(1, -1): 0.15, (0, 0): 0.7, (-1, 1): 0.15}),
+    # three quadrangle moves below 2**-64 weigh 0 words; a lone move all 2**64
+    "zero-weight": step_distribution(weights_from_text("3 1\n4 1e-25\n")),
+    "lone": direct_distribution({(0, 0): 1.0}),
+}
+
+
+@pytest.mark.parametrize("law", sorted(FINITE_LAWS.keys() - {"uniform"}))
+def test_finite_draw_gives_each_move_its_integer_weight(law):
+    # the weights: exact largest remainder of the law's float probabilities
+    # on 2**64 words; the draw gives move k every word of its interval
+    dist = FINITE_LAWS[law]
+    deltas, weights = _largest_remainder(dist)
+    assert sum(weights) == 2**64 and len(set(deltas)) == len(deltas)
+    starts = [sum(weights[:k]) for k in range(len(weights))]
+    probe = [w for s, wt in zip(starts, weights) if wt for w in (s, s + wt - 1)]
+    want = [d for d, wt in zip(deltas, weights) if wt for _ in range(2)]
+    assert decoded(dist, probe, len(probe)) == want
+    # between the interval ends too: 10**4 Philox words
+    words = CounterRng(3).words(10_000).tolist()
+    want = [deltas[bisect_right(starts, w) - 1] for w in words]
+    assert decoded(dist, words, len(words)) == want
 
 
 def test_local_iid_window():
