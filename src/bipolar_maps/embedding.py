@@ -26,9 +26,15 @@ horizontal position.  Placement runs on plain integers: the dyadic heights
 are integers over one power of two (the lcm of their denominators), every
 x and every bound is an integer pair (num, den), each constraint is a
 record of its two fixed corners and their height gaps, and the
-``Fraction`` coordinates are built once, at the end.  When an interval
-empties, the slack search raises the vertices that support it and resumes
-placement at the lowest of them.
+``Fraction`` coordinates are built once, at the end.  The sewing rule
+gives two facts (``_constraints`` proves them): every vertex but the two
+of the first edge has a lower bound, its west-chain predecessor or the
+east triangle it is created in, and at most one upper bound, from the
+one west triangle whose middle corner it can be.  So each interval runs
+from the greatest lower bound to that one upper bound, or is free-topped.
+When an interval empties, the slack search raises the free-topped
+vertices that support it, found by chasing the upper bounds down, and
+resumes placement at the lowest of them.
 
 Both functions return only drawings that pass one linear-time certificate
 of two local rules with exact integer predicates: every segment rises, and
@@ -160,7 +166,8 @@ def _creation_order(m: PlanarMap, tris):
 
 
 def _constraints(triangles, ys, below):
-    """Per creation rank, its lower and upper bound records.
+    """Per creation rank, its lower bound records and its one upper bound
+    record or None.
 
     Each triangle binds its last-created corner v, which must keep the
     middle corner strictly on the triangle's side of the upward chord from
@@ -169,13 +176,25 @@ def _constraints(triangles, ys, below):
     corners p, q leaves a half-line whose threshold is the x of the line
     through them at v's height:
     (x_p (y_q - y) + x_q (y - y_p)) / (y_q - y_p).  A record holds p, q and
-    the three height gaps; an upper record also holds the triangle's lowest
-    and highest corners, which the slack search raises.  A west-boundary
-    vertex is bounded below by its west-chain predecessor b, the leading
-    lower record (b, b, 0, 1, 1), whose threshold is x_b.
+    the three height gaps.  A west-boundary vertex is bounded below by its
+    west-chain predecessor b, the leading lower record (b, b, 0, 1, 1),
+    whose threshold is x_b.
+
+    The sewing rule (``sewing.Frontier.push_all``) gives two facts:
+
+    1. every rank >= 2 has a lower record: a west-boundary rank has its
+       leading record, and every other rank is created as the middle
+       corner of an east triangle F(0, 1), where it is the newest corner,
+       so that triangle bounds it from below;
+    2. a rank has at most one upper record: an east triangle bounds only
+       its new middle corner, from below, and a west triangle F(1, 0)
+       bounds its middle from above only when that corner is its newest.
+       F(1, 0) takes its middle off the frontier for good, so no vertex is
+       the middle of two west triangles.  That record's p, q are the
+       triangle's lowest and highest corners.
     """
     los: list[list] = [[] if b is None else [(b, b, 0, 1, 1)] for b in below]
-    his: list[list] = [[] for _ in ys]
+    his: list = [None] * len(ys)
     for u, w, z, side in triangles:
         v = max(u, w, z)
         p, q = (u, z) if v == w else (u, w) if v == z else (w, z)
@@ -183,76 +202,67 @@ def _constraints(triangles, ys, below):
         if (v == w) == (side == EAST):
             los[v].append(gaps)
         else:
-            his[v].append(gaps + ((u, z),))
+            his[v] = gaps
     return los, his
 
 
-def _place(start, los, his, boost, pos, hi_tri_of):
+def _place(start, los, his, boost, pos):
     """Place creation ranks ``start``, ``start + 1``, ... in order.
 
     Returns the first rank whose interval empties, or None once every rank
     is placed.  ``pos[v]`` is the x of rank v as a reduced integer pair
     (num, den) with den > 0; each bound of ``_constraints`` is such a pair,
     not reduced, bounds compare by cross-multiplying, and each placed rank
-    costs one ``gcd``.  The x of v depends only on the positions below v
-    and on ``boost[v]``, so a pass may resume at the lowest rank whose boost
-    changed and keep what lies below it, ``hi_tri_of`` (the lowest and
-    highest corners of the triangle that binds each rank from above)
-    included.  A rank with no upper record is free-topped; boosts are extra
-    slack exponents for those ranks, and raising them widens every later
-    interval that interpolates through them.
+    costs one ``gcd``.  Every rank placed here has a lower record and at
+    most one upper record (the two facts of ``_constraints``), so its
+    interval is the greatest lower bound up to that one upper bound.  The
+    x of v depends only on the positions below v and on ``boost[v]``, so a
+    pass may resume at the lowest rank whose boost changed and keep what
+    lies below it.  A rank with no upper record is free-topped; boosts are
+    extra slack exponents for those ranks, and raising them widens every
+    later interval that interpolates through them.
     """
     for v in range(start, len(pos)):
-        # a bound is a pair (num, den) with den > 0; den = 0 stands for none
-        lo_n = lo_d = 0
+        # (-1, 0) stands for minus infinity: the first record's num * 0 > -den
+        lo_n, lo_d = -1, 0
         for p, q, a, b, c in los[v]:
             (xp, dp), (xq, dq) = pos[p], pos[q]
             num, den = xp * dq * a + xq * dp * b, dp * dq * c
-            if not lo_d or num * lo_d > lo_n * den:
+            if num * lo_d > lo_n * den:
                 lo_n, lo_d = num, den
-        hi_n = hi_d = 0
-        hi_tri = None
-        for p, q, a, b, c, ends in his[v]:
-            (xp, dp), (xq, dq) = pos[p], pos[q]
-            num, den = xp * dq * a + xq * dp * b, dp * dq * c
-            if not hi_d or num * hi_d < hi_n * den:
-                hi_n, hi_d, hi_tri = num, den, ends
-        hi_tri_of[v] = hi_tri
-        if not hi_d:
+        if his[v] is None:
             # exponential slack leaves room for everything hung here later
-            if not lo_d:
-                num, den = 0, 1
-            else:
-                num, den = lo_n + (lo_d << 2 * (v + boost.get(v, 0))), lo_d
-        elif not lo_d:
-            num, den = hi_n - hi_d, hi_d
-        elif lo_n * hi_d >= hi_n * lo_d:
-            return v
+            num, den = lo_n + (lo_d << 2 * (v + boost.get(v, 0))), lo_d
         else:
+            p, q, a, b, c = his[v]
+            (xp, dp), (xq, dq) = pos[p], pos[q]
+            hi_n, hi_d = xp * dq * a + xq * dp * b, dp * dq * c
+            if lo_n * hi_d >= hi_n * lo_d:
+                return v
             num, den = lo_n * hi_d + hi_n * lo_d, 2 * lo_d * hi_d
         g = gcd(num, den)
         pos[v] = (num // g, den // g)
     return None
 
 
-def _raisable(bad, hi_tri_of, his) -> set[int]:
-    """Free-topped ranks (those with no upper record) reached by chasing
-    binding upper triangles from ``bad``.
+def _raisable(bad, his) -> set[int]:
+    """Free-topped ranks (those with no upper record) reached from ``bad``
+    by chasing the lowest and highest corners ``his[e][:2]`` of each upper
+    record met.
 
-    Pushing those east widens the emptied interval.
+    Only ranks with an upper record are chased: ``bad`` has one, since only
+    an upper bound can empty an interval, and so does every rank queued.
+    Pushing the free-topped ones east widens the emptied interval.
     """
     raisable: set[int] = set()
     queue = [bad]
     seen = {bad}
     while queue:
-        ends = hi_tri_of[queue.pop()]
-        if ends is None:
-            continue
-        for e in ends:
+        for e in his[queue.pop()][:2]:
             if e < 2 or e in seen:
                 continue
             seen.add(e)
-            if not his[e]:
+            if his[e] is None:
                 raisable.add(e)
             else:
                 queue.append(e)
@@ -265,18 +275,16 @@ def upward_embed(m: PlanarMap) -> Embedding:
     tris = _triangles(m)
     _check_simple_triangulation(m, tris)
     verts, ys, scale, below, triangles = _creation_order(m, tris)
-    n_creation = len(verts)
 
     los, his = _constraints(triangles, ys, below)
-    pos: list = [(0, 1), (0, 1)] + [None] * (n_creation - 2)
-    hi_tri_of: list = [None] * n_creation
+    pos: list = [(0, 1), (0, 1)] + [None] * (len(verts) - 2)
     boost: dict[int, int] = {}
     start = 2
     for _ in range(400):
-        bad = _place(start, los, his, boost, pos, hi_tri_of)
+        bad = _place(start, los, his, boost, pos)
         if bad is None:
             break
-        raisable = _raisable(bad, hi_tri_of, his)
+        raisable = _raisable(bad, his)
         if not raisable:
             raise EmbeddingInternalError(
                 "embedding construction failed: empty placement interval "

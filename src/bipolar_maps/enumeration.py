@@ -133,8 +133,9 @@ def _count_layers(w: FaceWeights, m: int, n: int, ell: int, budget: int):
     # the forward reach: cells a walk from the start holds at time t without
     # losing the end (left of x = n - r, the r edge moves to come fall short)
     live = [np.zeros(padded(t), dtype=bool) for t in range(T + 1)]
-    if m < boxes[0][1] and n <= T:
-        box(live[0], 0)[start] = True
+    # feasible passed, so T >= max(m, n): the start and the end lie in
+    # their boxes
+    box(live[0], 0)[start] = True
     for t in range(T):
         nxt = box(live[t + 1], t + 1)
         for dx, dy in deltas:
@@ -142,7 +143,7 @@ def _count_layers(w: FaceWeights, m: int, n: int, ell: int, budget: int):
         if n > T - t - 1:
             nxt[:n - (T - t - 1)] = False
     states = 1 + sum(int(np.count_nonzero(a)) for a in live[1:])
-    if not (n < boxes[T][0] and box(live[T], T)[end]):  # no walk: total 0
+    if not box(live[T], T)[end]:  # no walk: total 0
         return moves, states, iter(())
 
     def layers():

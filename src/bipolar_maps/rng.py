@@ -10,8 +10,7 @@ multinomial, through ``rng.np``, is the one draw that does).  Exact integer draw
 (big) bounds use rejection on those words: ``randrange`` takes them in
 blocks of 4 096 and turns them into Python ints 512 at a time, from the
 end of the block, as they are taken, so a stream that takes a few words
-does not convert the whole block; a bound above 2**64 takes its words from
-the converted ones in one slice when they hold them.  The samplers in
+does not convert the whole block.  The samplers in
 ``simulate`` decode ``words`` arrays directly.
 
 numpy is imported, and the generator built, at the first draw (the first
@@ -92,15 +91,8 @@ class CounterRng:
         mask = (1 << bits) - 1
         while True:
             raw = 0
-            buf = self._buf
-            if len(buf) >= words:
-                # one slice, read in the order pop() would give
-                for w in buf[:-words - 1:-1]:
-                    raw = (raw << 64) | w
-                del buf[-words:]
-            else:
-                for _ in range(words):
-                    raw = (raw << 64) | self._word()
+            for _ in range(words):
+                raw = (raw << 64) | self._word()
             raw &= mask
             if raw < n:
                 return raw

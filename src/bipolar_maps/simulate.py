@@ -33,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import floor, sqrt
 
 from .errors import (DEFAULT_BUDGET, BipolarError, EnumerationBudgetError,
@@ -93,32 +94,31 @@ def _face_runs(word: int, rng) -> tuple[int, int]:
     return runs[0], runs[1]
 
 
-def _word_cuts(probs):
+def _word_cuts(lengths, probs):
     """Integer weights for a finite law's moves that sum to exactly 2**64,
     as (kept, cuts): the indices of the moves of positive weight, and the
     running sums of their weights but the last, so that a word w draws
     kept[searchsorted(cuts, w, side="right")].
 
-    The weights are the float probabilities, normalised exactly, times
-    2**64, rounded by largest remainder: each is the floor of its exact
-    share, and the words left over go one each to the moves of largest
-    remainder, the earlier move first on a tie.  A run of equal
-    probabilities (the k - 1 moves of a k-gon) shares its arithmetic, so a
-    law of many face moves and few degrees costs a few passes over them.
+    The moves come in runs, ``lengths[r]`` moves of probability
+    ``probs[r]`` each.  The weights are the float probabilities, normalised
+    exactly, times 2**64, rounded by largest remainder: each is the floor
+    of its exact share, and the words left over go one each to the moves
+    of largest remainder, the earlier move first on a tie.  A run (the
+    k - 1 moves of a k-gon) shares its arithmetic, so a law of many face
+    moves and few degrees costs a few passes over them.
     """
     import numpy as np
-    starts = np.flatnonzero(np.concatenate(([True], probs[1:] != probs[:-1])))
-    lengths = np.diff(np.append(starts, len(probs))).tolist()
-    starts = starts.tolist()
-    exact = [Fraction(p) for p in probs[starts].tolist()]
+    starts = list(accumulate(lengths, initial=0))
+    exact = [Fraction(p) for p in probs]
     total = sum(n * p for n, p in zip(lengths, exact))
     shares = [p * _WORDS / total for p in exact]
     floors = [floor(x) for x in shares]
     left = _WORDS - sum(n * w for n, w in zip(lengths, floors))
     # runs are intervals of moves, so runs by remainder, then by start, list
     # the moves by remainder, then by index: the first `left` take one more
-    more = [0] * len(starts)
-    for r in sorted(range(len(starts)), key=lambda r: (floors[r] - shares[r], r)):
+    more = [0] * len(lengths)
+    for r in sorted(range(len(lengths)), key=lambda r: (floors[r] - shares[r], r)):
         if not left:
             break
         more[r] = min(lengths[r], left)
@@ -139,8 +139,10 @@ def _word_cuts(probs):
 def _increment_draw(dist: StepDistribution):
     """The law's draw(count, rng) of ``count`` i.i.d. increments, as flat
     (dx, dy) arrays decoded from ``rng.words``.  A finite law's table of
-    moves is built here, once; raises EnumerationBudgetError if it would
-    hold more face moves than ``DEFAULT_BUDGET``.
+    moves is built here, once, as arrays from its runs of moves
+    (``StepDistribution.move_runs``), with no object per move; raises
+    EnumerationBudgetError if it would hold more face moves than
+    ``DEFAULT_BUDGET``.
 
     A uniform step is one word: bit 0 is the edge bit, and a face move's
     i and j are the lengths of the next two runs of zero bits, so
@@ -169,10 +171,13 @@ def _increment_draw(dist: StepDistribution):
         raise EnumerationBudgetError(
             f"draw table too large: the step law has {faces} face moves, "
             f"budget is {DEFAULT_BUDGET}", faces, DEFAULT_BUDGET)
-    moves_probs = dist.finite_moves()
-    kept, cuts = _word_cuts(np.array([p for _, p in moves_probs]))
-    deltas = np.array([mv.delta for mv, _ in moves_probs])[kept]
-    dx_table, dy_table = deltas[:, 0].copy(), deltas[:, 1].copy()
+    dxs, dys, lengths, probs = zip(*dist.move_runs())
+    kept, cuts = _word_cuts(lengths, probs)
+    # the t-th move of run r steps by (dx_r - t, dy_r - t)
+    run = np.repeat(np.arange(len(lengths)), lengths)[kept]
+    t = kept - np.array(list(accumulate(lengths, initial=0)))[run]
+    dx_table = np.array(dxs, dtype=np.int64)[run] - t
+    dy_table = np.array(dys, dtype=np.int64)[run] - t
 
     def draw(count, rng):
         idx = np.searchsorted(cuts, rng.words(count), side="right")
@@ -428,7 +433,6 @@ class StatReport:
     tv_in: float | None = None
     tv_out: float | None = None
     degree_corr: float | None = None
-    chi_square: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -456,8 +460,6 @@ class StatReport:
                 "tv_out_vs_geometric3": self.tv_out,
                 "in_out_correlation": self.degree_corr,
             }
-        if self.chi_square:
-            out["chi_square"] = self.chi_square
         return out
 
     def human_table(self) -> str:

@@ -194,17 +194,27 @@ class StepDistribution:
         return sorted({mv.degree for mv, _ in self.finite_moves()
                        if isinstance(mv, FaceMove)})
 
-    def finite_moves(self) -> list[tuple[Move, float]]:
-        """All moves with positive probability; rejects the uniform family."""
+    def move_runs(self) -> list[tuple[int, int, int, float]]:
+        """The law's table of moves as runs (dx, dy, n, p): n moves of
+        probability p each, the t-th of them stepping by (dx - t, dy - t).
+
+        A finite law lists the edge move, then one run per face degree k,
+        its k - 1 moves F(i, k - 2 - i) in order of i; a direct law lists
+        its moves by increment, each a run of one.  Rejects the uniform
+        family.
+        """
         if self.kind == "uniform":
             raise BipolarError("uniform family has infinitely many moves")
         if self.kind == "direct":
-            return [(move_of(dx, dy), p) for (dx, dy), p in sorted(self.direct.items())]
-        out = [(EDGE, self.p_edge)]
-        for k in sorted(self.face_probs):
-            for i in range(k - 1):
-                out.append((face_move(i, k - 2 - i), self.face_probs[k]))
-        return out
+            return [(dx, dy, 1, p) for (dx, dy), p in sorted(self.direct.items())]
+        return [(1, -1, 1, self.p_edge)] + [(0, k - 2, k - 1, p)
+                                             for k, p in sorted(self.face_probs.items())]
+
+    def finite_moves(self) -> list[tuple[Move, float]]:
+        """All moves with positive probability, in the order of
+        ``move_runs``; rejects the uniform family."""
+        return [(move_of(dx - t, dy - t), p)
+                for dx, dy, n, p in self.move_runs() for t in range(n)]
 
 
 def period(w: FaceWeights) -> int:

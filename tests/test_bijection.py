@@ -35,6 +35,14 @@ def test_initial_state():
     assert unsew(st) == ()
 
 
+def test_initial_state_numbers_its_edge_0_to_1():
+    # the fold numbers vertices as Frontier does, from 0: the first edge
+    # runs from the start vertex 0 to the active vertex 1
+    st = initial_state()
+    assert (st.start, st.bottom, st.active, st.top) == (0, 0, 1, 1)
+    assert sorted(st.vertices) == [0, 1] and (st.lo, st.hi) == ([0], [1])
+
+
 def test_apply_move_is_pure():
     st = initial_state()
     st2 = apply_move(st, EDGE)

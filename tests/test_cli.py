@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import shlex
@@ -14,7 +15,7 @@ from bipolar_maps import cli, enumeration, simulate
 from bipolar_maps.cli import main
 from bipolar_maps.embedding import visibility_drawing
 from bipolar_maps.enumeration import exact_sample
-from bipolar_maps.planar_map import canonical_form, map_from_json
+from bipolar_maps.planar_map import canonical_form, map_from_json, map_to_json
 from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import walk_to_map
 from bipolar_maps.simulate import interface_csv, interface_export
@@ -320,6 +321,23 @@ def test_config_file(tmp_path, capsys):
     cfg.write_text(json.dumps({"weights": "tri", "m": 0, "n": 1, "edges": 6}))
     code, out, _ = run(capsys, "count", "--config", str(cfg), "--edges", "6")
     assert code == 0 and out.strip() == "5"
+
+
+def test_config_file_sets_a_flag(tmp_path, capsys):
+    # a flag in the file is a default: closed_form counts without the table
+    # that a budget of 10 cells refuses
+    cfg = tmp_path / "cfg.json"
+    for closed_form, want in ((True, (0, "87516")), (False, (3, ""))):
+        cfg.write_text(json.dumps({"closed_form": closed_form, "budget": 10}))
+        code, out, _ = run(capsys, "count", "--config", str(cfg), "--edges", "18")
+        assert (code, out.strip()) == want
+
+
+def test_map2walk_reads_stdin(monkeypatch, capsys):
+    walk = exact_sample(preset_weights("tri"), 0, 1, 12, CounterRng(7))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(map_to_json(walk_to_map(walk))))
+    code, out, _ = run(capsys, "map2walk", "--in", "-")
+    assert code == 0 and out == walk_to_text(walk)
 
 
 def test_verify_quick(capsys):

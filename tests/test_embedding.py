@@ -376,6 +376,53 @@ def test_drawings_are_pinned(monkeypatch):
         assert h.hexdigest() == digest, (ell, seed)
 
 
+def _fact_maps():
+    """Every simple triangulation of at most 9 moves, over every boundary,
+    then the steered maps of 150 to 1 200 edges."""
+    for walk in all_triangulation_walks(9):
+        m = walk_to_map(walk)
+        if is_simple(m):
+            yield m
+    for ell in (150, 300, 600, 1200):
+        yield walk_to_map(sample_simple_triangulation_walk(0, 1, ell, CounterRng(1, ell)))
+
+
+def test_every_rank_has_a_lower_record_and_at_most_one_upper():
+    # the two facts the slack search rests on (embedding._constraints),
+    # counted from the triangles themselves: a triangle bounds its newest
+    # corner v from below when v is the middle of an east triangle or an
+    # end of a west one, and from above otherwise; the records must match
+    n_maps = 0
+    n_upper = [0, 0]
+    for m in _fact_maps():
+        n_maps += 1
+        verts, ys, _, below, triangles = embedding._creation_order(m, embedding._triangles(m))
+        lower = [0 if b is None else 1 for b in below]
+        upper = [[] for _ in verts]
+        west_middles = [w for _, w, _, side in triangles if side == embedding.WEST]
+        assert len(set(west_middles)) == len(west_middles)
+        for u, w, z, side in triangles:
+            v = max(u, w, z)
+            if (v == w) == (side == embedding.EAST):
+                lower[v] += 1
+            else:
+                upper[v].append((u, w, z, side))
+        los, his = embedding._constraints(triangles, ys, below)
+        assert his[:2] == [None, None]
+        for v in range(2, len(verts)):
+            assert lower[v] == len(los[v]) >= 1
+            assert len(upper[v]) <= 1
+            if upper[v]:
+                (u, w, z, side), = upper[v]
+                assert (side, w) == (embedding.WEST, v)
+                assert his[v][:2] == (u, z) and ys[u] < ys[v] < ys[z]
+            else:
+                assert his[v] is None
+            n_upper[len(upper[v])] += 1
+    assert n_maps == 2180
+    assert n_upper == [11075, 289]
+
+
 def test_interface_path_is_traced_once_per_map(monkeypatch):
     # the drawing, its SVG and the walk of one map share one interface path
     traces = []

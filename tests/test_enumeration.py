@@ -117,6 +117,26 @@ def test_exact_sample_no_maps():
         exact_sample(TRI, 0, 1, 4, CounterRng(1))
 
 
+def test_exact_sampler_refuses_a_zero_count_that_passes_feasible():
+    # quad (0, 0) at 3 edges passes the necessary conditions, but no walk
+    # of two steps closes
+    quad = preset_weights("quad")
+    assert feasible(quad, 0, 0, 3)[0]
+    with pytest.raises(NoMapsError, match="the count is zero"):
+        exact_sampler(quad, 0, 0, 3)
+
+
+def test_exact_sampler_falls_back_to_the_tableau_past_its_budget():
+    # tri (0, 1) at 99 edges takes a count table, but not in 1 000 cells:
+    # its draws are the tableau's.  quad (0, 0) has no tableau, so its
+    # budget error stands
+    draw = exact_sampler(TRI, 0, 1, 99, budget=1000)
+    assert [draw(CounterRng(s)) for s in range(3)] == \
+        [_syt_walk(33, CounterRng(s), drop_last=True) for s in range(3)]
+    with pytest.raises(EnumerationBudgetError):
+        exact_sampler(preset_weights("quad"), 0, 0, 201, budget=1000)
+
+
 def test_exact_sample_deterministic():
     a = exact_sample(TRI, 0, 1, 30, CounterRng(9))
     b = exact_sample(TRI, 0, 1, 30, CounterRng(9))

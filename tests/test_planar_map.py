@@ -444,6 +444,24 @@ def test_scan_agrees_with_oracle_on_small_triangulations():
         _agrees_with_oracle(walk_to_map(walk))
 
 
+@pytest.mark.parametrize("n_vertices, edges, rotations, north, kinds", [
+    (2, [(0, 1), (1, 1)], [[0], [1, 2, 3]], 1, ["loop", "sink", "cycle"]),
+    (3, [(0, 1), (1, 2), (1, 1)], [[0], [1, 2, 4, 5], [3]], 2,
+     ["loop", "cycle", "boundary"]),
+    (3, [(0, 1), (1, 2), (1, 1)], [[0], [1, 4, 5, 2], [3]], 2,
+     ["loop", "cycle", "rotation"]),
+    (4, [(0, 1), (2, 3)], [[0], [1], [2], [3]], 1, ["source", "sink", "connect"]),
+    (4, [(0, 1), (2, 3), (3, 2)], [[0], [1], [2, 5], [3, 4]], 1, ["cycle", "connect"]),
+], ids=["loop-at-north", "loop-outside", "loop-inside", "two-pieces", "island-cycle"])
+def test_scan_reports_loops_and_pieces_as_the_oracle_does(n_vertices, edges, rotations,
+                                                          north, kinds):
+    # no walk builds a self-loop or a second piece, so these maps are built
+    # by hand; the scan's report, faces and errors are the oracle's
+    mp = PlanarMap(n_vertices, edges, rotations, 0, north, 0)
+    assert [v.kind for v in validate_bipolar(mp)] == kinds
+    _agrees_with_oracle(mp)
+
+
 def test_map_to_walk_shares_one_move_per_face_type():
     walk = exact_sampler(preset_weights("tri"), 0, 1, 3_000)(CounterRng(5, 0))
     back = map_to_walk(walk_to_map(walk))

@@ -20,7 +20,7 @@ from bipolar_maps.simulate import (covariance_report, degrees_from_walk,
                                    sample_simple_triangulation_walk,
                                    tv_to_geometric, _increment_draw)
 from bipolar_maps.walks import EDGE, FaceMove, LatticeWalk, walk_to_text
-from bipolar_maps.weights import (FaceWeights, direct_distribution,
+from bipolar_maps.weights import (FaceWeights, StepDistribution, direct_distribution,
                                   direct_distribution_from_text,
                                   preset_weights, step_distribution,
                                   weights_from_text)
@@ -554,6 +554,31 @@ def test_finite_draw_gives_each_move_its_integer_weight(law):
     words = CounterRng(3).words(10_000).tolist()
     want = [deltas[bisect_right(starts, w) - 1] for w in words]
     assert decoded(dist, words, len(words)) == want
+
+
+def test_finite_draw_tables_make_no_move_objects(monkeypatch):
+    # a finite and a direct law's draw tables come from their move runs,
+    # never from finite_moves, and give each move its integer weight
+    laws = [FINITE_LAWS["3-30"], FINITE_LAWS["split-tie"]]
+    references = [_largest_remainder(dist) for dist in laws]
+
+    def refuse(self):
+        raise AssertionError("finite_moves was called")
+
+    monkeypatch.setattr(StepDistribution, "finite_moves", refuse)
+    words = CounterRng(4).words(10_000).tolist()
+    for dist, (deltas, weights) in zip(laws, references):
+        starts = [sum(weights[:k]) for k in range(len(weights))]
+        want = [deltas[bisect_right(starts, w) - 1] for w in words]
+        assert decoded(dist, words, len(words)) == want
+
+
+def test_rejection_draw_of_one_edge_reads_no_words():
+    # at ell = 1 the one walk is the empty one, and the stream stays unread
+    rng = CounterRng(6)
+    for dist in (TRI, UNI):
+        assert rejection_sample_many(dist, 0, 0, 1, rng, 3) == [LatticeWalk((0, 0), ())] * 3
+    assert rng.words(4).tolist() == CounterRng(6).words(4).tolist()
 
 
 def test_local_iid_window():

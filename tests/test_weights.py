@@ -20,6 +20,18 @@ def test_lambda_presets():
     assert abs(solve_lambda(preset_weights("kgon:5")) - 6 ** (-1 / 5)) <= 1e-12
 
 
+def test_solve_lambda_finds_a_root_above_one():
+    # a triangle of weight 1/2 has the drift sum lambda^3 / 2: the root is
+    # 2^(1/3), which the search reaches by doubling its upper end
+    assert abs(solve_lambda(FaceWeights({3: Fraction(1, 2)})) - 2 ** (1 / 3)) <= 1e-12
+
+
+def test_solve_lambda_refuses_a_root_past_its_search():
+    # the root (10^40)^(1/3), about 2.2e13, lies past the search's 1e12
+    with pytest.raises(NoZeroDriftError, match="no zero-drift distribution exists"):
+        solve_lambda(FaceWeights({3: 1e-40}))
+
+
 def test_no_zero_drift():
     with pytest.raises(ValueError):
         FaceWeights({2: Fraction(1)})  # no degree >= 3 with positive weight
