@@ -519,17 +519,19 @@ def verify_upward_planar(m: PlanarMap, emb: Embedding) -> list[str]:
     scale = lcm(*(c.denominator for _, p in points for c in p))
 
     def ipos(p):
-        return (int(p[0] * scale), int(p[1] * scale))
+        x, y = p
+        return (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
 
+    ipts = [ipos(p) for _, p in points]
+    at = dict(zip(emb.coords, ipts))  # each vertex converted once
     seen_pts: dict[tuple[int, int], str] = {}
-    for name, p in points:
-        pt = ipos(p)
+    for (name, _), pt in zip(points, ipts):
         if pt in seen_pts:
             problems.append(f"{seen_pts[pt]} and {name} coincide")
         seen_pts[pt] = name
     segs = []
     for e, (t, h) in enumerate(m.edges):
-        chain = [ipos(emb.coords[t]), *map(ipos, emb.bends.get(e, ())), ipos(emb.coords[h])]
+        chain = [at[t], *map(ipos, emb.bends.get(e, ())), at[h]]
         if any(not p[1] < q[1] for p, q in zip(chain, chain[1:])):
             problems.append(f"edge {e} does not point strictly upward")
         segs += [(e, p, q) for p, q in zip(chain, chain[1:])]

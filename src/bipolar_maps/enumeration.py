@@ -1,11 +1,11 @@
 """Exact counting and exact sampling of quadrant walks.
 
 Counts come from a layered dynamic program over quadrant positions, kept
-exact with big integers (or Fractions for non-integer face weights).  Each
-layer is a dense array over the box of positions a walk can hold at that
-time, allocated once with a margin of zeros, and computed from the
-previous layer by one shifted slice per move.  ``build_count_table`` keeps
-each finished layer as nested lists padded with zeros (``CountTable.rows``);
+exact with big integers (or Fractions for non-integer face weights), on
+Python lists.  Each layer is rows of counts over the box of positions a
+walk can hold at that time, padded with zeros, and each row a walk reaches
+is computed from the previous layer by one strided slice per move.
+``build_count_table`` keeps every layer (``CountTable.rows``);
 ``count_walks`` keeps only the newest layer.  The rows drive the
 exhaustive enumeration and exact sampling by rank: every move from a cell
 of one layer reads the next row in range, with no bounds check.  The walks
@@ -16,8 +16,9 @@ families with tiny boundaries scale far beyond the table budget through an
 equivalent tableau encoding, drawn cell by cell by the hook-length ratio
 rule.
 
-numpy is imported by the count-table DP only, so the closed form and the
-tableau sampler load without it.  ``enumerate_maps`` imports ``sewing``
+The module imports no numpy: counting, enumerating and drawing small maps
+run without it (a draw past its stream's first words loads it, see
+``rng``).  ``enumerate_maps`` imports ``sewing``
 itself, the one function here that decodes walks into maps, so counting
 and drawing walks load no map code.  ``DEFAULT_BUDGET`` is
 ``errors.DEFAULT_BUDGET``.
@@ -28,7 +29,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import combinations, repeat
+from math import factorial, gcd, lcm
+from operator import add, mul
 
 from .errors import DEFAULT_BUDGET, EnumerationBudgetError, NoMapsError
 from .rng import CounterRng
@@ -55,6 +58,7 @@ class CountTable:
     layers 1..length that walks from the start reach without losing the
     end.  A table whose total is 0 has no rows; when the boundary data
     fail ``weights.feasible`` it is empty: no moves, no rows, states 0.
+    The rows of a layer that hold no count may be one shared list.
     Its walks own ``rank_count(table)`` ranks, which ``walk_of_rank``
     decodes and ``sample_from_table`` draws.
 
@@ -76,17 +80,40 @@ def _weighted_moves(w: FaceWeights, most: int) -> tuple[tuple[Move, object], ...
     return tuple((mv, int(a) if integral else a) for mv, a in mvs)
 
 
+def _y_period(deltas) -> int:
+    """The walk lattice's y-period: the least p > 0 such that two cells of
+    one row (one x) that walks from the start reach at one time have y
+    apart by a multiple of p; 1 when the moves span only a line.
+
+    The cells reached at time t lie in start + t*d0 + L, for L the lattice
+    of the differences d - d0 of the moves.  In Hermite form L has the
+    basis (g, h), (0, p) with g the gcd of the differences' x parts and
+    g*p the gcd of their 2 x 2 minors."""
+    (x0, y0), *rest = deltas
+    diffs = [(dx - x0, dy - y0) for dx, dy in rest]
+    det = gcd(*(a * d - b * c for (a, b), (c, d) in combinations(diffs, 2)))
+    return det // gcd(*(a for a, _ in diffs)) if det else 1
+
+
 def _count_layers(w: FaceWeights, m: int, n: int, ell: int, budget: int):
     """The layered DP behind ``build_count_table`` and ``count_walks``.
 
     Returns ``(moves, states, layers)``: the table's moves and states (see
-    ``CountTable``), and an iterator over layers 0..ell-1 in turn, each a
-    numpy object array indexed ``[x, y]`` and padded with zeros as
-    ``CountTable.rows`` is.  The iterator computes each layer from the one
-    before and then drops that one; it yields nothing when the count is 0.
-    Every layer's box is counted against ``budget`` before any work.
+    ``CountTable``), and an iterator over layers 0..ell-1 in turn, each as
+    rows padded with zeros as ``CountTable.rows`` is.  The iterator
+    computes each layer from the one before; it yields nothing when the
+    count is 0.  Every layer's box is counted against ``budget`` before
+    any work.
+
+    The forward reach of time t is one int bitmask: bit y of its row x is
+    set when a walk from the start holds (x, y) at time t without losing
+    the end.  A row's set bits lie on one residue class mod the y-period
+    (``_y_period``), so each reached row of a backward layer is one strided
+    slice, from its lowest set bit to its highest, of the sum over the
+    moves of one strided slice of a row of the layer before; a cell of the
+    slice off the reach is set back to 0.  Unreached rows share one list of
+    zeros.
     """
-    import numpy as np
     check_boundary(m, n, ell)
     if w.uniform:
         raise ValueError(
@@ -94,7 +121,6 @@ def _count_layers(w: FaceWeights, m: int, n: int, ell: int, budget: int):
             "and sampling need a finite one; sample them by rejection or as "
             "free walks (--method rejection or --method free)")
     T = ell - 1
-    start, end = (0, m), (n, 0)
     moves = _weighted_moves(w, T)
     # the edge move is (1, -1) and a face move is (-i, j), so no move
     # changes x or y by more than `step`
@@ -116,49 +142,83 @@ def _count_layers(w: FaceWeights, m: int, n: int, ell: int, budget: int):
     if not feasible(w, m, n, ell)[0]:
         return (), 0, iter(())
 
-    # an array of time t holds box t at offset (step, step) and reaches
-    # `step` past boxes t - 1, t and t + 1 on every side, so each move
-    # between neighbouring times reads one slice of it
-    def padded(t):
-        near = boxes[max(t - 1, 0):t + 2]
-        return (max(bx for bx, _ in near) + 2 * step,
-                max(by for _, by in near) + 2 * step)
-
-    def box(a, t, dx=0, dy=0):
-        """The cells of `a` at box t, or one move (dx, dy) away from it."""
-        x, y = step + dx, step + dy
-        return a[x:x + boxes[t][0], y:y + boxes[t][1]]
-
     deltas = [mv.delta for mv, _ in moves]
-    # the forward reach: cells a walk from the start holds at time t without
-    # losing the end (left of x = n - r, the r edge moves to come fall short)
-    live = [np.zeros(padded(t), dtype=bool) for t in range(T + 1)]
-    # feasible passed, so T >= max(m, n): the start and the end lie in
-    # their boxes
-    box(live[0], 0)[start] = True
+    # row x of the reach of time t is bits x*width.. of one int, so a move
+    # (dx, dy) shifts it by dx*width + dy.  A row of `width` bits has `step`
+    # bits to spare above every box: a cell that a face move lifts past its
+    # box stays in its row, and one that the edge move takes below y = 0
+    # lands on bit width - 1 of the row below; the box mask drops both.
+    # `width` is a whole number of bytes, so reached_rows cuts rows as bytes
+    width = -(-(max(by for _, by in boxes) + step) // 8) * 8
+    shifts = [dx * width + dy for dx, dy in deltas]
+    most = max(bx for bx, _ in boxes)
+    ones = ((1 << (most * width)) - 1) // ((1 << width) - 1)  # bit 0 of each row
+    live = [1 << m]  # feasible passed, so the start lies in its box
     for t in range(T):
-        nxt = box(live[t + 1], t + 1)
-        for dx, dy in deltas:
-            nxt |= box(live[t], t + 1, -dx, -dy)
-        if n > T - t - 1:
-            nxt[:n - (T - t - 1)] = False
-    states = 1 + sum(int(np.count_nonzero(a)) for a in live[1:])
-    if not box(live[T], T)[end]:  # no walk: total 0
+        cur, nxt = live[t], 0
+        for s in shifts:
+            nxt |= cur << s if s >= 0 else cur >> -s
+        # left of x = n - r the r edge moves to come fall short of the end
+        bx, by = boxes[t + 1]
+        cut = max(n - (T - t - 1), 0)
+        rows = ones >> ((most - bx + cut) * width) << (cut * width)
+        live.append(nxt & rows * ((1 << by) - 1))
+    states = 1 + sum(map(int.bit_count, live[1:]))
+    if not live[T] >> (n * width) & 1:  # no walk: total 0
         return moves, states, iter(())
 
+    period = _y_period(deltas)
+    # (dx, dy, weight), the edge move first (FaceWeights.moves), the weight
+    # None for an int 1; a Fraction weight of 1 still makes the counts Fractions
+    (_, _, edge_wt), *faces = [(dx, dy, None if wt == 1 and isinstance(wt, int) else wt)
+                               for (dx, dy), (_, wt) in zip(deltas, moves)]
+    row_bytes = [slice(i, i + width // 8) for i in range(0, most * width // 8, width // 8)]
+
+    def reached_rows(t):
+        """Each row of box t's reach, as an int."""
+        reach = live[t].to_bytes(boxes[t][0] * width // 8, "little")
+        return map(int.from_bytes, map(reach.__getitem__, row_bytes[:boxes[t][0]]),
+                   repeat("little"))
+
+    def shape(t):
+        """Layer t's rows and their length: past box t they reach `step`
+        beyond the boxes of times t - 1, t and t + 1."""
+        near = boxes[max(t - 1, 0):t + 2]
+        return (max(bx for bx, _ in near) + step, max(by for _, by in near) + step)
+
     def layers():
-        layer = np.zeros(padded(T), dtype=object)
-        box(layer, T)[end] = 1
-        yield layer[step:, step:]
+        nx, ny = shape(T)
+        zero = [0] * ny
+        layer = [zero] * nx
+        layer[n] = [1] + [0] * (ny - 1)
+        yield layer
         for t in range(T - 1, -1, -1):
-            live.pop()  # the mask of time t + 1, which no later layer reads
-            prev, layer = layer, np.zeros(padded(t), dtype=object)
-            dst, mask = box(layer, t), box(live[t], t)
-            for (_, wt), (dx, dy) in zip(moves, deltas):
-                src = box(prev, t, dx, dy)[mask]
-                # a Fraction weight of 1 still makes the counts Fractions
-                dst[mask] += src if wt == 1 and isinstance(wt, int) else wt * src
-            yield layer[step:, step:]
+            live.pop()  # the reach of time t + 1, which no later layer reads
+            prev = layer
+            nx, ny = shape(t)
+            zero = [0] * ny
+            layer = [zero] * nx
+            for x, bits in enumerate(reached_rows(t)):
+                if not bits:
+                    continue
+                lo = (bits & -bits).bit_length() - 1
+                hi = bits.bit_length()
+                # the edge move (1, -1): a cell at y = 0 takes nothing from it
+                src = prev[x + 1]
+                acc = src[lo - 1:hi - 1:period] if lo else [0, *src[period - 1:hi - 1:period]]
+                if edge_wt is not None:
+                    acc = map(mul, repeat(edge_wt), acc)
+                for dx, dy, wt in faces:
+                    src = prev[x + dx][lo + dy:hi + dy:period]
+                    acc = map(add, acc, src if wt is None else map(mul, repeat(wt), src))
+                row = layer[x] = zero.copy()
+                row[lo:hi:period] = acc
+                if bits.bit_count() <= (hi - 1 - lo) // period:
+                    # a gap in the reach: cells of the slice no walk holds
+                    for y in range(lo, hi, period):
+                        if not bits >> y & 1:
+                            row[y] = 0
+            yield layer
 
     return moves, states, layers()
 
@@ -167,12 +227,12 @@ def build_count_table(w: FaceWeights, m: int, n: int, ell: int,
                       budget: int = DEFAULT_BUDGET) -> CountTable:
     """Layered quadrant DP for walks of ell-1 steps from (0, m) to (n, 0).
 
-    Every layer is allocated once, on its box (see ``CountTable``) with a
-    margin of zeros; the sum of the box sizes is checked against
-    ``budget`` before any work is done.
+    Every layer is rows over its box (see ``CountTable``) with a margin of
+    zeros; the sum of the box sizes is checked against ``budget`` before
+    any work is done.
     """
     moves, states, layers = _count_layers(w, m, n, ell, budget)
-    rows = [layer.tolist() for layer in layers]
+    rows = list(layers)
     return CountTable(moves=moves, start=(0, m), end=(n, 0), length=ell - 1,
                       rows=rows, states=states, total=rows[-1][0][m] if rows else 0)
 
@@ -188,7 +248,7 @@ def count_walks(w: FaceWeights, m: int, n: int, ell: int,
     """
     counting = FaceWeights({k: Fraction(1) for k in w.support}) if not w.uniform else w
     newest = deque(_count_layers(counting, m, n, ell, budget)[2], maxlen=1)
-    return int(newest[0][0, m]) if newest else 0
+    return int(newest[0][0][m]) if newest else 0
 
 
 def closed_form_triangulations(n: int) -> int:

@@ -13,9 +13,13 @@ end of the block, as they are taken, so a stream that takes a few words
 does not convert the whole block.  The samplers in
 ``simulate`` decode ``words`` arrays directly.
 
-numpy is imported, and the generator built, at the first draw (the first
-``randrange`` or ``words`` call, or the first read of ``rng.np``), so code
-that builds a ``CounterRng`` but never draws does not load numpy.
+A stream whose first draw is a ``randrange`` takes the first ``_PREFIX``
+words of its first block from Philox computed in pure Python, one 4-word
+counter block at a time, so a small draw loads no numpy.  numpy is
+imported, and the generator built, only past those words or at the first
+``words`` call or read of ``rng.np``; it then draws the same first block
+and hands ``randrange`` the rest of it, so the stream's words are the same
+either way.
 """
 
 from __future__ import annotations
@@ -25,6 +29,28 @@ from operator import index
 _BLOCK = 4096
 _CHUNK = 512  # words of the block turned into ints at a time
 _WORD = 1 << 64
+_MASK = _WORD - 1
+_PREFIX = 32  # words of the first block that randrange takes without numpy
+# the counters of the first block's 4-word blocks: randrange takes it from
+# its end, so it computes the blocks _FIRST down to _LAST + 1 in Python
+_FIRST = _BLOCK // 4
+_LAST = _FIRST - _PREFIX // 4
+
+# Philox4x64-10: the round multipliers, and what the rounds add to the key
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_BUMPS = tuple((r * 0x9E3779B97F4A7C15, r * 0xBB67AE8584CAA73B) for r in range(10))
+
+
+def _philox_block(k0: int, k1: int, counter: int) -> list[int]:
+    """The four words of the Philox4x64-10 block at ``counter`` (< 2**64),
+    in order: numpy's words 4*(counter - 1) .. 4*counter - 1 of the stream
+    keyed by (k0, k1)."""
+    c0, c1, c2, c3 = counter, 0, 0, 0
+    for b0, b1 in _BUMPS:
+        p0, p1 = _M0 * c0, _M1 * c2
+        c0, c1, c2, c3 = ((p1 >> 64) ^ c1 ^ ((k0 + b0) & _MASK), p1 & _MASK,
+                          (p0 >> 64) ^ c3 ^ ((k1 + b1) & _MASK), p0 & _MASK)
+    return [c0, c1, c2, c3]
 
 
 class CounterRng:
@@ -44,17 +70,27 @@ class CounterRng:
                              f"{self.seed} and {self.stream}")
         self._buf: list[int] = []  # converted words, taken by pop()
         self._block = ()  # the numpy words not yet converted
+        # the next 4-word block of the first block that randrange computes
+        # in Python, counting down; at _LAST there are none left
+        self._next = _FIRST
         # set here, not added on first use, so the instance keeps its
         # attributes inline and the per-draw attribute reads stay fast
         self._np = None
 
     @property
     def np(self):
-        """The numpy Generator: one per instance, built on first use."""
+        """The numpy Generator: one per instance, built on first use.
+
+        If ``randrange`` has taken words of its first block in Python, the
+        generator draws that block, and ``randrange`` keeps the words it
+        has not taken yet."""
         if self._np is None:
             import numpy as np
             key = np.array([self.seed, self.stream], dtype=np.uint64)
             self._np = np.random.Generator(np.random.Philox(key=key))
+            if self._next < _FIRST:
+                self._block = self._np.bit_generator.random_raw(_BLOCK)[:4 * self._next]
+            self._next = _LAST
         return self._np
 
     def words(self, count: int):
@@ -67,9 +103,16 @@ class CounterRng:
 
     def _word(self) -> int:
         if not self._buf:
+            if self._next > _LAST:
+                # the block's words in order, so pop() takes them from its
+                # end, as it does from the numpy block
+                self._buf = _philox_block(self.seed, self.stream, self._next)
+                self._next -= 1
+                return self._buf.pop()
+            gen = self.np  # past the prefix: may hand over the first block
             block = self._block
             if not len(block):
-                block = self.words(_BLOCK)
+                block = gen.bit_generator.random_raw(_BLOCK)
             # the block's tail, so pop() takes the words in the block's
             # order from its end, as it would from the whole block
             self._buf = block[-_CHUNK:].tolist()

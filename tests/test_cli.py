@@ -513,35 +513,45 @@ def test_numpy_free_verbs_run_with_numpy_blocked(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run(capsys, "sample", "--weights", "tri", "--edges", "12", "--seed", "7",
                "--walk-out", "w.txt", "--map-out", "m.json")[0] == 0
+    written = {f: (tmp_path / f).read_bytes() for f in ("w.txt", "m.json")}
+    # a small count table, and the README's draw, whose one rank takes the
+    # stream's first word, run on Python ints alone
     lines = [["walk2map", "--in", "w.txt"],
              ["map2walk", "--in", "m.json"],
              ["embed", "--in", "m.json"],
              ["count", "--edges", "18", "--closed-form"],
-             ["stats", "--weights", "tri", "--edges", "2", "--seed", "1"]]
+             ["stats", "--weights", "tri", "--edges", "2", "--seed", "1"],
+             ["count", "--weights", "tri", "--m", "0", "--n", "1", "--edges", "6"],
+             ["sample", "--weights", "tri", "--edges", "12", "--seed", "7",
+              "--walk-out", "w.txt", "--map-out", "m.json"],
+             ["verify", "--quick"]]
     expected = [list(run(capsys, *argv)) for argv in lines]
     assert expected[3] == [0, "87516\n", ""] and expected[4][0] == 1
     assert "congruence" in expected[4][2]
+    assert expected[5] == [0, "5\n", ""] and expected[6][0] == 0
+    assert expected[7][0] == 0 and "all checks passed" in expected[7][1]
     src = Path(bipolar_maps.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED, json.dumps(lines)],
                          env=env, cwd=tmp_path, check=True, capture_output=True,
                          text=True).stdout
     assert json.loads(out) == expected
+    assert {f: (tmp_path / f).read_bytes() for f in written} == written
 
 
 def test_package_import_leaves_numpy_out():
-    # numpy loads at the first count table or draw, not with the package,
-    # and the package loads no submodule until a name is first read
+    # the package loads no submodule until a name is first read, and a
+    # count table builds on Python ints: numpy is still out after the count
     src = Path(bipolar_maps.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = ("import sys, bipolar_maps; print('numpy' in sys.modules); "
              "print(sorted(k for k in sys.modules if k.startswith('bipolar_maps.'))); "
              "from bipolar_maps.cli import main; "
              "main(['count', '--weights', 'tri', '--m', '0', '--n', '1', "
-             "'--edges', '6'])")
+             "'--edges', '6']); print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "[]", "5"]
+    assert out.split() == ["False", "[]", "5", "False"]
 
 
 # the 75 public names and the submodule each comes from; every one must stay

@@ -3,13 +3,13 @@ import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
 import table_oracle
 
-from bipolar_maps.enumeration import (_syt_walk, _weighted_moves,
+from bipolar_maps.enumeration import (_syt_walk, _weighted_moves, _y_period,
                                       build_count_table,
                                       closed_form_triangulations, count_walks,
                                       enumerate_maps, enumerate_walks,
@@ -80,11 +80,29 @@ def test_budget_error():
     assert err.value.required_cells > err.value.budget_cells
 
 
+@pytest.mark.parametrize("name, m, n, ell, step, cells", [
+    ("tri", 0, 1, 300, 1, 2_283_875), ("quad", 0, 0, 201, 2, 1_063_893)])
+def test_budget_counts_every_cell_of_every_box(name, m, n, ell, step, cells):
+    # the estimate is the sum of the whole boxes of CountTable's docstring,
+    # though walks reach about 14 % of their cells
+    T = ell - 1
+    assert cells == sum((min(t, n + (T - t) * step) + 1) * (min(m + t * step, T - t) + 1)
+                        for t in range(T + 1))
+    w = preset_weights(name)
+    with pytest.raises(EnumerationBudgetError) as err:
+        count_walks(w, m, n, ell, budget=cells - 1)
+    assert str(err.value) == (f"count table would allocate at least {cells} cells, "
+                              f"budget is {cells - 1}")
+    assert (err.value.required_cells, err.value.budget_cells) == (cells, cells - 1)
+    assert count_walks(w, m, n, ell, budget=cells) > 0
+
+
 def test_a_count_keeps_one_layer():
     # with every layer kept, this count peaks at about 31 MB under
-    # tracemalloc; with one live layer and every reach mask, about 3.2 MB;
-    # with each mask dropped once its layer is built, about 2.5 MB
-    count_walks(TRI, 0, 1, 6)  # numpy's first use allocates too
+    # tracemalloc; with one live numpy layer and every reach mask, about
+    # 3.2 MB; with each mask dropped once its layer is built, about 2.5 MB;
+    # on Python lists, with one bit a reached cell, about 0.5 MB
+    count_walks(TRI, 0, 1, 6)  # the first count fills the shared move cache
     tracemalloc.start()
     try:
         count_walks(TRI, 0, 1, 300, budget=10**7)
@@ -236,7 +254,9 @@ def test_all_triangulation_walks_is_the_enumerator():
 
 
 def dict_count_table(w, m, n, ell):
-    """(layers, states) of the dict DP: layer r maps (x, y) to its count."""
+    """(layers, states) of the dict DP: layer r maps each cell that walks
+    from the start hold at time ell - 1 - r without losing the end to its
+    count, a count of 0 included (layer 0 holds the end alone)."""
     T = ell - 1
     moves = _weighted_moves(w, T)
     deltas = [mv.delta for mv, _ in moves]
@@ -280,12 +300,20 @@ def dict_count_table(w, m, n, ell):
             x, y = pos
             acc = 0
             for (mv, wt), (dx, dy) in zip(moves, deltas):
-                c = prev.get((x + dx, y + dy))
-                if c:
-                    acc += wt * c
-            if acc:
-                layer[pos] = acc
+                acc += wt * prev.get((x + dx, y + dy), 0)
+            layer[pos] = acc
     return layers, states
+
+
+def assert_rows_match(table, layers):
+    """Every cell of every row of the table, the padding included, against
+    the dict DP: its count where it keeps the cell (a Fraction for Fraction
+    weights, 0 included), an int 0 everywhere else."""
+    assert len(table.rows) == len(layers)
+    for layer, cells in zip(table.rows, layers):
+        got = {(x, y): (type(c), c) for x, row in enumerate(layer) for y, c in enumerate(row)}
+        assert got == {p: (type(cells.get(p, 0)), cells.get(p, 0)) for p in got}
+        assert set(cells) <= set(got)
 
 
 ORACLE_WEIGHTS = {
@@ -303,7 +331,7 @@ def test_dense_table_matches_dict_oracle(name):
     for m, n, ell in itertools.product(range(3), range(3), range(1, 13)):
         table = build_count_table(w, m, n, ell)
         layers, states = dict_count_table(w, m, n, ell)
-        total = layers[ell - 1].get((0, m), 0)
+        total = layers[ell - 1].get((0, m)) or 0  # an int 0 when no walk closes
         assert (type(table.total), table.total) == (type(total), total)
         if not feasible(w, m, n, ell)[0]:
             assert (table.rows, table.states, total) == ([], 0, 0)
@@ -311,13 +339,51 @@ def test_dense_table_matches_dict_oracle(name):
         # the start cell counts even when no walk leaves it (ell = 1, start
         # off the end), as it did in the dict DP
         assert table.states == states, (m, n, ell)
-        # a table with total 0 keeps no rows; the dict layers are all empty.
-        # The padding is read too, so a stray count there shows.
-        cells = [{(x, y): (type(c), c) for x, row in enumerate(layer)
-                  for y, c in enumerate(row) if c}
-                 for layer in table.rows] or [{} for _ in layers]
-        assert cells == [{p: (type(c), c) for p, c in layer.items()}
-                         for layer in layers], (m, n, ell)
+        # a table with total 0 keeps no rows; every dict count is 0
+        if total:
+            assert_rows_match(table, layers)
+        else:
+            assert table.rows == [] and not any(c for layer in layers for c in layer.values())
+
+
+@pytest.mark.parametrize("w, period", [
+    (TRI, 3), (preset_weights("quad"), 4), (preset_weights("kgon:5"), 5),
+    (FaceWeights({2: 1, 3: 1, 4: 1, 6: 1}), 1), (FaceWeights({3: 1, 5: 1}), 1),
+    (FaceWeights({3: 1, 6: 1}), 3)])
+def test_y_period_of_the_walk_lattice(w, period):
+    # tri keeps x + 2y fixed mod 3 and a k-gon law x + (k - 1)y mod k, so
+    # one row's reached cells are k apart; triangles with 2-gons reach every y
+    deltas = [mv.delta for mv, _ in _weighted_moves(w, 20)]
+    assert _y_period(deltas) == period
+    # and no smaller period holds on the cells walks reach
+    cells = {(0, 0)}
+    rows = Counter()
+    for _ in range(6):
+        cells = {(x + dx, y + dy) for x, y in cells for dx, dy in deltas}
+        for x, y in cells:
+            rows[x] = gcd(rows[x], *(y - y2 for x2, y2 in cells if x2 == x))
+    assert gcd(*rows.values()) == period
+
+
+@pytest.mark.parametrize("w, m, n, ell", [
+    (TRI, 0, 1, 30), (TRI, 2, 0, 23), (preset_weights("quad"), 0, 0, 25),
+    (preset_weights("quad"), 0, 2, 22), (preset_weights("kgon:5"), 0, 0, 31),
+    (FaceWeights({3: Fraction(1, 2), 4: Fraction(1, 3)}), 1, 1, 20),
+    (FaceWeights({3: 2, 4: 3}), 0, 1, 20),  # int weights other than 1
+    # the reach of a row has gaps on its residue class here
+    (FaceWeights({2: 1, 3: 1, 4: 1, 6: 1}), 1, 2, 60)])
+def test_table_rows_match_a_dict_dp_cell_by_cell(w, m, n, ell):
+    # the dict DP's oracle test at lengths where rows hold many cells
+    table = build_count_table(w, m, n, ell)
+    layers, states = dict_count_table(w, m, n, ell)
+    assert table.total and table.states == states
+    if ell == 60:
+        # the y-period is 1, and some rows of the reach skip a y between
+        # their lowest and highest cell
+        rows = [{y for x2, y in layer if x2 == x} for layer in layers for x, _ in layer]
+        assert _y_period([mv.delta for mv, _ in table.moves]) == 1
+        assert any(len(ys) <= max(ys) - min(ys) for ys in rows)
+    assert_rows_match(table, layers)
 
 
 # -- the bounds-checked readers, kept as an oracle ------------------------------

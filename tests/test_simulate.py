@@ -1,13 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import floor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bipolar_maps
 from bipolar_maps.enumeration import enumerate_walks
 from bipolar_maps.errors import (BipolarError, NoMapsError, NotBipolarCodeError,
                                  RejectionBudgetError)
@@ -348,44 +353,55 @@ def test_rejection_sample_many_is_pinned(case):
     assert h.hexdigest() == REJECTION_SHA256[case]
 
 
-def _philox_reference(seed, stream):
-    """Exact draws from a Philox generator keyed directly by (seed, stream).
+class RawModel:
+    """The model of ``CounterRng`` on a raw word source: ``words`` are the
+    source's next words, and ``randrange`` takes them in blocks of 4096,
+    from the end of each block; a bound of at most 2**64 rejects the words
+    at and above its largest multiple, a larger bound rejects masked runs
+    of words.  With no source given, the words are numpy's
+    ``Philox(key).random_raw`` keyed directly by (seed, stream), and ``np``
+    is a Generator on that same bit generator."""
 
-    The model of ``CounterRng``: 64-bit words in blocks of 4096, taken from
-    the end of each block; a bound of at most 2**64 rejects the words at and
-    above its largest multiple, a larger bound rejects masked runs of words.
-    """
-    gen = np.random.Generator(np.random.Philox(
-        key=np.array([seed, stream], dtype=np.uint64)))
-    block = []
+    def __init__(self, seed, stream, raw=None):
+        if raw is None:
+            bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+            self.np = np.random.Generator(bits)
+            raw = bits.random_raw
+        self.raw, self.block = raw, []
 
-    def word():
-        if not block:
-            block.extend(gen.integers(0, 2**64, size=4096, dtype=np.uint64).tolist())
-        return block.pop()
+    def words(self, count):
+        return np.array(self.raw(count), dtype=np.uint64)
 
-    def randrange(n):
+    def word(self):
+        if not self.block:
+            self.block = [int(w) for w in self.raw(4096)]
+        return self.block.pop()
+
+    def randrange(self, n):
         if n <= 2**64:
-            while (w := word()) >= 2**64 - 2**64 % n:
+            while (w := self.word()) >= 2**64 - 2**64 % n:
                 pass
             return w % n
-        k = (n.bit_length() + 63) // 64
         while True:
             raw = 0
-            for _ in range(k):
-                raw = raw << 64 | word()
+            for _ in range((n.bit_length() + 63) // 64):
+                raw = raw << 64 | self.word()
             raw &= (1 << n.bit_length()) - 1
             if raw < n:
                 return raw
 
-    return gen, randrange
+
+def oracle_source(seed, stream):
+    """``philox_oracle``'s stream as a raw word source for ``RawModel``."""
+    words = philox_words(seed, stream)
+    return lambda count: [next(words) for _ in range(count)]
 
 
 @pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (2**63, 1),
                                           (2**64 - 1, 10_000)])
 def test_counter_rng_keeps_every_stream(seed, stream):
     rng = CounterRng(seed, stream)
-    _, randrange = _philox_reference(seed, stream)
+    randrange = RawModel(seed, stream).randrange
     # one and two words at 2**64 and 2**64 + 1, then bounds of 3 to 8 words
     wide = [2**70, 3, 2**64, 2**64 + 1] + [3 * 2**(64 * k - 7) + 1 for k in range(3, 9)]
     for n in wide:
@@ -394,16 +410,16 @@ def test_counter_rng_keeps_every_stream(seed, stream):
     # 1 365 three-word draws that never reject leave one word of the first
     # block, so the 1 366th takes words from two blocks
     rng = CounterRng(seed, stream)
-    _, randrange = _philox_reference(seed, stream)
+    randrange = RawModel(seed, stream).randrange
     assert [rng.randrange(2**192 - 1) for _ in range(1400)] == [
         randrange(2**192 - 1) for _ in range(1400)]
     # word draws and rng.np draws share one generator state, block by block
     rng = CounterRng(seed, stream)
-    gen, randrange = _philox_reference(seed, stream)
+    ref = RawModel(seed, stream)
     got, want = [], []
     for _ in range(3000):
         got += [rng.randrange(2**70), int(rng.np.integers(0, 2**32)), rng.randrange(3)]
-        want += [randrange(2**70), int(gen.integers(0, 2**32)), randrange(3)]
+        want += [ref.randrange(2**70), int(ref.np.integers(0, 2**32)), ref.randrange(3)]
     assert got == want
     assert rng.np is rng.np
 
@@ -439,11 +455,93 @@ def test_counter_rng_words_are_philox4x64_10(seed, stream):
     rng = CounterRng(seed, stream)
     for count in (1, 5, 4096, 3):
         assert rng.words(count).tolist() == [next(expected) for _ in range(count)]
+    # they are the words of numpy's full-range uint64 draw
+    expected = philox_words(seed, stream)
+    assert RawModel(seed, stream).np.integers(0, 2**64, size=9, dtype=np.uint64).tolist() == [
+        next(expected) for _ in range(9)]
     expected = philox_words(seed, stream)
     rng = CounterRng(seed, stream)
     blocks = [[next(expected) for _ in range(4096)] for _ in range(2)]
     assert [rng.randrange(2**64) for _ in range(5000)] == [
         w for block in blocks for w in reversed(block)][:5000]
+
+
+def run_script(rng, script):
+    """Each call of the script on ``rng``, with what it returned."""
+    out = []
+    for call, arg in script:
+        if call == "randrange":
+            out.append(rng.randrange(arg))
+        elif call == "words":
+            out.append(rng.words(arg).tolist())
+        else:
+            out.append(rng.np.integers(0, 2**62, size=arg).tolist())
+    return out
+
+
+ONE = ("randrange", 2**64)  # one word, never rejected
+RNG_SCRIPTS = {
+    # the 3-word draw takes words 31 to 33: the last two of the Python
+    # prefix, then the first of the numpy block
+    "straddles-the-prefix": [ONE] * 30 + [("randrange", 2**192 - 1)] + [ONE] * 5,
+    "the-whole-prefix": [ONE] * 32 + [ONE] * 3,
+    "words-after-part-of-the-prefix": [("randrange", 3), ("randrange", 2**70),
+                                       ("words", 5), ONE, ("words", 1), ONE],
+    "words-mid-block": [ONE] * 6 + [("words", 2)] + [ONE] * 30,
+    "words-first": [("words", 3)] + [ONE] * 40,
+    "multi-word-bounds": [("randrange", 3 * 2**(64 * k - 7) + 1) for k in range(2, 9)] * 3,
+    # one word, which a bound of 2**63 + 1 rejects about half the time
+    "one-word-rejections": [("randrange", 2**63 + 1), ("randrange", 3 * 2**62)] * 20,
+    "a-second-block": [ONE] * 4100 + [("words", 2), ONE],
+    "np-after-part-of-the-prefix": [ONE] * 7 + [("np", 2), ONE, ("randrange", 2**130 + 1)],
+    "np-after-the-prefix": [ONE] * 32 + [("np", 3)] + [ONE] * 3,
+    "np-first": [("np", 1)] + [ONE] * 40,
+}
+
+
+@pytest.mark.parametrize("name", RNG_SCRIPTS)
+@pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (2**64 - 1, 10_000)])
+def test_counter_rng_mixed_calls_keep_every_word(name, seed, stream):
+    # the first words randrange takes come from Python, the rest from numpy;
+    # in any mix of calls each word is the one numpy's Philox gives there
+    script = RNG_SCRIPTS[name]
+    got = run_script(CounterRng(seed, stream), script)
+    assert got == run_script(RawModel(seed, stream), script)
+    if all(call != "np" for call, _ in script):
+        assert got == run_script(RawModel(seed, stream, oracle_source(seed, stream)), script)
+
+
+@pytest.mark.parametrize("n", [0, -1, -2**70])
+def test_counter_rng_refuses_an_empty_range(n):
+    with pytest.raises(ValueError, match="empty range"):
+        CounterRng(7, 3).randrange(n)
+
+
+def test_counter_rng_rejects_words_equal_to_the_bound():
+    # the stream's first two words, read as one number, are the bound: that
+    # run of words is the bound itself, so the draw rejects it and reads on
+    first = oracle_source(7, 3)(4096)[::-1]
+    n = first[0] << 64 | first[1]
+    got = CounterRng(7, 3).randrange(n)
+    assert got == RawModel(7, 3, oracle_source(7, 3)).randrange(n) < n
+
+
+PREFIX_DRAWS = """
+import sys
+from bipolar_maps.rng import CounterRng
+rng = CounterRng(7, 3)
+print([rng.randrange(2**64) for _ in range(32)], "numpy" in sys.modules)
+print(rng.randrange(2**64), "numpy" in sys.modules)
+"""
+
+
+def test_counter_rng_prefix_draws_load_no_numpy():
+    src = Path(bipolar_maps.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", PREFIX_DRAWS], check=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True).stdout.splitlines()
+    words = oracle_source(7, 3)(4096)[::-1]
+    assert out == [f"{words[:32]} False", f"{words[32]} True"]
 
 
 class Words:
