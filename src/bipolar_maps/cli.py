@@ -11,6 +11,11 @@ other module of the package; each verb imports the modules it runs, so
 ``walk2map`` and ``map2walk`` load ``walks``, ``planar_map`` and
 ``sewing``, ``embed`` adds ``embedding`` and ``svg``, and
 ``count --closed-form`` loads no map code.
+
+``count`` and ``sample --method exact`` take their method from one rule,
+``enumeration._exact_method``: the hook-length tableau for tri (0,0) and
+(0,1) past 120 edges or past ``--budget``, the count table otherwise;
+``count --closed-form`` takes the tableau's count or refuses.
 """
 
 from __future__ import annotations
@@ -100,15 +105,13 @@ def _replica_walks(args, w, dist):
 
 def cmd_count(args, parser) -> int:
     from . import enumeration
+    sys.set_int_max_str_digits(0)  # a count may have more than 4 300 digits
     w = _load_weights(args.weights)
-    if args.closed_form:
-        if not enumeration.is_triangulation(w) or (args.m, args.n) != (0, 1):
-            raise ValueError("--closed-form counts triangulations with "
-                             "m = 0, n = 1 only")
-        print(enumeration.triangulation_count_by_edges(args.edges))
-        return 0
-    print(enumeration.count_walks(w, args.m, args.n, args.edges,
-                                  budget=args.budget))
+    table = None if args.closed_form else lambda: enumeration.count_walks(
+        w, args.m, args.n, args.edges, budget=args.budget)
+    print(enumeration._exact_method(
+        w, args.m, args.n, args.edges, table,
+        lambda k, r: 0 if r else enumeration.closed_form_triangulations(k)))
     return 0
 
 
@@ -240,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(run=cmd_count)
     add_common(q)
     q.add_argument("--closed-form", action="store_true",
-                   help="use the closed-form triangulation count")
+                   help="take the hook-length count of tri (0,0) or (0,1), or refuse")
 
     q = sub.add_parser("sample", help="draw walks/maps and write them out")
     q.set_defaults(run=cmd_sample)

@@ -13,8 +13,10 @@ own consecutive ranks in enumeration order, as many as their weight, so a
 draw is one uniform rank, decoded down the rows (``walk_of_rank``): exactly
 uniform, or exactly Boltzmann for weighted models.  Triangulation
 families with tiny boundaries scale far beyond the table budget through an
-equivalent tableau encoding, drawn cell by cell by the hook-length ratio
-rule.
+equivalent tableau encoding, counted by the hook-length formula and drawn
+cell by cell by the hook-length ratio rule.  One rule, ``_exact_method``,
+picks the tableau or the table for ``exact_sampler`` and the CLI's
+``count`` alike; ``count_walks`` is the table's count alone.
 
 The module imports no numpy: counting, enumerating and drawing small maps
 run without it (a draw past its stream's first words loads it, see
@@ -34,7 +36,7 @@ from math import factorial, gcd, lcm
 from operator import add, mul
 
 from .errors import DEFAULT_BUDGET, EnumerationBudgetError, NoMapsError
-from .rng import CounterRng
+from .rng import _PREFIX, CounterRng
 from .walks import EDGE, LatticeWalk, Move, face_move
 from .weights import FaceWeights, check_boundary, feasible
 
@@ -252,17 +254,17 @@ def count_walks(w: FaceWeights, m: int, n: int, ell: int,
 
 
 def closed_form_triangulations(n: int) -> int:
-    """Sphere triangulations with marked adjacent poles and 3n edges."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
+    """f^(n,n,n), the standard tableaux of shape (n, n, n): the sphere
+    triangulations with marked adjacent poles and 3n edges (boundary
+    (0, 1)), and the tri maps of boundary (0, 0) with 3n + 1 edges.
+    ``factorial`` refuses n < 0."""
     return 2 * factorial(3 * n) // (factorial(n + 2) * factorial(n + 1) * factorial(n))
 
 
 def triangulation_count_by_edges(ell: int) -> int:
     """Same sequence indexed by edge count; zero off multiples of 3."""
-    if ell < 3 or ell % 3 != 0:
-        return 0
-    return closed_form_triangulations(ell // 3)
+    k, r = divmod(ell, 3)
+    return closed_form_triangulations(k) if k > 0 and not r else 0
 
 
 def enumerate_walks(w: FaceWeights, m: int, n: int, ell: int,
@@ -391,6 +393,8 @@ def sample_syt_word(n: int, rng: CounterRng) -> list[int]:
     shrink gets weight 0.  Prefix counts satisfy row0 >= row1 >= row2, so
     the word reads off a closed quadrant excursion.
     """
+    if 3 * n > _PREFIX:  # more words than the stream's pure-Python prefix: all from numpy
+        rng.np
     a, b, c = n + 2, n + 1, n
     word = [0] * (3 * n)
     for t in range(3 * n, 0, -1):
@@ -410,54 +414,69 @@ def sample_syt_word(n: int, rng: CounterRng) -> list[int]:
 _SYT_MOVES = {0: face_move(0, 1), 1: EDGE, 2: face_move(1, 0)}
 
 
-def _syt_walk(n: int, rng: CounterRng, drop_last: bool) -> LatticeWalk:
+def _syt_walk(n: int, ell: int, rng: CounterRng) -> LatticeWalk:
+    """The walk of the first ell - 1 letters of a tableau word of shape
+    (n, n, n); a letter past them ends the excursion, a west move."""
     word = sample_syt_word(n, rng)
-    if drop_last:
-        if word[-1] != 2:
-            raise AssertionError("closed excursion must end with the west move")
-        word = word[:-1]
-    return LatticeWalk((0, 0), tuple(_SYT_MOVES[c] for c in word))
+    if word[ell - 1:] not in ([], [2]):
+        raise AssertionError("closed excursion must end with the west move")
+    return LatticeWalk((0, 0), tuple(_SYT_MOVES[c] for c in word[:ell - 1]))
 
 
 def is_triangulation(w: FaceWeights) -> bool:
-    """Do these weights allow triangles only?"""
-    return not w.uniform and set(w.support) == {3}
+    """Do these weights allow triangles only?  (Uniform weights have an
+    empty support.)"""
+    return set(w.support) == {3}
 
 
-def _syt_case(w: FaceWeights, m: int, n: int, ell: int):
-    if is_triangulation(w) and (m, n) == (0, 1) and ell % 3 == 0:
-        return (ell // 3, True)
-    if is_triangulation(w) and (m, n) == (0, 0) and ell % 3 == 1:
-        return ((ell - 1) // 3, False)
-    return None
+def _exact_method(w: FaceWeights, m: int, n: int, ell: int, table, tableau):
+    """The one rule that picks how an instance is counted and drawn.
+
+    The hook-length tableau of shape (k, k, k) serves triangulations with
+    m = 0 and n = 0 or 1, where ell + n - 1 = 3k + r: a walk of ell - 1
+    steps is a tableau's word, less its last letter when n = 1, so there
+    are walks only when r = 0.  It runs, as ``tableau(k, r)``, past 120
+    edges, where ``table()`` is over its budget, or when ``table`` is
+    None.  The count table, ``table()``, serves every other instance; with
+    ``table`` None those are refused (ValueError).
+    """
+    k, r = divmod(ell + n - 1, 3)
+    hook = is_triangulation(w) and m == 0 and n in (0, 1)
+    if table is None and not hook:
+        raise ValueError("only triangulations with m = 0 and n <= 1 have a closed-form count")
+    if table is not None and (not hook or ell <= 120):
+        try:
+            return table()
+        except EnumerationBudgetError:
+            if not hook:
+                raise
+    return tableau(k, r)
 
 
 def exact_sampler(w: FaceWeights, m: int, n: int, ell: int,
                   budget: int = DEFAULT_BUDGET):
     """One-time setup returning a draw(rng) closure for repeated sampling.
 
-    Small instances share one count table across draws, and each draw
-    takes one ``randrange`` (see ``sample_from_table``); triangulations
-    with boundaries (0,0) or (0,1) use the tableau sampler beyond 120 edges
-    or past the table budget: exactly uniform at any size, and
-    linear-time, with one ``randrange`` per edge.
+    ``_exact_method`` picks the method.  Small instances share one count
+    table across draws, and each draw takes one ``randrange`` (see
+    ``sample_from_table``); triangulations with boundaries (0,0) or (0,1)
+    use the tableau sampler beyond 120 edges or past the table budget:
+    exactly uniform at any size, and linear-time, with one ``randrange``
+    per edge.
     """
     ok, reason = feasible(w, m, n, ell)
     if not ok:
         raise NoMapsError(f"no such maps: {reason}")
-    syt = _syt_case(w, m, n, ell)
-    if syt is None or ell <= 120:
-        try:
-            table = build_count_table(w, m, n, ell, budget)
-        except EnumerationBudgetError:
-            if syt is None:
-                raise
-        else:
-            if not table.total:
-                raise NoMapsError("no such maps: the count is zero")
-            return lambda rng: sample_from_table(table, rng)
-    n_rows, drop = syt
-    return lambda rng: _syt_walk(n_rows, rng, drop_last=drop)
+
+    def table():
+        counts = build_count_table(w, m, n, ell, budget)
+        if not counts.total:
+            raise NoMapsError("no such maps: the count is zero")
+        return lambda rng: sample_from_table(counts, rng)
+
+    # feasible has passed, so r = 0 (the triangle congruence)
+    return _exact_method(w, m, n, ell, table,
+                         lambda k, r: lambda rng: _syt_walk(k, ell, rng))
 
 
 def exact_sample(w: FaceWeights, m: int, n: int, ell: int, rng: CounterRng,

@@ -19,7 +19,9 @@ counter block at a time, so a small draw loads no numpy.  numpy is
 imported, and the generator built, only past those words or at the first
 ``words`` call or read of ``rng.np``; it then draws the same first block
 and hands ``randrange`` the rest of it, so the stream's words are the same
-either way.
+either way.  A sampler that knows it will take more than ``_PREFIX`` words
+(the tableau draw, the steered simple triangulation) reads ``rng.np``
+before its first word, and so skips the Python blocks.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from math import floor, sqrt
 
 from .errors import (DEFAULT_BUDGET, BipolarError, EnumerationBudgetError,
                      NoMapsError, RejectionBudgetError)
-from .rng import CounterRng
+from .rng import _PREFIX, CounterRng
 from .sewing import Frontier, walk_edges
 from .walks import EDGE, LatticeWalk, Move, face_move, move_of
 from .weights import (StepDistribution, TheoryStats, check_boundary, congruence,
@@ -318,6 +318,8 @@ def sample_simple_triangulation_walk(m: int, n: int, ell: int,
     if ell < 2:
         raise BipolarError("need at least two edges for a simple map")
     steps = ell - 1
+    if steps > _PREFIX:  # a word a step, more than the stream's pure-Python prefix
+        rng.np
     for _ in range(1000):
         frontier = Frontier()
         edges = {(0, 1)}
@@ -479,7 +481,8 @@ class StatReport:
         if self.tv_in is not None:
             rows.append(("TV(in, geom mean 3)", f"{self.tv_in:.4f}"))
             rows.append(("TV(out, geom mean 3)", f"{self.tv_out:.4f}"))
-            rows.append(("corr(in, out)", f"{self.degree_corr:+.4f}"))
+            rows.append(("corr(in, out)", "-" if self.degree_corr is None
+                         else f"{self.degree_corr:+.4f}"))
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
@@ -550,7 +553,9 @@ def attach_degree_stats(report: StatReport, *traces: FrontierTrace,
     report.degree_joint_hist = dict(sorted(Counter(map("{},{}".format, ins, outs)).items()))
     report.tv_in = tv_to_geometric(ins)
     report.tv_out = tv_to_geometric(outs)
-    report.degree_corr = float(np.corrcoef(ins, outs)[0, 1])
+    # degrees of one value on a side have no variance: no correlation, not NaN
+    spread = len(report.degree_in_hist) > 1 and len(report.degree_out_hist) > 1
+    report.degree_corr = float(np.corrcoef(ins, outs)[0, 1]) if spread else None
     return report
 
 

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,15 @@ from bipolar_maps.sewing import walk_to_map
 from bipolar_maps.simulate import interface_csv, interface_export
 from bipolar_maps.walks import walk_from_text, walk_to_text
 from bipolar_maps.weights import preset_weights, step_distribution, weights_from_text
+
+
+@pytest.fixture(autouse=True)
+def int_str_digits():
+    """count lifts the interpreter's limit on int-to-str digits for its
+    process; each test here gets the limit back."""
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 def run(capsys, *argv):
@@ -213,14 +223,23 @@ def test_stats_json_is_strict_on_tiny_samples(tmp_path, capsys):
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, _, err = run(capsys, "stats", "--method", "free", "--edges", "4",
-                           "--seed", "1", "--bootstrap", "50",
-                           "--json", str(out_json))
-    assert code == 0 and not caught and "Warning" not in err
-    data = json.loads(out_json.read_text(), parse_constant=reject)
+    def stats(*argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "stats", *argv, "--seed", "1",
+                                 "--json", str(out_json))
+        assert code == 0 and not caught and "Warning" not in err
+        return out, json.loads(out_json.read_text(), parse_constant=reject)
+
+    _, data = stats("--method", "free", "--edges", "4", "--bootstrap", "50")
     assert data["ratio_ci_95"] == [9.0, 9.0]
+    # conditioned maps of 4 and 7 edges have bulk degrees of one value on a
+    # side, whose correlation is undefined: null, and "-" in the table
+    for edges in ("4", "7"):
+        out, data = stats("--weights", "tri", "--m", "0", "--n", "0", "--edges", edges,
+                          "--method", "exact", "--replicas", "1")
+        assert data["degrees"]["in_out_correlation"] is None
+        assert out.splitlines()[-1].split() == ["corr(in,", "out)", "-"]
 
 
 def test_stats_builds_one_count_table(monkeypatch, capsys):
@@ -316,6 +335,21 @@ def test_interface_exports_the_replica_zero_draw(capsys):
     assert code == 0 and out == interface_csv(interface_export(walk, 11))
 
 
+@pytest.mark.parametrize("edges", [300, 1000, 30001])
+@pytest.mark.parametrize("n", [0, 1])
+def test_count_takes_the_method_sample_takes(capsys, n, edges):
+    # the tableau serves tri (0, 0) and (0, 1) past 120 edges: count prints
+    # f^(k,k,k) wherever sample draws, and 0 where sample finds no maps
+    k, r = divmod(edges + n - 1, 3)
+    flags = ("--weights", "tri", "--m", "0", "--n", str(n), "--edges", str(edges))
+    sampled = run(capsys, "sample", *flags, "--seed", "1")[0]
+    for closed_form in ((), ("--closed-form",)):
+        code, out, _ = run(capsys, "count", *flags, *closed_form)
+        assert code == 0 and sampled == (1 if r else 0)
+        assert int(out) == (0 if r else 2 * factorial(3 * k) // (
+            factorial(k) * factorial(k + 1) * factorial(k + 2)))
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"weights": "tri", "m": 0, "n": 1, "edges": 6}))
@@ -324,12 +358,14 @@ def test_config_file(tmp_path, capsys):
 
 
 def test_config_file_sets_a_flag(tmp_path, capsys):
-    # a flag in the file is a default: closed_form counts without the table
-    # that a budget of 10 cells refuses
+    # a flag in the file is a default: closed_form refuses a boundary that
+    # has no closed form, rather than build the table a budget of 10 cells
+    # refuses
     cfg = tmp_path / "cfg.json"
-    for closed_form, want in ((True, (0, "87516")), (False, (3, ""))):
+    for closed_form, want in ((True, (2, "")), (False, (3, ""))):
         cfg.write_text(json.dumps({"closed_form": closed_form, "budget": 10}))
-        code, out, _ = run(capsys, "count", "--config", str(cfg), "--edges", "18")
+        code, out, _ = run(capsys, "count", "--config", str(cfg), "--edges", "18",
+                           "--m", "1", "--n", "0")
         assert (code, out.strip()) == want
 
 
@@ -524,12 +560,14 @@ def test_numpy_free_verbs_run_with_numpy_blocked(tmp_path, monkeypatch, capsys):
              ["count", "--weights", "tri", "--m", "0", "--n", "1", "--edges", "6"],
              ["sample", "--weights", "tri", "--edges", "12", "--seed", "7",
               "--walk-out", "w.txt", "--map-out", "m.json"],
-             ["verify", "--quick"]]
+             ["verify", "--quick"],
+             ["count", "--weights", "tri", "--m", "0", "--n", "0", "--edges", "30001"]]
     expected = [list(run(capsys, *argv)) for argv in lines]
     assert expected[3] == [0, "87516\n", ""] and expected[4][0] == 1
     assert "congruence" in expected[4][2]
     assert expected[5] == [0, "5\n", ""] and expected[6][0] == 0
     assert expected[7][0] == 0 and "all checks passed" in expected[7][1]
+    assert expected[8][0] == 0 and len(expected[8][1]) == 14299  # f^(k,k,k), k = 10 000
     src = Path(bipolar_maps.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED, json.dumps(lines)],

@@ -9,7 +9,7 @@ import pytest
 
 import table_oracle
 
-from bipolar_maps.enumeration import (_syt_walk, _weighted_moves, _y_period,
+from bipolar_maps.enumeration import (_exact_method, _weighted_moves, _y_period,
                                       build_count_table,
                                       closed_form_triangulations, count_walks,
                                       enumerate_maps, enumerate_walks,
@@ -21,7 +21,7 @@ from bipolar_maps.planar_map import canonical_form
 from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import walk_edges
 from bipolar_maps.verify import all_triangulation_walks
-from bipolar_maps.walks import walk_to_text
+from bipolar_maps.walks import EDGE, face_move, walk_to_text
 from bipolar_maps.weights import FaceWeights, feasible, preset_weights
 
 TRI = preset_weights("tri")
@@ -144,15 +144,80 @@ def test_exact_sampler_refuses_a_zero_count_that_passes_feasible():
         exact_sampler(quad, 0, 0, 3)
 
 
+# the move that a tableau word's letter, a row of the tableau, stands for
+ROW_MOVES = (face_move(0, 1), EDGE, face_move(1, 0))
+
+
+def tableau_count(k, r):
+    """f^(k,k,k), the tableaux of shape (k, k, k); none unless r = 0."""
+    return 0 if r else closed_form_triangulations(k)
+
+
+@pytest.mark.parametrize("n, ell", [(n, ell) for n in (0, 1) for ell in range(1, 122)
+                                    if feasible(TRI, 0, n, ell)[0]])
+def test_the_tableau_counts_what_the_table_counts(n, ell):
+    # at budget 1 no table past one edge fits, so the tableau serves; with
+    # no table at all it serves every ell
+    table = count_walks(TRI, 0, n, ell)
+    assert table == _exact_method(
+        TRI, 0, n, ell, lambda: count_walks(TRI, 0, n, ell, budget=1), tableau_count)
+    assert table == _exact_method(TRI, 0, n, ell, None, tableau_count)
+
+
+def test_the_table_counts_every_other_instance():
+    # off the congruence, and at ell <= 120, the table serves (0, 0) and
+    # (0, 1); past 120 edges the tableau counts 0 off the congruence
+    calls = []
+
+    def table():
+        calls.append(1)
+        return "table"
+
+    for n, ell in ((0, 2), (1, 4), (0, 120), (1, 120)):
+        assert _exact_method(TRI, 0, n, ell, table, tableau_count) == "table"
+    assert len(calls) == 4
+    assert _exact_method(TRI, 0, 0, 121, table, tableau_count) == \
+        closed_form_triangulations(40)
+    assert _exact_method(TRI, 0, 1, 122, table, tableau_count) == 0
+    assert len(calls) == 4
+    # other boundaries and families have no tableau, at any size or budget
+    for w, m, n in ((TRI, 1, 0), (TRI, 0, 2), (TRI, 2, 1), (preset_weights("quad"), 0, 1),
+                    (FaceWeights({3: 1, 4: 1}), 0, 1), (preset_weights("uniform"), 0, 1)):
+        assert _exact_method(w, m, n, 30_000, table, tableau_count) == "table"
+        with pytest.raises(ValueError, match="closed-form"):
+            _exact_method(w, m, n, 30_000, None, tableau_count)
+
+    def over_budget():
+        raise EnumerationBudgetError("over", required_cells=2, budget_cells=1)
+
+    with pytest.raises(EnumerationBudgetError):
+        _exact_method(TRI, 1, 0, 19, over_budget, tableau_count)
+    assert _exact_method(TRI, 0, 0, 13, over_budget, tableau_count) == 462
+
+
 def test_exact_sampler_falls_back_to_the_tableau_past_its_budget():
     # tri (0, 1) at 99 edges takes a count table, but not in 1 000 cells:
     # its draws are the tableau's.  quad (0, 0) has no tableau, so its
     # budget error stands
     draw = exact_sampler(TRI, 0, 1, 99, budget=1000)
-    assert [draw(CounterRng(s)) for s in range(3)] == \
-        [_syt_walk(33, CounterRng(s), drop_last=True) for s in range(3)]
+    for s in range(3):
+        word = sample_syt_word(33, CounterRng(s))
+        assert word[-1] == 2  # the west move that closes the excursion
+        assert draw(CounterRng(s)).moves == tuple(ROW_MOVES[c] for c in word[:-1])
     with pytest.raises(EnumerationBudgetError):
         exact_sampler(preset_weights("quad"), 0, 0, 201, budget=1000)
+
+
+def test_a_tableau_walk_drops_only_the_closing_west_move(monkeypatch):
+    # a (0, 1) walk is its tableau word less the last letter, which must be
+    # row 2, the west move; the hook walk always ends there, so a word that
+    # does not is refused
+    from bipolar_maps import enumeration
+    draw = exact_sampler(TRI, 0, 1, 3, budget=1)
+    assert draw(CounterRng(0)).moves == (ROW_MOVES[0], ROW_MOVES[1])
+    monkeypatch.setattr(enumeration, "sample_syt_word", lambda n, rng: [0, 2, 1])
+    with pytest.raises(AssertionError, match="west move"):
+        draw(CounterRng(0))
 
 
 def test_exact_sample_deterministic():
@@ -179,7 +244,8 @@ def test_syt_sampler_agrees_with_table():
     # n = 3: the 42 tableaux are the 42 closed excursions of 9 steps
     walks = set(enumerate_walks(TRI, 0, 0, 10))
     assert len(walks) == closed_form_triangulations(3) == 42
-    draws = Counter(_syt_walk(3, rng, drop_last=False) for _ in range(21_000))
+    draw = exact_sampler(TRI, 0, 0, 10, budget=1)  # the tableau: no table fits
+    draws = Counter(draw(rng) for _ in range(21_000))
     assert set(draws) == walks
     assert scipy.stats.chisquare(list(draws.values())).pvalue > 0.001
 
