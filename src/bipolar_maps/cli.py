@@ -2,7 +2,8 @@
 
 Verbs: count, sample, stats, interface, walk2map, map2walk, embed, verify.
 Stdout carries data, stderr carries diagnostics; every stochastic verb
-requires an explicit --seed.  Exit codes: 0 success, 1 infeasible inputs or
+requires an explicit --seed, and replica r draws from stream r of it, with
+no other stream drawn.  Exit codes: 0 success, 1 infeasible inputs or
 failed verification, 2 usage errors or malformed input, 3 resource budget
 exceeded (out of memory included).
 
@@ -30,7 +31,6 @@ from .errors import (DEFAULT_BUDGET, BipolarError, EnumerationBudgetError,
 from .rng import CounterRng
 
 _PRESETS = ("tri", "quad", "uniform")
-_REDUCER_STREAM = 10_000  # the stats bootstrap's stream; no replica draws from it
 
 
 def _load_weights(spec: str):
@@ -99,19 +99,23 @@ def _sampler(args, w, dist):
 
 def _replica_walks(args, w, dist):
     draw = _sampler(args, w, dist)
-    return [draw(CounterRng(args.seed, rep + (rep >= _REDUCER_STREAM)))
-            for rep in range(args.replicas)]
+    return [draw(CounterRng(args.seed, rep)) for rep in range(args.replicas)]
 
 
 def cmd_count(args, parser) -> int:
     from . import enumeration
-    sys.set_int_max_str_digits(0)  # a count may have more than 4 300 digits
     w = _load_weights(args.weights)
     table = None if args.closed_form else lambda: enumeration.count_walks(
         w, args.m, args.n, args.edges, budget=args.budget)
-    print(enumeration._exact_method(
+    count = enumeration._exact_method(
         w, args.m, args.n, args.edges, table,
-        lambda k, r: 0 if r else enumeration.closed_form_triangulations(k)))
+        lambda k, r: 0 if r else enumeration.closed_form_triangulations(k))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a count may have more than 4 300 digits
+    try:
+        print(count)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -143,9 +147,7 @@ def cmd_stats(args, parser) -> int:
     from . import enumeration, simulate
     dist, w = _dist_from_args(args)
     walks = _replica_walks(args, w, dist)
-    rng = CounterRng(args.seed, _REDUCER_STREAM)
-    report = simulate.covariance_report(walks, dist, rng,
-                                        bootstrap=args.bootstrap)
+    report = simulate.covariance_report(walks, dist)
     if (args.method in ("exact", "rejection") and w is not None
             and enumeration.is_triangulation(w)):
         simulate.attach_degree_stats(
@@ -257,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(q, stochastic=True)
     q.add_argument("--replicas", type=_positive_int, default=1)
     q.add_argument("--json", help="also write the report as JSON")
-    q.add_argument("--bootstrap", type=_positive_int, default=1000)
     q.add_argument("--eps", type=_trim_fraction, default=0.05,
                    help="fraction of walk ends excluded from degree stats")
 

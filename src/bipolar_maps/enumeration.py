@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import factorial, gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 
 from .errors import DEFAULT_BUDGET, EnumerationBudgetError, NoMapsError
@@ -104,7 +104,9 @@ def _count_layers(w: FaceWeights, m: int, n: int, ell: int, budget: int):
     ``CountTable``), and an iterator over layers 0..ell-1 in turn, each as
     rows padded with zeros as ``CountTable.rows`` is.  The iterator
     computes each layer from the one before; it yields nothing when the
-    count is 0.  Every layer's box is counted against ``budget`` before
+    count is 0.  Boundary data that fail ``weights.feasible`` give no
+    moves, states 0 and no layers before the budget is looked at; every
+    other instance has each layer's box counted against ``budget`` before
     any work.
 
     The forward reach of time t is one int bitmask: bit y of its row x is
@@ -122,6 +124,8 @@ def _count_layers(w: FaceWeights, m: int, n: int, ell: int, budget: int):
             "uniform weights have an infinite step set, and exact counting "
             "and sampling need a finite one; sample them by rejection or as "
             "free walks (--method rejection or --method free)")
+    if not feasible(w, m, n, ell)[0]:
+        return (), 0, iter(())
     T = ell - 1
     moves = _weighted_moves(w, T)
     # the edge move is (1, -1) and a face move is (-i, j), so no move
@@ -141,8 +145,6 @@ def _count_layers(w: FaceWeights, m: int, n: int, ell: int, budget: int):
                 f"count table would allocate at least {estimate} cells, "
                 f"budget is {budget}",
                 required_cells=estimate, budget_cells=budget)
-    if not feasible(w, m, n, ell)[0]:
-        return (), 0, iter(())
 
     deltas = [mv.delta for mv, _ in moves]
     # row x of the reach of time t is bits x*width.. of one int, so a move
@@ -257,8 +259,9 @@ def closed_form_triangulations(n: int) -> int:
     """f^(n,n,n), the standard tableaux of shape (n, n, n): the sphere
     triangulations with marked adjacent poles and 3n edges (boundary
     (0, 1)), and the tri maps of boundary (0, 0) with 3n + 1 edges.
-    ``factorial`` refuses n < 0."""
-    return 2 * factorial(3 * n) // (factorial(n + 2) * factorial(n + 1) * factorial(n))
+    It is 2(3n)! / (n! (n+1)! (n+2)!), taken as two binomials and one
+    small division, not a division of factorials; ``comb`` refuses n < 0."""
+    return 2 * comb(3 * n, n) * comb(2 * n, n) // ((n + 1) ** 2 * (n + 2))
 
 
 def triangulation_count_by_edges(ell: int) -> int:

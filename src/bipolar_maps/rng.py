@@ -5,12 +5,11 @@ All stochastic code draws from a Philox4x64-10 generator keyed by
 replica streams independent and output reproducible across platforms.
 Every walk sampler reads the generator's raw 64-bit words through one
 source, ``words(count)``, and decodes them with integer arithmetic, so no
-walk depends on numpy's distribution code (the covariance bootstrap's
-multinomial, through ``rng.np``, is the one draw that does).  Exact integer draws below arbitrary
-(big) bounds use rejection on those words: ``randrange`` takes them in
-blocks of 4 096 and turns them into Python ints 512 at a time, from the
-end of the block, as they are taken, so a stream that takes a few words
-does not convert the whole block.  The samplers in
+draw depends on numpy's distribution code.  Exact integer draws below
+arbitrary (big) bounds use rejection on those words: ``randrange`` takes
+them in blocks of 4 096 and turns them into Python ints 512 at a time,
+from the end of the block, as they are taken, so a stream that takes a
+few words does not convert the whole block.  The samplers in
 ``simulate`` decode ``words`` arrays directly.
 
 A stream whose first draw is a ``randrange`` takes the first ``_PREFIX``

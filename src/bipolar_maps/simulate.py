@@ -18,13 +18,14 @@ finite law's draw table is built once per sampler (``free_sampler``,
 moves than ``errors.DEFAULT_BUDGET`` is refused before it is built.  The
 uniform decode table is built once per process.
 
-The covariance bootstrap still draws its resample counts with numpy's
-``multinomial``: an exact multinomial decoded from raw words would cost
-far more than the count vectors it replaces.
+The covariance report draws nothing: its 95 % interval is the delta
+method's closed form, taken from exact integer sums over the count vector
+of the distinct increments, and the degree correlation is taken from
+exact integer sums too.
 
 numpy is imported inside the functions that compute with arrays (the
-increment draws, rejection, the covariance report and the degree
-correlation), so the frontier tracer and the interface export load without it.
+increment draws and rejection), so the frontier tracer, the covariance
+and degree statistics and the interface export load without it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import floor, sqrt
+from math import copysign, floor, sqrt
+from operator import attrgetter
 
 from .errors import (DEFAULT_BUDGET, BipolarError, EnumerationBudgetError,
                      NoMapsError, RejectionBudgetError)
@@ -417,6 +419,16 @@ def tv_to_geometric(values: list[int]) -> float:
 
 # -- covariance reporting ----------------------------------------------------------
 
+_Z95 = 1.959963984540054  # the standard normal's 97.5 % quantile
+
+
+def _comoments(counts: Counter) -> tuple[int, ...]:
+    """For a nonempty count of int pairs (x, y), exactly: n, the sums of x
+    and of y, and n^2 times Var[X], Var[Y] and Cov[X, Y]."""
+    n, sx, sy, sxx, syy, sxy = map(sum, zip(*(
+        (c, c * x, c * y, c * x * x, c * y * y, c * x * y) for (x, y), c in counts.items())))
+    return n, sx, sy, n * sxx - sx * sx, n * syy - sy * sy, n * sxy - sx * sy
+
 
 @dataclass
 class StatReport:
@@ -490,48 +502,45 @@ class StatReport:
 def covariance_report(walks: list[LatticeWalk], dist: StepDistribution | None = None,
                       rng: CounterRng | None = None,
                       bootstrap: int = 1000) -> StatReport:
-    """Empirical increment covariance with a bootstrap CI on the variance ratio.
+    """Empirical increment covariance with a delta-method 95 % interval on
+    the variance ratio R = Var[X-Y] / Var[X+Y].
 
-    The bootstrap ("iid_increments") treats the increments as i.i.d.: each
-    resample is a multinomial count vector over the distinct increments.
-    That holds for free walks (``--method free``); the increments of a walk
-    conditioned on its end point are dependent, so there it is only indicative.
+    The interval ("iid_increments") treats the increments as i.i.d.: R is
+    a smooth function of the first two moments of (X-Y, X+Y), so it is
+    R +- z * sqrt(Var psi / n) for the influence function
+    psi(d, s) = ((d - d')^2 - V_d - R((s - s')^2 - V_s)) / V_s (van der
+    Vaart, *Asymptotic Statistics*, 1998, ch. 3).  Every moment is an
+    exact integer sum over the count vector of the distinct increments, and
+    each float is made once, at the end.  That holds for free walks
+    (``--method free``); the increments of a walk conditioned on its end
+    point are dependent, so there it is only indicative.  ``rng`` and
+    ``bootstrap`` are accepted and unused, so callers that pass them keep
+    working.
     """
-    import numpy as np
-    deltas = [mv.delta for w in walks for mv in w.moves]
-    n = len(deltas)
-    if n < 2:
+    counts: Counter = Counter()
+    for w in walks:
+        counts.update(map(attrgetter("delta"), w.moves))
+    if counts.total() < 2:
         raise BipolarError("degenerate sample: need at least two increments")
-    dx, dy = np.ascontiguousarray(np.array(deltas, dtype=float).T)
-    diff = dx - dy
-    tot = dx + dy
-    var_diff = float(diff.var())
-    var_sum = float(tot.var())
-    if var_sum == 0.0:
+    n, sx, sy, nxx, nyy, nxy = _comoments(counts)
+    nd, ns = nxx + nyy - 2 * nxy, nxx + nyy + 2 * nxy  # n^2 V_d, n^2 V_s
+    if ns == 0:
         raise BipolarError("degenerate sample: Var[X+Y] is zero")
-    exx = float(((dx - dx.mean()) ** 2).mean())
-    eyy = float(((dy - dy.mean()) ** 2).mean())
-    exy = float(((dx - dx.mean()) * (dy - dy.mean())).mean())
-
-    # n increments drawn with replacement are a multinomial count vector over
-    # the distinct increments; the ratio is taken where Var[X+Y] > 0
-    steps = sorted(Counter(deltas).items())
-    values = np.array([(a - b, a + b) for (a, b), _ in steps], dtype=float)
-    freqs = np.array([k for _, k in steps]) / n
-    c = (rng or CounterRng(0)).np.multinomial(n, freqs, size=bootstrap)[..., None]
-    centred = values - (c * values).sum(axis=1, keepdims=True) / n
-    vd, vs = (c * centred ** 2).sum(axis=1).T / n
-    if not (vs > 0).any():
-        raise BipolarError("degenerate sample: Var[X+Y] is zero in every "
-                           "bootstrap resample")
-    lo, hi = np.quantile(vd[vs > 0] / vs[vs > 0], [0.025, 0.975])
+    # with a = n(d - d'), b = n(s - s'): psi = (ns a^2 - nd b^2) / ns^2, so
+    # Var psi / n = q / (n^2 ns^4)
+    sd, ss = sx - sy, sx + sy
+    q = sum(c * (ns * (n * (dx - dy) - sd) ** 2 - nd * (n * (dx + dy) - ss) ** 2) ** 2
+            for (dx, dy), c in counts.items())
+    nn = n * n
+    ratio = nd / ns
+    half = _Z95 * sqrt(q / (nn * ns ** 4))
     return StatReport(
         n_steps=n,
-        var_diff=var_diff,
-        var_sum=var_sum,
-        ratio=var_diff / var_sum,
-        ratio_ci=(float(lo), float(hi)),
-        cov=((exx, exy), (exy, eyy)),
+        var_diff=nd / nn,
+        var_sum=ns / nn,
+        ratio=ratio,
+        ratio_ci=(ratio - half, ratio + half),
+        cov=((nxx / nn, nxy / nn), (nxy / nn, nyy / nn)),
         theory=theory_stats(dist) if dist is not None else None,
     )
 
@@ -539,7 +548,6 @@ def covariance_report(walks: list[LatticeWalk], dist: StepDistribution | None = 
 def attach_degree_stats(report: StatReport, *traces: FrontierTrace,
                         eps: float = 0.05) -> StatReport:
     """Fill the degree section of a report from the pooled bulk vertices of traces."""
-    import numpy as np
     ins: list[int] = []
     outs: list[int] = []
     for trace in traces:
@@ -550,12 +558,13 @@ def attach_degree_stats(report: StatReport, *traces: FrontierTrace,
         raise BipolarError("no bulk interior vertices at this size")
     report.degree_in_hist = dict(sorted(Counter(ins).items()))
     report.degree_out_hist = dict(sorted(Counter(outs).items()))
-    report.degree_joint_hist = dict(sorted(Counter(map("{},{}".format, ins, outs)).items()))
+    joint = Counter(zip(ins, outs))
+    report.degree_joint_hist = dict(sorted(("{},{}".format(*k), c) for k, c in joint.items()))
     report.tv_in = tv_to_geometric(ins)
     report.tv_out = tv_to_geometric(outs)
     # degrees of one value on a side have no variance: no correlation, not NaN
-    spread = len(report.degree_in_hist) > 1 and len(report.degree_out_hist) > 1
-    report.degree_corr = float(np.corrcoef(ins, outs)[0, 1]) if spread else None
+    *_, vi, vo, cio = _comoments(joint)
+    report.degree_corr = copysign(sqrt(cio * cio / (vi * vo)), cio) if vi and vo else None
     return report
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import bipolar_maps
-from bipolar_maps import cli, enumeration, simulate
+from bipolar_maps import enumeration, simulate
 from bipolar_maps.cli import main
 from bipolar_maps.embedding import visibility_drawing
 from bipolar_maps.enumeration import exact_sample
@@ -26,8 +26,8 @@ from bipolar_maps.weights import preset_weights, step_distribution, weights_from
 
 @pytest.fixture(autouse=True)
 def int_str_digits():
-    """count lifts the interpreter's limit on int-to-str digits for its
-    process; each test here gets the limit back."""
+    """Each test here gets the interpreter's limit on int-to-str digits back,
+    if it lifts the limit to parse a long count."""
     limit = sys.get_int_max_str_digits()
     yield
     sys.set_int_max_str_digits(limit)
@@ -108,9 +108,21 @@ def test_weights_without_a_zero_drift_root_are_an_error(tmp_path, capsys):
 
 
 def test_budget_exit_code(capsys):
-    code, _, err = run(capsys, "count", "--weights", "tri", "--m", "2",
-                       "--n", "2", "--edges", "2000", "--budget", "1000")
+    # tri (2,2) at 2 000 edges is off the congruence (1 999 is not 2 mod 3):
+    # it prints 0 before the budget is looked at; at 2 001 the table is over it
+    flags = ("count", "--weights", "tri", "--m", "2", "--n", "2", "--budget", "1000")
+    assert run(capsys, *flags, "--edges", "2000") == (0, "0\n", "")
+    code, _, err = run(capsys, *flags, "--edges", "2001")
     assert code == 3 and "budget" in err
+
+
+def test_count_checks_feasibility_before_the_budget(capsys):
+    # the table would be 2 001 000 cells, but quad walks of odd length do
+    # not close: count prints 0 at once, where sample finds no maps
+    flags = ("--weights", "quad", "--m", "0", "--n", "0", "--edges", "3000")
+    assert run(capsys, "count", *flags) == (0, "0\n", "")
+    code, _, err = run(capsys, "sample", *flags, "--seed", "1")
+    assert code == 1 and "congruence" in err
 
 
 def test_law_too_large_to_draw_from_is_a_budget_error(tmp_path, capsys):
@@ -131,8 +143,7 @@ def test_law_too_large_to_draw_from_is_a_budget_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, call, message", [
-    (["stats", "--method", "free", "--edges", "30", "--seed", "1",
-      "--bootstrap", "1000000000"], "covariance_report",
+    (["stats", "--method", "free", "--edges", "30", "--seed", "1"], "covariance_report",
      "Unable to allocate 22.4 GiB for an array with shape (1000000000, 3) and "
      "data type int64"),
     (["interface", "--edges", "30", "--seed", "1", "--grid-points", "1000000000"],
@@ -209,7 +220,7 @@ def test_stats_json(tmp_path, capsys):
     out_json = tmp_path / "r.json"
     code, out, _ = run(capsys, "stats", "--weights", "tri", "--edges", "600",
                        "--m", "0", "--n", "1", "--seed", "4", "--method",
-                       "exact", "--bootstrap", "50", "--json", str(out_json))
+                       "exact", "--json", str(out_json))
     assert code == 0 and "Var[X-Y]" in out
     data = json.loads(out_json.read_text())
     assert data["n_steps"] == 599
@@ -217,7 +228,7 @@ def test_stats_json(tmp_path, capsys):
 
 
 def test_stats_json_is_strict_on_tiny_samples(tmp_path, capsys):
-    # some resamples of three steps have Var[X+Y] = 0; they must not leak NaN
+    # three steps of two distinct increments: the interval has width 0, not NaN
     out_json = tmp_path / "r.json"
 
     def reject(token):
@@ -231,7 +242,7 @@ def test_stats_json_is_strict_on_tiny_samples(tmp_path, capsys):
         assert code == 0 and not caught and "Warning" not in err
         return out, json.loads(out_json.read_text(), parse_constant=reject)
 
-    _, data = stats("--method", "free", "--edges", "4", "--bootstrap", "50")
+    _, data = stats("--method", "free", "--edges", "4")
     assert data["ratio_ci_95"] == [9.0, 9.0]
     # conditioned maps of 4 and 7 edges have bulk degrees of one value on a
     # side, whose correlation is undefined: null, and "-" in the table
@@ -252,8 +263,7 @@ def test_stats_builds_one_count_table(monkeypatch, capsys):
 
     monkeypatch.setattr(enumeration, "build_count_table", counted)
     code, _, _ = run(capsys, "stats", "--weights", "quad", "--m", "0", "--n", "0",
-                     "--edges", "21", "--seed", "1", "--replicas", "3",
-                     "--bootstrap", "10")
+                     "--edges", "21", "--seed", "1", "--replicas", "3")
     assert code == 0 and len(calls) == 1
 
 
@@ -311,21 +321,21 @@ def test_sample_replicas_need_numbered_files(tmp_path, monkeypatch, capsys):
     assert code == 0 and [p.name for p in tmp_path.iterdir()] == ["w.txt"]
 
 
-def test_stats_bootstrap_stream_is_no_replica_stream(monkeypatch, capsys):
+def test_stats_replica_r_draws_stream_r(monkeypatch, capsys):
+    # the interval draws nothing: the only streams are the replicas' own
     streams = []
+    init = CounterRng.__init__
 
-    class Recording(CounterRng):
-        def __init__(self, seed, stream=0):
-            super().__init__(seed, stream)
-            streams.append(stream)
+    def recording(self, seed, stream=0):
+        init(self, seed, stream)
+        streams.append((seed, stream))
 
-    monkeypatch.setattr(cli, "CounterRng", Recording)
-    code, _, _ = run(capsys, "stats", "--method", "free", "--edges", "3",
-                     "--seed", "1", "--replicas", "10001", "--bootstrap", "10")
-    assert code == 0
-    *replicas, bootstrap = streams
-    assert len(set(replicas)) == 10001 and replicas[:10_000] == list(range(10_000))
-    assert bootstrap not in replicas
+    monkeypatch.setattr(CounterRng, "__init__", recording)
+    for method in ("exact", "rejection", "free"):
+        streams.clear()
+        code, _, _ = run(capsys, "stats", "--method", method, "--edges", "30",
+                         "--seed", "1", "--replicas", "12")
+        assert code == 0 and streams == [(1, r) for r in range(12)], method
 
 
 def test_interface_exports_the_replica_zero_draw(capsys):
@@ -346,8 +356,18 @@ def test_count_takes_the_method_sample_takes(capsys, n, edges):
     for closed_form in ((), ("--closed-form",)):
         code, out, _ = run(capsys, "count", *flags, *closed_form)
         assert code == 0 and sampled == (1 if r else 0)
+        sys.set_int_max_str_digits(0)  # the fixture puts the limit back
         assert int(out) == (0 if r else 2 * factorial(3 * k) // (
             factorial(k) * factorial(k + 1) * factorial(k + 2)))
+
+
+def test_count_keeps_the_int_digit_limit(capsys):
+    # count lifts the limit on int-to-str digits for its print only
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "count", "--weights", "tri", "--m", "0", "--n", "0",
+                       "--edges", "30001")
+    assert code == 0 and len(out) == 14299
+    assert sys.get_int_max_str_digits() == limit != 0
 
 
 def test_config_file(tmp_path, capsys):
@@ -386,8 +406,7 @@ def test_verify_quick(capsys):
 def test_stats_pools_replicas(tmp_path, capsys):
     out_json = tmp_path / "r.json"
     code, _, _ = run(capsys, "stats", "--weights", "tri", "--edges", "600",
-                     "--seed", "4", "--replicas", "2", "--bootstrap", "50",
-                     "--json", str(out_json))
+                     "--seed", "4", "--replicas", "2", "--json", str(out_json))
     assert code == 0
     degrees = json.loads(out_json.read_text())["degrees"]
     assert sum(degrees["joint_hist"].values()) == sum(degrees["in_hist"].values()) > 0
@@ -561,13 +580,16 @@ def test_numpy_free_verbs_run_with_numpy_blocked(tmp_path, monkeypatch, capsys):
              ["sample", "--weights", "tri", "--edges", "12", "--seed", "7",
               "--walk-out", "w.txt", "--map-out", "m.json"],
              ["verify", "--quick"],
-             ["count", "--weights", "tri", "--m", "0", "--n", "0", "--edges", "30001"]]
+             ["count", "--weights", "tri", "--m", "0", "--n", "0", "--edges", "30001"],
+             ["stats", "--weights", "tri", "--m", "0", "--n", "1", "--edges", "30",
+              "--seed", "1", "--method", "exact"]]
     expected = [list(run(capsys, *argv)) for argv in lines]
     assert expected[3] == [0, "87516\n", ""] and expected[4][0] == 1
     assert "congruence" in expected[4][2]
     assert expected[5] == [0, "5\n", ""] and expected[6][0] == 0
     assert expected[7][0] == 0 and "all checks passed" in expected[7][1]
     assert expected[8][0] == 0 and len(expected[8][1]) == 14299  # f^(k,k,k), k = 10 000
+    assert expected[9][0] == 0 and "ratio 95% CI" in expected[9][1]
     src = Path(bipolar_maps.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED, json.dumps(lines)],

@@ -3,7 +3,7 @@ import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -49,6 +49,29 @@ def test_closed_form_values():
         [1, 5, 42, 462, 6006]
     assert triangulation_count_by_edges(7) == 0
     assert triangulation_count_by_edges(18) == 87516
+
+
+def test_closed_form_is_the_hook_length_quotient():
+    # the two-binomial form against the factorial quotient it replaces
+    def factorials(k):
+        return 2 * factorial(3 * k) // (factorial(k) * factorial(k + 1) * factorial(k + 2))
+
+    assert all(closed_form_triangulations(k) == factorials(k) for k in range(301))
+    assert closed_form_triangulations(10_000) == factorials(10_000)
+    with pytest.raises(ValueError):
+        closed_form_triangulations(-1)
+
+
+def test_infeasible_data_count_zero_before_the_budget():
+    # off the congruence no box is summed: no budget error, an empty table
+    quad = preset_weights("quad")
+    assert count_walks(quad, 0, 0, 3000, budget=10) == 0
+    table = build_count_table(TRI, 2, 2, 2000, budget=10)
+    assert (table.moves, table.rows, table.states, table.total) == ((), [], 0, 0)
+    with pytest.raises(EnumerationBudgetError):
+        count_walks(quad, 0, 0, 3001, budget=10)
+    with pytest.raises(EnumerationBudgetError):
+        build_count_table(TRI, 2, 2, 2001, budget=10)
 
 
 def test_count_matches_closed_form():

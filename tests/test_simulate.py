@@ -18,8 +18,8 @@ from bipolar_maps.errors import (BipolarError, NoMapsError, NotBipolarCodeError,
                                  RejectionBudgetError)
 from bipolar_maps.rng import CounterRng
 from bipolar_maps.sewing import initial_state, walk_to_map
-from bipolar_maps.simulate import (covariance_report, degrees_from_walk,
-                                   free_walk, attach_degree_stats,
+from bipolar_maps.simulate import (FrontierTrace, covariance_report, degrees_from_walk,
+                                   free_sampler, free_walk, attach_degree_stats,
                                    interface_csv, interface_export,
                                    rejection_sample, rejection_sample_many,
                                    sample_simple_triangulation_walk,
@@ -198,12 +198,12 @@ def test_covariance_report_values():
 
 
 def test_covariance_report_is_pinned():
-    # the bootstrap's rng use; a change to the resampling shows here
+    # every float of the report; a change to the moments or the interval shows here
     w = free_walk(TRI, 1000, CounterRng(3))
     text = json.dumps(covariance_report([w], TRI, CounterRng(4),
                                         bootstrap=200).to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "930586bd9510d78e4fefdf9ba94c54fa47e6fea5b9f792f906b592d3e29ba823"
+        "31af6ca914c8ed1c95c28dec3df578820c30147f13ff3d1ebf5e5793acccfba2"
 
 
 def resampled_ratio_ci(walk, rng, bootstrap):
@@ -220,8 +220,8 @@ def resampled_ratio_ci(walk, rng, bootstrap):
 
 
 def test_count_vector_bootstrap_matches_resampling():
-    # a multinomial count vector over the distinct increments has the law
-    # of n increments drawn with replacement; the oracle draws them
+    # the delta-method interval agrees with a bootstrap of n increments
+    # drawn with replacement, to within the bootstrap's own noise
     import scipy.stats
     w = free_walk(TRI, 50000, CounterRng(7))
     B = 500
@@ -235,12 +235,42 @@ def test_count_vector_bootstrap_matches_resampling():
     assert abs(rep.ratio_ci[1] - hi) < 4 * np.sqrt(2) * se
 
 
+@pytest.mark.parametrize("law", ["tri", "quad", "uniform"])
+def test_delta_interval_is_the_float_influence_variance(law):
+    # the count vector's exact Var psi against psi over the raw increments
+    dist = step_distribution(preset_weights(law))
+    w = free_walk(dist, 20000, CounterRng(5))
+    rep = covariance_report([w], dist)
+    d = np.array([mv.delta for mv in w.moves], dtype=float)
+    diff, tot = d[:, 0] - d[:, 1], d[:, 0] + d[:, 1]
+    vd, vs = diff.var(), tot.var()
+    ratio = vd / vs
+    psi = ((diff - diff.mean()) ** 2 - vd - ratio * ((tot - tot.mean()) ** 2 - vs)) / vs
+    half = 1.959963984540054 * np.sqrt(np.mean(psi ** 2) / len(d))
+    lo, hi = rep.ratio_ci
+    assert rep.ratio == pytest.approx(ratio, rel=1e-12)
+    assert (hi - lo) / 2 == pytest.approx(half, rel=1e-12)
+    assert (lo + hi) / 2 == pytest.approx(rep.ratio, rel=1e-15)
+
+
+@pytest.mark.parametrize("law", ["tri", "quad", "uniform"])
+def test_delta_interval_covers_three_at_its_rate(law):
+    # 200 free walks of 10**4 steps: coverage of the theory ratio 3 near
+    # 95 %, i.e. 190 +- 3.1; the bounds are about 4 sd out on either side
+    draw = free_sampler(step_distribution(preset_weights(law)), 10_000)
+    covered = 0
+    for s in range(200):
+        lo, hi = covariance_report([draw(CounterRng(77, s))]).ratio_ci
+        covered += lo <= 3.0 <= hi
+    assert 178 <= covered <= 199
+
+
 def test_covariance_report_degenerate():
     with pytest.raises(BipolarError):
         covariance_report([LatticeWalk((0, 0), (EDGE,))])
-    with pytest.raises(BipolarError, match="every bootstrap resample"):
-        covariance_report([LatticeWalk((0, 0), (EDGE, FaceMove(0, 1)))],
-                          bootstrap=0)
+    # two distinct increments: psi is 0 at both, so Var psi = 0
+    rep = covariance_report([LatticeWalk((0, 0), (EDGE, FaceMove(0, 1)))])
+    assert rep.ratio == 9.0 and rep.ratio_ci == (9.0, 9.0)
 
 
 def test_skewed_direct_measure_reported():
@@ -261,6 +291,21 @@ def test_degree_stats_attachment():
     assert rep.tv_in < 0.08 and rep.tv_out < 0.08
     assert abs(rep.degree_corr) < 0.2
     assert sum(rep.degree_in_hist.values()) == len(trace.bulk_interior())
+
+
+def test_degree_correlation_is_exact():
+    from bipolar_maps.enumeration import exact_sample
+    walk = exact_sample(preset_weights("tri"), 0, 1, 3000, CounterRng(11))
+    trace = degrees_from_walk(walk)
+    rep = attach_degree_stats(covariance_report([walk]), trace)
+    bulk = trace.bulk_interior()
+    ins = [trace.indegree[v] for v in bulk]
+    outs = [trace.outdegree[v] for v in bulk]
+    assert rep.degree_corr == pytest.approx(np.corrcoef(ins, outs)[0, 1], rel=1e-12)
+    # in-degrees against themselves correlate exactly 1, not a float step past it
+    same = FrontierTrace(trace.indegree, trace.indegree, trace.created_at,
+                         trace.final_frontier, trace.n_moves)
+    assert attach_degree_stats(covariance_report([walk]), same).degree_corr == 1.0
 
 
 def test_interface_export_endpoints():
